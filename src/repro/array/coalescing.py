@@ -179,8 +179,8 @@ class CoalescingBuffer:
         Exactly equivalent to calling :meth:`append` once per token —
         returns the ``FULL`` flushes emitted, in order — but does the token
         extension and timer updates per chunk instead of per block.  Used
-        by the batched replay engine (``repro.perf``); the caller
-        guarantees the timestamps are non-decreasing.
+        by the run-append paths (GC migration, the batched replay
+        engine); the caller guarantees the timestamps are non-decreasing.
         """
         flushes: list[ChunkFlush] = []
         tokens = self._tokens
@@ -215,7 +215,7 @@ class CoalescingBuffer:
         the accounting a flush object would otherwise carry (any pending
         pre-run tokens are part of the first flush, so when
         ``full_flushes > 0`` every pre-run token was flushed too).  Used
-        by the batched replay paths when nothing consumes the flush
+        by the run-append paths when nothing consumes the flush
         objects; end state (tokens, timer, heap entry) is bit-identical
         to :meth:`append_run`.
         """

@@ -114,6 +114,12 @@ def _export_observability(recorder, out_dir: str, stem: str) -> list[str]:
     return written
 
 
+def _engine_line(replay_engine) -> str:
+    """One output line naming the replay engine that ran and why."""
+    engine, reason = replay_engine
+    return f"engine: {engine} ({reason})"
+
+
 def _cmd_replay(args) -> str:
     from repro.experiments.runner import replay_volume
     from repro.obs.recorder import ObsRecorder
@@ -124,6 +130,7 @@ def _cmd_replay(args) -> str:
                            num_requests=s.volume_requests, seed=args.seed)
     rows = []
     written: list[str] = []
+    replay_engine = None  # same scheme + recorder setup for every volume
     for trace in fleet:
         recorder = None
         if args.metrics_out:
@@ -138,9 +145,12 @@ def _cmd_replay(args) -> str:
                                              trace.volume)
         rows.append([r.volume, r.write_amplification, r.padding_ratio,
                      r.gc_ratio])
+        replay_engine = r.replay_engine
     table = render_table(["volume", "WA", "padding_ratio", "gc_ratio"],
                          rows, title=f"{args.scheme} on {args.profile} "
                                      f"({args.victim})")
+    if replay_engine:
+        table += "\n" + _engine_line(replay_engine)
     if written:
         table += "\nmetrics written:\n" + "\n".join(
             f"  {p}" for p in written)
@@ -158,9 +168,12 @@ def _cmd_validate(args) -> tuple[str, bool]:
     policies = args.policies.split(",") if args.policies else None
     requests = 600 if args.scale == "smoke" else 1200
     workloads = default_workloads(num_requests=requests, seed=args.seed)
-    report = run_differential(policies=policies, workloads=workloads,
-                              victim=args.victim, seed=args.seed,
-                              engine=args.engine)
+    try:
+        report = run_differential(policies=policies, workloads=workloads,
+                                  victim=args.victim, seed=args.seed,
+                                  engine=args.engine)
+    except ValueError as exc:  # --engine batched on a multi-group policy
+        return f"validate: {exc}", False
     out = render_report(report)
     if not report.ok:
         out += (f"\nVALIDATION FAILED: {len(report.failures)} cell(s) "
@@ -180,8 +193,8 @@ def _cmd_obs(args) -> str:
 
     Default mode traces every event (scalar replay).  ``--no-trace``
     keeps only aggregated metrics, which is batch-capable and rides the
-    fast engine.  ``--timeline-every N`` additionally records a replay
-    timeline sampled every N user blocks.
+    fast engine for single-group schemes.  ``--timeline-every N``
+    additionally records a replay timeline sampled every N user blocks.
     """
     from repro.experiments.runner import replay_volume
     from repro.obs.recorder import ObsRecorder
@@ -225,7 +238,8 @@ def _cmd_obs(args) -> str:
               f"WA={result.write_amplification:.3f} "
               f"padding={result.padding_ratio:.3f} "
               f"gc={result.gc_ratio:.3f}")
-    return table + "\nartifacts:\n" + "\n".join(f"  {p}" for p in written)
+    return (table + "\n" + _engine_line(result.replay_engine)
+            + "\nartifacts:\n" + "\n".join(f"  {p}" for p in written))
 
 
 def _cmd_bench(args) -> tuple[str, bool]:
@@ -366,6 +380,8 @@ def _cmd_fleet(args) -> tuple[str, bool]:
     out = render_fleet(result.summary)
     out += (f"\n{result.chunks_replayed} chunk(s) replayed across "
             f"{result.num_shards} shard(s) in {result.seconds:.2f}s")
+    if result.replay_engine:
+        out += "\n" + _engine_line(result.replay_engine)
     if result.summary_path:
         out += f"\nsummary written: {result.summary_path}"
     return out, True
@@ -430,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time-series sampling period in user blocks")
     p.add_argument("--no-trace", action="store_true",
                    help="skip per-event tracing; aggregated metrics only "
-                        "(batch-capable, so the fast engine is used)")
+                        "(batch-capable, so single-group schemes use "
+                        "the batched engine)")
     p.add_argument("--event-sample-every", type=_positive_int, default=1,
                    metavar="N", help="keep every Nth traced event "
                                      "(default: 1, keep all)")
@@ -474,11 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--scale", default="smoke",
                    choices=["smoke", "default"])
-    p.add_argument("--engine", default="batched",
-                   choices=["batched", "scalar", "auto"],
-                   help="replay engine driving the fast store "
-                        "(default: batched, so the sweep also proves "
-                        "engine equivalence)")
+    p.add_argument("--engine", default="auto",
+                   choices=["auto", "batched", "scalar"],
+                   help="replay engine driving the fast store (default: "
+                        "auto, the engine production replays use; "
+                        "batched fails on multi-group policies)")
 
     p = sub.add_parser("bench",
                        help="measure replay throughput per policy x "

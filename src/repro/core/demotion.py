@@ -96,17 +96,15 @@ class ProactiveDemotion:
         """Pure bulk probe: per LBA, the demotion target gid (or ``-1``
         for normal hotness placement) and the winning score.
 
-        No side effects — no lookup/demotion counters, no obs events —
-        so the batched engine can use it to *predict* candidate groups
-        before a chunk is committed; the placement path applies the
-        scalar contract's accounting via :meth:`account_batch`.
+        No side effects — no lookup/demotion counters, no obs events;
+        the batch placement path applies the scalar contract's
+        accounting via :meth:`account_batch`.
         Tie-breaking matches the scalar strict-``>`` scan (earliest gid
         in ``gc_group_ids`` wins ties).
 
         Results are memoized per LBA (exact, not approximate: the cache
         is invalidated on every discriminator mutation), so repeated
-        probes between GC runs — the engine's candidate prediction plus
-        the placement pass — cost one dict hit each.
+        probes between GC runs cost one dict hit each.
         """
         n = int(lbas.shape[0])
         targets = np.empty(n, dtype=np.int64)

@@ -295,13 +295,11 @@ class AdaptPolicy(PlacementPolicy):
 
     def candidate_user_gids(self, lbas: np.ndarray, ts_us: np.ndarray,
                             start_seq: int):
-        """Exact candidate prediction for the batched engine.
-
-        Every user block lands either HOT or in its (frozen) demotion
+        """Every user block lands either HOT or in its (frozen) demotion
         alternative: demotion fires deterministically from the cascade
-        scores, which only change during GC — and the engine guarantees
-        no GC runs inside a chunk.  Hot/cold classification may evolve
-        within the chunk, but both outcomes are covered by the pair.
+        scores, which only change during GC.  Caller-less since the
+        multi-group chunk prover was deleted; kept for the frozen
+        ``bench/`` harness (see :meth:`PlacementPolicy.candidate_user_gids`).
         """
         n = int(lbas.shape[0])
         primary = np.full(n, self.HOT, dtype=np.int64)

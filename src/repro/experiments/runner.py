@@ -46,6 +46,9 @@ class VolumeResult:
     #: (:meth:`repro.obs.attribution.AttributionRecorder.snapshot`) when
     #: the replay ran with attribution; ``None`` otherwise.
     attribution: dict | None = field(default=None, repr=False)
+    #: ``(engine, reason)`` the store recorded for this replay
+    #: (:attr:`LogStructuredStore.replay_engine`).
+    replay_engine: tuple[str, str] | None = field(default=None, repr=False)
 
 
 def store_config_for(trace_blocks: int, victim: str = "greedy",
@@ -81,6 +84,7 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
     ``engine`` selects the replay engine (``"auto"``/``"batched"``/
     ``"scalar"``, see :meth:`LogStructuredStore.replay`); both engines
     produce identical results, so this only matters for benchmarking.
+    The engine that ran, and why, is in :attr:`VolumeResult.replay_engine`.
 
     Attribution is opt-in the same way as metrics: pass
     ``collect_attribution=True`` for a default
@@ -134,6 +138,7 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
         metrics=recorder.snapshot() if recorder is not None else None,
         attribution=(attribution.snapshot()
                      if attribution is not None else None),
+        replay_engine=store.replay_engine,
     )
 
 

@@ -30,7 +30,9 @@ from repro.obs import profile as obs_profile
 from repro.obs.atomicio import atomic_write_bytes
 
 #: Bump on incompatible checkpoint layout changes.
-CHECKPOINT_VERSION = 1
+#: v2: pickled stores carry ``replay_engine``; v1's engine mode flag
+#: is gone.
+CHECKPOINT_VERSION = 2
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

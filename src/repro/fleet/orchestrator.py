@@ -49,6 +49,9 @@ class FleetRunResult:
     interrupted_shards: list[int] = field(default_factory=list)
     chunks_replayed: int = 0
     seconds: float = 0.0
+    #: ``(engine, reason)`` the tenant stores recorded (one spec, so one
+    #: answer for the fleet); ``None`` when no chunk was replayed.
+    replay_engine: tuple[str, str] | None = None
 
 
 def _shard_kwargs(spec: FleetSpec, num_shards: int, out_dir: str | None,
@@ -132,7 +135,9 @@ def run_fleet(spec: FleetSpec, workers: int = 1,
         spec=spec, num_shards=num_shards, complete=complete,
         volumes=volumes, interrupted_shards=interrupted,
         chunks_replayed=sum(r["chunks_replayed"] for r in results),
-        seconds=seconds)
+        seconds=seconds,
+        replay_engine=next((r["replay_engine"] for r in results
+                            if r["replay_engine"]), None))
     if complete:
         out.summary = fleet_summary(spec, num_shards, volumes)
         if out_dir is not None:
@@ -171,6 +176,7 @@ def _write_runinfo(result: FleetRunResult, out_dir: str) -> None:
         "seconds": result.seconds,
         "workers": result.num_shards,
         "chunks_replayed": result.chunks_replayed,
+        "replay_engine": result.replay_engine,
         "volumes": len(result.volumes),
         "blocks_per_sec": (
             sum(v["stats"]["user_blocks_requested"]

@@ -76,7 +76,8 @@ def run_shard(spec: FleetSpec, shard: int, num_shards: int,
     """Replay shard ``shard`` of ``num_shards``; returns the shard result.
 
     Returns ``{"shard", "completed": [volume report dicts in tenant
-    order], "interrupted": bool, "chunks_replayed": int}``.  With
+    order], "interrupted": bool, "chunks_replayed": int, "replay_engine":
+    (engine, reason) of the last replay call or None}``.  With
     ``resume=True`` the shard picks up from its checkpoint (fresh start
     when none exists); finished tenants are never replayed again.
     """
@@ -97,6 +98,7 @@ def run_shard(spec: FleetSpec, shard: int, num_shards: int,
 
     tenants = spec.shard_tenants(shard, num_shards)
     chunks_replayed = 0
+    replay_engine = None
     checkpointing = ckpt is not None and checkpoint_every > 0
     since_ckpt = 0
 
@@ -111,7 +113,8 @@ def run_shard(spec: FleetSpec, shard: int, num_shards: int,
                 "completed": [completed[t] for t in tenants
                               if t in completed],
                 "interrupted": interrupted,
-                "chunks_replayed": chunks_replayed}
+                "chunks_replayed": chunks_replayed,
+                "replay_engine": replay_engine}
 
     for tenant in tenants:
         if tenant in completed:
@@ -129,6 +132,7 @@ def run_shard(spec: FleetSpec, shard: int, num_shards: int,
 
         for index, chunk, state in stream.chunks(start_chunk, state):
             store.replay(chunk, finalize=False, engine=spec.engine)
+            replay_engine = store.replay_engine
             chunks_replayed += 1
             since_ckpt += 1
             current = {"tenant": tenant, "next_chunk": index + 1,

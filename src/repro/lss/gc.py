@@ -5,14 +5,15 @@ valid-block migration (routed through the placement policy's GC placement),
 and reclamation.  GC runs when the free-segment pool drops to the low
 watermark and cleans until the high watermark is restored.
 
-Migration has two bit-identical implementations: the scalar per-block
-reference loop, and a vectorized path used while the batched replay engine
-drives the store (``store.batched_mode``).  The batched path may hoist all
-placement decisions above all appends and defer invalidation, mapping
-updates, and ``on_gc_block`` to vectorized passes because, within one
-victim, nothing the append path touches feeds back into ``place_gc``
-(policies read only per-LBA metadata and clocks that are constant during a
-cleaning pass) and every valid LBA appears exactly once.
+A victim's valid blocks migrate in one vectorized pass
+(:meth:`GarbageCollector._migrate_batch`): all placement decisions are
+hoisted above all appends, and invalidation, mapping updates and
+``on_gc_block`` are deferred to the end.  That is exact because, within
+one victim, nothing the append path touches feeds back into ``place_gc``
+(policies read only per-LBA metadata and clocks that are constant during
+a cleaning pass) and every valid LBA appears exactly once.  The readable
+per-block specification is ``validate/oracle.py``; the differential
+sweep checks this module against it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class GarbageCollector:
     def __init__(self, store: "LogStructuredStore") -> None:
         self.store = store
         #: Policies with the base no-op ``on_gc_block`` skip the per-block
-        #: notification loop on the batched path.
+        #: notification loop.
         self._notify_gc_block = type(store.policy).on_gc_block \
             is not PlacementPolicy.on_gc_block
 
@@ -66,10 +67,9 @@ class GarbageCollector:
         lbas = pool.valid_lbas(victim)
         stats = store.stats
         stats.gc_passes += 1
-        attr_on = store._attr_on
-        if attr_on:
-            # Victim attribution must be taken before migration: both
-            # migration paths clear the victim's slot_valid plane.
+        if store._attr_on:
+            # Victim attribution must be taken before migration clears
+            # the victim's slot_valid plane.
             orig = pool.slot_origin[victim][pool.slot_valid[victim]]
             gc_origin = int(np.count_nonzero(orig == ORIGIN_GC))
             store.attribution.on_gc_victim(
@@ -77,30 +77,8 @@ class GarbageCollector:
                 store.user_seq - int(pool.created_seq[victim]),
                 int(lbas.size), pool.segment_blocks,
                 int(lbas.size) - gc_origin, gc_origin)
-        if store.batched_mode and lbas.size:
+        if lbas.size:
             self._migrate_batch(lbas, victim, victim_group, now_us)
-        else:
-            for lba in lbas:
-                lba = int(lba)
-                dest = store.policy.place_gc(lba, victim_group, now_us)
-                old_loc = store.mapping[lba]
-                # The canonical copy must be the one in the victim; anything
-                # else means mapping and slot bookkeeping diverged.
-                if old_loc // pool.segment_blocks != victim:
-                    raise AssertionError(
-                        f"mapping for lba {lba} points outside victim "
-                        f"{victim}")
-                new_loc = store.groups[dest].append_gc(lba, now_us)
-                if attr_on:
-                    # Preserve the birth epoch, flip origin: a later
-                    # ORIGIN_GC read means "migrated at least twice".
-                    pool.slot_epoch_flat[new_loc] = \
-                        pool.slot_epoch_flat[old_loc]
-                    pool.slot_origin_flat[new_loc] = ORIGIN_GC
-                pool.invalidate(old_loc)
-                store.mapping[lba] = new_loc
-                stats.gc_blocks_migrated += 1
-                store.policy.on_gc_block(lba, victim_group, dest)
 
         store.policy.on_segment_reclaimed(
             group_id=victim_group,
@@ -118,7 +96,7 @@ class GarbageCollector:
 
     def _migrate_batch(self, lbas: np.ndarray, victim: int,
                        victim_group: int, now_us: int) -> None:
-        """Vectorized valid-block migration, bit-identical to the scalar
+        """Vectorized valid-block migration, bit-identical to a per-block
         loop (see the module docstring for why the reordering is safe)."""
         store = self.store
         pool = store.pool

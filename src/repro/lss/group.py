@@ -89,10 +89,13 @@ class Group:
     # appends
     # ------------------------------------------------------------------
     def append_user(self, lba: int, now_us: int) -> int:
-        return self._append_data(lba, now_us, APPEND_USER)
-
-    def append_gc(self, lba: int, now_us: int) -> int:
-        return self._append_data(lba, now_us, APPEND_GC)
+        seg = self._ensure_open_segment()
+        loc = self.store.pool.append_block(seg, lba)
+        flush = self.buffer.append((APPEND_USER, lba), now_us)
+        if flush is not None:
+            self._account_flush(flush)
+        self._maybe_seal()
+        return loc
 
     def append_shadow(self, lba: int, now_us: int) -> None:
         """Persist a substitute copy of a hot pending block in this group's
@@ -124,65 +127,55 @@ class Group:
 
         Returns the int64 array of encoded locations.
         """
-        pool = self.store.pool
-        sb = pool.segment_blocks
-        fast = self.store._fast_full and not self.store.flush_listeners
-        n = len(lba_list)
-        locs = np.empty(n, dtype=np.int64)
-        done = 0
-        while done < n:
-            if self.open_seg is None:
-                self.open_seg = pool.allocate(self.gid, start_seq + done)
-                self.segment_shadow_bytes = 0
-            seg = self.open_seg
-            take = min(n - done, sb - int(pool.fill[seg]))
-            slot0 = pool.append_many(seg, lbas[done:done + take])
-            base = seg * sb + slot0
-            locs[done:done + take] = np.arange(base, base + take,
-                                               dtype=np.int64)
-            self._append_run_tokens(APPEND_USER,
-                                    lba_list[done:done + take],
-                                    ts_list[done:done + take], fast)
-            done += take
-            if pool.fill[seg] == sb:
-                pool.seal(seg, start_seq + done - 1)
-                self.store.policy.on_segment_sealed(self.gid, seg)
-                self.open_seg = None
-        return locs
+        return self._append_run(APPEND_USER, lbas, lba_list, ts_list,
+                                start_seq, 1)
 
     def append_gc_run(self, lbas, lba_list: list[int],
                       now_us: int) -> np.ndarray:
-        """Batched equivalent of calling :meth:`append_gc` per block.
+        """Append one GC-migration run; returns the encoded locations.
 
         GC migrations happen at one instant of both clocks — ``now_us``
         and ``store.user_seq`` are constant across the run — so segment
         created/sealed stamps and buffer timers need no per-block
-        stepping.  The caller (the batched GC path) guarantees nothing
-        can interleave inside the run.  Returns the encoded locations.
+        stepping.  The caller (:class:`~repro.lss.gc.GarbageCollector`)
+        guarantees nothing can interleave inside the run.
         """
+        return self._append_run(APPEND_GC, lbas, lba_list,
+                                [now_us] * len(lba_list),
+                                self.store.user_seq, 0)
+
+    def _append_run(self, kind: int, lbas, lba_list: list[int],
+                    ts_list: list[int], start_seq: int, seq_step: int):
+        """Append a run of data blocks; block ``i`` sees the logical
+        clock at ``start_seq + seq_step * i``."""
         pool = self.store.pool
         sb = pool.segment_blocks
-        seq = self.store.user_seq
         fast = self.store._fast_full and not self.store.flush_listeners
         n = len(lba_list)
         locs = np.empty(n, dtype=np.int64)
         done = 0
         while done < n:
             if self.open_seg is None:
-                self.open_seg = pool.allocate(self.gid, seq)
+                self.open_seg = pool.allocate(
+                    self.gid, start_seq + seq_step * done)
                 self.segment_shadow_bytes = 0
             seg = self.open_seg
             take = min(n - done, sb - int(pool.fill[seg]))
+            if not fast:
+                # A materialized flush is accounted against the segment's
+                # fill pointer (flush listeners derive the chunk's device
+                # address from it), so the pointer must not run ahead of
+                # the open chunk.
+                take = min(take, self.buffer.free_slots)
             slot0 = pool.append_many(seg, lbas[done:done + take])
             base = seg * sb + slot0
             locs[done:done + take] = np.arange(base, base + take,
                                                dtype=np.int64)
-            self._append_run_tokens(APPEND_GC,
-                                    lba_list[done:done + take],
-                                    [now_us] * take, fast)
+            self._append_run_tokens(kind, lba_list[done:done + take],
+                                    ts_list[done:done + take], fast)
             done += take
             if pool.fill[seg] == sb:
-                pool.seal(seg, seq)
+                pool.seal(seg, start_seq + seq_step * (done - 1))
                 self.store.policy.on_segment_sealed(self.gid, seg)
                 self.open_seg = None
         return locs
@@ -240,15 +233,6 @@ class Group:
             self.store.obs.on_full_flush_bulk(
                 self.gid, self.spec.name, nf, buf.chunk_blocks,
                 ts_slice[-1])
-
-    def _append_data(self, lba: int, now_us: int, kind: int) -> int:
-        seg = self._ensure_open_segment()
-        loc = self.store.pool.append_block(seg, lba)
-        flush = self.buffer.append((kind, lba), now_us)
-        if flush is not None:
-            self._account_flush(flush)
-        self._maybe_seal()
-        return loc
 
     # ------------------------------------------------------------------
     # flushing

@@ -212,7 +212,7 @@ class SegmentPool:
         """Invalidate every valid block of ``seg`` in one row write.
 
         Equivalent to calling :meth:`invalidate` for each of the
-        segment's valid slots — used by batched GC, which migrates a
+        segment's valid slots — used by GC, which migrates a
         victim's full valid set and therefore knows the survivor count
         is zero without per-slot bookkeeping.
         """

@@ -110,11 +110,9 @@ class LogStructuredStore:
         #: Logical clock: number of user block writes accepted so far.
         self.user_seq = 0
         self.now_us = 0
-        #: Set by the batched replay engine while it drives the store;
-        #: gates the vectorized GC-migration path (bit-identical results,
-        #: see ``GarbageCollector.clean_segment``).  The scalar engine
-        #: never sets it, keeping the per-block reference path intact.
-        self.batched_mode = False
+        #: ``(engine, reason)`` of the last :meth:`replay` call — which
+        #: loop ran and why — or ``None`` before the first one.
+        self.replay_engine: tuple[str, str] | None = None
         #: True when chunk flushes have no consumer that needs the
         #: materialized :class:`ChunkFlush` (policy keeps the base no-op
         #: ``on_chunk_flush``/``before_padding_flush`` hooks, and
@@ -345,24 +343,27 @@ class LogStructuredStore:
         Args:
             trace: the request stream.
             finalize: force-flush pending chunks at end of trace.
-            engine: ``"batched"`` (vectorized chunked replay,
-                ``repro.perf``), ``"scalar"`` (the per-request reference
-                loop), or ``"auto"`` (batched when its preconditions hold:
-                no flush listeners, and observability either off or
-                batch-capable — the default :class:`ObsRecorder` is; only
-                ``trace_events=True`` recorders fall back to the scalar
-                loop for their exact per-event cadence).  Both engines
-                produce bit-identical final state and metric totals; the
-                differential and obs-equivalence suites enforce it.
+            engine: ``"scalar"`` (the per-request loop), ``"batched"``
+                (vectorized chunked replay, ``repro.perf``; raises
+                ``ValueError`` when the store is not eligible), or
+                ``"auto"`` (batched iff
+                :meth:`BatchedReplayEngine.ineligible_reason` returns
+                ``None``, else scalar).  Both engines produce
+                bit-identical final state and metric totals; the
+                differential and equivalence suites enforce it.  The
+                choice and its reason are kept in :attr:`replay_engine`.
         """
         if engine not in ("auto", "batched", "scalar"):
             raise ValueError(f"unknown replay engine {engine!r}")
-        if engine == "batched" or (
-                engine == "auto"
-                and (not self._obs_on or self.obs.batch_capable)
-                and not self.flush_listeners):
-            from repro.perf.engine import BatchedReplayEngine
-            return BatchedReplayEngine(self).replay(trace, finalize=finalize)
+        from repro.perf.engine import BatchedReplayEngine
+        reason = "engine='scalar' was requested" if engine == "scalar" \
+            else BatchedReplayEngine.ineligible_reason(self)
+        if reason is None or engine == "batched":
+            batched = BatchedReplayEngine(self)  # raises when ineligible
+            self.replay_engine = ("batched", "single user placement group, "
+                                             "no per-flush consumer")
+            return batched.replay(trace, finalize=finalize)
+        self.replay_engine = ("scalar", reason)
         ts = trace.timestamps.tolist()
         ops = trace.ops.tolist()
         offs = trace.offsets.tolist()

@@ -27,7 +27,6 @@ from typing import Any
 
 from repro.obs.atomicio import atomic_write
 from repro.obs.attribution import (
-    CAUSE_CANDIDATE,
     CAUSE_DEADLINE_RESERVE,
     CAUSE_GC_CAPACITY,
     CAUSE_MAX_BLOCKS,
@@ -165,17 +164,12 @@ def _recommend(report: dict) -> list[str]:
             CAUSE_GC_CAPACITY: (
                 "the GC-safe capacity bound ends chunks — free-segment"
                 " slack is the binding constraint; more over-provisioning"
-                " or a less pessimistic placement domain"
-                " (candidate_user_gids) widens chunks"),
+                " widens chunks"),
             CAUSE_DEADLINE_RESERVE: (
                 "worst-case deadline-fire reserves end chunks — many SLA"
                 " groups carry pending blocks; shrinking the coalescing"
                 " window or the number of concurrently-armed groups"
                 " releases reserved capacity"),
-            CAUSE_CANDIDATE: (
-                "the candidate-gid capped bound ends chunks — placement"
-                " spreads blocks over many groups; tighter candidate"
-                " prediction widens chunks"),
             CAUSE_MAX_BLOCKS: (
                 "the engine's max_chunk_blocks cap ends chunks — raise it"
                 " if memory allows; the bound is semantically invisible"),

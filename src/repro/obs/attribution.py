@@ -5,9 +5,8 @@ Two data sets are collected behind one recorder:
 
 * **Chunk-bound diagnostics** — the batched replay engine reports, per
   chunk, which constraint terminated it (trace end, request/block caps,
-  the GC-safe capacity bound, the deadline-fire reserve, candidate-gid
-  narrowing, the ``"first"``-mode deadline horizon, or a scalar-burst
-  fallback) plus chunk-width histograms.  These describe the *engine*,
+  the GC-safe capacity bound, the deadline-fire reserve, or a
+  scalar-burst fallback) plus chunk-width histograms.  These describe the *engine*,
   so they only exist under the batched engine and live in the snapshot's
   ``chunk_bounds`` section.
 * **GC provenance ledger** — the store tags every appended data block
@@ -47,27 +46,20 @@ CAUSE_TRACE_END = "trace_end"
 CAUSE_MAX_REQUESTS = "max_chunk_requests"
 #: The engine's ``max_chunk_blocks`` cap ended the chunk.
 CAUSE_MAX_BLOCKS = "max_chunk_blocks"
-#: The adversarial GC-safe capacity bound ended the chunk: one more
+#: The GC-safe capacity bound ended the chunk: one more
 #: request's blocks could not provably keep free segments above the low
 #: watermark.
 CAUSE_GC_CAPACITY = "gc_capacity"
 #: The blocks alone would have fit, but the reserved worst-case
 #: deadline-fire blocks (padding + shadow appends per fire site) did not.
 CAUSE_DEADLINE_RESERVE = "deadline_reserve"
-#: The chunk stopped while the per-block candidate-gid capped bound
-#: (``candidate_user_gids``) was the operative constraint.
-CAUSE_CANDIDATE = "candidate_narrowing"
-#: ``sla_mode="first"``/zero-window replay: the chunk was bounded by the
-#: earliest armed deadline or the first request's SLA horizon.
-CAUSE_DEADLINE_HORIZON = "deadline_horizon"
 #: Not even one request was provably GC-free; a scalar burst ran instead.
 CAUSE_SCALAR_FALLBACK = "scalar_fallback"
 
 #: Every chunk-termination cause, in reporting order.
 CHUNK_CAUSES: tuple[str, ...] = (
     CAUSE_TRACE_END, CAUSE_MAX_REQUESTS, CAUSE_MAX_BLOCKS,
-    CAUSE_GC_CAPACITY, CAUSE_DEADLINE_RESERVE, CAUSE_CANDIDATE,
-    CAUSE_DEADLINE_HORIZON, CAUSE_SCALAR_FALLBACK,
+    CAUSE_GC_CAPACITY, CAUSE_DEADLINE_RESERVE, CAUSE_SCALAR_FALLBACK,
 )
 
 
@@ -407,8 +399,6 @@ def write_attribution_json(snapshot: dict, path: str) -> str:
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
-    "CAUSE_CANDIDATE",
-    "CAUSE_DEADLINE_HORIZON",
     "CAUSE_DEADLINE_RESERVE",
     "CAUSE_GC_CAPACITY",
     "CAUSE_MAX_BLOCKS",

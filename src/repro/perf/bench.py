@@ -14,10 +14,14 @@ engine's cost, not the machine's scheduling noise — and the same cached
 trace objects are reused across every cell so generation never pollutes
 the measurement.
 
+``batched`` cells exist only where
+:meth:`BatchedReplayEngine.ineligible_reason` allows the engine:
+multi-group policies and per-event tracing are skipped, and the
+snapshot's ``engine_skips`` map says why.
+
 Observability modes form a third axis (``obs_modes``): ``off`` (no
 recorder), ``metrics`` (default batch-capable :class:`ObsRecorder`), and
-``trace`` (``trace_events=True``, scalar engine only — the batched
-engine rejects per-event tracing, so trace x batched cells are skipped).
+``trace`` (``trace_events=True``, scalar engine only).
 The snapshot's ``obs_overhead`` section reports the metrics-mode
 slowdown factor (off-throughput over metrics-throughput) per cell.
 
@@ -39,6 +43,7 @@ from dataclasses import asdict, dataclass
 from repro.experiments.scale import Scale
 from repro.experiments.workloads import PROFILES, fleet_for
 from repro.lss.store import LogStructuredStore
+from repro.perf.engine import BatchedReplayEngine
 from repro.placement.registry import available_policies, make_policy
 
 #: Snapshot format version (bump on incompatible layout changes).
@@ -107,8 +112,9 @@ def run_bench(scale: Scale,
 
     One volume per profile (the first of the standard experiment fleet,
     so the trace cache is shared with the figure drivers).  ``obs_modes``
-    adds instrumented cells; ``trace`` cells only run on the scalar
-    engine (the batched engine rejects per-event tracing).
+    adds instrumented cells.  A ``batched`` cell the engine's
+    eligibility predicate rejects (multi-group policy, per-event
+    tracing) is skipped and its reason kept in ``engine_skips``.
     ``attr_modes`` adds attribution-instrumented cells; ``attr=on``
     cells only run at ``obs=off`` so the two overhead axes never
     confound each other.
@@ -127,26 +133,33 @@ def run_bench(scale: Scale,
             raise ValueError(
                 f"unknown attr mode {mode!r}; choose from {ATTR_MODES}")
     traces = {p: fleet_for(p, scale)[0] for p in profiles}
+
+    def fresh_store(policy_name: str, obs: str, attr: str):
+        cfg = store_config_for(scale.volume_blocks, seed=seed)
+        return LogStructuredStore(cfg, make_policy(policy_name, cfg),
+                                  recorder=_make_recorder(obs),
+                                  attribution=_make_attribution(attr))
+
     cells: list[BenchCell] = []
+    engine_skips: dict[str, str] = {}
     for policy_name in policies:
         for profile in profiles:
             trace = traces[profile]
             for engine in engines:
                 for obs in obs_modes:
-                    if obs == "trace" and engine == "batched":
-                        continue
                     for attr in attr_modes:
                         if attr != "off" and obs != "off":
                             continue
+                        if engine == "batched":
+                            reason = BatchedReplayEngine.ineligible_reason(
+                                fresh_store(policy_name, obs, attr))
+                            if reason is not None:
+                                engine_skips[f"{policy_name}/{obs}"] = reason
+                                continue
                         best = None
                         blocks = 0
                         for _ in range(repeats):
-                            cfg = store_config_for(scale.volume_blocks,
-                                                   seed=seed)
-                            store = LogStructuredStore(
-                                cfg, make_policy(policy_name, cfg),
-                                recorder=_make_recorder(obs),
-                                attribution=_make_attribution(attr))
+                            store = fresh_store(policy_name, obs, attr)
                             t0 = time.perf_counter()
                             stats = store.replay(trace, engine=engine)
                             dt = time.perf_counter() - t0
@@ -171,6 +184,7 @@ def run_bench(scale: Scale,
         "speedups": _speedups(cells),
         "obs_overhead": _obs_overhead(cells),
         "attr_overhead": _attr_overhead(cells),
+        "engine_skips": engine_skips,
     }
 
 
@@ -392,6 +406,8 @@ def render_bench(result: dict,
                 f"worst {worst:.3f}x):")
         for key, factor in sorted(attr_overhead.items()):
             out += f"\n  {key}: {factor:.3f}x"
+    for key, reason in sorted((result.get("engine_skips") or {}).items()):
+        out += f"\nno batched cell for {key}: {reason}"
     fleet = result.get("fleet")
     if fleet:
         out += (f"\nfleet scaling ({fleet['scheme']}, "

@@ -2,62 +2,51 @@
 
 Replays a trace through a :class:`~repro.lss.store.LogStructuredStore` in
 vectorized chunks while staying **bit-identical** to the scalar
-per-request loop.  The scalar path interleaves three kinds of events per
-block — placement, GC, SLA deadline flushes — so naive batching would let
-policy state observed by later blocks drift.  The engine relies on two
-proofs about the simulator:
+per-request loop, for stores whose placement domain is a single user
+group (SepGC/MiDA-shaped policies).  The scalar path interleaves three
+kinds of events per block — placement, GC, SLA deadline flushes — so
+naive batching would let policy state observed by later blocks drift.
+The engine relies on two facts about the simulator:
 
 * **Placement is flush-invariant.**  No policy's ``place_user`` reads any
-  state mutated by chunk flushes, padding flushes, aggregation, or
-  segment seals; placement depends only on policy-local per-LBA metadata
-  and ``user_seq``.  A whole chunk can therefore be placed up front
+  state mutated by chunk flushes, padding flushes, or segment seals;
+  placement depends only on policy-local per-LBA metadata and
+  ``user_seq``.  A whole chunk can therefore be placed up front
   (:meth:`PlacementPolicy.place_user_batch`) even when SLA deadline
-  flushes will fire *inside* it — the flushes change where blocks land
-  and the traffic accounting, not which group any block goes to.
+  flushes will fire *inside* it.
 * **Placement is NOT GC-invariant** (GC hooks move per-LBA metadata), so
-  chunks must be provably GC-free.  Chunks are grown by *increments*
-  (:meth:`_build_chunk`): before placing an increment the engine proves,
-  for **any** placement of its blocks, that the chunk still cannot trip
-  ``GarbageCollector.needed()``; after placing it the bound is
-  re-tightened from the actual group ids.  Placed increments are never
-  rolled back, so policy metadata advances exactly once per block and no
-  rewind is ever needed.  When not even one request passes the check the
-  engine runs a short scalar burst, where GC fires natively.
+  chunks must be provably GC-free.  With every user block bound for one
+  group, how much a chunk can write before ``GarbageCollector.needed()``
+  could trip is a closed form (:meth:`_build_chunk_single`).  When not
+  even one request fits, the engine runs a short scalar burst, where GC
+  fires natively.
 
-Deadline flushes inside a chunk are reproduced exactly: given the placed
-group ids, the per-group pending/timer evolution between fires is pure
-arithmetic (``idle`` SLA mode restarts a group's timer at each append and
-a chunk-capacity flush clears it), so the engine predicts the next fire
-from live buffer state (:meth:`_group_fire`), applies blocks up to the
-first request at or past that deadline, runs the store's real ``tick()``
-there (firing order, padding, and ADAPT's cross-group aggregation all go
-through the legacy machinery), then re-reads buffer state and repeats.
-Under ``sla_mode="first"`` or a zero window the engine instead uses
-conservative deadline-free chunks bounded by the earliest armed deadline
-and ``first_ts + window``.
+:meth:`BatchedReplayEngine.ineligible_reason` is the one place that
+decides whether a store can be replayed this way; ``engine="auto"``,
+``engine="batched"`` and the constructor all ask it.  Multi-group
+policies (adapt, dac, warcip, sepbit) take the scalar loop: proving a
+chunk GC-free for *any* placement cost more than the loop it replaced.
+
+Deadline flushes inside a chunk are reproduced exactly: the per-group
+pending/timer evolution between fires is pure arithmetic (``idle`` SLA
+mode restarts a group's timer at each append and a chunk-capacity flush
+clears it), so the engine predicts the next fire from live buffer state
+(:func:`_group_fire`), applies blocks up to the first request at or past
+that deadline, runs the store's real ``tick()`` there, then re-reads
+buffer state and repeats.
 
 The chunk-construction and fire-prediction arithmetic deliberately runs
-on plain Python ints and lists: the group counts involved are tiny (a
-handful of groups, a few dozen requests per SLA window), where NumPy's
-per-call dispatch costs more than the work itself.  NumPy is reserved
-for the genuinely wide operations — placement, appends, invalidation.
+on plain Python ints and lists: the counts involved are tiny, where
+NumPy's per-call dispatch costs more than the work itself.  NumPy is
+reserved for the genuinely wide operations — placement, appends,
+invalidation.
 
-While the engine drives the store it sets ``store.batched_mode``, which
-gates the vectorized GC-migration path in
-:meth:`~repro.lss.gc.GarbageCollector.clean_segment` and the bulk flush
-accounting in :meth:`~repro.lss.group.Group.append_user_run`; the scalar
-engine never sets it and keeps the pure per-block reference path.
-
-Preconditions: no flush listeners (the FTL bridge), and observability
-either disabled or **batch-capable** (the default
-:class:`~repro.obs.ObsRecorder`): the engine and the store's bulk append
-paths then feed the recorder chunk-aggregated hooks whose metric totals
-are bit-identical to the scalar per-event hooks — the obs-on
-engine-equivalence suite compares ``MetricsRegistry.snapshot()`` across
-engines to prove it.  Recorders demanding the exact per-event stream
-(``trace_events=True``) are rejected; ``store.replay(engine="auto")``
-checks all of this and falls back to the scalar loop.  The invariant
-auditor is supported at chunk cadence.
+With a **batch-capable** recorder (the default
+:class:`~repro.obs.ObsRecorder`) the engine and the store's bulk append
+paths feed chunk-aggregated hooks whose metric totals are bit-identical
+to the scalar per-event hooks — the obs-on engine-equivalence suite
+compares ``MetricsRegistry.snapshot()`` across engines to prove it.  The
+invariant auditor is supported at chunk cadence.
 """
 
 from __future__ import annotations
@@ -67,8 +56,6 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from repro.obs.attribution import (
-    CAUSE_CANDIDATE,
-    CAUSE_DEADLINE_HORIZON,
     CAUSE_DEADLINE_RESERVE,
     CAUSE_GC_CAPACITY,
     CAUSE_MAX_BLOCKS,
@@ -76,7 +63,6 @@ from repro.obs.attribution import (
     CAUSE_TRACE_END,
 )
 from repro.perf.expand import expand_trace
-from repro.placement.base import PlacementPolicy
 from repro.trace.model import OP_WRITE, Trace
 
 _NO_FIRE = None
@@ -87,21 +73,15 @@ _NO_FIRE = None
 #: without GC being triggerable.
 _BURST_REQUESTS = 32
 
-#: Maximum SLA windows one multi-group chunk increment may span.  Wider
-#: spans amortize the per-increment probe/placement overhead (and push
-#: batches past the policies' vectorization break-even) at the price of
-#: ``windows x SLA groups x fire_unit`` extra reserved fire blocks in the
-#: feasibility bounds; past a point the reserve eats the provable
-#: capacity and the binary search shrinks spans right back.
-_SPAN_WINDOWS = 8
-
 
 class BatchedReplayEngine:
     """Chunked, vectorized replay bound to one store.
 
     Args:
         store: the target store (fresh or mid-stream; the engine only
-            assumes the store's own invariants hold).
+            assumes the store's own invariants hold).  Raises
+            ``ValueError`` carrying :meth:`ineligible_reason` when the
+            store cannot be replayed in chunks.
         max_chunk_blocks: upper bound on written blocks per chunk, limiting
             transient allocations on huge GC-quiet traces.
         max_chunk_requests: optional upper bound on requests per chunk.
@@ -113,15 +93,9 @@ class BatchedReplayEngine:
 
     def __init__(self, store, max_chunk_blocks: int = 65536,
                  max_chunk_requests: int | None = None) -> None:
-        if store.flush_listeners:
-            raise ValueError(
-                "batched replay requires no flush listeners; "
-                "use replay(engine='scalar')")
-        if store._obs_on and not store.obs.batch_capable:
-            raise ValueError(
-                "batched replay requires a batch-capable recorder; "
-                "per-event observability (trace_events=True) needs "
-                "replay(engine='scalar')")
+        reason = self.ineligible_reason(store)
+        if reason is not None:
+            raise ValueError(f"batched replay is not possible: {reason}")
         if max_chunk_blocks < 1:
             raise ValueError("max_chunk_blocks must be >= 1")
         if max_chunk_requests is not None and max_chunk_requests < 1:
@@ -129,39 +103,39 @@ class BatchedReplayEngine:
         self.store = store
         self.max_chunk_blocks = max_chunk_blocks
         self.max_chunk_requests = max_chunk_requests
-        cb = store.config.chunk.chunk_blocks
-        #: Worst-case appended blocks per fire site of one group.  A
-        #: deadline fire with ``p`` pending blocks pads ``cb - p`` slots;
-        #: cross-group aggregation can additionally shadow at most the
-        #: ``p`` pending blocks into another group before the pad, so the
-        #: two together consume at most ``cb`` appends — and exactly
-        #: ``cb - p <= cb - 1`` without an aggregator.
-        self._fire_unit = cb \
-            if getattr(store.policy, "aggregator", None) is not None \
-            else cb - 1
-        #: Per-gid flag: does the group hold an SLA coalescing window?
-        self._is_sla = [False] * len(store.groups)
-        for g in store._sla_groups:
-            self._is_sla[g.gid] = True
-        #: Groups user placement can route to (the policy's declared
-        #: contract): the adversarial capacity bounds quantify over these
-        #: only — a group outside the set can never be drained by a chunk.
-        self._user_gids = sorted(store.policy.user_placement_gids())
-        #: Whether the policy predicts per-block candidate groups
-        #: (``candidate_user_gids``): lets the chunk bound cap how many
-        #: blocks each group could possibly absorb, instead of assuming
-        #: any block can land anywhere in the placement domain.
-        self._has_candidates = (
-            type(store.policy).candidate_user_gids
-            is not PlacementPolicy.candidate_user_gids)
+        #: Worst-case appended blocks per fire site: a deadline fire with
+        #: ``p`` pending blocks pads ``cb - p <= cb - 1`` slots.
+        self._fire_unit = store.config.chunk.chunk_blocks - 1
+        #: The one group every user block lands in.
+        self._user_gid = next(iter(store.policy.user_placement_gids()))
         #: Chunk-bound attribution sink (NULL_ATTRIBUTION by default).
-        #: The chunk builders classify, per chunk, which constraint
-        #: terminated it and stash it in ``_chunk_cause``; the replay
+        #: The chunk builder classifies, per chunk, which constraint
+        #: terminated it and stashes it in ``_chunk_cause``; the replay
         #: loop reports it with the chunk's width.  All of it is behind
         #: the cached ``_attr_on`` boolean.
         self._attr = store.attribution
         self._attr_on = store._attr_on
         self._chunk_cause = CAUSE_TRACE_END
+
+    @staticmethod
+    def ineligible_reason(store) -> str | None:
+        """Why ``store`` must take the scalar loop, or ``None`` when the
+        batched engine can replay it."""
+        if store.flush_listeners:
+            return ("flush listeners are attached (the FTL bridge consumes "
+                    "every chunk flush as it happens)")
+        if store._obs_on and not store.obs.batch_capable:
+            return ("the recorder is not batch-capable (per-event "
+                    "observability, trace_events=True)")
+        if len(store.policy.user_placement_gids()) != 1:
+            return (f"policy {store.policy.name!r} places user writes in "
+                    "more than one group")
+        cfg = store.config
+        if store._sla_groups and (cfg.sla_mode != "idle"
+                                  or cfg.coalesce_window_us <= 0):
+            return ("SLA groups outside idle mode (sla_mode='first' or a "
+                    "zero coalescing window)")
+        return None
 
     # ------------------------------------------------------------------
     # replay loop
@@ -176,8 +150,6 @@ class BatchedReplayEngine:
         cb = store.config.chunk.chunk_blocks
         stats = store.stats
         has_sla = bool(store._sla_groups)
-        idle_sla = has_sla and store.config.sla_mode == "idle" \
-            and window > 0
         # Plain-int columns: the chunk-construction arithmetic and the
         # scalar bursts never touch NumPy scalars.
         self._cols = (trace.ops.tolist(), trace.offsets.tolist(),
@@ -186,410 +158,77 @@ class BatchedReplayEngine:
         bs = self._bs = ex.block_start.tolist()
         self._btl = ex.block_ts.tolist()
         self._wb = ex.writes_before.tolist()
-        # Single-user-group fast build (SepGC/MiDA-shaped policies): with
-        # every user block provably bound for one group, chunk capacity is
-        # a closed form over write-gap prefix sums instead of the
-        # incremental adversarial construction.
-        single = (idle_sla or not has_sla) and len(self._user_gids) == 1
-        if single:
-            widx = np.flatnonzero(trace.ops == OP_WRITE)
-            wts = ex.timestamps[widx]
-            gaps = np.zeros(widx.shape[0], dtype=np.int64)
-            if widx.shape[0] > 1:
-                gaps[1:] = np.diff(wts) >= window
-            self._widx = widx.tolist()
-            self._wts = wts.tolist()
-            self._wgap = np.cumsum(gaps).tolist()
+        # Write-gap prefix sums: a gap of at least one window between
+        # consecutive write requests is a deadline-fire site.
+        widx = np.flatnonzero(trace.ops == OP_WRITE)
+        wts = ex.timestamps[widx]
+        gaps = np.zeros(widx.shape[0], dtype=np.int64)
+        if widx.shape[0] > 1:
+            gaps[1:] = np.diff(wts) >= window
+        self._widx = widx.tolist()
+        self._wts = wts.tolist()
+        self._wgap = np.cumsum(gaps).tolist()
         obs_on = store._obs_on
         attr_on = self._attr_on
         attr = self._attr
-        store.batched_mode = True
-        try:
-            i = 0
-            while i < n:
-                store.tick(ts[i])
-                with prof.span("chunk_build"):
-                    if single:
-                        j, gids = self._build_chunk_single(ex, i, window)
-                    elif idle_sla or not has_sla:
-                        j, gids = self._build_chunk(ex, i, window)
-                    else:
-                        j = self._deadline_free_span(ex, i, ts[i], window)
-                        gids = None
-                if j <= i:
-                    # Not even the current request is provably GC-free:
-                    # scalar burst, where GC fires natively.  The tick for
-                    # request i already ran above — re-ticking could
-                    # double-fire a deadline the policy re-armed during
-                    # the first scan.
-                    with prof.span("scalar_burst"):
-                        i2 = self._scalar_burst(i)
-                    if attr_on:
-                        attr.on_scalar_burst(i2 - i, bs[i2] - bs[i])
-                    i = i2
-                    continue
-                # -- apply the chunk ---------------------------------------
-                nwrites = self._wb[j] - self._wb[i]
-                nreads = (j - i) - nwrites
-                stats.write_requests += nwrites
-                stats.read_requests += nreads
-                if obs_on and nreads:
-                    store.obs.on_read_bulk(nreads, ts[j - 1])
-                wb0, wb1 = bs[i], bs[j]
-                if wb1 > wb0:
-                    lbas = ex.lbas[wb0:wb1]
-                    bts = ex.block_ts[wb0:wb1]
-                    if gids is None:
-                        gids = store.policy.place_user_batch(
-                            lbas, bts, store.user_seq)
-                    splitter = self._make_splitter(ex, i, j, gids, window,
-                                                   cb) if idle_sla else None
-                    with prof.span("apply"):
-                        store.apply_user_batch(lbas, bts, gids,
-                                               splitter=splitter)
-                elif idle_sla:
-                    # Read-only chunk: no appends can arm anything new, but
-                    # already-armed deadlines still fire at the scalar ticks.
-                    t_end = ts[j - 1]
-                    while True:
-                        nd = store.next_deadline()
-                        if nd is None or nd > t_end:
-                            break
-                        store.tick(ts[bisect_left(ts, nd)])
-                store.now_us = ts[j - 1]
+        i = 0
+        while i < n:
+            store.tick(ts[i])
+            with prof.span("chunk_build"):
+                j, gids = self._build_chunk_single(ex, i, window)
+            if j <= i:
+                # Not even the current request is provably GC-free:
+                # scalar burst, where GC fires natively.  The tick for
+                # request i already ran above — re-ticking could
+                # double-fire a deadline the policy re-armed during
+                # the first scan.
+                with prof.span("scalar_burst"):
+                    i2 = self._scalar_burst(i)
                 if attr_on:
-                    attr.on_chunk(self._chunk_cause, j - i, wb1 - wb0)
-                i = j
-        finally:
-            store.batched_mode = False
+                    attr.on_scalar_burst(i2 - i, bs[i2] - bs[i])
+                i = i2
+                continue
+            # -- apply the chunk -------------------------------------------
+            nwrites = self._wb[j] - self._wb[i]
+            nreads = (j - i) - nwrites
+            stats.write_requests += nwrites
+            stats.read_requests += nreads
+            if obs_on and nreads:
+                store.obs.on_read_bulk(nreads, ts[j - 1])
+            wb0, wb1 = bs[i], bs[j]
+            if wb1 > wb0:
+                splitter = self._make_splitter(i, j, window, cb) \
+                    if has_sla else None
+                with prof.span("apply"):
+                    store.apply_user_batch(ex.lbas[wb0:wb1],
+                                           ex.block_ts[wb0:wb1], gids,
+                                           splitter=splitter)
+            elif has_sla:
+                # Read-only chunk: no appends can arm anything new, but
+                # already-armed deadlines still fire at the scalar ticks.
+                t_end = ts[j - 1]
+                while True:
+                    nd = store.next_deadline()
+                    if nd is None or nd > t_end:
+                        break
+                    store.tick(ts[bisect_left(ts, nd)])
+            store.now_us = ts[j - 1]
+            if attr_on:
+                attr.on_chunk(self._chunk_cause, j - i, wb1 - wb0)
+            i = j
         if finalize:
             store.finalize()
         return stats
 
     # ------------------------------------------------------------------
-    # incremental chunk construction
+    # chunk construction
     # ------------------------------------------------------------------
-    def _build_chunk(self, ex, i: int, window: int):
-        """Grow a provably GC-free chunk of requests ``[i, j)`` by placed
-        increments; return ``(j, gids)``.
-
-        Increments span up to ``_SPAN_WINDOWS`` SLA windows.  Fires armed
-        by the increment's own (not yet placed) appends are bounded by
-        window counting: under idle-mode timers a group's deadline fires
-        are at least one window apart and the earliest span-armed fire is
-        one window after the span starts, so a span of duration ``d``
-        adds at most ``d // window`` fires per SLA group on top of the
-        placed-block accounting (pre-chunk pending ``sites``, promoted
-        gaps between placed touches, and the trailing gap).  For a
-        sub-window span the extra charge is zero, recovering the exact
-        single-window accounting.  After an increment is placed the
-        per-group counts, last touches, and fire sites are updated from
-        the actual group ids — including gaps *inside* the increment —
-        so the next increment starts from a tight bound instead of a
-        whole-chunk worst case.
-
-        Returns ``(i, None)`` when not even the first request fits.
-        """
-        store = self.store
-        pool = store.pool
-        sb = pool.segment_blocks
-        slack = pool.free_segments - store.config.gc_free_low - 1
-        if slack < 0:
-            return i, None
-        bs = self._bs
-        ts = self._cols[3]
-        btl = self._btl
-        n = ex.num_requests
-        if self.max_chunk_requests is not None:
-            n = min(n, i + self.max_chunk_requests)
-        ngroups = len(store.groups)
-        is_sla = self._is_sla
-        fire_unit = self._fire_unit
-        max_blocks = self.max_chunk_blocks
-        # Post-tick snapshot: per-group open-segment headroom, and one
-        # reserved fire for every SLA group entering the chunk with
-        # pending blocks (its pre-chunk timer may expire mid-chunk).
-        fill = pool.fill
-        head = [0] * ngroups
-        for g in store.groups:
-            if g.open_seg is not None:
-                head[g.gid] = sb - int(fill[g.open_seg])
-        sites = sum(1 for g in store._sla_groups
-                    if g.buffer.pending_blocks)
-        counts = [0] * ngroups
-        last_tb = [0] * ngroups
-        wb_chunk = bs[i]
-
-        user_gids = self._user_gids
-        nuser = len(user_gids)
-        nsla_user = sum(1 for g in user_gids if is_sla[g])
-
-        def cap_parts(t_end: int) -> tuple[int, int]:
-            """``(capacity, fire_reserve)`` for additional blocks placed on
-            any user-placeable group such that free segments provably stay
-            above the GC low watermark; capacity is ``-1`` when already
-            placed blocks alone exhaust the slack.  Splitting the two
-            terms lets attribution tell a reserve-bound stall apart from
-            a raw-capacity one."""
-            a_user = 0
-            h1 = []
-            trail = 0
-            for g in user_gids:
-                over = counts[g] - head[g]
-                if over > 0:
-                    a_user += (over + sb - 1) // sb
-                    h1.append((-over) % sb + 1)
-                else:
-                    h1.append(1 - over)
-                if is_sla[g] and counts[g] > 0 \
-                        and t_end - last_tb[g] >= window:
-                    trail += 1
-            allowed = slack - a_user
-            if allowed < 0:
-                return -1, 0
-            if nsla_user:
-                # Fires armed by the unplaced span itself (see docstring).
-                trail += nsla_user * ((t_end - ts[j]) // window)
-            # Cheapest schedule forcing allowed + 1 allocations: open
-            # groups in ascending first-allocation cost (headroom + 1),
-            # then whole segments; one block less is safe anywhere.
-            h1.sort()
-            k = allowed + 1
-            cap = h1[0] - 1
-            if k > 1:
-                take = min(k - 1, nuser - 1)
-                for f in h1[1:1 + take]:
-                    cap += f if f < sb else sb
-                cap += (k - 1 - take) * sb
-            return cap, (sites + trail) * fire_unit
-
-        def x_max(t_end: int) -> int:
-            """Max additional blocks, placed on any user-placeable group,
-            that provably keep free segments above the GC low watermark."""
-            cap, reserve = cap_parts(t_end)
-            return cap - reserve if cap >= 0 else -1
-
-        def feasible_capped(k: int, span_cums, wb_j: int) -> bool:
-            """Candidates-aware feasibility of the span ``[j, k)``.
-
-            ``span_cums[idx][b]`` counts, among the span's first ``b + 1``
-            blocks, those whose candidate set includes ``user_gids[idx]``
-            — an upper bound ``U_g`` on what the placement can push into
-            the group.  Fire padding and shadow appends (up to ``R``
-            blocks) land only in SLA groups, so each SLA group's cap is
-            relaxed by ``R`` and the adversary's block budget is
-            ``x + R``; non-SLA groups are capped by their candidate
-            blocks alone.  The chunk is safe when the
-            cheapest schedule forcing ``allowed + 1`` segment allocations
-            under those per-group caps costs more than that budget —
-            the caps-only relaxation of the true assignment problem, so
-            always conservative.
-            """
-            x = bs[k] - wb_j
-            t_end = ts[k - 1]
-            a_user = 0
-            trail = 0
-            firsts = []
-            for g in user_gids:
-                over = counts[g] - head[g]
-                if over > 0:
-                    a_user += (over + sb - 1) // sb
-                    firsts.append((-over) % sb + 1)
-                else:
-                    firsts.append(1 - over)
-                if is_sla[g] and counts[g] > 0 \
-                        and t_end - last_tb[g] >= window:
-                    trail += 1
-            allowed = slack - a_user
-            if allowed < 0:
-                return False
-            if nsla_user:
-                # Span-armed fires, as in x_max.
-                trail += nsla_user * ((t_end - ts[j]) // window)
-            budget = x + (sites + trail) * fire_unit
-            relax = (sites + trail) * fire_unit
-            kneed = allowed + 1
-            fs = []
-            total_extra = 0
-            for idx in range(nuser):
-                cap_g = span_cums[idx][x - 1] if x > 0 else 0
-                if is_sla[user_gids[idx]]:
-                    cap_g += relax
-                f = firsts[idx]
-                if cap_g < f:
-                    continue  # cannot even force this group's first alloc
-                fs.append(f)
-                total_extra += (cap_g - f) // sb
-            if kneed > len(fs) + total_extra:
-                return True  # kneed allocations are unforceable outright
-            fs.sort()
-            if kneed <= len(fs):
-                cost = sum(fs[:kneed])
-            else:
-                cost = sum(fs) + (kneed - len(fs)) * sb
-            return budget < cost
-
-        probe = store.policy.candidate_user_gids if self._has_candidates \
-            else None
-
-        placed: list[np.ndarray] = []
-        has_sla = bool(store._sla_groups)
-        attr_on = self._attr_on
-        cause = None
-        j = i
-        while j < n and bs[j] - wb_chunk < max_blocks:
-            budget_blocks = max_blocks - (bs[j] - wb_chunk)
-            if has_sla:
-                hi = min(bisect_left(ts, ts[j] + window), n)
-            else:
-                hi = n
-            hi = self._cap_blocks(j, hi, budget_blocks)
-            if hi <= j:
-                # The next request's blocks alone blow the block budget.
-                cause = CAUSE_MAX_BLOCKS
-                break
-            wb_j = bs[j]
-            # Binary search the largest feasible request span.  The cheap
-            # any-placement bound (x_max) is tried first; only when it
-            # cannot cover a span does the engine probe the policy's
-            # per-block candidate groups for the tighter capped bound.
-            span_cums = None
-            if bs[hi] - wb_j <= x_max(ts[hi - 1]):
-                k = hi
-                if has_sla and hi < n:
-                    # The whole one-window span fits on the cheap bound:
-                    # widen the horizon (capacity permitting) so loose
-                    # regimes amortize the per-increment probe/placement
-                    # overhead instead of stepping window by window.
-                    # Tight regimes never reach this, keeping their
-                    # per-window accounting exact.
-                    wide = min(
-                        bisect_left(ts, ts[j] + _SPAN_WINDOWS * window), n)
-                    wide = self._cap_blocks(j, wide, budget_blocks)
-                    if wide > hi:
-                        if bs[wide] - wb_j <= x_max(ts[wide - 1]):
-                            k = wide
-                        else:
-                            lo, h2 = hi, wide
-                            while lo < h2 - 1:
-                                mid = (lo + h2) // 2
-                                if bs[mid] - wb_j <= x_max(ts[mid - 1]):
-                                    lo = mid
-                                else:
-                                    h2 = mid
-                            k = lo
-            else:
-                if probe is not None:
-                    if bs[hi] == wb_j:
-                        # Write-free span: the capped bound still applies
-                        # (only fire padding consumes capacity), with
-                        # empty per-group candidate prefix sums.
-                        span_cums = [[] for _ in user_gids]
-                    else:
-                        cand = probe(ex.lbas[wb_j:bs[hi]],
-                                     ex.block_ts[wb_j:bs[hi]],
-                                     store.user_seq + (wb_j - wb_chunk))
-                        if cand is not None:
-                            primary, alt = cand
-                            span_cums = []
-                            for g in user_gids:
-                                mask = primary == g
-                                mask |= alt == g
-                                span_cums.append(np.cumsum(mask).tolist())
-                if span_cums is not None \
-                        and feasible_capped(hi, span_cums, wb_j):
-                    k = hi
-                else:
-                    lo = j
-                    while lo < hi - 1:
-                        mid = (lo + hi) // 2
-                        if bs[mid] - wb_j <= x_max(ts[mid - 1]) \
-                                or (span_cums is not None
-                                    and feasible_capped(mid, span_cums,
-                                                        wb_j)):
-                            lo = mid
-                        else:
-                            hi = mid
-                    k = lo
-            if k <= j:
-                if attr_on:
-                    if span_cums is not None:
-                        # Stalled while the candidate-capped bound was the
-                        # operative (tighter) constraint.
-                        cause = CAUSE_CANDIDATE
-                    else:
-                        # Would one more request have fit without the
-                        # worst-case fire reserve?
-                        c_cap, c_res = cap_parts(ts[j])
-                        need = bs[j + 1] - bs[j]
-                        if c_cap >= 0 and need <= c_cap \
-                                and need > c_cap - c_res:
-                            cause = CAUSE_DEADLINE_RESERVE
-                        else:
-                            cause = CAUSE_GC_CAPACITY
-                break
-            wb_k = bs[k]
-            if wb_k > wb_j:
-                gids = store.policy.place_user_batch(
-                    ex.lbas[wb_j:wb_k], ex.block_ts[wb_j:wb_k],
-                    store.user_seq + (wb_j - wb_chunk))
-                placed.append(gids)
-                n_inc = wb_k - wb_j
-                g0 = int(gids[0])
-                if n_inc == 1 or (int(gids[n_inc - 1]) == g0
-                                  and not (gids != g0).any()):
-                    # Single-group increment (the common case for
-                    # few-group policies): near-O(1) bookkeeping.
-                    if is_sla[g0]:
-                        if counts[g0] > 0 \
-                                and btl[wb_j] - last_tb[g0] >= window:
-                            sites += 1
-                        if btl[wb_k - 1] - btl[wb_j] >= window:
-                            # Window-sized rests inside the increment are
-                            # fire sites too (multi-window spans only).
-                            sites += int(np.count_nonzero(
-                                np.diff(ex.block_ts[wb_j:wb_k])
-                                >= window))
-                    counts[g0] += n_inc
-                    last_tb[g0] = btl[wb_k - 1]
-                else:
-                    # A group already touched in the chunk whose rest
-                    # before a touch here spans a full window is promoted
-                    # to a fire site (covers gaps between increments and,
-                    # for multi-window spans, gaps inside one).
-                    b = wb_j
-                    for g in gids.tolist():
-                        tb = btl[b]
-                        b += 1
-                        if is_sla[g] and counts[g] > 0 \
-                                and tb - last_tb[g] >= window:
-                            sites += 1
-                        counts[g] += 1
-                        last_tb[g] = tb
-            j = k
-        if attr_on:
-            if cause is None:
-                # Loop-condition exit: either the (possibly capped)
-                # request horizon or the block budget ran out.
-                if j >= n:
-                    cause = CAUSE_MAX_REQUESTS if n < ex.num_requests \
-                        else CAUSE_TRACE_END
-                else:
-                    cause = CAUSE_MAX_BLOCKS
-            self._chunk_cause = cause
-        if j <= i:
-            return i, None
-        if not placed:
-            return j, None
-        gids = placed[0] if len(placed) == 1 else np.concatenate(placed)
-        return j, gids
-
     def _build_chunk_single(self, ex, i: int, window: int):
         """Closed-form chunk for policies whose user placement domain is
         one group; return ``(j, gids)``.
 
         All of a chunk's user blocks land in group ``g0``, so the
-        adversarial capacity bound collapses: the chunk consumes
+        capacity bound is exact arithmetic: the chunk consumes
         ``written_blocks + fire_sites * fire_unit`` slots of ``g0``'s
         headroom plus ``slack`` whole segments, and the fire sites are an
         exact count — one reserved per SLA group entering with pending
@@ -604,7 +243,7 @@ class BatchedReplayEngine:
         if slack < 0:
             return i, None
         sb = pool.segment_blocks
-        g0 = self._user_gids[0]
+        g0 = self._user_gid
         grp = store.groups[g0]
         head0 = sb - int(pool.fill[grp.open_seg]) \
             if grp.open_seg is not None else 0
@@ -683,64 +322,6 @@ class BatchedReplayEngine:
             ex.lbas[wb0:wb1], ex.block_ts[wb0:wb1], store.user_seq)
         return j, gids
 
-    def _deadline_free_span(self, ex, i: int, t_i: int,
-                            window: int) -> int:
-        """Conservative chunk for ``"first"`` mode or a zero window: span
-        requests strictly below both the earliest armed deadline and
-        ``first_ts + window`` (deadlines armed inside land at or beyond
-        that), capped so worst-case placement cannot trip GC."""
-        store = self.store
-        ts = self._cols[3]
-        horizon = t_i + window
-        nd = store.next_deadline()
-        if nd is not None and nd < horizon:
-            horizon = nd
-        j_h = bisect_left(ts, horizon)
-        if j_h <= i:
-            j_h = i + 1  # window == 0: one request per chunk
-        j = j_h
-        if self.max_chunk_requests is not None:
-            j = min(j, i + self.max_chunk_requests)
-        gc_safe = self._gc_safe_blocks()
-        budget = min(gc_safe, self.max_chunk_blocks)
-        jc = self._cap_blocks(i, j, budget)
-        if self._attr_on:
-            if jc < j:
-                self._chunk_cause = CAUSE_GC_CAPACITY \
-                    if gc_safe <= self.max_chunk_blocks \
-                    else CAUSE_MAX_BLOCKS
-            elif jc >= ex.num_requests:
-                self._chunk_cause = CAUSE_TRACE_END
-            elif jc < j_h:
-                self._chunk_cause = CAUSE_MAX_REQUESTS
-            else:
-                self._chunk_cause = CAUSE_DEADLINE_HORIZON
-        return jc
-
-    def _gc_safe_blocks(self) -> int:
-        """Largest block count that cannot trip the GC low watermark.
-
-        ``needed()`` fires once free segments drop to ``gc_free_low``; the
-        cheapest way a placement could get there is to fill every group's
-        open-segment headroom first (one allocation each after
-        ``headroom + 1`` appends), then whole segments.  One block below
-        the cheapest schedule that forces ``free - gc_free_low``
-        allocations is therefore safe under *any* placement.
-        """
-        store = self.store
-        pool = store.pool
-        allocs = pool.free_segments - store.config.gc_free_low - 1
-        if allocs < 0:
-            return 0
-        sb = pool.segment_blocks
-        firsts = sorted(
-            (1 if store.groups[g].open_seg is None
-             else sb - int(pool.fill[store.groups[g].open_seg]) + 1)
-            for g in self._user_gids)
-        k = allocs + 1
-        cost = sum(firsts[:k]) + max(0, k - len(firsts)) * sb
-        return cost - 1
-
     def _cap_blocks(self, i: int, j: int, budget: int) -> int:
         """Shrink ``j`` so the span's written blocks fit ``budget``."""
         bs = self._bs
@@ -801,19 +382,18 @@ class BatchedReplayEngine:
     # ------------------------------------------------------------------
     # in-chunk deadline fires
     # ------------------------------------------------------------------
-    def _make_splitter(self, ex, i: int, j: int, gids: np.ndarray,
-                       window: int, cb: int):
-        """Build the ``apply_user_batch`` splitter for an idle-mode chunk.
+    def _make_splitter(self, i: int, j: int, window: int, cb: int):
+        """Build the ``apply_user_batch`` splitter for a chunk.
 
         The splitter is called with the next unapplied block offset and
         returns ``(end_block, tick_ts)``: apply blocks up to ``end_block``
         then (unless ``tick_ts`` is None) run ``store.tick(tick_ts)``.
-        Fire prediction is exact: between fires, each SLA group's
-        pending count grows by one per routed block (mod the chunk
-        capacity, which clears the timer) and its deadline is its last
-        append plus the window; at each predicted fire the store's real
-        tick runs and live buffer state is re-read, so aggregation and
-        multi-group fires need no modelling here.
+        Fire prediction is exact: between fires, the user group's
+        pending count grows by one per block (mod the chunk capacity,
+        which clears the timer) and its deadline is its last append plus
+        the window; at each predicted fire the store's real tick runs
+        and live buffer state is re-read, so fires of the other SLA
+        groups (MiDA's GC-fed mixed groups) need no modelling here.
         """
         store = self.store
         ts = self._cols[3]
@@ -822,9 +402,10 @@ class BatchedReplayEngine:
         block_ts = self._btl[bs0:bs[j]]
         nb = len(block_ts)
         t_end = ts[j - 1]
-        # Per-SLA-group block positions within the chunk, ascending.
+        # Per-SLA-group block positions within the chunk, ascending:
+        # every block goes to the user group, none to the others.
         sla_groups = store._sla_groups
-        positions = [np.flatnonzero(gids == g.gid).tolist()
+        positions = [range(nb) if g.gid == self._user_gid else ()
                      for g in sla_groups]
 
         def splitter(pos_block: int) -> tuple[int, int | None]:
@@ -842,7 +423,7 @@ class BatchedReplayEngine:
         return splitter
 
 
-def _group_fire(group, pos: list, pos_block: int, block_ts: list,
+def _group_fire(group, pos, pos_block: int, block_ts: list,
                 t_end: int, window: int, cb: int) -> int | None:
     """Earliest deadline of ``group`` that a scalar tick would fire
     before the group's next append (or the chunk's end), assuming no

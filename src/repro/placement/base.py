@@ -89,15 +89,12 @@ class PlacementPolicy:
     def user_placement_gids(self) -> Sequence[int]:
         """The set of group ids :meth:`place_user` can ever return.
 
-        Contract (see ``docs/extending.md``): the batched replay engine
-        sizes its provably-GC-free chunks adversarially over *this* set —
-        a group outside it can never receive user blocks, so its
-        open-segment headroom cannot be drained by a chunk and it never
-        forces a segment allocation.  Declaring a tight set (e.g. MiDA
-        routes every user write to group 0) makes chunks much larger near
-        the GC watermark; the default — every group — is always safe.
-        Policies that can route user writes anywhere (e.g. via ADAPT's
-        proactive demotion) must keep the default.
+        Contract (see ``docs/extending.md``): a policy whose set has
+        exactly one member (SepGC, MiDA) is replayed by the batched
+        engine — a chunk's capacity is then a closed form over that one
+        group's headroom.  Every other policy takes the scalar loop.  The
+        default — every group — is always safe; a declared set must
+        cover every gid the policy can return.
         """
         return range(len(self.group_specs()))
 
@@ -105,22 +102,14 @@ class PlacementPolicy:
                             start_seq: int) -> tuple[np.ndarray,
                                                      np.ndarray] | None:
         """Predict, per block, the groups :meth:`place_user` *could* route
-        it to — before any placement happens.
+        it to, as ``(primary, alt)`` int64 arrays, or ``None``.
 
-        Contract (see ``docs/extending.md``): called by the batched replay
-        engine under the same no-GC/no-deadline guarantee as
-        :meth:`place_user_batch`, with block ``i`` at logical clock
-        ``start_seq + i``.  Must be **pure**: no metadata writes, no
-        counters, no obs events.  Return ``None`` (the default) when
-        prediction is unavailable — the engine then sizes chunks
-        adversarially over the full :meth:`user_placement_gids` set.
-        Otherwise return ``(primary, alt)`` int64 arrays: placing any
-        prefix of the batch must route block ``i`` to ``primary[i]`` or
-        ``alt[i]`` (``alt[i] == -1`` claims the placement is exactly
-        ``primary[i]``).  The engine uses these per-block candidate sets
-        to cap how many blocks the chunk could possibly push into each
-        group, which makes chunks near the GC watermark dramatically
-        larger for multi-group policies.
+        No caller is left in ``src/``: the multi-group chunk prover that
+        consumed the prediction is gone.  The declaration (and ADAPT's
+        override) stays only because the frozen ``bench/`` harness names
+        it; ROADMAP asks the next benchmark PR to drop it there so the
+        hook can go.  Must be pure: no metadata writes, no counters, no
+        obs events.
         """
         return None
 
@@ -128,8 +117,8 @@ class PlacementPolicy:
                        now_us: int) -> np.ndarray:
         """Route one victim's GC-migrated valid blocks; one group id each.
 
-        Contract (see ``docs/extending.md``): called from the batched GC
-        path with one victim segment's valid LBAs in slot order.  Each
+        Contract (see ``docs/extending.md``): called by GC (under both
+        replay engines) with one victim segment's valid LBAs in slot order.  Each
         LBA appears at most once (the mapping is a bijection onto valid
         slots) and both clocks are constant across the batch, so unlike
         :meth:`place_user_batch` there are no in-batch chains to model.
@@ -172,7 +161,8 @@ class PlacementPolicy:
                           first_tokens) -> None:
         """Opt-in bulk form of :meth:`on_chunk_flush` for run appends.
 
-        When a policy overrides this, the batched run-append path skips
+        When a policy overrides this, the run-append path (GC migration
+        runs, and user runs under the batched engine) skips
         materializing the ``FULL`` :class:`ChunkFlush` objects a run
         emits and calls this once instead: ``flushes`` FULL flushes of
         ``chunk_blocks`` data blocks each (zero padding) landed in group

@@ -147,12 +147,14 @@ def diff_stats(fast: LogStructuredStore,
 
 
 def run_cell(policy_name: str, trace: Trace, config: LSSConfig,
-             audit_every: int = 512, engine: str = "batched") -> CellResult:
+             audit_every: int = 512, engine: str = "auto") -> CellResult:
     """Replay ``trace`` through both stores under ``policy_name``.
 
     ``engine`` selects the fast store's replay engine (the oracle is
-    always the scalar dict model); the default exercises the batched
-    path so every sweep doubles as an engine-equivalence proof.
+    always the per-block dict model); the default ``"auto"`` runs each
+    policy on the engine production replays use, so every sweep checks
+    the batched engine for single-group policies and the scalar loop's
+    bulk GC for the others.
     """
     auditor = InvariantAuditor(every_blocks=audit_every)
     fast = LogStructuredStore(config, make_policy(policy_name, config),
@@ -182,7 +184,7 @@ def run_differential(policies: list[str] | None = None,
                      victim: str = "greedy",
                      seed: int = 1,
                      audit_every: int = 512,
-                     engine: str = "batched") -> DifferentialReport:
+                     engine: str = "auto") -> DifferentialReport:
     """Sweep policies x workloads; every registered policy by default."""
     if policies is None:
         policies = available_policies()

@@ -64,7 +64,7 @@ def _attribution_snapshot():
                                              differential_config)
     cfg = differential_config()
     attr = AttributionRecorder()
-    store = LogStructuredStore(cfg, make_policy("adapt", cfg),
+    store = LogStructuredStore(cfg, make_policy("sepgc", cfg),
                                attribution=attr)
     store.replay(default_workloads(num_requests=800)[0], engine="batched")
     return attr.snapshot()

@@ -26,7 +26,7 @@ from repro.validate.differential import (default_workloads,
                                          differential_config)
 
 
-def _replayed_recorder(policy_name="adapt", engine="batched"):
+def _replayed_recorder(policy_name="sepgc", engine="auto"):
     cfg = differential_config()
     attr = AttributionRecorder()
     store = LogStructuredStore(cfg, make_policy(policy_name, cfg),
@@ -93,7 +93,7 @@ def test_gc_victim_hook_aggregates_and_running_totals():
 
 
 def test_snapshot_ledger_conserves_store_totals():
-    store, attr = _replayed_recorder()
+    store, attr = _replayed_recorder("adapt")
     snap = attr.snapshot()
     totals = snap["ledger"]["totals"]
     stats = store.stats

@@ -1,12 +1,15 @@
-"""Attribution engine equivalence: the invariant view is byte-identical.
+"""Attribution equivalence: the invariant view is byte-identical.
 
 The attribution contract splits the snapshot in two: ``chunk_bounds``
 describes the batched engine's chunk construction (meaningless under
 the scalar loop), while ``ledger`` and ``gc_provenance`` describe the
-simulated store — which the engine-equivalence contract already forces
-to be bit-identical.  :func:`invariant_view` must therefore serialize to
-*identical JSON bytes* across engines for every policy, and attaching
-the recorder must never perturb the replay itself.
+simulated store — which the equivalence contract already forces to be
+bit-identical.  :func:`invariant_view` must therefore serialize to
+*identical JSON bytes* whether flushes are counted in bulk (``auto``:
+the batched engine for single-group policies, the scalar loop with bulk
+GC for the others) or materialized one by one (the scalar loop with a
+no-op flush listener), for every policy, and attaching the recorder
+must never perturb the replay itself.
 """
 
 from __future__ import annotations
@@ -15,23 +18,21 @@ import json
 
 import pytest
 
-from repro.lss.store import LogStructuredStore
 from repro.obs.attribution import AttributionRecorder, invariant_view
-from repro.placement.registry import available_policies, make_policy
-from repro.validate.differential import (default_workloads,
-                                         differential_config)
+from repro.placement.registry import available_policies
+from repro.validate.differential import default_workloads
 
-from tests.perf.test_engine_equivalence import assert_states_equal
+from tests.perf.test_engine_equivalence import (assert_states_equal,
+                                                fresh_store)
 
 #: ali (index 0) and tencent (index 1) differential workloads.
 _WORKLOADS = ("ali", "tencent")
 
 
-def _replay_with_attribution(policy_name: str, trace, engine: str):
-    cfg = differential_config()
+def _replay_with_attribution(policy_name: str, trace, engine: str,
+                             materialize: bool = False):
     attr = AttributionRecorder()
-    store = LogStructuredStore(cfg, make_policy(policy_name, cfg),
-                               attribution=attr)
+    store = fresh_store(policy_name, materialize, attribution=attr)
     store.replay(trace, engine=engine)
     return store, attr
 
@@ -46,23 +47,22 @@ def _canonical(attr: AttributionRecorder) -> str:
 def test_invariant_view_byte_identical_across_engines(policy_name,
                                                       workload_idx):
     trace = default_workloads(num_requests=600)[workload_idx]
-    scalar_store, scalar_attr = _replay_with_attribution(
-        policy_name, trace, "scalar")
-    batched_store, batched_attr = _replay_with_attribution(
-        policy_name, trace, "batched")
-    assert_states_equal(scalar_store, batched_store)
-    assert _canonical(scalar_attr) == _canonical(batched_attr)
+    ref_store, ref_attr = _replay_with_attribution(
+        policy_name, trace, "scalar", materialize=True)
+    auto_store, auto_attr = _replay_with_attribution(
+        policy_name, trace, "auto")
+    assert_states_equal(ref_store, auto_store)
+    assert _canonical(ref_attr) == _canonical(auto_attr)
 
 
 @pytest.mark.parametrize("policy_name", ("sepgc", "adapt"))
 def test_attribution_does_not_change_replay(policy_name):
-    """Attaching the recorder must not perturb the batched replay."""
+    """Attaching the recorder must not perturb the replay."""
     trace = default_workloads(num_requests=600)[0]
-    cfg = differential_config()
-    bare = LogStructuredStore(cfg, make_policy(policy_name, cfg))
-    bare.replay(trace, engine="batched")
-    instrumented, _ = _replay_with_attribution(policy_name, trace,
-                                               "batched")
+    bare = fresh_store(policy_name)
+    bare.replay(trace)
+    instrumented, _ = _replay_with_attribution(policy_name, trace, "auto")
+    assert bare.replay_engine == instrumented.replay_engine
     assert_states_equal(bare, instrumented)
 
 
@@ -70,7 +70,9 @@ def test_chunk_bounds_exist_only_under_batched():
     trace = default_workloads(num_requests=600)[0]
     _, scalar_attr = _replay_with_attribution("sepgc", trace, "scalar")
     _, batched_attr = _replay_with_attribution("sepgc", trace, "batched")
+    _, adapt_attr = _replay_with_attribution("adapt", trace, "auto")
     assert scalar_attr.snapshot()["chunk_bounds"]["chunks"] == 0
+    assert adapt_attr.snapshot()["chunk_bounds"]["chunks"] == 0
     batched = batched_attr.snapshot()["chunk_bounds"]
     assert batched["chunks"] > 0
     assert batched["chunks"] == sum(
@@ -85,7 +87,7 @@ def test_provenance_epochs_survive_migration():
     import numpy as np
     from repro.lss.segment import ORIGIN_NONE
     trace = default_workloads(num_requests=800)[0]
-    store, _ = _replay_with_attribution("adapt", trace, "batched")
+    store, _ = _replay_with_attribution("adapt", trace, "auto")
     pool = store.pool
     tagged = pool.slot_origin_flat != ORIGIN_NONE
     assert tagged.any()

@@ -120,6 +120,8 @@ def test_obs_axis_cells_and_overhead():
     assert set(result["obs_overhead"]) == {"sepgc/ali/scalar",
                                            "sepgc/ali/batched"}
     assert all(v > 0 for v in result["obs_overhead"].values())
+    assert set(result["engine_skips"]) == {"sepgc/trace"}
+    assert "batch-capable" in result["engine_skips"]["sepgc/trace"]
     # Speedups only compare uninstrumented cells.
     assert set(result["speedups"]) == {"sepgc/ali"}
     out = render_bench(result)
@@ -127,6 +129,17 @@ def test_obs_axis_cells_and_overhead():
     with pytest.raises(ValueError, match="unknown obs mode"):
         run_bench(TINY, policies=["sepgc"], profiles=("ali",), repeats=1,
                   obs_modes=("metrics", "bogus"))
+
+
+def test_batched_cells_skipped_for_multi_group_policies():
+    result = run_bench(TINY, policies=["adapt", "sepgc"], profiles=("ali",),
+                       repeats=1, date="2026-01-02")
+    assert {(c["policy"], c["engine"]) for c in result["cells"]} == {
+        ("adapt", "scalar"), ("sepgc", "scalar"), ("sepgc", "batched")}
+    assert set(result["engine_skips"]) == {"adapt/off"}
+    assert "more than one group" in result["engine_skips"]["adapt/off"]
+    assert set(result["speedups"]) == {"sepgc/ali"}
+    assert "no batched cell for adapt/off" in render_bench(result)
 
 
 def test_attr_axis_cells_and_overhead():
@@ -169,46 +182,62 @@ def test_compare_bench_matches_on_attr_mode():
     assert len(compare_bench(cur, base, threshold=0.25)) == 1
 
 
-@pytest.mark.slow
-def test_attribution_overhead_under_budget():
-    """Attribution (provenance tagging + chunk-cause hooks) must cost
-    < 15% of batched replay throughput, measured the same way as the
-    metrics-overhead gate: aggregate over policies, interleaved repeats,
-    best-of per cell."""
-    import time
+def _counting(cls, extra=()):
+    """Subclass of ``cls`` whose every ``on_*`` hook (and the ``extra``
+    entry points) counts its invocations; returns ``(subclass, calls)``."""
+    from collections import Counter
+    calls = Counter()
+    hooks = {}
+    for name in dir(cls):
+        if name.startswith("on_") or name in extra:
+            def hook(self, *args, _name=name, _orig=getattr(cls, name),
+                     **kwargs):
+                calls[_name] += 1
+                return _orig(self, *args, **kwargs)
+            hooks[name] = hook
+    return type("Counting" + cls.__name__, (cls,), hooks), calls
 
+
+@pytest.mark.parametrize("policy,engine,rec_bound,attr_bound", [
+    ("sepgc", "batched", 0.3, 0.1),
+    ("adapt", "scalar", 1.75, 0.1),
+])
+def test_obs_hook_calls_per_user_block_bounded(policy, engine, rec_bound,
+                                               attr_bound):
+    """What bounds the instrumentation overhead is how often the store
+    calls into the recorder and the attribution sink.  On a fixed trace
+    those call counts are deterministic, so tier-1 bounds them per user
+    block (measured: sepgc 0.21 / 0.054, adapt 1.52 / 0.022); the
+    wall-clock cost lives in the bench's ``obs_overhead`` /
+    ``attr_overhead`` maps."""
     from repro.experiments.runner import store_config_for
     from repro.experiments.workloads import fleet_for
     from repro.lss.store import LogStructuredStore
     from repro.obs.attribution import AttributionRecorder
+    from repro.obs.recorder import ObsRecorder
     from repro.placement.registry import make_policy
 
-    scale = Scale("aovh", num_volumes=1, volume_blocks=8192,
+    scale = Scale("ovh", num_volumes=1, volume_blocks=8192,
                   volume_requests=6000, stats_volumes=1,
                   ycsb_blocks=8192, ycsb_writes=4000)
     trace = fleet_for("ali", scale)[0]
-
-    def one(policy, instrumented):
-        cfg = store_config_for(scale.volume_blocks, seed=0)
-        attr = AttributionRecorder() if instrumented else None
-        store = LogStructuredStore(cfg, make_policy(policy, cfg),
-                                   attribution=attr)
-        t0 = time.perf_counter()
-        store.replay(trace, engine="batched")
-        return time.perf_counter() - t0
-
-    total_off = total_on = 0.0
-    for policy in ("sepgc", "adapt", "sepbit"):
-        one(policy, False)  # warm-up: caches, lazy imports
-        offs, ons = [], []
-        for _ in range(3):
-            offs.append(one(policy, False))
-            ons.append(one(policy, True))
-        total_off += min(offs)
-        total_on += min(ons)
-    overhead = total_on / total_off - 1.0
-    assert overhead < 0.15, \
-        f"attribution overhead {overhead:.1%} exceeds the 15% budget"
+    recorder_cls, rec_calls = _counting(
+        ObsRecorder, extra=("gauge", "count", "inc_many"))
+    attribution_cls, attr_calls = _counting(AttributionRecorder)
+    cfg = store_config_for(scale.volume_blocks, seed=0)
+    store = LogStructuredStore(cfg, make_policy(policy, cfg),
+                               recorder=recorder_cls(),
+                               attribution=attribution_cls())
+    blocks = store.replay(trace).user_blocks_requested
+    assert store.replay_engine[0] == engine
+    assert blocks > 10_000
+    assert sum(rec_calls.values()) / blocks < rec_bound
+    assert sum(attr_calls.values()) / blocks < attr_bound
+    # GC reports its flushes in bulk under either engine; only the
+    # scalar loop reports user writes one block at a time.
+    assert rec_calls["on_full_flush_bulk"] > 0
+    assert rec_calls["on_user_write"] == \
+        (blocks if engine == "scalar" else 0)
 
 
 def test_compare_bench_matches_on_obs_mode():
@@ -222,50 +251,6 @@ def test_compare_bench_matches_on_obs_mode():
         c["obs"] = "metrics"
     regs = compare_bench(cur, base, threshold=0.25)
     assert [r["obs"] for r in regs] == ["metrics"]
-
-
-@pytest.mark.slow
-def test_metrics_overhead_under_budget():
-    """Aggregated (batch-capable) metrics must cost < 15% of batched
-    replay throughput.  Measured as the aggregate over the policy set on
-    one workload, interleaving instrumented and uninstrumented repeats
-    and keeping each cell's best run, so scheduling noise largely
-    cancels; per-cell ratios on a loaded machine are too noisy to gate.
-    """
-    import time
-
-    from repro.experiments.runner import store_config_for
-    from repro.experiments.workloads import fleet_for
-    from repro.lss.store import LogStructuredStore
-    from repro.obs.recorder import ObsRecorder
-    from repro.placement.registry import make_policy
-
-    scale = Scale("ovh", num_volumes=1, volume_blocks=8192,
-                  volume_requests=6000, stats_volumes=1,
-                  ycsb_blocks=8192, ycsb_writes=4000)
-    trace = fleet_for("ali", scale)[0]
-
-    def one(policy, instrumented):
-        cfg = store_config_for(scale.volume_blocks, seed=0)
-        rec = ObsRecorder() if instrumented else None
-        store = LogStructuredStore(cfg, make_policy(policy, cfg),
-                                   recorder=rec)
-        t0 = time.perf_counter()
-        store.replay(trace, engine="batched")
-        return time.perf_counter() - t0
-
-    total_off = total_on = 0.0
-    for policy in ("sepgc", "adapt", "sepbit"):
-        one(policy, False)  # warm-up: caches, lazy imports
-        offs, ons = [], []
-        for _ in range(3):
-            offs.append(one(policy, False))
-            ons.append(one(policy, True))
-        total_off += min(offs)
-        total_on += min(ons)
-    overhead = total_on / total_off - 1.0
-    assert overhead < 0.15, \
-        f"metrics-mode overhead {overhead:.1%} exceeds the 15% budget"
 
 
 def test_cli_bench_smoke(tmp_path, monkeypatch):

@@ -1,36 +1,43 @@
-"""Obs-on engine equivalence: scalar vs batched with a live recorder.
+"""Obs-on equivalence: counted bulk hooks vs materialized per-flush hooks.
 
-The batched engine's observability contract extends the state contract:
-with a batch-capable :class:`ObsRecorder` attached, the chunk-aggregated
-bulk hooks must leave the *entire* metrics registry — every counter,
-gauge, and histogram (bucket counts and float sums) — bit-identical to
-the scalar per-event hooks, for every policy on update-heavy cloud
-workloads.  Event-stream cadence is explicitly NOT part of the contract
-(bulk paths collapse runs of FULL flushes into ``chunk_flush_bulk``
-records and sample series rows at chunk boundaries); metric totals are.
+With a batch-capable :class:`ObsRecorder` attached, the store accounts
+runs of FULL flushes and deadline fires through counted bulk hooks —
+every GC migration run under either engine, and every user run under
+the batched engine.  Those must leave the *entire* metrics registry —
+every counter, gauge, and histogram (bucket counts and float sums) —
+bit-identical to the per-flush hooks.  The reference replay therefore
+runs the scalar loop with a no-op flush listener attached, which forces
+every flush to be materialized; the replay under test is ``auto``: the
+batched engine for single-group policies, the scalar loop (bulk GC) for
+the others.  Event-stream cadence is explicitly NOT part of the contract
+for batch-capable recorders (bulk paths collapse runs of FULL flushes
+into ``chunk_flush_bulk`` records and sample series rows at chunk
+boundaries); metric totals are.  A ``trace_events=True`` recorder, in
+turn, gets the exact per-event stream — pinned by golden hashes below.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
-from repro.lss.store import LogStructuredStore
 from repro.obs.recorder import ObsRecorder
-from repro.placement.registry import available_policies, make_policy
-from repro.validate.differential import (default_workloads,
-                                         differential_config)
+from repro.placement.registry import available_policies
+from repro.validate.differential import default_workloads
 
-from tests.perf.test_engine_equivalence import assert_states_equal
+from tests.perf.test_engine_equivalence import (assert_states_equal,
+                                                fresh_store)
 
 #: ali (index 0) and tencent (index 1) differential workloads.
 _WORKLOADS = ("ali", "tencent")
 
 
-def _replay_with_recorder(policy_name: str, trace, engine: str):
-    cfg = differential_config()
+def _replay_with_recorder(policy_name: str, trace, engine: str,
+                          materialize: bool = False):
     recorder = ObsRecorder()
-    store = LogStructuredStore(cfg, make_policy(policy_name, cfg),
-                               recorder=recorder)
+    store = fresh_store(policy_name, materialize, recorder=recorder)
     store.replay(trace, engine=engine)
     return store, recorder
 
@@ -40,22 +47,21 @@ def _replay_with_recorder(policy_name: str, trace, engine: str):
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_metric_snapshots_equal_across_engines(policy_name, workload_idx):
     trace = default_workloads(num_requests=600)[workload_idx]
-    scalar_store, scalar_rec = _replay_with_recorder(
-        policy_name, trace, "scalar")
-    batched_store, batched_rec = _replay_with_recorder(
-        policy_name, trace, "batched")
-    assert_states_equal(scalar_store, batched_store)
-    assert scalar_rec.registry.snapshot() == batched_rec.registry.snapshot()
+    ref_store, ref_rec = _replay_with_recorder(
+        policy_name, trace, "scalar", materialize=True)
+    auto_store, auto_rec = _replay_with_recorder(policy_name, trace, "auto")
+    assert_states_equal(ref_store, auto_store)
+    assert ref_rec.registry.snapshot() == auto_rec.registry.snapshot()
 
 
 @pytest.mark.parametrize("policy_name", ("sepgc", "adapt"))
 def test_recorder_does_not_change_batched_results(policy_name):
-    """Attaching a recorder must not perturb the batched replay itself."""
+    """Attaching a recorder must not perturb the replay itself."""
     trace = default_workloads(num_requests=600)[0]
-    cfg = differential_config()
-    bare = LogStructuredStore(cfg, make_policy(policy_name, cfg))
-    bare.replay(trace, engine="batched")
-    instrumented, _ = _replay_with_recorder(policy_name, trace, "batched")
+    bare = fresh_store(policy_name)
+    bare.replay(trace)
+    instrumented, _ = _replay_with_recorder(policy_name, trace, "auto")
+    assert bare.replay_engine == instrumented.replay_engine
     assert_states_equal(bare, instrumented)
 
 
@@ -73,3 +79,41 @@ def test_counters_match_store_stats_batched():
         stats.gc_blocks_migrated
     assert counters["lss_padding_blocks_total"] == \
         stats.padding_blocks_written
+
+
+#: policy -> (events, sha256 of the event list, sha256 of the recorder
+#: snapshot) for a ``trace_events=True`` replay of the 1200-request
+#: tencent differential workload.  Captured with the per-block GC loop
+#: that ``validate/oracle.py`` still specifies: migrating a victim in
+#: runs must not reorder, merge or drop a single traced event.
+_EVENT_GOLDEN = {
+    "adapt": (
+        3802,
+        "62ac90fe33cfbda8c72bed7e89b15f52f4aa175798dd1bd4e08be36744f44ca3",
+        "589df858cce2dbf0a46e1ed3235c223e3354b46a62590c1dcecbac2eb1f91fb4"),
+    "sepgc": (
+        3600,
+        "a49b184bbb165180f1f63147fb998140b28c49680fdd0f67b610045372386ea0",
+        "061f8f02355f06eabef39fb3b44a5dbc45ca4998be94e9de821c71662e7fbc6a"),
+    "dac": (
+        4577,
+        "7decdb7b059e43d67507e5cfb0b33ef8afcae77f96e0e4a982f7f815a97297a4",
+        "13327335c98afe820585b393b29be00d54233f35532ee4f398955eb74b07f727"),
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(_EVENT_GOLDEN))
+def test_traced_event_stream_pinned(policy_name):
+    trace = default_workloads(num_requests=1200)[1]
+    rec = ObsRecorder(trace_events=True, event_capacity=1_000_000,
+                      sample_every_blocks=256)
+    store = fresh_store(policy_name, recorder=rec)
+    store.replay(trace)
+    assert rec.tracer.dropped == 0
+    events = json.dumps([e.to_json_dict() for e in rec.tracer.events],
+                        sort_keys=True)
+    snapshot = json.dumps(rec.snapshot(), sort_keys=True)
+    count, events_sha, snapshot_sha = _EVENT_GOLDEN[policy_name]
+    assert len(rec.tracer.events) == count
+    assert hashlib.sha256(events.encode()).hexdigest() == events_sha
+    assert hashlib.sha256(snapshot.encode()).hexdigest() == snapshot_sha

@@ -51,7 +51,7 @@ workloads = st.lists(
 policies = st.sampled_from(["sepgc", "dac", "warcip", "mida", "sepbit",
                             "adapt"])
 
-engines = st.sampled_from(["scalar", "batched"])
+engines = st.sampled_from(["scalar", "auto"])
 
 
 def build_trace(ops) -> Trace:
@@ -117,7 +117,7 @@ def test_ledger_conservation(ops, policy_name, engine):
     assert cb["chunks"] == sum(c["chunks"] for c in cb["causes"].values())
     assert cb["chunks"] == sum(cb["chunk_requests_hist"].values())
     assert cb["chunks"] == sum(cb["chunk_blocks_hist"].values())
-    if engine == "batched":
+    if store.replay_engine[0] == "batched":
         assert sum(c["requests"] for c in cb["causes"].values()) == \
             len(ops)
     else:
