@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.obs.recorder import NULL_RECORDER, NullRecorder
 
 
 class FlushReason(Enum):
@@ -38,15 +37,38 @@ class FlushReason(Enum):
     FORCED = "forced"       # external flush (seal/shutdown); zero-padded
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChunkFlush:
-    """One chunk write issued to the array."""
+    """``count`` chunk writes one group issued to the array.
+
+    The one shape in which every layer learns that chunks were flushed;
+    the group that owns the buffer builds it (the buffer's tokens are
+    opaque here).  A single flush is a run of one.  ``count > 1`` only
+    for the FULL flushes one append run emits back to back, which occupy
+    consecutive device addresses; the block counts are totals over the
+    run and ``time_us`` is when its last chunk filled.
+
+    Consumers share the record and must not write to it; it is left
+    unfrozen only because it is built on the per-flush hot path, where
+    a frozen dataclass costs four times as much to construct.
+    """
 
     reason: FlushReason
-    tokens: tuple[Any, ...]
-    data_blocks: int
+    count: int
+    user_blocks: int
+    gc_blocks: int
+    shadow_blocks: int
     padding_blocks: int
     time_us: int
+    #: Blocks in the (first) chunk whose substitutes were already
+    #: persisted elsewhere: this flush is their lazy append (§3.3).
+    lazy_blocks: int = 0
+    #: Array address of the first chunk's first block (-1: no segment).
+    device_lba_start: int = -1
+
+    @property
+    def data_blocks(self) -> int:
+        return self.user_blocks + self.gc_blocks + self.shadow_blocks
 
     @property
     def total_blocks(self) -> int:
@@ -56,22 +78,22 @@ class ChunkFlush:
 class CoalescingBuffer:
     """Open-chunk accumulator for one group.
 
+    Every operation that flushes the chunk drains it and returns the
+    drained tokens; what the flush means (kinds, padding, accounting)
+    is the owner's business.
+
     Args:
         chunk_blocks: chunk capacity in blocks.
         window_us: SLA coalescing window; ``None`` disables deadline
             flushes (bulk/GC writers).
         sla_mode: ``"idle"`` (deadline restarts on each append) or
             ``"first"`` (deadline fixed at first append).
-        obs: observability recorder notified of every emitted flush
-            (defaults to the shared no-op recorder).
-        owner_gid / owner_name: identity stamped onto the emitted
-            ``chunk_flush``/``padding`` events.
+        owner_gid: identity stamped onto this buffer's entries in a
+            shared deadline heap.
     """
 
     def __init__(self, chunk_blocks: int, window_us: int | None,
-                 sla_mode: str = "idle",
-                 obs: NullRecorder | None = None,
-                 owner_gid: int = -1, owner_name: str = "") -> None:
+                 sla_mode: str = "idle", owner_gid: int = -1) -> None:
         if chunk_blocks < 1:
             raise ConfigError("chunk_blocks must be >= 1")
         if window_us is not None and window_us < 0:
@@ -81,9 +103,7 @@ class CoalescingBuffer:
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
         self.sla_mode = sla_mode
-        self.obs = NULL_RECORDER if obs is None else obs
         self.owner_gid = owner_gid
-        self.owner_name = owner_name
         self._tokens: list[Any] = []
         self._timer_start_us: int | None = None
         # Lazy deadline-heap support (see bind_deadline_heap): the shared
@@ -162,62 +182,28 @@ class CoalescingBuffer:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def append(self, token: Any, now_us: int) -> ChunkFlush | None:
-        """Add one block; return a ``FULL`` flush if the chunk filled."""
+    def append(self, token: Any, now_us: int) -> tuple[Any, ...] | None:
+        """Add one block; if that fills the chunk, drain it (a ``FULL``
+        flush) and return its tokens."""
         if not self._tokens or self.sla_mode == "idle":
             self._timer_start_us = now_us
             self._arm_heap()
         self._tokens.append(token)
         if len(self._tokens) >= self.chunk_blocks:
-            return self._emit(FlushReason.FULL, now_us, pad=False)
+            return self.take_pending()
         return None
 
     def append_run(self, kind: int, lbas: list[int],
-                   ts_us: list[int]) -> list[ChunkFlush]:
+                   ts_us: list[int]) -> tuple[int, tuple[Any, ...]]:
         """Append a run of ``(kind, lba)`` tokens at per-block times.
 
-        Exactly equivalent to calling :meth:`append` once per token —
-        returns the ``FULL`` flushes emitted, in order — but does the token
-        extension and timer updates per chunk instead of per block.  Used
-        by the run-append paths (GC migration, the batched replay
-        engine); the caller guarantees the timestamps are non-decreasing.
-        """
-        flushes: list[ChunkFlush] = []
-        tokens = self._tokens
-        cb = self.chunk_blocks
-        pos, n = 0, len(lbas)
-        while pos < n:
-            end = min(pos + cb - len(tokens), n)
-            if self.sla_mode == "idle":
-                # idle mode restarts the timer on every append, so only
-                # the last append of this chunk-portion matters.
-                self._timer_start_us = ts_us[end - 1]
-            elif not tokens:
-                # "first" mode arms the timer at the chunk's first append.
-                self._timer_start_us = ts_us[pos]
-            tokens.extend((kind, lba) for lba in lbas[pos:end])
-            if len(tokens) >= cb:
-                flushes.append(self._emit(FlushReason.FULL, ts_us[end - 1],
-                                          pad=False))
-            pos = end
-        if tokens:
-            # Episodes born and flushed inside the run never needed heap
-            # entries (no tick can interleave); arm only the survivor.
-            self._arm_heap()
-        return flushes
-
-    def append_run_counted(self, kind: int, lbas: list[int],
-                           ts_us: list[int]) -> tuple[int, int]:
-        """Append a run like :meth:`append_run` but without materializing
-        the ``FULL`` :class:`ChunkFlush` objects.
-
-        Returns ``(full_flushes, new_tokens_flushed)``; the caller owns
-        the accounting a flush object would otherwise carry (any pending
-        pre-run tokens are part of the first flush, so when
-        ``full_flushes > 0`` every pre-run token was flushed too).  Used
-        by the run-append paths when nothing consumes the flush
-        objects; end state (tokens, timer, heap entry) is bit-identical
-        to :meth:`append_run`.
+        Leaves exactly the state (tokens, timer, heap entry) that calling
+        :meth:`append` once per token would; the caller guarantees the
+        timestamps are non-decreasing.  Returns ``(flushes, drained)``:
+        how many ``FULL`` flushes the run emitted, and the tokens that
+        were pending before the run — they left with the first flush
+        (``()`` when nothing flushed).  Flush ``i`` (1-based) filled at
+        ``ts_us[i * chunk_blocks - len(drained) - 1]``.
         """
         tokens = self._tokens
         cb = self.chunk_blocks
@@ -226,62 +212,44 @@ class CoalescingBuffer:
         nf = (p + n) // cb
         if nf == 0:
             if self.sla_mode == "idle":
+                # idle mode restarts the timer on every append, so only
+                # the run's last append matters.
                 self._timer_start_us = ts_us[n - 1]
             elif not tokens:
+                # "first" mode arms the timer at the chunk's first append.
                 self._timer_start_us = ts_us[0]
             tokens.extend((kind, lba) for lba in lbas)
             self._arm_heap()
-            return 0, 0
+            return 0, ()
+        drained = self.take_pending()
         leftover = p + n - nf * cb
         if leftover:
-            self._tokens = [(kind, lba) for lba in lbas[n - leftover:]]
-            # The last flush cleared the timer and the tracked heap
-            # entry; the surviving chunk re-arms exactly as the final
-            # portion of append_run would.
+            # Episodes born and flushed inside the run never needed heap
+            # entries (no tick can interleave); arm only the survivor.
+            tokens.extend((kind, lba) for lba in lbas[n - leftover:])
             self._timer_start_us = ts_us[n - 1] \
                 if self.sla_mode == "idle" else ts_us[n - leftover]
-            self._heap_entry_us = None
             self._arm_heap()
-        else:
-            self._tokens = []
-            self._timer_start_us = None
-            self._heap_entry_us = None
-        return nf, nf * cb - p
+        return nf, drained
 
-    def poll(self, now_us: int) -> ChunkFlush | None:
-        """Flush with padding if the SLA deadline has passed."""
+    def poll(self, now_us: int) -> tuple[Any, ...] | None:
+        """Drain the chunk (a padded ``DEADLINE`` flush) if the SLA
+        deadline has passed; return its tokens."""
         dl = self.deadline_us
         if dl is not None and now_us >= dl and self._tokens:
-            return self._emit(FlushReason.DEADLINE, now_us, pad=True)
+            return self.take_pending()
         return None
 
-    def force_flush(self, now_us: int) -> ChunkFlush | None:
-        """Flush whatever is pending (padded); ``None`` if empty."""
-        if not self._tokens:
-            return None
-        return self._emit(FlushReason.FORCED, now_us, pad=True)
+    def force_flush(self) -> tuple[Any, ...] | None:
+        """Drain whatever is pending (a padded ``FORCED`` flush);
+        ``None`` if empty."""
+        return self.take_pending() if self._tokens else None
 
     def take_pending(self) -> tuple[Any, ...]:
-        """Remove and return all pending tokens *without* emitting a flush.
-
-        Used when another group's chunk absorbs these blocks (shadow
-        append); no array I/O happens for this buffer.
-        """
+        """Remove and return all pending tokens and disarm the timer
+        (whether that is a flush is up to the caller)."""
         tokens = tuple(self._tokens)
         self._tokens.clear()
         self._timer_start_us = None
         self._heap_entry_us = None
         return tokens
-
-    def _emit(self, reason: FlushReason, now_us: int, pad: bool) -> ChunkFlush:
-        tokens = tuple(self._tokens)
-        padding = self.chunk_blocks - len(tokens) if pad else 0
-        self._tokens.clear()
-        self._timer_start_us = None
-        self._heap_entry_us = None
-        flush = ChunkFlush(reason=reason, tokens=tokens,
-                           data_blocks=len(tokens), padding_blocks=padding,
-                           time_us=now_us)
-        if self.obs.enabled:
-            self.obs.on_chunk_flush(self.owner_gid, self.owner_name, flush)
-        return flush

@@ -40,14 +40,16 @@ class GroupWriteMonitor:
     segments_sealed: int = 0
 
     def on_flush(self, data_blocks: int, padding_blocks: int,
-                 shadow_blocks: int = 0) -> None:
+                 shadow_blocks: int = 0, count: int = 1) -> None:
+        """Book ``count`` flushes carrying these block totals (padded
+        flushes come one at a time)."""
         self.data_blocks += data_blocks
         self.padding_blocks += padding_blocks
         self.shadow_blocks += shadow_blocks
         if padding_blocks > 0:
-            self.padding_events += 1
+            self.padding_events += count
         else:
-            self.full_flushes += 1
+            self.full_flushes += count
 
     def avg_unfilled_chunk_blocks(self) -> float:
         """Eq. 1: average accumulated size of unfilled chunks,
@@ -102,9 +104,9 @@ class CrossGroupAggregator:
     # bookkeeping hooks (wired from the policy)
     # ------------------------------------------------------------------
     def on_flush(self, gid: int, data_blocks: int, padding_blocks: int,
-                 shadow_blocks: int = 0) -> None:
+                 shadow_blocks: int = 0, count: int = 1) -> None:
         self.monitor_for(gid).on_flush(data_blocks, padding_blocks,
-                                       shadow_blocks)
+                                       shadow_blocks, count)
 
     def on_segment_sealed(self, gid: int) -> None:
         self.monitor_for(gid).segments_sealed += 1

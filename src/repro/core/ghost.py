@@ -204,23 +204,18 @@ class GhostSet:
         self._where[lba] = seg
         self.blocks_written += 1
         self._total_slots += 1
-        flush = self._buffers[group].append(lba, now_us)
-        if flush is not None:
-            self._account_flush(group, flush)
+        self._buffers[group].append(lba, now_us)  # a FULL flush pads nothing
         self._maybe_seal(group)
 
     def _poll(self, now_us: int) -> None:
         for group in (self.HOT, self.COLD):
-            flush = self._buffers[group].poll(now_us)
-            if flush is not None:
-                self._account_flush(group, flush)
+            drained = self._buffers[group].poll(now_us)
+            if drained is not None:
+                pad = self.chunk_blocks - len(drained)
+                self._open[group].padding += pad
+                self.padding_blocks += pad
+                self._total_slots += pad
                 self._maybe_seal(group)
-
-    def _account_flush(self, group: int, flush) -> None:
-        if flush.padding_blocks:
-            self._open[group].padding += flush.padding_blocks
-            self.padding_blocks += flush.padding_blocks
-            self._total_slots += flush.padding_blocks
 
     def _maybe_seal(self, group: int) -> None:
         seg = self._open[group]

@@ -26,7 +26,7 @@ from repro.core.sampling import SpatialSampler
 from repro.core.threshold import AdaptationResult, ThresholdLadder
 from repro.lss.config import LSSConfig
 from repro.perf.batch import duplicate_chains
-from repro.lss.group import APPEND_SHADOW, Group, GroupKind, GroupSpec
+from repro.lss.group import Group, GroupKind, GroupSpec
 from repro.placement.base import PlacementPolicy
 from repro.placement.registry import register
 
@@ -396,27 +396,13 @@ class AdaptPolicy(PlacementPolicy):
     def on_chunk_flush(self, group: Group, flush) -> None:
         if self.aggregator is not None and group.gid in (self.HOT,
                                                          self.COLD):
-            shadows = sum(1 for kind, _ in flush.tokens
-                          if kind == APPEND_SHADOW)
             self.aggregator.on_flush(group.gid, flush.data_blocks,
-                                     flush.padding_blocks, shadows)
+                                     flush.padding_blocks,
+                                     flush.shadow_blocks, flush.count)
 
-    def on_full_flush_run(self, group_id: int, flushes: int,
-                          first_tokens) -> None:
-        """Closed form of :meth:`on_chunk_flush` over a run of FULL
-        flushes: each flush carries ``chunk_blocks`` data, no padding, so
-        the monitor sees ``flushes`` full flushes and the shadow tokens —
-        which only the pre-run backlog of the first flush can contain —
-        in one update."""
-        if self.aggregator is None or group_id not in (self.HOT,
-                                                       self.COLD):
-            return
-        mon = self.aggregator.monitor_for(group_id)
-        mon.data_blocks += flushes * mon.chunk_blocks
-        mon.full_flushes += flushes
-        if first_tokens:
-            mon.shadow_blocks += sum(1 for kind, _ in first_tokens
-                                     if kind == APPEND_SHADOW)
+    # Uncalled; kept for the frozen bench/test_harness.py
+    # (test_wrappers_install_on_defining_class_and_uninstall_fully).
+    on_full_flush_run = None
 
     def on_segment_sealed(self, group_id: int, seg: int) -> None:
         if self.aggregator is not None and group_id in (self.HOT,

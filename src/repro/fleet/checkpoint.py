@@ -31,8 +31,9 @@ from repro.obs.atomicio import atomic_write_bytes
 
 #: Bump on incompatible checkpoint layout changes.
 #: v2: pickled stores carry ``replay_engine``; v1's engine mode flag
-#: is gone.
-CHECKPOINT_VERSION = 2
+#: is gone.  v3: stores lost their flush-path flags, buffers their
+#: recorder reference.
+CHECKPOINT_VERSION = 3
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

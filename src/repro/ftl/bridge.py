@@ -1,6 +1,6 @@
 """Bridge between the LSS store and the device FTL.
 
-Subscribes to the store's physical events: every chunk flush becomes
+Subscribes to the store's physical events: every flushed chunk becomes
 ``chunk_blocks`` page programs on the device (stream = the group id in
 multi-stream mode, 0 otherwise), and every segment reclamation becomes a
 trim of the segment's page range — the discard a production LSS issues.
@@ -40,10 +40,11 @@ class StreamBridge:
         store.flush_listeners.append(self._on_flush)
         store.reclaim_listeners.append(self._on_reclaim)
 
-    def _on_flush(self, group, flush, device_lba_start: int) -> None:
+    def _on_flush(self, group, flush) -> None:
+        # A run of flush.count chunks is contiguous on the device.
         stream = group.gid if self.multi_stream else 0
-        for lpn in range(device_lba_start,
-                         device_lba_start + flush.total_blocks):
+        start = flush.device_lba_start
+        for lpn in range(start, start + flush.total_blocks):
             self.ftl.write(lpn, stream)
 
     def _on_reclaim(self, seg: int) -> None:

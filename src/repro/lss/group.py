@@ -54,9 +54,7 @@ class Group:
         window = (cfg.coalesce_window_us
                   if spec.kind in (GroupKind.USER, GroupKind.MIXED) else None)
         self.buffer = CoalescingBuffer(cfg.chunk.chunk_blocks, window,
-                                       sla_mode=cfg.sla_mode,
-                                       obs=store.obs, owner_gid=gid,
-                                       owner_name=spec.name)
+                                       sla_mode=cfg.sla_mode, owner_gid=gid)
         self.open_seg: int | None = None
         self.traffic = GroupTraffic(name=spec.name, kind=spec.kind.value)
         #: Tokens at index < _shadow_mark already have substitutes persisted
@@ -91,9 +89,9 @@ class Group:
     def append_user(self, lba: int, now_us: int) -> int:
         seg = self._ensure_open_segment()
         loc = self.store.pool.append_block(seg, lba)
-        flush = self.buffer.append((APPEND_USER, lba), now_us)
-        if flush is not None:
-            self._account_flush(flush)
+        drained = self.buffer.append((APPEND_USER, lba), now_us)
+        if drained is not None:
+            self._flush(FlushReason.FULL, drained, now_us)
         self._maybe_seal()
         return loc
 
@@ -107,10 +105,10 @@ class Group:
         """
         seg = self._ensure_open_segment()
         self.store.pool.append_padding(seg, 1)  # dead slot, real write
-        flush = self.buffer.append((APPEND_SHADOW, lba), now_us)
+        drained = self.buffer.append((APPEND_SHADOW, lba), now_us)
         self.segment_shadow_bytes += self.store.config.chunk.block_bytes
-        if flush is not None:
-            self._account_flush(flush)
+        if drained is not None:
+            self._flush(FlushReason.FULL, drained, now_us)
         self._maybe_seal()
 
     def append_user_run(self, lbas, lba_list: list[int],
@@ -150,7 +148,8 @@ class Group:
         clock at ``start_seq + seq_step * i``."""
         pool = self.store.pool
         sb = pool.segment_blocks
-        fast = self.store._fast_full and not self.store.flush_listeners
+        buf = self.buffer
+        cb = buf.chunk_blocks
         n = len(lba_list)
         locs = np.empty(n, dtype=np.int64)
         done = 0
@@ -161,18 +160,17 @@ class Group:
                 self.segment_shadow_bytes = 0
             seg = self.open_seg
             take = min(n - done, sb - int(pool.fill[seg]))
-            if not fast:
-                # A materialized flush is accounted against the segment's
-                # fill pointer (flush listeners derive the chunk's device
-                # address from it), so the pointer must not run ahead of
-                # the open chunk.
-                take = min(take, self.buffer.free_slots)
             slot0 = pool.append_many(seg, lbas[done:done + take])
             base = seg * sb + slot0
             locs[done:done + take] = np.arange(base, base + take,
                                                dtype=np.int64)
-            self._append_run_tokens(kind, lba_list[done:done + take],
-                                    ts_list[done:done + take], fast)
+            ts_slice = ts_list[done:done + take]
+            nf, drained = buf.append_run(
+                kind, lba_list[done:done + take], ts_slice)
+            if nf:
+                run_blocks = nf * cb - len(drained)
+                self._flush(FlushReason.FULL, drained,
+                            ts_slice[run_blocks - 1], nf, kind, run_blocks)
             done += take
             if pool.fill[seg] == sb:
                 pool.seal(seg, start_seq + seq_step * (done - 1))
@@ -180,148 +178,80 @@ class Group:
                 self.open_seg = None
         return locs
 
-    def _append_run_tokens(self, kind: int, lba_slice: list[int],
-                           ts_slice: list[int], fast: bool) -> None:
-        """Feed one segment-bounded run portion into the coalescing
-        buffer and account its FULL flushes.
-
-        With ``fast`` (no per-flush consumer: base ``on_chunk_flush``,
-        observability off or batch-capable, no flush listeners) the
-        flushes are counted, not materialized; the traffic, RAID and
-        bulk-obs updates below are exactly what per-flush
-        :meth:`_account_flush` calls would produce for all-FULL flushes.
-        Otherwise each ChunkFlush goes through the full accounting path.
-        """
-        buf = self.buffer
-        if not fast:
-            for flush in buf.append_run(kind, lba_slice, ts_slice):
-                self._account_flush(flush)
-            return
-        p = buf.pending_blocks
-        pend = buf.pending_tokens \
-            if p and p + len(lba_slice) >= buf.chunk_blocks else ()
-        nf, new_flushed = buf.append_run_counted(kind, lba_slice, ts_slice)
-        if not nf:
-            return
-        t = self.traffic
-        fu = fg = fs = 0
-        for k, _lba in pend:
-            if k == APPEND_USER:
-                fu += 1
-            elif k == APPEND_GC:
-                fg += 1
-            else:
-                fs += 1
-        if kind == APPEND_USER:
-            fu += new_flushed
-        else:
-            fg += new_flushed
-        t.user_blocks += fu
-        t.gc_blocks += fg
-        t.shadow_blocks += fs
-        t.chunk_flushes += nf
-        if self._shadow_mark and self.store._obs_on:
-            # The first FULL flush is the lazy append of the shadowed
-            # backlog; it fired at the stamp of the token that filled it.
-            self.store.obs.on_lazy_append(
-                self.gid, min(self._shadow_mark, buf.chunk_blocks),
-                ts_slice[buf.chunk_blocks - p - 1])
-        self._shadow_mark = 0
-        self.store.stats.raid.add_chunk_ios(nf)
-        self.store.policy.on_full_flush_run(self.gid, nf, pend)
-        if self.store._obs_on:
-            self.store.obs.on_full_flush_bulk(
-                self.gid, self.spec.name, nf, buf.chunk_blocks,
-                ts_slice[-1])
-
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
     def poll_deadline(self, now_us: int) -> ChunkFlush | None:
         """Emit a padded DEADLINE flush if the SLA window expired."""
-        flush = self.buffer.poll(now_us)
-        if flush is not None:
-            self._pad_segment(flush)
-            self._account_flush(flush)
-            self._maybe_seal()
-        return flush
-
-    def fire_deadline_fast(self, now_us: int) -> None:
-        """Deadline flush without materializing the :class:`ChunkFlush`.
-
-        Only valid under the store's fast-flush conditions (base
-        ``on_chunk_flush``, observability off or batch-capable, no flush
-        listeners) with the deadline already checked as due — the counter
-        and obs updates below are exactly what :meth:`poll_deadline`
-        would produce then.
-        """
-        buf = self.buffer
-        tokens = buf._tokens
-        data = len(tokens)
-        pad = buf.chunk_blocks - data
-        t = self.traffic
-        fu = fg = fs = 0
-        for k, _lba in tokens:
-            if k == APPEND_USER:
-                fu += 1
-            elif k == APPEND_GC:
-                fg += 1
-            else:
-                fs += 1
-        t.user_blocks += fu
-        t.gc_blocks += fg
-        t.shadow_blocks += fs
-        t.padding_blocks += pad
-        t.chunk_flushes += 1
-        t.deadline_flushes += 1
-        tokens.clear()
-        buf._timer_start_us = None
-        buf._heap_entry_us = None
-        if pad and self.open_seg is not None:
-            self.store.pool.append_padding(self.open_seg, pad)
-        self._shadow_mark = 0
-        self.store.stats.raid.add_chunks(1)
-        if self.store._obs_on:
-            self.store.obs.on_deadline_flush(self.gid, self.spec.name,
-                                             data, pad, now_us)
-        self._maybe_seal()
+        return self._padded_flush(FlushReason.DEADLINE,
+                                  self.buffer.poll(now_us), now_us)
 
     def force_flush(self, now_us: int) -> ChunkFlush | None:
-        flush = self.buffer.force_flush(now_us)
-        if flush is not None:
-            self._pad_segment(flush)
-            self._account_flush(flush)
-            self._maybe_seal()
+        """Emit a padded FORCED flush of whatever is pending."""
+        return self._padded_flush(FlushReason.FORCED,
+                                  self.buffer.force_flush(), now_us)
+
+    def _padded_flush(self, reason: FlushReason, drained,
+                      now_us: int) -> ChunkFlush | None:
+        if drained is None:
+            return None
+        flush = self._flush(reason, drained, now_us)
+        self._maybe_seal()
         return flush
 
-    def _pad_segment(self, flush: ChunkFlush) -> None:
-        if flush.padding_blocks and self.open_seg is not None:
-            self.store.pool.append_padding(self.open_seg,
-                                           flush.padding_blocks)
+    def _flush(self, reason: FlushReason, drained, time_us: int,
+               count: int = 1, run_kind: int = APPEND_USER,
+               run_blocks: int = 0) -> ChunkFlush:
+        """Book ``count`` chunk flushes: the one place the group's
+        traffic, the segment's padding and the :class:`ChunkFlush` record
+        the rest of the system sees are derived.
 
-    def _account_flush(self, flush: ChunkFlush) -> None:
-        t = self.traffic
-        for kind, _lba in flush.tokens:
+        The chunks carried the ``drained`` buffer tokens plus
+        ``run_blocks`` blocks of ``run_kind`` that an append run pushed
+        straight through; whatever that leaves of ``count`` chunks is
+        zero padding (none for FULL flushes, by construction).
+        """
+        user = gc = shadow = 0
+        for kind, _lba in drained:
             if kind == APPEND_USER:
-                t.user_blocks += 1
+                user += 1
             elif kind == APPEND_GC:
-                t.gc_blocks += 1
+                gc += 1
             else:
-                t.shadow_blocks += 1
-        t.padding_blocks += flush.padding_blocks
-        t.chunk_flushes += 1
-        if flush.reason is FlushReason.DEADLINE:
-            t.deadline_flushes += 1
-        elif flush.reason is FlushReason.FORCED:
-            t.forced_flushes += 1
-        if self._shadow_mark and self.store._obs_on:
-            # Pending blocks below the watermark already had substitutes
-            # persisted elsewhere; this flush is their lazy append (§3.3).
-            self.store.obs.on_lazy_append(
-                self.gid, min(self._shadow_mark, flush.data_blocks),
-                flush.time_us)
+                shadow += 1
+        if run_kind == APPEND_USER:
+            user += run_blocks
+        else:
+            gc += run_blocks
+        total = count * self.buffer.chunk_blocks
+        padding = total - user - gc - shadow
+        t = self.traffic
+        t.user_blocks += user
+        t.gc_blocks += gc
+        t.shadow_blocks += shadow
+        t.padding_blocks += padding
+        t.chunk_flushes += count
+        if reason is FlushReason.DEADLINE:
+            t.deadline_flushes += count
+        elif reason is FlushReason.FORCED:
+            t.forced_flushes += count
+        start = -1
+        seg = self.open_seg
+        if seg is not None:
+            pool = self.store.pool
+            if padding:
+                pool.append_padding(seg, padding)
+            # The chunks end where the still-pending blocks begin, and
+            # those end at the segment's fill pointer.
+            start = seg * pool.segment_blocks + int(pool.fill[seg]) \
+                - self.buffer.pending_blocks - total
+        # Pending blocks below the watermark already had substitutes
+        # persisted elsewhere; the first chunk is their lazy append (§3.3).
+        flush = ChunkFlush(reason, count, user, gc, shadow, padding, time_us,
+                           min(self._shadow_mark, len(drained)), start)
         self._shadow_mark = 0
         self.store.on_chunk_flush(self, flush)
+        return flush
 
     # ------------------------------------------------------------------
     # cross-group aggregation support

@@ -113,37 +113,11 @@ class LogStructuredStore:
         #: ``(engine, reason)`` of the last :meth:`replay` call — which
         #: loop ran and why — or ``None`` before the first one.
         self.replay_engine: tuple[str, str] | None = None
-        #: True when chunk flushes have no consumer that needs the
-        #: materialized :class:`ChunkFlush` (policy keeps the base no-op
-        #: ``on_chunk_flush``/``before_padding_flush`` hooks, and
-        #: observability is either off or batch-capable — the bulk obs
-        #: hooks on the counted paths reproduce the per-flush metric
-        #: updates exactly): run appends may then account FULL flushes in
-        #: bulk and ``tick`` may fire deadlines through the lean counted
-        #: path instead of materializing each ChunkFlush.
-        from repro.placement.base import PlacementPolicy
-        base_flush_hook = (
-            type(policy).on_chunk_flush is PlacementPolicy.on_chunk_flush)
-        obs_ok = not self._obs_on or self.obs.batch_capable
-        self._fast_flush = (
-            base_flush_hook
-            and type(policy).before_padding_flush
-            is PlacementPolicy.before_padding_flush
-            and obs_ok)
-        #: Weaker flag for *run appends only*: FULL flushes emitted inside
-        #: an append run never involve padding or deadline decisions, so a
-        #: policy that overrides ``on_chunk_flush`` can still opt into the
-        #: counted bulk path by providing ``on_full_flush_run`` — the
-        #: closed form of its per-flush hook over a run of FULL flushes
-        #: (ADAPT's write monitors do).  ``before_padding_flush`` overrides
-        #: do not matter here, only for ``tick``.
-        self._fast_full = (
-            (base_flush_hook
-             or type(policy).on_full_flush_run
-             is not PlacementPolicy.on_full_flush_run)
-            and obs_ok)
+        # Unread; kept for the frozen bench/test_harness.py
+        # (test_wrappers_install_on_defining_class_and_uninstall_fully).
+        self._fast_flush = self._fast_full = False
         #: Optional observers of physical events (e.g. the FTL bridge):
-        #: called as fn(group, flush, device_lba_start) and fn(segment).
+        #: called as fn(group, flush) and fn(segment).
         self.flush_listeners: list = []
         self.reclaim_listeners: list = []
         policy.bind(self)
@@ -202,11 +176,10 @@ class LogStructuredStore:
     def tick(self, now_us: int) -> None:
         """Advance simulated time: fire SLA deadline flushes that are due.
 
-        The common case — no deadline due — costs one heap-top comparison
-        instead of the former O(#groups) scan.  When the validated next
-        deadline is due, the exact legacy ascending-gid scan runs (the
-        firing order is observable: ADAPT's aggregation moves blocks
-        between groups mid-scan), so firing semantics are unchanged.
+        The common case — no deadline due — costs one heap-top
+        comparison.  When the validated next deadline is due, the SLA
+        groups fire in ascending gid order (the order is observable:
+        ADAPT's aggregation moves blocks between groups mid-scan).
 
         The placement policy gets a chance to avert each padding flush
         (ADAPT's cross-group aggregation hooks in here, §3.3).
@@ -214,18 +187,6 @@ class LogStructuredStore:
         self.now_us = now_us
         nd = self.next_deadline()
         if nd is None or now_us < nd:
-            return
-        if self._fast_flush and not self.flush_listeners:
-            # Fast-flush policies keep the base (no-op)
-            # ``before_padding_flush``, so the scan reduces to firing
-            # every due group through the lean counted path.
-            for group in self._sla_groups:
-                buf = group.buffer
-                if buf.pending_blocks == 0:
-                    continue
-                deadline = buf.deadline_us
-                if deadline is not None and now_us >= deadline:
-                    group.fire_deadline_fast(now_us)
             return
         for group in self._sla_groups:
             if group.buffer.pending_blocks == 0:
@@ -352,10 +313,15 @@ class LogStructuredStore:
                 bit-identical final state and metric totals; the
                 differential and equivalence suites enforce it.  The
                 choice and its reason are kept in :attr:`replay_engine`.
+
+        Raises ``ValueError`` before the store is touched if any write
+        request falls outside the logical address space.
         """
         if engine not in ("auto", "batched", "scalar"):
             raise ValueError(f"unknown replay engine {engine!r}")
         from repro.perf.engine import BatchedReplayEngine
+        from repro.perf.expand import check_write_bounds
+        check_write_bounds(trace, self.config.logical_blocks)
         reason = "engine='scalar' was requested" if engine == "scalar" \
             else BatchedReplayEngine.ineligible_reason(self)
         if reason is None or engine == "batched":
@@ -391,19 +357,16 @@ class LogStructuredStore:
     # hooks and introspection
     # ------------------------------------------------------------------
     def on_chunk_flush(self, group: Group, flush) -> None:
-        """Account a chunk write against the RAID layer and inform the
-        placement policy (ADAPT's write monitors hang off this)."""
-        self.stats.raid.add_chunks(1)
+        """Fan one :class:`~repro.array.coalescing.ChunkFlush` record out
+        to everything that books chunk writes: the RAID layer, the
+        recorder, the placement policy (ADAPT's write monitors hang off
+        this) and the physical-event listeners."""
+        self.stats.raid.add_chunk_ios(flush.count)
+        if self._obs_on:
+            self.obs.on_chunk_flush(group.gid, group.spec.name, flush)
         self.policy.on_chunk_flush(group, flush)
-        if self.flush_listeners:
-            # Flush accounting runs before sealing, so the open segment is
-            # the one this chunk wrote into, and its fill pointer already
-            # covers the chunk's data + padding slots.
-            seg = group.open_seg
-            start = seg * self.config.segment_blocks \
-                + int(self.pool.fill[seg]) - flush.total_blocks
-            for fn in self.flush_listeners:
-                fn(group, flush, start)
+        for fn in self.flush_listeners:
+            fn(group, flush)
 
     def on_segment_reclaimed_physical(self, seg: int) -> None:
         """GC erased physical segment ``seg`` (FTL bridges trim on this)."""

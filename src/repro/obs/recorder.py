@@ -53,8 +53,7 @@ class NullRecorder:
 
     enabled = False
     #: Whether this recorder implements the bulk (chunk-aggregated) hook
-    #: contract — ``on_user_write_bulk``/``on_read_bulk``/
-    #: ``on_full_flush_bulk``/``on_deadline_flush`` producing totals
+    #: contract — ``on_user_write_bulk``/``on_read_bulk`` producing totals
     #: bit-identical to the per-event hooks.  ``False`` here on purpose:
     #: a custom *enabled* recorder that merely subclasses this vocabulary
     #: keeps the scalar replay engine (and its exact per-event hook
@@ -76,7 +75,10 @@ class NullRecorder:
         """One read request arrived."""
 
     def on_chunk_flush(self, gid: int, name: str, flush: Any) -> None:
-        """A coalescing buffer emitted a :class:`ChunkFlush`."""
+        """Group ``gid`` wrote ``flush.count`` chunks (a
+        :class:`ChunkFlush`; ``count > 1`` is a run of FULL flushes).
+        ``flush.lazy_blocks`` of them already had substitutes persisted
+        elsewhere (§3.3's lazy append)."""
 
     def on_gc_pass(self, victim_seg: int, group_id: int, valid_blocks: int,
                    now_us: int) -> None:
@@ -85,9 +87,6 @@ class NullRecorder:
     def on_shadow_append(self, hot_gid: int, cold_gid: int, blocks: int,
                          now_us: int) -> None:
         """Cross-group aggregation persisted substitutes (§3.3)."""
-
-    def on_lazy_append(self, gid: int, blocks: int, now_us: int) -> None:
-        """A flush persisted blocks that already had substitutes."""
 
     def on_demotion(self, lba: int, target_gid: int, score: int,
                     now_us: int) -> None:
@@ -112,15 +111,6 @@ class NullRecorder:
 
     def on_read_bulk(self, count: int, now_us: int) -> None:
         """``count`` read requests were observed."""
-
-    def on_full_flush_bulk(self, gid: int, name: str, count: int,
-                           chunk_blocks: int, now_us: int) -> None:
-        """``count`` FULL chunk flushes of ``chunk_blocks`` data blocks
-        each (a FULL flush never pads) left one group's buffer."""
-
-    def on_deadline_flush(self, gid: int, name: str, data_blocks: int,
-                          padding_blocks: int, now_us: int) -> None:
-        """One SLA-deadline flush fired through the lean counted path."""
 
     # -- generic escape hatches -----------------------------------------
     def gauge(self, name: str, value: float) -> None:
@@ -306,53 +296,47 @@ class ObsRecorder(NullRecorder):
     def on_read_bulk(self, count: int, now_us: int) -> None:
         self._reads.value += count
 
-    def on_full_flush_bulk(self, gid: int, name: str, count: int,
-                           chunk_blocks: int, now_us: int) -> None:
-        # Identical totals to `count` on_chunk_flush calls for FULL
-        # flushes (data == chunk_blocks, no padding), collapsed into one
-        # aggregate event record.
-        self._flush_full.value += count
-        self._data_blocks.value += count * chunk_blocks
-        self._h_fill.observe_bulk(chunk_blocks, count)
-        self.tracer.emit(EV_CHUNK_FLUSH_BULK, now_us, group=gid, name=name,
-                         flushes=count, data_blocks=count * chunk_blocks)
-
-    def on_deadline_flush(self, gid: int, name: str, data_blocks: int,
-                          padding_blocks: int, now_us: int) -> None:
-        # Mirrors on_chunk_flush for a DEADLINE flush, fed from the lean
-        # counted fire path that never materializes the ChunkFlush.
-        self._flush_deadline.value += 1
-        self._data_blocks.value += data_blocks
-        self._h_fill.observe(data_blocks)
-        self.tracer.emit(EV_CHUNK_FLUSH, now_us, group=gid, name=name,
-                         reason="deadline", data_blocks=data_blocks,
-                         padding_blocks=padding_blocks)
-        if padding_blocks:
-            self._padding_blocks.value += padding_blocks
-            self._h_padding.observe(padding_blocks)
-            self.tracer.emit(EV_PADDING, now_us, group=gid, name=name,
-                             blocks=padding_blocks, reason="deadline")
-
     def on_chunk_flush(self, gid: int, name: str, flush: Any) -> None:
         reason = flush.reason.value
+        count = flush.count
+        data = flush.data_blocks
+        padding = flush.padding_blocks
+        now_us = flush.time_us
         if reason == "full":
-            self._flush_full.value += 1
+            self._flush_full.value += count
         elif reason == "deadline":
-            self._flush_deadline.value += 1
+            self._flush_deadline.value += count
         else:
-            self._flush_forced.value += 1
-        self._data_blocks.value += flush.data_blocks
-        self._h_fill.observe(flush.data_blocks)
-        self.tracer.emit(EV_CHUNK_FLUSH, flush.time_us, group=gid,
-                         name=name, reason=reason,
-                         data_blocks=flush.data_blocks,
-                         padding_blocks=flush.padding_blocks)
-        if flush.padding_blocks:
-            self._padding_blocks.value += flush.padding_blocks
-            self._h_padding.observe(flush.padding_blocks)
-            self.tracer.emit(EV_PADDING, flush.time_us, group=gid,
-                             name=name, blocks=flush.padding_blocks,
-                             reason=reason)
+            self._flush_forced.value += count
+        self._data_blocks.value += data
+        # Only FULL flushes come in runs, so the chunks of a run are
+        # equally full.
+        per_chunk = data // count
+        self._h_fill.observe_bulk(per_chunk, count)
+        emit = self.tracer.emit
+        chunk_event = dict(group=gid, name=name, reason=reason,
+                           data_blocks=per_chunk, padding_blocks=padding)
+        aggregate = count > 1 and not self.trace_events
+        if aggregate:
+            emit(EV_CHUNK_FLUSH_BULK, now_us, group=gid, name=name,
+                 flushes=count, data_blocks=data)
+        else:
+            emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
+        if padding:
+            self._padding_blocks.value += padding
+            self._h_padding.observe(padding)
+            emit(EV_PADDING, now_us, group=gid, name=name, blocks=padding,
+                 reason=reason)
+        if flush.lazy_blocks:
+            # The run's first chunk carried the shadowed backlog.
+            self._lazy_blocks.value += flush.lazy_blocks
+            emit(EV_LAZY_APPEND, now_us, group=gid,
+                 blocks=flush.lazy_blocks)
+        if not aggregate:
+            # Exact tracing only ever sees a multi-flush run from the
+            # scalar loop's GC migrations, at one constant timestamp.
+            for _ in range(count - 1):
+                emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
 
     def on_gc_pass(self, victim_seg: int, group_id: int, valid_blocks: int,
                    now_us: int) -> None:
@@ -367,10 +351,6 @@ class ObsRecorder(NullRecorder):
         self._shadow_blocks.value += blocks
         self.tracer.emit(EV_SHADOW_APPEND, now_us, hot_group=hot_gid,
                          cold_group=cold_gid, blocks=blocks)
-
-    def on_lazy_append(self, gid: int, blocks: int, now_us: int) -> None:
-        self._lazy_blocks.value += blocks
-        self.tracer.emit(EV_LAZY_APPEND, now_us, group=gid, blocks=blocks)
 
     def on_demotion(self, lba: int, target_gid: int, score: int,
                     now_us: int) -> None:

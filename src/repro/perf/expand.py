@@ -40,28 +40,34 @@ class ExpandedTrace:
     writes_before: np.ndarray
 
 
+def check_write_bounds(trace: Trace, logical_blocks: int) -> None:
+    """Raise the ``ValueError`` ``process_request`` would for the first
+    write request outside ``[0, logical_blocks)``, before any request of
+    the trace has been applied (``store.replay`` checks both engines'
+    input with this)."""
+    ends = trace.offsets + trace.sizes
+    bad = (trace.ops == OP_WRITE) \
+        & ((trace.offsets < 0) | (ends > logical_blocks))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"request [{int(trace.offsets[i])}, {int(ends[i])}) outside "
+            f"logical space [0, {logical_blocks})")
+
+
 def expand_trace(trace: Trace,
                  logical_blocks: int | None = None) -> ExpandedTrace:
     """Expand ``trace`` into a flat per-block stream.
 
     When ``logical_blocks`` is given, every write request is bounds-checked
-    up front and the first offender raises the same ``ValueError`` the
-    scalar path would (the scalar path raises mid-replay, after applying
-    the preceding requests; the batched engine validates before touching
-    the store — observable only on invalid traces).
+    up front (:func:`check_write_bounds`).
     """
+    if logical_blocks is not None:
+        check_write_bounds(trace, logical_blocks)
     n = len(trace)
     ts = trace.timestamps
     is_write = trace.ops == OP_WRITE
     sizes = np.where(is_write, trace.sizes, 0)
-    if logical_blocks is not None:
-        ends = trace.offsets + trace.sizes
-        bad = is_write & ((trace.offsets < 0) | (ends > logical_blocks))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"request [{int(trace.offsets[i])}, {int(ends[i])}) outside "
-                f"logical space [0, {logical_blocks})")
     block_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=block_start[1:])
     total = int(block_start[-1])

@@ -155,25 +155,13 @@ class PlacementPolicy:
         """A segment of ``group_id`` filled up and became immutable."""
 
     def on_chunk_flush(self, group: Group, flush) -> None:
-        """A chunk of ``group`` was written to the array."""
+        """``flush.count`` chunks of ``group`` were written to the array.
 
-    def on_full_flush_run(self, group_id: int, flushes: int,
-                          first_tokens) -> None:
-        """Opt-in bulk form of :meth:`on_chunk_flush` for run appends.
-
-        When a policy overrides this, the run-append path (GC migration
-        runs, and user runs under the batched engine) skips
-        materializing the ``FULL`` :class:`ChunkFlush` objects a run
-        emits and calls this once instead: ``flushes`` FULL flushes of
-        ``chunk_blocks`` data blocks each (zero padding) landed in group
-        ``group_id``; ``first_tokens`` holds the pre-run pending tokens
-        absorbed by the *first* flush (empty when the run started on a
-        chunk boundary) — the only place non-run token kinds such as
-        shadow appends can hide.  An override MUST reproduce exactly the
-        state updates its ``on_chunk_flush`` would have applied across
-        those flushes; the equivalence suites compare the two paths.
-        Padding (deadline/forced) flushes always take the materialized
-        per-flush path regardless of this hook.
+        ``flush`` is a :class:`~repro.array.coalescing.ChunkFlush`: one
+        padded (DEADLINE/FORCED) or FULL flush, or — from an append run —
+        ``count > 1`` FULL flushes at once, with block counts summed over
+        the run.  An override must leave the state ``count`` single-flush
+        calls would.
         """
 
     def on_segment_reclaimed(self, group_id: int, created_seq: int,

@@ -99,13 +99,15 @@ class OracleBuffer:
 
     def _emit(self, reason: FlushReason, now_us: int,
               pad: bool) -> ChunkFlush:
-        tokens = tuple(self._tokens)
-        padding = self.chunk_blocks - len(tokens) if pad else 0
+        kinds = [kind for kind, _lba in self._tokens]
+        padding = self.chunk_blocks - len(kinds) if pad else 0
         self._tokens.clear()
         self._timer_start_us = None
-        return ChunkFlush(reason=reason, tokens=tokens,
-                          data_blocks=len(tokens), padding_blocks=padding,
-                          time_us=now_us)
+        return ChunkFlush(reason=reason, count=1,
+                          user_blocks=kinds.count(APPEND_USER),
+                          gc_blocks=kinds.count(APPEND_GC),
+                          shadow_blocks=kinds.count(APPEND_SHADOW),
+                          padding_blocks=padding, time_us=now_us)
 
 
 class OracleSegment:
@@ -423,13 +425,9 @@ class OracleGroup:
 
     def _account_flush(self, flush: ChunkFlush) -> None:
         t = self.traffic
-        for kind, _lba in flush.tokens:
-            if kind == APPEND_USER:
-                t["user_blocks"] += 1
-            elif kind == APPEND_GC:
-                t["gc_blocks"] += 1
-            else:
-                t["shadow_blocks"] += 1
+        t["user_blocks"] += flush.user_blocks
+        t["gc_blocks"] += flush.gc_blocks
+        t["shadow_blocks"] += flush.shadow_blocks
         t["padding_blocks"] += flush.padding_blocks
         t["chunk_flushes"] += 1
         if flush.reason is FlushReason.DEADLINE:

@@ -1,30 +1,30 @@
-"""Coalescing buffer: SLA windows, padding, token accounting."""
+"""Coalescing buffer: SLA windows, drains, token accounting.
+
+Every flushing operation drains the open chunk and returns its tokens;
+reasons, padding and accounting belong to the owning group
+(tests/lss/test_group.py).
+"""
 
 import pytest
 
-from repro.array.coalescing import CoalescingBuffer, FlushReason
+from repro.array.coalescing import CoalescingBuffer
 from repro.common.errors import ConfigError
 
 
 def test_full_flush_has_no_padding():
     buf = CoalescingBuffer(4, 100)
     flushes = [buf.append(i, now_us=i) for i in range(4)]
-    assert flushes[:3] == [None, None, None]
-    f = flushes[3]
-    assert f.reason is FlushReason.FULL
-    assert f.data_blocks == 4 and f.padding_blocks == 0
-    assert f.tokens == (0, 1, 2, 3)
+    assert flushes == [None, None, None, (0, 1, 2, 3)]  # a whole chunk
     assert buf.pending_blocks == 0
+    assert buf.deadline_us is None
 
 
 def test_deadline_flush_pads_remainder():
     buf = CoalescingBuffer(4, 100)
     buf.append("a", now_us=0)
     assert buf.poll(now_us=99) is None
-    f = buf.poll(now_us=100)
-    assert f.reason is FlushReason.DEADLINE
-    assert f.data_blocks == 1 and f.padding_blocks == 3
-    assert f.total_blocks == 4
+    assert buf.poll(now_us=100) == ("a",)   # the owner pads the other 3
+    assert buf.pending_blocks == 0
 
 
 def test_idle_mode_deadline_restarts_on_append():
@@ -41,8 +41,7 @@ def test_first_mode_deadline_fixed():
     buf.append("a", now_us=0)
     buf.append("b", now_us=90)
     assert buf.deadline_us == 100
-    f = buf.poll(now_us=100)
-    assert f is not None and f.data_blocks == 2
+    assert buf.poll(now_us=100) == ("a", "b")
 
 
 def test_window_none_never_deadlines():
@@ -54,11 +53,10 @@ def test_window_none_never_deadlines():
 
 def test_force_flush():
     buf = CoalescingBuffer(4, 100)
-    assert buf.force_flush(0) is None
+    assert buf.force_flush() is None
     buf.append("a", 0)
-    f = buf.force_flush(5)
-    assert f.reason is FlushReason.FORCED
-    assert f.padding_blocks == 3
+    assert buf.force_flush() == ("a",)
+    assert buf.deadline_us is None
 
 
 def test_take_pending_bypasses_accounting():
@@ -103,10 +101,6 @@ def test_no_tokens_lost_across_many_appends():
     buf = CoalescingBuffer(3, 50)
     seen = []
     for i in range(10):
-        f = buf.append(i, now_us=i)
-        if f:
-            seen.extend(f.tokens)
-    tail = buf.force_flush(100)
-    if tail:
-        seen.extend(tail.tokens)
+        seen.extend(buf.append(i, now_us=i) or ())
+    seen.extend(buf.force_flush() or ())
     assert seen == list(range(10))

@@ -50,6 +50,21 @@ def test_request_outside_address_space_rejected(tiny_config):
         store.process_request(0, OP_WRITE, -1, 1)
 
 
+@pytest.mark.parametrize("engine", ["scalar", "auto"])
+def test_replay_rejects_bad_request_before_touching_store(tiny_config,
+                                                           engine):
+    """A bad request at position k fails the whole replay up front on
+    both loops; none of the k good requests before it is applied."""
+    rows = [(i * 10, OP_WRITE, i, 1) for i in range(5)]
+    rows.append((50, OP_WRITE, tiny_config.logical_blocks - 1, 2))
+    store = make_store(tiny_config)
+    with pytest.raises(ValueError, match="outside logical space"):
+        store.replay(Trace.from_rows(rows), engine=engine)
+    assert store.user_seq == 0
+    assert store.stats.write_requests == 0
+    assert store.replay_engine is None
+
+
 def test_reads_do_not_write(tiny_config):
     store = make_store(tiny_config)
     store.process_request(0, OP_READ, 0, 4)

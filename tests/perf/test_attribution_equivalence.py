@@ -5,11 +5,10 @@ describes the batched engine's chunk construction (meaningless under
 the scalar loop), while ``ledger`` and ``gc_provenance`` describe the
 simulated store — which the equivalence contract already forces to be
 bit-identical.  :func:`invariant_view` must therefore serialize to
-*identical JSON bytes* whether flushes are counted in bulk (``auto``:
-the batched engine for single-group policies, the scalar loop with bulk
-GC for the others) or materialized one by one (the scalar loop with a
-no-op flush listener), for every policy, and attaching the recorder
-must never perturb the replay itself.
+*identical JSON bytes* under ``auto`` (the batched engine for
+single-group policies, the scalar loop for the others) and under the
+scalar loop, for every policy, and attaching the recorder must never
+perturb the replay itself.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from tests.perf.test_engine_equivalence import (assert_states_equal,
 _WORKLOADS = ("ali", "tencent")
 
 
-def _replay_with_attribution(policy_name: str, trace, engine: str,
-                             materialize: bool = False):
+def _replay_with_attribution(policy_name: str, trace, engine: str):
     attr = AttributionRecorder()
-    store = fresh_store(policy_name, materialize, attribution=attr)
+    store = fresh_store(policy_name, attribution=attr)
     store.replay(trace, engine=engine)
     return store, attr
 
@@ -48,7 +46,7 @@ def test_invariant_view_byte_identical_across_engines(policy_name,
                                                       workload_idx):
     trace = default_workloads(num_requests=600)[workload_idx]
     ref_store, ref_attr = _replay_with_attribution(
-        policy_name, trace, "scalar", materialize=True)
+        policy_name, trace, "scalar")
     auto_store, auto_attr = _replay_with_attribution(
         policy_name, trace, "auto")
     assert_states_equal(ref_store, auto_store)

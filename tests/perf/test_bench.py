@@ -233,9 +233,11 @@ def test_obs_hook_calls_per_user_block_bounded(policy, engine, rec_bound,
     assert blocks > 10_000
     assert sum(rec_calls.values()) / blocks < rec_bound
     assert sum(attr_calls.values()) / blocks < attr_bound
-    # GC reports its flushes in bulk under either engine; only the
-    # scalar loop reports user writes one block at a time.
-    assert rec_calls["on_full_flush_bulk"] > 0
+    # Every flush reaches the recorder through the one flush hook (a
+    # run of FULL flushes in one call); only the scalar loop reports
+    # user writes one block at a time.
+    assert 0 < rec_calls["on_chunk_flush"] <= \
+        sum(g.chunk_flushes for g in store.stats.groups)
     assert rec_calls["on_user_write"] == \
         (blocks if engine == "scalar" else 0)
 

@@ -25,16 +25,11 @@ BATCHED_POLICIES = ("mida", "midas-lite", "sepgc")
 SCALAR_POLICIES = ("adapt", "dac", "sepbit", "warcip")
 
 
-def fresh_store(policy_name, materialize=False, **store_kwargs):
-    """A fresh differential-shape store; ``materialize`` attaches a no-op
-    flush listener, which makes the store build and account every
-    :class:`ChunkFlush` one by one (and rules out the batched engine)."""
+def fresh_store(policy_name, **store_kwargs):
+    """A fresh differential-shape store."""
     cfg = differential_config()
-    store = LogStructuredStore(cfg, make_policy(policy_name, cfg),
-                               **store_kwargs)
-    if materialize:
-        store.flush_listeners.append(lambda group, flush, start: None)
-    return store
+    return LogStructuredStore(cfg, make_policy(policy_name, cfg),
+                              **store_kwargs)
 
 
 def replay_pair(policy_name, trace, engine="auto"):
@@ -124,7 +119,8 @@ def test_first_mode_and_flush_listeners_take_the_scalar_loop():
     first.replay(trace)
     assert first.replay_engine[0] == "scalar"
     assert "idle mode" in first.replay_engine[1]
-    listened = fresh_store("sepgc", materialize=True)
+    listened = fresh_store("sepgc")
+    listened.flush_listeners.append(lambda group, flush: None)
     listened.replay(trace)
     assert listened.replay_engine[0] == "scalar"
     assert "flush listeners" in listened.replay_engine[1]

@@ -1,19 +1,19 @@
-"""Obs-on equivalence: counted bulk hooks vs materialized per-flush hooks.
+"""Obs-on equivalence: run-shaped flush records vs one record per flush.
 
-With a batch-capable :class:`ObsRecorder` attached, the store accounts
-runs of FULL flushes and deadline fires through counted bulk hooks —
-every GC migration run under either engine, and every user run under
-the batched engine.  Those must leave the *entire* metrics registry —
-every counter, gauge, and histogram (bucket counts and float sums) —
-bit-identical to the per-flush hooks.  The reference replay therefore
-runs the scalar loop with a no-op flush listener attached, which forces
-every flush to be materialized; the replay under test is ``auto``: the
-batched engine for single-group policies, the scalar loop (bulk GC) for
-the others.  Event-stream cadence is explicitly NOT part of the contract
-for batch-capable recorders (bulk paths collapse runs of FULL flushes
-into ``chunk_flush_bulk`` records and sample series rows at chunk
-boundaries); metric totals are.  A ``trace_events=True`` recorder, in
-turn, gets the exact per-event stream — pinned by golden hashes below.
+With a batch-capable :class:`ObsRecorder` attached, the recorder hears
+of chunk flushes through one hook whose record carries a ``count``: GC
+migration runs under either engine and user runs under the batched
+engine report ``count >= 1`` FULL flushes at once, the scalar loop's
+user appends report them one by one.  Both must leave the *entire*
+metrics registry — every counter, gauge, and histogram (bucket counts
+and float sums) — bit-identical.  The reference replay is the scalar
+loop; the replay under test is ``auto``: the batched engine for
+single-group policies, the scalar loop for the others.  Event-stream
+cadence is explicitly NOT part of the contract for batch-capable
+recorders (a run of FULL flushes collapses into one ``chunk_flush_bulk``
+record, series rows are sampled at chunk boundaries); metric totals
+are.  A ``trace_events=True`` recorder, in turn, gets the exact
+per-event stream — pinned by golden hashes below.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from tests.perf.test_engine_equivalence import (assert_states_equal,
 _WORKLOADS = ("ali", "tencent")
 
 
-def _replay_with_recorder(policy_name: str, trace, engine: str,
-                          materialize: bool = False):
+def _replay_with_recorder(policy_name: str, trace, engine: str):
     recorder = ObsRecorder()
-    store = fresh_store(policy_name, materialize, recorder=recorder)
+    store = fresh_store(policy_name, recorder=recorder)
     store.replay(trace, engine=engine)
     return store, recorder
 
@@ -47,8 +46,7 @@ def _replay_with_recorder(policy_name: str, trace, engine: str,
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_metric_snapshots_equal_across_engines(policy_name, workload_idx):
     trace = default_workloads(num_requests=600)[workload_idx]
-    ref_store, ref_rec = _replay_with_recorder(
-        policy_name, trace, "scalar", materialize=True)
+    ref_store, ref_rec = _replay_with_recorder(policy_name, trace, "scalar")
     auto_store, auto_rec = _replay_with_recorder(policy_name, trace, "auto")
     assert_states_equal(ref_store, auto_store)
     assert ref_rec.registry.snapshot() == auto_rec.registry.snapshot()
@@ -79,6 +77,43 @@ def test_counters_match_store_stats_batched():
         stats.gc_blocks_migrated
     assert counters["lss_padding_blocks_total"] == \
         stats.padding_blocks_written
+
+
+@pytest.mark.parametrize("trace_events", [False, True])
+def test_flush_record_of_count_n_equals_n_records_of_one(trace_events):
+    """The flush-record contract every consumer relies on: one record
+    with ``count = n`` books what n single-flush records book — in the
+    metrics registry, ADAPT's write monitor and the RAID layer, and (for
+    an exact-tracing recorder) in the event stream, lazy append after
+    the first chunk."""
+    from repro.array.coalescing import ChunkFlush, FlushReason
+
+    n, time_us = 5, 700
+    cb = fresh_store("adapt").config.chunk.chunk_blocks
+    run = ChunkFlush(FlushReason.FULL, n, user_blocks=n * cb - 3,
+                     gc_blocks=0, shadow_blocks=3, padding_blocks=0,
+                     time_us=time_us, lazy_blocks=2)
+    first = ChunkFlush(FlushReason.FULL, 1, cb - 3, 0, 3, 0, time_us,
+                       lazy_blocks=2)
+    rest = ChunkFlush(FlushReason.FULL, 1, cb, 0, 0, 0, time_us)
+
+    def book(flushes):
+        rec = ObsRecorder(trace_events=trace_events)
+        store = fresh_store("adapt", recorder=rec)
+        hot = store.groups[store.policy.HOT]
+        for flush in flushes:
+            store.on_chunk_flush(hot, flush)
+        monitor = store.policy.aggregator.monitor_for(hot.gid)
+        events = [e.to_json_dict() for e in rec.tracer.events]
+        return (rec.registry.snapshot(), vars(monitor),
+                vars(store.stats.raid), events if trace_events else None)
+
+    assert book([run]) == book([first] + [rest] * (n - 1))
+    snapshot, monitor, raid, _ = book([run])
+    assert snapshot["counters"]["lss_chunk_flushes_full_total"] == n
+    assert snapshot["counters"]["lss_lazy_append_blocks_total"] == 2
+    assert monitor["full_flushes"] == n and monitor["shadow_blocks"] == 3
+    assert raid["data_chunks"] == n
 
 
 #: policy -> (events, sha256 of the event list, sha256 of the recorder

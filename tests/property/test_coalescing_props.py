@@ -3,12 +3,12 @@
 For any interleaving of appends, time advances, polls and forced flushes:
 
 * pending blocks never reach chunk capacity (a full chunk flushes inline);
-* ``FULL`` flushes carry no padding and exactly one chunk of data;
-* ``DEADLINE`` / ``FORCED`` flushes pad the chunk exactly to capacity and
-  carry at least one data block (an empty chunk is never flushed);
+* ``FULL`` flushes (drains by ``append``) carry exactly one chunk of data;
+* ``DEADLINE`` / ``FORCED`` flushes (drains by ``poll`` / ``force_flush``)
+  leave room for the owner's padding and carry at least one data block
+  (an empty chunk is never flushed);
 * after any poll, no pending chunk's deadline lies in the past — the SLA
   deadline never passes without an emission;
-* padding appears only on deadline/forced flushes;
 * tokens are conserved: appended == flushed + pending.
 """
 
@@ -38,19 +38,20 @@ ops_strategy = st.lists(
 
 def drive(buffer: CoalescingBuffer, ops):
     """Run the op sequence; poll after every time advance (the store's tick
-    does the same).  Returns (flushes, appended, final_now)."""
+    does the same).  Returns (flushes, appended, final_now), a flush being
+    the ``(reason, drained tokens)`` pair the owning group would book."""
     flushes, appended, now = [], 0, 0
     for op in ops:
         if op[0] == "append":
             appended += 1
-            flush = buffer.append(appended, now)
+            reason, drained = FlushReason.FULL, buffer.append(appended, now)
         elif op[0] == "advance":
             now += op[1]
-            flush = buffer.poll(now)
+            reason, drained = FlushReason.DEADLINE, buffer.poll(now)
         else:
-            flush = buffer.force_flush(now)
-        if flush is not None:
-            flushes.append(flush)
+            reason, drained = FlushReason.FORCED, buffer.force_flush()
+        if drained is not None:
+            flushes.append((reason, drained))
     return flushes, appended, now
 
 
@@ -61,14 +62,12 @@ def test_flush_shapes_and_conservation(ops, sla_mode):
     flushes, appended, now = drive(buffer, ops)
 
     assert buffer.pending_blocks < CHUNK_BLOCKS
-    for flush in flushes:
-        assert flush.data_blocks >= 1
-        if flush.reason is FlushReason.FULL:
-            assert flush.padding_blocks == 0
-            assert flush.data_blocks == CHUNK_BLOCKS
+    for reason, drained in flushes:
+        if reason is FlushReason.FULL:
+            assert len(drained) == CHUNK_BLOCKS
         else:
-            assert flush.data_blocks + flush.padding_blocks == CHUNK_BLOCKS
-    flushed = sum(f.data_blocks for f in flushes)
+            assert 1 <= len(drained) < CHUNK_BLOCKS
+    flushed = sum(len(drained) for _, drained in flushes)
     assert flushed + buffer.pending_blocks == appended
 
 
@@ -92,10 +91,8 @@ def test_poll_at_deadline_always_emits(pending):
     for i in range(pending):
         assert buffer.append(i, 0) is None
     assert buffer.poll(WINDOW_US - 1) is None       # window still open
-    flush = buffer.poll(WINDOW_US)                  # exactly at deadline
-    assert flush is not None and flush.reason is FlushReason.DEADLINE
-    assert flush.data_blocks == pending
-    assert flush.padding_blocks == CHUNK_BLOCKS - pending
+    drained = buffer.poll(WINDOW_US)                # exactly at deadline
+    assert drained == tuple(range(pending))
 
 
 @given(ops=ops_strategy)
@@ -104,5 +101,5 @@ def test_windowless_buffer_never_pads_on_time(ops):
     """GC-facing buffers (window None) only flush FULL or FORCED."""
     buffer = CoalescingBuffer(CHUNK_BLOCKS, None)
     flushes, _, _ = drive(buffer, ops)
-    assert all(f.reason is not FlushReason.DEADLINE for f in flushes)
+    assert all(reason is not FlushReason.DEADLINE for reason, _ in flushes)
     assert buffer.deadline_us is None

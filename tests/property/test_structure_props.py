@@ -77,17 +77,15 @@ def test_coalescing_conserves_tokens(gaps, chunk_blocks, sla_mode):
     out, now = [], 0
     for i, gap in enumerate(gaps):
         now += gap
-        flush = buf.poll(now)
-        if flush:
-            assert flush.total_blocks == chunk_blocks  # padded to chunk
-            out.extend(flush.tokens)
-        flush = buf.append(i, now)
-        if flush:
-            assert flush.padding_blocks == 0           # FULL flush
-            out.extend(flush.tokens)
-    tail = buf.force_flush(now + 1)
-    if tail:
-        out.extend(tail.tokens)
+        drained = buf.poll(now)
+        if drained:
+            assert len(drained) < chunk_blocks         # owner pads the rest
+            out.extend(drained)
+        drained = buf.append(i, now)
+        if drained:
+            assert len(drained) == chunk_blocks        # FULL flush
+            out.extend(drained)
+    out.extend(buf.force_flush() or ())
     assert out == list(range(len(gaps)))               # order preserved
 
 
