@@ -187,7 +187,11 @@ class CoalescingBuffer:
         flush) and return its tokens."""
         if not self._tokens or self.sla_mode == "idle":
             self._timer_start_us = now_us
-            self._arm_heap()
+            # An entry at or below the new deadline already covers it
+            # (no entry is ever live without a window).
+            entry = self._heap_entry_us
+            if entry is None or now_us + self.window_us < entry:
+                self._arm_heap()
         self._tokens.append(token)
         if len(self._tokens) >= self.chunk_blocks:
             return self.take_pending()

@@ -191,9 +191,9 @@ def _positive_int(text: str) -> int:
 def _cmd_obs(args) -> str:
     """Replay one volume with observability and export artifacts.
 
-    Default mode traces every event (scalar replay).  ``--no-trace``
-    keeps only aggregated metrics, which is batch-capable and rides the
-    fast engine for single-group schemes.  ``--timeline-every N``
+    Default mode traces every event (the replay loop's per-request
+    form).  ``--no-trace`` keeps only aggregated metrics, reported in
+    bulk at the loop's settle points.  ``--timeline-every N``
     additionally records a replay timeline sampled every N user blocks.
     """
     from repro.experiments.runner import replay_volume
@@ -446,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time-series sampling period in user blocks")
     p.add_argument("--no-trace", action="store_true",
                    help="skip per-event tracing; aggregated metrics only "
-                        "(batch-capable, so single-group schemes use "
-                        "the batched engine)")
+                        "(batch-capable: user writes are reported in "
+                        "bulk, not per block)")
     p.add_argument("--event-sample-every", type=_positive_int, default=1,
                    metavar="N", help="keep every Nth traced event "
                                      "(default: 1, keep all)")
@@ -494,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="auto",
                    choices=["auto", "batched", "scalar"],
                    help="replay engine driving the fast store (default: "
-                        "auto, the engine production replays use; "
-                        "batched fails on multi-group policies)")
+                        "auto, the windowed loop production replays "
+                        "use; batched fails on multi-group policies)")
 
     p = sub.add_parser("bench",
                        help="measure replay throughput per policy x "

@@ -96,9 +96,7 @@ class ProactiveDemotion:
         """Pure bulk probe: per LBA, the demotion target gid (or ``-1``
         for normal hotness placement) and the winning score.
 
-        No side effects — no lookup/demotion counters, no obs events;
-        the batch placement path applies the scalar contract's
-        accounting via :meth:`account_batch`.
+        No side effects — no lookup/demotion counters, no obs events.
         Tie-breaking matches the scalar strict-``>`` scan (earliest gid
         in ``gc_group_ids`` wins ties).
 
@@ -140,19 +138,6 @@ class ProactiveDemotion:
                 best_score[better] = s[better]
         fired = best_score >= self.score_threshold
         return np.where(fired, best_gid, -1), best_score
-
-    def account_batch(self, lbas: np.ndarray, targets: np.ndarray,
-                      scores: np.ndarray, ts_us: np.ndarray) -> None:
-        """Apply the counter/obs updates a scalar :meth:`demotion_target`
-        loop over these blocks would have produced."""
-        self.lookups += int(lbas.shape[0])
-        fired = np.flatnonzero(targets >= 0)
-        self.demotions += int(fired.size)
-        if self.obs.enabled and fired.size:
-            on_demotion = self.obs.on_demotion
-            for i in fired.tolist():
-                on_demotion(int(lbas[i]), int(targets[i]),
-                            int(scores[i]), int(ts_us[i]))
 
     def memory_bytes(self) -> int:
         return sum(d.memory_bytes() for d in self.discriminators.values())

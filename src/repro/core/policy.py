@@ -16,6 +16,8 @@ observed write-distance / unique-distance ratio of sampled re-accesses.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.aggregation import CrossGroupAggregator
@@ -31,6 +33,25 @@ from repro.placement.base import PlacementPolicy
 from repro.placement.registry import register
 
 
+@dataclass(slots=True)
+class _UserWritePlan:
+    """What the trace alone decides about one window of user writes
+    (:meth:`AdaptPolicy.plan_user_writes`).
+
+    ``checkpoints`` maps the block index at which the window's samples
+    close an adaptation round to ``(padding fraction, cost spread,
+    AdaptationResult, rho, sample timestamp)`` — everything
+    :meth:`AdaptPolicy._apply_adaptation` needs except the segment
+    lifespan, which only the moment the block is placed knows.
+    """
+
+    start_seq: int
+    lbas: list[int]
+    #: Per block, the value ``place_user`` compares with the threshold.
+    values: list[float]
+    checkpoints: dict[int, tuple]
+
+
 class AdaptPolicy(PlacementPolicy):
     """Access-density-aware data placement (the paper's contribution)."""
 
@@ -39,6 +60,11 @@ class AdaptPolicy(PlacementPolicy):
     HOT = 0
     COLD = 1
     GC_BASE = 2
+
+    #: The active window plan.  Transient by construction — set by
+    #: :meth:`plan_user_writes`, dropped before ``store.replay`` returns
+    #: — so it lives on the class until planned and is never pickled.
+    _plan: _UserWritePlan | None = None
 
     def __init__(self, config: LSSConfig,
                  adapt: AdaptConfig | None = None) -> None:
@@ -85,10 +111,6 @@ class AdaptPolicy(PlacementPolicy):
         self._sampled_since_adapt = 0
         self._adapt_budget = max(
             1, int(ac.adapt_every_fraction * config.logical_blocks * r))
-        #: Below this batch size the vectorized placement loses more to
-        #: NumPy dispatch than it recovers; such batches take the scalar
-        #: reference loop (identical outputs either way).
-        self._scalar_batch_max = 32
 
         # --- cross-group aggregation ----------------------------------
         self.aggregator = CrossGroupAggregator(chunk_blocks=chunk_blocks) \
@@ -103,8 +125,6 @@ class AdaptPolicy(PlacementPolicy):
 
     def attach_obs(self, obs) -> None:
         super().attach_obs(obs)
-        if self.ladder is not None:
-            self.ladder.obs = obs
         if self.aggregator is not None:
             self.aggregator.obs = obs
         if self.demotion is not None:
@@ -131,22 +151,39 @@ class AdaptPolicy(PlacementPolicy):
     # user-write path
     # ------------------------------------------------------------------
     def place_user(self, lba: int, now_us: int) -> int:
-        now = self.user_seq
-        last = int(self._last_user_write[lba])
-
-        if self.ladder is not None and self.sampler.is_sampled(lba):
-            self._observe_sample(lba, last, now, now_us)
-
-        self._last_user_write[lba] = now
-
-        if last < 0:
-            # First write: proxy the unseen reuse distance with the current
-            # unique footprint (in write-distance units via rho), mirroring
-            # the ghost sets' first-access handling.
-            self._unique_seen += 1
-            v = self._unique_seen * self._rho
+        plan = self._plan
+        if plan is not None:
+            # The window is planned: what is left per block is what GC
+            # can move — the threshold (a due adaptation lands here, with
+            # the lifespan of this moment), the demotion probe, and the
+            # write stamp place_gc reads.
+            now = self.store.user_seq
+            i = now - plan.start_seq
+            if not 0 <= i < len(plan.lbas) or plan.lbas[i] != lba:
+                raise RuntimeError(
+                    f"user write (seq {now}, lba {lba}) is not the block "
+                    f"the window plan from seq {plan.start_seq} expects")
+            self._last_user_write[lba] = now
+            if i in plan.checkpoints:
+                self._apply_adaptation(*plan.checkpoints.pop(i))
+            v = plan.values[i]
         else:
-            v = float(now - last)
+            now = self.user_seq
+            last = int(self._last_user_write[lba])
+
+            if self.ladder is not None and self.sampler.is_sampled(lba):
+                self._observe_sample(lba, last, now, now_us)
+
+            self._last_user_write[lba] = now
+
+            if last < 0:
+                # First write: proxy the unseen reuse distance with the
+                # current unique footprint (in write-distance units via
+                # rho), mirroring the ghost sets' first-access handling.
+                self._unique_seen += 1
+                v = self._unique_seen * self._rho
+            else:
+                v = float(now - last)
 
         if v < self.threshold:
             return self.HOT
@@ -160,138 +197,100 @@ class AdaptPolicy(PlacementPolicy):
                 return target
         return self.COLD
 
-    def place_user_batch(self, lbas: np.ndarray, ts_us: np.ndarray,
-                         start_seq: int) -> np.ndarray:
-        """Fully vectorized batch placement.
+    def plan_user_writes(self, lbas: np.ndarray, ts_us: np.ndarray,
+                         start_seq: int) -> None:
+        """Run the window's trace-pure work ahead of its writes.
 
-        Only sampled blocks mutate the adaptive state (rho, ghost ladder,
-        threshold), so the batch's (rho, threshold) trajectory is
-        piecewise-constant with pieces starting at state-changing samples.
-        :meth:`_advance_sampled_pipeline` walks just the sampled blocks
-        (~10 % of the stream) through the exact scalar pipeline and
-        returns that trajectory; hotness classification, first-write
-        ranking, and demotion probing then run as single array ops over
-        the whole batch.  End state and outputs are bit-identical to a
-        scalar :meth:`place_user` loop.
+        Write history (``last``, resolved through in-window duplicate
+        chains without touching ``_last_user_write``), the first-write
+        footprint, and the whole sampled pipeline — sampler, distance
+        tracker, rho, ghost ladder, round closing — are functions of the
+        LBA/timestamp stream alone, so they run here as array ops plus
+        one walk over the ~10 % sampled blocks, and the pure state ends
+        up where a per-block :meth:`place_user` loop over the window
+        would leave it.  Nothing GC reads or writes is touched: the
+        threshold, ``_lifespan``, ``_ghost_adapted``, the demotion
+        cascade and ``_last_user_write`` stay with :meth:`place_user`.
         """
         n = int(lbas.shape[0])
-        out = np.empty(n, dtype=np.int64)
         if n == 0:
-            return out
-        if n < self._scalar_batch_max:
-            # Tiny batches (the batched engine's chunks shrink to a
-            # handful of blocks near the GC watermark) lose more to NumPy
-            # dispatch than vectorization recovers; the scalar loop IS
-            # the contract, so fall through to it directly.
-            return PlacementPolicy.place_user_batch(self, lbas, ts_us,
-                                                    start_seq)
-        prev, last_mask = duplicate_chains(lbas)
-        now = start_seq + np.arange(n, dtype=np.int64)
+            self._plan = None
+            return
+        prev, _ = duplicate_chains(lbas)
         last = self._last_user_write[lbas]
         dup = prev >= 0
         last[dup] = start_seq + prev[dup]
+        values = (start_seq + np.arange(n, dtype=np.int64)
+                  - last).astype(np.float64)
+        rho_at, rho_values, checkpoints = \
+            self._plan_samples(lbas, ts_us, last, start_seq)
+        first = np.flatnonzero(last < 0)
+        if first.size:
+            # The k-th first write sees _unique_seen + k, scaled by the
+            # rho in effect once its own sample (if any) is processed.
+            ranks = self._unique_seen + 1 + np.arange(first.size)
+            piece = np.searchsorted(np.asarray(rho_at, dtype=np.int64),
+                                    first, side="right")
+            values[first] = ranks * np.asarray(rho_values)[piece]
+            self._unique_seen += int(first.size)
+        self._plan = _UserWritePlan(start_seq, lbas.tolist(),
+                                    values.tolist(), checkpoints)
 
-        if self.ladder is not None:
-            rho_arr, thr_arr = self._advance_sampled_pipeline(
-                lbas, ts_us, last, start_seq, n)
-        else:
-            rho_arr, thr_arr = self._rho, self.threshold
+    def _plan_samples(self, lbas: np.ndarray, ts_us: np.ndarray,
+                      last: np.ndarray, start_seq: int
+                      ) -> tuple[list[int], list[float], dict[int, tuple]]:
+        """Walk the window's sampled blocks through the adaptation
+        pipeline (:meth:`_observe_sample` semantics), feeding the ghost
+        ladder in bulk between round closings.
 
-        first = last < 0
-        v = np.empty(n, dtype=np.float64)
-        seen = ~first
-        v[seen] = (now[seen] - last[seen]).astype(np.float64)
-        nfirst = int(first.sum())
-        if nfirst:
-            # k-th first-write sees _unique_seen + k, scaled by the rho
-            # in effect at its position.
-            ranks = self._unique_seen + np.cumsum(first)[first]
-            rho_f = rho_arr if isinstance(rho_arr, float) else rho_arr[first]
-            v[first] = ranks * rho_f
-            self._unique_seen += nfirst
-        hot = v < thr_arr
-        out[hot] = self.HOT
-        cold = np.flatnonzero(~hot)
-        if self.demotion is None or cold.size == 0:
-            out[~hot] = self.COLD
-        else:
-            cold_lbas = lbas[cold]
-            targets, scores = self.demotion.demotion_targets(cold_lbas)
-            out[cold] = np.where(targets >= 0, targets, self.COLD)
-            self.demotion.account_batch(cold_lbas, targets, scores,
-                                        ts_us[cold])
-        self._last_user_write[lbas[last_mask]] = now[last_mask]
-        return out
-
-    def _advance_sampled_pipeline(
-            self, lbas: np.ndarray, ts_us: np.ndarray, last: np.ndarray,
-            start_seq: int, n: int):
-        """Run the batch's sampled blocks through the exact scalar
-        adaptation pipeline (:meth:`_observe_sample` semantics), deferring
-        ghost-ladder feeding into bulk :meth:`ThresholdLadder.record_batch`
-        calls at the adaptation checkpoints.
-
-        Returns the per-block ``(rho, threshold)`` trajectory: plain
-        floats when no sample changed them, else full piecewise-constant
-        arrays built from the change points.
+        Returns ``(rho_at, rho_values, checkpoints)``: rho is
+        ``rho_values[0]`` on entry and ``rho_values[j + 1]`` from block
+        ``rho_at[j]`` on, and ``checkpoints`` are the rounds the window
+        closes, by block index (see :class:`_UserWritePlan`).
         """
+        rho_at: list[int] = []
+        rho_values = [self._rho]
+        checkpoints: dict[int, tuple] = {}
+        if self.ladder is None:
+            return rho_at, rho_values, checkpoints
         spos = np.flatnonzero(self.sampler.is_sampled_batch(lbas))
         if spos.size == 0:
-            return self._rho, self.threshold
+            return rho_at, rho_values, checkpoints
         ladder = self.ladder
         r = self.sampler.effective_rate
         slist = spos.tolist()
-        dists = self.distance.access_many(lbas[spos].tolist())
         lba_s = lbas[spos].tolist()
+        dists = self.distance.access_many(lba_s)
         last_s = last[spos].tolist()
         ts_s = ts_us[spos].tolist()
         rho = self._rho
         budget = self._adapt_budget
         count = self._sampled_since_adapt
-        pend_lba: list[int] = []
-        pend_iv: list[float | None] = []
-        pend_ts: list[int] = []
-        bounds = [0]
-        rhos = [rho]
-        thrs = [self.threshold]
-        for k in range(len(slist)):
-            d = dists[k]
+        fed = 0  # samples [fed, k] are not in the ladder yet
+        for k, d in enumerate(dists):
             lastv = last_s[k]
-            changed = False
             if d is not None and d >= 1 and lastv >= 0:
                 ratio = (start_seq + slist[k] - lastv) * r / d
                 if ratio < 1e-3:
                     ratio = 1e-3
                 rho += 0.05 * (ratio - rho)
-                changed = True
-            pend_lba.append(lba_s[k])
-            pend_iv.append(d)
-            pend_ts.append(ts_s[k])
+                rho_at.append(slist[k])
+                rho_values.append(rho)
             count += 1
             if count >= budget:
-                # Scalar checks ladder.ready() after every over-budget
-                # sample, so the pending records must land first.
-                ladder.record_batch(pend_lba, pend_iv, pend_ts)
-                pend_lba, pend_iv, pend_ts = [], [], []
+                # ready() is asked after every over-budget sample, so
+                # the samples up to this one must land first.
+                ladder.record_batch(lba_s[fed:k + 1], dists[fed:k + 1],
+                                    ts_s[fed:k + 1])
+                fed = k + 1
                 if ladder.ready():
-                    self._rho = rho
-                    self._sampled_since_adapt = count
-                    self._apply_adaptation()
-                    count = self._sampled_since_adapt
-                    changed = True
-            if changed:
-                bounds.append(slist[k])
-                rhos.append(rho)
-                thrs.append(self.threshold)
-        if pend_lba:
-            ladder.record_batch(pend_lba, pend_iv, pend_ts)
+                    checkpoints[slist[k]] = (*self._close_round(), rho,
+                                             ts_s[k])
+                    count = 0
+        ladder.record_batch(lba_s[fed:], dists[fed:], ts_s[fed:])
         self._rho = rho
         self._sampled_since_adapt = count
-        if len(bounds) == 1:
-            return rhos[0], thrs[0]
-        reps = np.diff(np.asarray(bounds + [n], dtype=np.int64))
-        return (np.repeat(np.asarray(rhos, dtype=np.float64), reps),
-                np.repeat(np.asarray(thrs, dtype=np.float64), reps))
+        return rho_at, rho_values, checkpoints
 
     def candidate_user_gids(self, lbas: np.ndarray, ts_us: np.ndarray,
                             start_seq: int):
@@ -322,26 +321,36 @@ class AdaptPolicy(PlacementPolicy):
         self._sampled_since_adapt += 1
         if self._sampled_since_adapt >= self._adapt_budget \
                 and self.ladder.ready():
-            self._apply_adaptation()
+            self._sampled_since_adapt = 0
+            self._apply_adaptation(*self._close_round(), self._rho, now_us)
 
-    def _apply_adaptation(self) -> None:
+    def _close_round(self) -> tuple[float, float, AdaptationResult]:
+        """The trace-pure half of an adaptation: read the ghost signals,
+        pick the winner and re-grid the ladder."""
         spread = self.ladder.cost_spread()
         pad_frac = self.ladder.padding_fraction()
-        result = self.ladder.adapt()
-        r = self.sampler.effective_rate
+        return pad_frac, spread, self.ladder.adapt()
+
+    def _apply_adaptation(self, pad_frac: float, spread: float,
+                          result: AdaptationResult, rho: float,
+                          sample_us: int) -> None:
+        """The GC-coupled half: turn a closed round into the threshold,
+        against the segment lifespan of this moment, and report it."""
         if pad_frac < 0.02 or spread < 0.15:
             # No padding pressure (dense phase) or flat costs: the ghost
             # signal is GC-only noise — the lifespan threshold is the
             # known-good operating point there.
             target = self._lifespan
         else:
-            target = max(1.0, result.best_threshold / r * self._rho)
+            target = max(1.0, result.best_threshold
+                         / self.sampler.effective_rate * rho)
         # Damped update: ghost costs are sampled estimates.
         self.threshold += 0.5 * (target - self.threshold)
         self._ghost_adapted = True
-        self._sampled_since_adapt = 0
         self.adaptation_log.append(result)
         if self.obs.enabled:
+            self.obs.on_threshold_switch(result.best_threshold, result.mode,
+                                         result.rounds, sample_us)
             self.obs.gauge("adapt_threshold_blocks", self.threshold)
 
     # ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.ghost import GhostSet
-from repro.obs.recorder import NULL_RECORDER, NullRecorder
 
 
 @dataclass(frozen=True)
@@ -25,6 +24,7 @@ class AdaptationResult:
     costs: tuple[float, ...]
     thresholds: tuple[float, ...]
     mode: str  # grid mode used for the *next* round
+    rounds: int = 0  # adaptation rounds closed so far, this one included
 
 
 class ThresholdLadder:
@@ -43,10 +43,6 @@ class ThresholdLadder:
         self.sla_mode = sla_mode
         self.mode = "exponential"
         self.rounds = 0
-        #: Observability recorder (attached by the owning policy) and the
-        #: most recent stream timestamp, stamped onto switch events.
-        self.obs: NullRecorder = NULL_RECORDER
-        self._last_seen_us = 0
         self._build(self._exponential_grid(center=float(segment_blocks)))
 
     # ------------------------------------------------------------------
@@ -86,7 +82,6 @@ class ThresholdLadder:
     # stream + adaptation
     # ------------------------------------------------------------------
     def record(self, lba: int, interval: float | None, now_us: int) -> None:
-        self._last_seen_us = now_us
         for ghost in self.ghost_sets:
             ghost.record(lba, interval, now_us)
 
@@ -103,7 +98,6 @@ class ThresholdLadder:
         """
         if not lbas:
             return
-        self._last_seen_us = ts_us[-1]
         mult: dict[int, int] = {}
         for ghost in self.ghost_sets:
             mult[id(ghost)] = mult.get(id(ghost), 0) + 1
@@ -147,7 +141,12 @@ class ThresholdLadder:
 
     def adapt(self) -> AdaptationResult:
         """Close the measurement round: pick the cheapest threshold and
-        re-grid around it."""
+        re-grid around it.
+
+        A function of the sampled stream alone, so a policy may run it
+        ahead of the writes it belongs to; reporting the switch (the
+        ``threshold_switch`` event) is the job of whoever applies the
+        result, at the stream position it applies to."""
         costs = [g.cost() for g in self.ghost_sets]
         thresholds = [g.threshold for g in self.ghost_sets]
         best_idx = min(range(len(costs)), key=costs.__getitem__)
@@ -164,12 +163,10 @@ class ThresholdLadder:
             grid = self._linear_grid(thresholds[best_idx - 1],
                                      thresholds[best_idx + 1])
         self._build(grid)
-        if self.obs.enabled:
-            self.obs.on_threshold_switch(best_t, self.mode, self.rounds,
-                                         self._last_seen_us)
         return AdaptationResult(best_threshold=best_t, best_cost=best_c,
                                 costs=tuple(costs),
-                                thresholds=tuple(thresholds), mode=self.mode)
+                                thresholds=tuple(thresholds), mode=self.mode,
+                                rounds=self.rounds)
 
     def memory_bytes(self) -> int:
         return sum(g.memory_bytes() for g in self.ghost_sets)

@@ -86,13 +86,31 @@ class Group:
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
-    def append_user(self, lba: int, now_us: int) -> int:
-        seg = self._ensure_open_segment()
-        loc = self.store.pool.append_block(seg, lba)
+    def reserve_user(self, lba: int, now_us: int) -> int:
+        """Everything a user append does that the next block, the next
+        tick or a flush consumer can observe: take the slot (open a
+        segment if needed), queue the block in the open chunk, flush a
+        filled chunk, seal a filled segment.  Returns the slot's encoded
+        location; booking ``lba`` into it (``SegmentPool.fill_slot`` /
+        ``fill_slots``) is the caller's, and may wait until something
+        reads the slot planes — the next GC run at the latest."""
+        seg = self.open_seg
+        if seg is None:
+            seg = self._ensure_open_segment()
+        pool = self.store.pool
+        loc = pool.reserve_slot(seg)
         drained = self.buffer.append((APPEND_USER, lba), now_us)
         if drained is not None:
             self._flush(FlushReason.FULL, drained, now_us)
-        self._maybe_seal()
+        # A FULL flush pads nothing, so the fill pointer sits right
+        # after this slot: the segment is full iff it was the last one.
+        if (loc + 1) % pool.segment_blocks == 0:
+            self._maybe_seal()
+        return loc
+
+    def append_user(self, lba: int, now_us: int) -> int:
+        loc = self.reserve_user(lba, now_us)
+        self.store.pool.fill_slot(loc, lba)
         return loc
 
     def append_shadow(self, lba: int, now_us: int) -> None:

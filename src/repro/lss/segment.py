@@ -144,19 +144,45 @@ class SegmentPool:
     # ------------------------------------------------------------------
     # slot operations
     # ------------------------------------------------------------------
-    def append_block(self, seg: int, lba: int) -> int:
-        """Place ``lba`` into the next slot of open segment ``seg``;
-        return the encoded location."""
+    def reserve_slot(self, seg: int) -> int:
+        """Take the next slot of open segment ``seg`` (advance its fill
+        pointer) and return the encoded location.  The slot stays dead
+        until :meth:`fill_slot` / :meth:`fill_slots` books an LBA into it."""
         slot = int(self.fill[seg])
         if slot >= self.segment_blocks:
             raise CapacityError(f"segment {seg} overflow")
+        self.fill[seg] = slot + 1
+        return seg * self.segment_blocks + slot
+
+    def fill_slot(self, loc: int, lba: int) -> None:
+        """Book ``lba`` into the reserved slot at ``loc``."""
+        seg, slot = divmod(loc, self.segment_blocks)
         self.slot_lba[seg, slot] = lba
         self.slot_valid[seg, slot] = True
         self._append_seq += 1
         self.slot_seq[seg, slot] = self._append_seq
-        self.fill[seg] = slot + 1
         self.valid_count[seg] += 1
-        return seg * self.segment_blocks + slot
+
+    def fill_slots(self, locs: np.ndarray, lbas: np.ndarray) -> None:
+        """Vectorized :meth:`fill_slot` over distinct reserved slots, in
+        reservation order (the ``slot_seq`` stamps follow it)."""
+        n = int(locs.shape[0])
+        self.slot_lba.reshape(-1)[locs] = lbas
+        self.slot_valid.reshape(-1)[locs] = True
+        s0 = self._append_seq + 1
+        self._append_seq += n
+        self.slot_seq.reshape(-1)[locs] = np.arange(s0, s0 + n,
+                                                    dtype=np.int64)
+        per_seg = np.bincount(locs // self.segment_blocks,
+                              minlength=self.num_segments)
+        self.valid_count += per_seg.astype(self.valid_count.dtype)
+
+    def append_block(self, seg: int, lba: int) -> int:
+        """Place ``lba`` into the next slot of open segment ``seg``;
+        return the encoded location."""
+        loc = self.reserve_slot(seg)
+        self.fill_slot(loc, lba)
+        return loc
 
     def append_many(self, seg: int, lbas: np.ndarray) -> int:
         """Place a run of LBAs into consecutive slots of open segment

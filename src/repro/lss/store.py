@@ -22,10 +22,19 @@ from repro.lss.victim import make_victim_policy
 from repro.obs import profile as obs_profile
 from repro.obs.attribution import NULL_ATTRIBUTION, NullAttribution
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
+from repro.perf.batch import duplicate_chains
+from repro.perf.expand import check_write_bounds, expand_trace
 from repro.trace.model import OP_WRITE, Trace
 
 #: Encoded-mapping value for "never written".
 UNMAPPED: int = -1
+
+#: Requests per window of :meth:`LogStructuredStore.replay`'s loop — the
+#: fleet's streaming chunk.  Each window is expanded, planned, run and
+#: settled on its own, so the loop's memory is O(window), not O(trace).
+REPLAY_WINDOW_REQUESTS: int = 1024
+
+_NO_BLOCKS = np.empty(0, dtype=np.int64)
 
 
 class LogStructuredStore:
@@ -38,8 +47,9 @@ class LogStructuredStore:
             defaults to the shared no-op recorder, which keeps every
             instrumented hot path at a cached-boolean cost.
         auditor: optional :class:`repro.validate.InvariantAuditor`; when
-            set, the store notifies it after every accepted user block and
-            at finalize so cross-structure invariants are checked on a
+            set, the store reports accepted user blocks to it (per block
+            from ``write_block``, per settle from ``replay``) and
+            finalize, so cross-structure invariants are checked on a
             cadence while the replay is in flight.
         attribution: causal-attribution sink
             (:class:`repro.obs.attribution.AttributionRecorder`); defaults
@@ -241,12 +251,9 @@ class LogStructuredStore:
         Flushes never feed back into placement, so the pre-computed
         ``gids`` stay exact across fires.
         """
-        from repro.perf.batch import duplicate_chains
         n = int(lbas.shape[0])
         if n == 0:
             return
-        old = self.mapping[lbas]
-        prev, last_mask = duplicate_chains(lbas)
         locs = np.empty(n, dtype=np.int64)
         start_seq = self.user_seq
         lba_list = lbas.tolist()
@@ -274,25 +281,54 @@ class LogStructuredStore:
             if tick_at is None:
                 break
             self.tick(tick_at)
-        if self._attr_on:
-            # Same tags the scalar loop writes one block at a time: batch
-            # epochs are the pre-increment user_seq of each block.
-            self.pool.slot_origin_flat[locs] = ORIGIN_USER
-            self.pool.slot_epoch_flat[locs] = np.arange(
-                start_seq, start_seq + n, dtype=np.int64)
-        self.stats.user_blocks_requested += n
-        if self._obs_on:
-            self.obs.on_user_write_bulk(n, lba_list[-1], ts_list[-1])
-        # Deferred invalidation: first occurrences kill their pre-batch
-        # location, later occurrences kill their predecessor's fresh slot.
-        dup = prev >= 0
-        old[dup] = locs[prev[dup]]
-        dead = old[old != UNMAPPED]
-        if dead.size:
-            self.pool.invalidate_many(dead)
-        self.mapping[lbas[last_mask]] = locs[last_mask]
-        if self._auditor is not None:
-            self._auditor.on_user_batch(self, n)
+        self._settle_user_writes(lbas, locs, start_seq, ts_list[-1],
+                                 filled=True)
+
+    def _settle_user_writes(self, lbas: np.ndarray,
+                            locs: np.ndarray | list[int], start_seq: int,
+                            now_us: int, filled: bool = False) -> None:
+        """Book, in one vectorized pass, everything about a run of user
+        writes that only GC, audits and sample rows read.
+
+        ``lbas[i]`` took slot ``locs[i]`` at logical clock ``start_seq +
+        i`` (the last one at ``now_us``), through the eager half of the
+        write path (:meth:`Group.reserve_user`, or an append run that
+        also ``filled`` the slot planes).  What is left is what
+        :meth:`write_block` does around its append: the slot planes and
+        ``valid_count``, provenance tags, the overwritten locations'
+        invalidation, the mapping, ``user_blocks_requested`` and the
+        recorder/auditor reports — bit-identical to the per-block order
+        as long as nothing read them in between, which is why the replay
+        loop settles immediately before every GC run.
+        """
+        n = int(lbas.shape[0])
+        if n == 0:
+            return
+        pool = self.pool
+        locs = np.asarray(locs, dtype=np.int64)
+        with self.profiler.span("settle"):
+            if not filled:
+                pool.fill_slots(locs, lbas)
+            if self._attr_on:
+                # Birth epoch = each block's pre-increment user_seq.
+                pool.slot_origin_flat[locs] = ORIGIN_USER
+                pool.slot_epoch_flat[locs] = np.arange(
+                    start_seq, start_seq + n, dtype=np.int64)
+            # First occurrences kill their pre-run location, later ones
+            # kill their predecessor's fresh slot; the last one is mapped.
+            old = self.mapping[lbas]
+            prev, last_mask = duplicate_chains(lbas)
+            dup = prev >= 0
+            old[dup] = locs[prev[dup]]
+            dead = old[old != UNMAPPED]
+            if dead.size:
+                pool.invalidate_many(dead)
+            self.mapping[lbas[last_mask]] = locs[last_mask]
+            self.stats.user_blocks_requested += n
+            if self._obs_on:
+                self.obs.on_user_write_bulk(n, int(lbas[-1]), now_us)
+            if self._auditor is not None:
+                self._auditor.on_user_batch(self, n)
 
     # ------------------------------------------------------------------
     # replay and finalisation
@@ -301,44 +337,115 @@ class LogStructuredStore:
                engine: str = "auto") -> StoreStats:
         """Replay a whole trace and return the stats object.
 
+        The trace is cut into windows of :data:`REPLAY_WINDOW_REQUESTS`
+        requests, and each window runs in three phases: *plan* (expand
+        the window into its block stream and let the policy precompute
+        what the trace alone decides, ``plan_user_writes``), *run* (per
+        block, only what the next block's placement or the next tick can
+        observe: place, take a slot, queue, flush, seal, trigger GC) and
+        *settle* (:meth:`_settle_user_writes`, immediately before every
+        GC run and at the window's end).  Final state and metric totals
+        are bit-identical to a ``process_request`` loop; see
+        ``docs/performance.md``.
+
         Args:
             trace: the request stream.
             finalize: force-flush pending chunks at end of trace.
-            engine: ``"scalar"`` (the per-request loop), ``"batched"``
-                (vectorized chunked replay, ``repro.perf``; raises
-                ``ValueError`` when the store is not eligible), or
-                ``"auto"`` (batched iff
-                :meth:`BatchedReplayEngine.ineligible_reason` returns
-                ``None``, else scalar).  Both engines produce
-                bit-identical final state and metric totals; the
-                differential and equivalence suites enforce it.  The
-                choice and its reason are kept in :attr:`replay_engine`.
+            engine: ``"auto"`` and ``"scalar"`` both run the loop above,
+                for every policy.  ``"batched"`` asks for the
+                single-group chunk engine (``repro.perf.engine``), kept
+                selectable for the equivalence suites and the engine
+                bench; it raises ``ValueError`` carrying
+                :meth:`BatchedReplayEngine.ineligible_reason` when the
+                store is not eligible.  The choice and its reason are
+                kept in :attr:`replay_engine`.
 
         Raises ``ValueError`` before the store is touched if any write
         request falls outside the logical address space.
         """
         if engine not in ("auto", "batched", "scalar"):
             raise ValueError(f"unknown replay engine {engine!r}")
-        from repro.perf.engine import BatchedReplayEngine
-        from repro.perf.expand import check_write_bounds
         check_write_bounds(trace, self.config.logical_blocks)
-        reason = "engine='scalar' was requested" if engine == "scalar" \
-            else BatchedReplayEngine.ineligible_reason(self)
-        if reason is None or engine == "batched":
+        if engine == "batched":
+            from repro.perf.engine import BatchedReplayEngine
             batched = BatchedReplayEngine(self)  # raises when ineligible
-            self.replay_engine = ("batched", "single user placement group, "
-                                             "no per-flush consumer")
+            self.replay_engine = ("batched", "engine='batched' was "
+                                             "requested")
             return batched.replay(trace, finalize=finalize)
+        reason = "one windowed loop replays every policy" \
+            if engine == "auto" else "engine='scalar' was requested"
         self.replay_engine = ("scalar", reason)
-        ts = trace.timestamps.tolist()
-        ops = trace.ops.tolist()
-        offs = trace.offsets.tolist()
-        szs = trace.sizes.tolist()
-        for t, op, off, sz in zip(ts, ops, offs, szs):
-            self.process_request(t, op, off, sz)
+        # A recorder that wants every block as its own event keeps the
+        # per-request loop (with the window planned all the same).
+        per_event = self._obs_on and not self.obs.batch_capable
+        policy = self.policy
+        prof = self.profiler
+        try:
+            for start in range(0, len(trace), REPLAY_WINDOW_REQUESTS):
+                window = trace[start:start + REPLAY_WINDOW_REQUESTS]
+                with prof.span("expand"):
+                    ex = expand_trace(window)
+                with prof.span("plan"):
+                    policy.plan_user_writes(ex.lbas, ex.block_ts,
+                                            self.user_seq)
+                if per_event:
+                    for row in window.iter_requests():
+                        self.process_request(*row)
+                else:
+                    self._run_window(window, ex.lbas)
+        finally:
+            policy.plan_user_writes(_NO_BLOCKS, _NO_BLOCKS, self.user_seq)
         if finalize:
             self.finalize()
         return self.stats
+
+    def _run_window(self, window: Trace, lbas: np.ndarray) -> None:
+        """Run one planned window: the eager half of every write, with
+        the rest settled before each GC run and at the window's end
+        (also when the window raises, so the store stays consistent up
+        to the last block that took a slot)."""
+        place_user = self.policy.place_user
+        groups = self.groups
+        heap = self._deadline_heap
+        pool = self.pool
+        gc_low = self.config.gc_free_low
+        locs: list[int] = []   # slots taken since the last settle
+        settled = 0            # window blocks already settled
+        start_seq = self.user_seq
+        reads = writes = 0
+        t = self.now_us
+        try:
+            for t, op, offset, size in zip(window.timestamps.tolist(),
+                                           window.ops.tolist(),
+                                           window.offsets.tolist(),
+                                           window.sizes.tolist()):
+                self.now_us = t
+                if heap and heap[0][0] <= t:
+                    # Every armed deadline has a heap entry at or below
+                    # it, so a later top means nothing is due.
+                    self.tick(t)
+                if op != OP_WRITE:
+                    reads += 1
+                    continue
+                writes += 1
+                for lba in range(offset, offset + size):
+                    locs.append(groups[place_user(lba, t)]
+                                .reserve_user(lba, t))
+                    self.user_seq += 1
+                    if pool.free_segments <= gc_low:
+                        self._settle_user_writes(
+                            lbas[settled:settled + len(locs)], locs,
+                            start_seq + settled, t)
+                        settled += len(locs)
+                        locs.clear()
+                        self.gc.run(t)
+        finally:
+            self._settle_user_writes(lbas[settled:settled + len(locs)],
+                                     locs, start_seq + settled, t)
+            self.stats.read_requests += reads
+            self.stats.write_requests += writes
+            if reads and self._obs_on:
+                self.obs.on_read_bulk(reads, t)
 
     def finalize(self) -> None:
         """Flush every pending chunk (padded) at end of run."""

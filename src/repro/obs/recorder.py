@@ -56,8 +56,8 @@ class NullRecorder:
     #: contract — ``on_user_write_bulk``/``on_read_bulk`` producing totals
     #: bit-identical to the per-event hooks.  ``False`` here on purpose:
     #: a custom *enabled* recorder that merely subclasses this vocabulary
-    #: keeps the scalar replay engine (and its exact per-event hook
-    #: cadence) unless it opts in explicitly.
+    #: keeps the replay loop's per-request form (and its exact per-event
+    #: hook cadence) unless it opts in explicitly.
     batch_capable = False
 
     # -- lifecycle ------------------------------------------------------
@@ -100,10 +100,11 @@ class NullRecorder:
                            now_us: int) -> None:
         """An :class:`~repro.validate.InvariantAuditor` check failed."""
 
-    # -- bulk (chunk-aggregated) hooks ----------------------------------
-    # Called by the batched replay paths instead of N per-event calls;
-    # a batch-capable recorder must make each produce exactly the metric
-    # updates the equivalent per-event calls would.
+    # -- bulk (settle- or chunk-aggregated) hooks -----------------------
+    # Called by the replay loop's settle and the batched engine instead
+    # of N per-event calls; a batch-capable recorder must make each
+    # produce exactly the metric updates the equivalent per-event calls
+    # would.
     def on_user_write_bulk(self, count: int, last_lba: int,
                            now_us: int) -> None:
         """``count`` user block writes were accepted; the last one wrote
@@ -137,14 +138,15 @@ class ObsRecorder(NullRecorder):
 
     By default the recorder is **batch-capable**: it implements the bulk
     hooks with metric updates bit-identical to the per-event hooks, so
-    ``store.replay(engine="auto")`` keeps the batched engine (the obs-on
-    engine-equivalence suite proves the snapshots match).  Requesting
+    ``store.replay`` reports user writes once per settle instead of once
+    per block (``tests/lss/test_replay_loop.py`` and the obs-on
+    engine-equivalence suite prove the snapshots match).  Requesting
     exact per-event traces (``trace_events=True``) gives up that — the
-    store documents the scalar fallback — while the default mode still
-    records events, just aggregated on the batched paths (a
-    ``chunk_flush_bulk`` record for a run of FULL flushes, a sampled
-    ``user_write`` marker per series row) and optionally ratio-sampled
-    via ``event_sample_every``.
+    loop then runs per request — while the default mode still records
+    events, just aggregated (a ``chunk_flush_bulk`` record for a run of
+    FULL flushes, a sampled ``user_write`` marker per series row, rows
+    at settle granularity) and optionally ratio-sampled via
+    ``event_sample_every``.
 
     Args:
         sample_every_blocks: append one time-series row (and one sampled
@@ -155,8 +157,8 @@ class ObsRecorder(NullRecorder):
             (very chatty; implies ``trace_events``).
         trace_events: demand the exact per-event stream — every
             ``chunk_flush``, never an aggregate record.  Marks the
-            recorder not batch-capable, so ``engine="auto"`` falls back
-            to the scalar loop.
+            recorder not batch-capable, so ``store.replay`` reports
+            every block through ``on_user_write``.
         event_sample_every: ratio-sample the stored events (per-type
             counts stay exact); forwarded to :class:`EventTracer`.
         timeline: optional :class:`~repro.obs.timeline.ReplayTimeline`

@@ -8,11 +8,11 @@ the placement policy's threshold position (NaN for policies without
 one), free segments, and per-group occupancy — into one growing NumPy
 matrix, then appends one exact final row at finalize.  The result is a
 figure-ready timeseries (the paper's §4 trajectories) at a few hundred
-bytes per sample.  Sampling keys off the user-block clock; under the
-batched engine the recorder checks it at chunk boundaries rather than
-per block, so intermediate row positions are chunk-granular there (the
-engine-equivalence contract covers metric totals, not sampling cadence)
-while the final row is exact under every engine.
+bytes per sample.  Sampling keys off the user-block clock; a
+batch-capable recorder checks it when user writes are reported — at the
+replay loop's settle points — rather than per block, so intermediate row
+positions are settle-granular (the equivalence contract covers metric
+totals, not sampling cadence) while the final row is always exact.
 
 Export helpers live in :mod:`repro.obs.exporters`
 (:func:`~repro.obs.exporters.write_timeline_csv`,

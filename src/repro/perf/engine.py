@@ -22,10 +22,13 @@ The engine relies on two facts about the simulator:
   fires natively.
 
 :meth:`BatchedReplayEngine.ineligible_reason` is the one place that
-decides whether a store can be replayed this way; ``engine="auto"``,
-``engine="batched"`` and the constructor all ask it.  Multi-group
-policies (adapt, dac, warcip, sepbit) take the scalar loop: proving a
-chunk GC-free for *any* placement cost more than the loop it replaced.
+decides whether a store can be replayed this way; ``engine="batched"``
+and the constructor both ask it.  Nothing routes here by default any
+more: ``store.replay``'s windowed loop (plan, run, settle) serves every
+policy and measures faster on every cell this engine is eligible for,
+so ``engine="auto"`` is that loop.  The engine stays selectable for the
+equivalence suites and ``repro.perf.bench`` until ``bench/`` — which
+names this module — is unfrozen (ROADMAP item 2).
 
 Deadline flushes inside a chunk are reproduced exactly: the per-group
 pending/timer evolution between fires is pure arithmetic (``idle`` SLA

@@ -86,15 +86,35 @@ class PlacementPolicy:
             store.user_seq = saved
         return out
 
+    def plan_user_writes(self, lbas: np.ndarray, ts_us: np.ndarray,
+                         start_seq: int) -> None:
+        """Optional: precompute what the trace alone decides for the next
+        ``len(lbas)`` user writes (no-op here; a policy that keeps it
+        loses nothing).
+
+        Contract (see ``docs/extending.md``): ``store.replay`` calls this
+        once per window with the window's block stream — block ``i``
+        will be placed by ``place_user(lbas[i], ts_us[i])`` at logical
+        clock ``start_seq + i`` — and GC runs, deadline flushes and
+        every GC hook may fall between any two of those calls.  An
+        override may therefore read and advance only state that user
+        writes alone mutate (per-LBA write history, sampled-stream
+        statistics) and must leave alone everything GC hooks or
+        ``place_gc*`` read or write; ``place_user`` then consumes the
+        plan block by block and must raise if ``(user_seq, lba)`` is
+        not the block the plan expects.  An empty window drops the
+        plan: the store sends one whenever ``replay`` returns or raises.
+        """
+
     def user_placement_gids(self) -> Sequence[int]:
         """The set of group ids :meth:`place_user` can ever return.
 
         Contract (see ``docs/extending.md``): a policy whose set has
-        exactly one member (SepGC, MiDA) is replayed by the batched
-        engine — a chunk's capacity is then a closed form over that one
-        group's headroom.  Every other policy takes the scalar loop.  The
-        default — every group — is always safe; a declared set must
-        cover every gid the policy can return.
+        exactly one member (SepGC, MiDA) is eligible for
+        ``engine="batched"`` — a chunk's capacity is then a closed form
+        over that one group's headroom.  The default — every group — is
+        always safe; a declared set must cover every gid the policy can
+        return.
         """
         return range(len(self.group_specs()))
 
@@ -117,8 +137,8 @@ class PlacementPolicy:
                        now_us: int) -> np.ndarray:
         """Route one victim's GC-migrated valid blocks; one group id each.
 
-        Contract (see ``docs/extending.md``): called by GC (under both
-        replay engines) with one victim segment's valid LBAs in slot order.  Each
+        Contract (see ``docs/extending.md``): called by GC with one
+        victim segment's valid LBAs in slot order.  Each
         LBA appears at most once (the mapping is a bijection onto valid
         slots) and both clocks are constant across the batch, so unlike
         :meth:`place_user_batch` there are no in-batch chains to model.

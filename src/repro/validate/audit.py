@@ -227,9 +227,11 @@ class InvariantAuditor:
     """Cadence-driven invariant auditing hook for one store.
 
     Pass an instance to ``LogStructuredStore(..., auditor=...)``: the store
-    calls :meth:`on_user_write` after every accepted user block and
-    :meth:`on_finalize` at end of replay.  Every ``every_blocks`` user
-    blocks (and at finalize) the auditor runs its check catalogue; the
+    reports accepted user blocks — :meth:`on_user_write` per block from
+    ``write_block``, :meth:`on_user_batch` per settle from ``replay`` —
+    and calls :meth:`on_finalize` at end of replay.  Every
+    ``every_blocks`` user blocks (and at finalize) the auditor runs its
+    check catalogue on the next consistent state; the
     first violated invariant raises :class:`InvariantViolation` after
     emitting an ``audit_violation`` observability event.
 
@@ -271,11 +273,13 @@ class InvariantAuditor:
                       nblocks: int) -> None:
         """Batch-cadence variant of :meth:`on_user_write`.
 
-        The batched replay engine applies user blocks in chunks and calls
-        this once per chunk.  The catalogue runs once (on the consistent
-        post-chunk state) whenever the chunk crossed the cadence, but
+        The replay loop settles user blocks in runs (and the batched
+        engine applies them in chunks) and calls this once per run.  The
+        catalogue runs once (on the consistent post-settle state)
+        whenever the run crossed the cadence, but
         ``audits_run`` advances by every crossing the scalar path would
-        have audited, so the counter is engine-independent.
+        have audited (as does the recorder's ``lss_audits_total``), so
+        the counters are engine-independent.
         """
         if not self.every_blocks or nblocks <= 0:
             return
@@ -284,6 +288,8 @@ class InvariantAuditor:
         if fires:
             self.audit(store)
             self.audits_run += fires - 1
+            if fires > 1 and store.obs.enabled:
+                store.obs.count("lss_audits_total", fires - 1)
         self._since = leftover
 
     def on_finalize(self, store: "LogStructuredStore") -> None:

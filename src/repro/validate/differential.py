@@ -151,10 +151,10 @@ def run_cell(policy_name: str, trace: Trace, config: LSSConfig,
     """Replay ``trace`` through both stores under ``policy_name``.
 
     ``engine`` selects the fast store's replay engine (the oracle is
-    always the per-block dict model); the default ``"auto"`` runs each
-    policy on the engine production replays use, so every sweep checks
-    the batched engine for single-group policies and the scalar loop's
-    bulk GC for the others.
+    always the per-block dict model, driving its policy unplanned); the
+    default ``"auto"`` is the loop production replays use, so every
+    sweep checks its window plans, deferred settles and bulk GC for
+    every policy.
     """
     auditor = InvariantAuditor(every_blocks=audit_every)
     fast = LogStructuredStore(config, make_policy(policy_name, config),

@@ -196,9 +196,9 @@ def test_summary_shape_and_determinism(tmp_path):
     assert info["workers"] == 1
     assert info["volumes"] == 6
     assert "seconds" not in s["fleet"]
-    # ... and which replay engine ran, and why (adapt: the scalar loop).
+    # ... and which replay engine ran, and why (auto: the one loop).
     engine, reason = info["replay_engine"]
-    assert engine == "scalar" and "more than one group" in reason
+    assert engine == "scalar" and "every policy" in reason
     assert "replay_engine" not in json.dumps(s)
 
 

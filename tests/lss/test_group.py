@@ -92,3 +92,32 @@ def test_deadline_flush_counters(store):
     g.append_user(2, 20_000)
     g.force_flush(now_us=20_001)
     assert g.traffic.forced_flushes == 1
+
+
+def test_reserve_user_is_append_user_minus_the_slot_content(tiny_config):
+    """reserve_user moves the fill pointer, queues, flushes and seals
+    like append_user; only the slot planes wait for fill_slots."""
+    import numpy as np
+
+    def run(reserve):
+        store = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
+        g = store.groups[0]
+        append = g.reserve_user if reserve else g.append_user
+        locs = [append(100 + i, now_us=i)
+                for i in range(tiny_config.segment_blocks + 3)]
+        return store, g, locs
+
+    eager, ge, eager_locs = run(False)
+    lazy, gl, lazy_locs = run(True)
+    assert lazy_locs == eager_locs
+    assert vars(gl.traffic) == vars(ge.traffic)
+    assert gl.buffer.pending_tokens == ge.buffer.pending_tokens
+    assert gl.open_seg == ge.open_seg
+    for plane in ("fill", "state", "sealed_seq", "created_seq"):
+        assert np.array_equal(getattr(lazy.pool, plane),
+                              getattr(eager.pool, plane))
+    assert not lazy.pool.slot_valid.any()
+    lazy.pool.fill_slots(np.array(lazy_locs),
+                         100 + np.arange(len(lazy_locs)))
+    assert np.array_equal(lazy.pool.slot_lba, eager.pool.slot_lba)
+    assert np.array_equal(lazy.pool.valid_count, eager.pool.valid_count)

@@ -1,0 +1,185 @@
+"""The windowed replay loop against its per-block specification.
+
+``store.replay`` plans each window ahead of its writes and settles slot
+planes, mapping, invalidation and the user-write reports in bulk before
+every GC run; ``process_request`` / ``write_block`` do all of it eagerly,
+one block at a time, and stay the specification.  Everything a finished
+replay leaves behind must be equal under both — for every policy, with
+the recorders attached — and the loop must stay O(window) in memory and
+self-consistent when a window raises.
+"""
+
+from __future__ import annotations
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.common.errors import CapacityError
+from repro.lss import store as store_module
+from repro.lss.store import LogStructuredStore
+from repro.obs.attribution import AttributionRecorder, invariant_view
+from repro.obs.recorder import ObsRecorder
+from repro.placement.registry import available_policies, make_policy
+from repro.validate.audit import InvariantAuditor
+from repro.validate.differential import (default_workloads,
+                                         differential_config)
+
+from tests.conftest import make_write_trace
+
+#: ali (index 0) and tencent (index 1) differential workloads.
+_WORKLOADS = ("ali", "tencent")
+
+_POOL_PLANES = ("slot_lba", "slot_valid", "slot_seq", "slot_origin",
+                "slot_epoch", "state", "group", "fill", "valid_count",
+                "created_seq", "sealed_seq")
+
+
+def instrumented_store(policy_name):
+    cfg = differential_config()
+    return LogStructuredStore(
+        cfg, make_policy(policy_name, cfg), recorder=ObsRecorder(),
+        attribution=AttributionRecorder(),
+        auditor=InvariantAuditor(every_blocks=256))
+
+
+def eager_replay(store, trace, finalize=True):
+    """The specification: one ``process_request`` per request."""
+    for row in trace.iter_requests():
+        store.process_request(*row)
+    if finalize:
+        store.finalize()
+
+
+def policy_state(policy) -> dict:
+    """Every array and scalar the policy object holds."""
+    state = {}
+    for name, value in vars(policy).items():
+        if isinstance(value, np.ndarray):
+            state[name] = value.tobytes()
+        elif isinstance(value, (bool, int, float, str)):
+            state[name] = value
+    return state
+
+
+def assert_same_outcome(spec, loop):
+    assert (spec.mapping == loop.mapping).all()
+    for plane in _POOL_PLANES:
+        a, b = getattr(spec.pool, plane), getattr(loop.pool, plane)
+        assert (a is None and b is None) or np.array_equal(a, b), plane
+    assert spec.pool._free == loop.pool._free
+    assert spec.pool._append_seq == loop.pool._append_seq
+    for a, b in zip(spec.stats.groups, loop.stats.groups):
+        assert vars(a) == vars(b), a.name
+    assert vars(spec.stats.raid) == vars(loop.stats.raid)
+    assert spec.stats.summary() == loop.stats.summary()
+    assert (spec.user_seq, spec.now_us) == (loop.user_seq, loop.now_us)
+    assert spec.policy.memory_bytes() == loop.policy.memory_bytes()
+    assert policy_state(spec.policy) == policy_state(loop.policy)
+    loop.check_invariants()
+    if spec._obs_on:
+        assert spec.obs.registry.snapshot() == loop.obs.registry.snapshot()
+        assert spec._auditor.audits_run == loop._auditor.audits_run
+    if spec._attr_on:
+        views = [json.dumps(invariant_view(s.attribution.snapshot()),
+                            sort_keys=True) for s in (spec, loop)]
+        assert views[0] == views[1]
+
+
+@pytest.mark.parametrize("workload_idx", range(len(_WORKLOADS)),
+                         ids=_WORKLOADS)
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_replay_loop_equals_per_block_specification(policy_name,
+                                                    workload_idx,
+                                                    monkeypatch):
+    """Several windows, GC runs inside them, recorders and auditor on."""
+    monkeypatch.setattr(store_module, "REPLAY_WINDOW_REQUESTS", 256)
+    trace = default_workloads(num_requests=900)[workload_idx]
+    spec = instrumented_store(policy_name)
+    eager_replay(spec, trace)
+    loop = instrumented_store(policy_name)
+    loop.replay(trace)
+    assert loop.stats.gc_blocks_written > 0
+    assert_same_outcome(spec, loop)
+    # Sample rows are settle-granular; the finalize row is exact.
+    assert loop.obs.series[-1] == spec.obs.series[-1]
+
+
+def test_replay_loop_equals_specification_without_recorders():
+    trace = default_workloads(num_requests=1500)[0]  # two real windows
+    cfg = differential_config()
+    spec = LogStructuredStore(cfg, make_policy("adapt", cfg))
+    eager_replay(spec, trace)
+    loop = LogStructuredStore(cfg, make_policy("adapt", cfg))
+    loop.replay(trace)
+    assert len(loop.policy.adaptation_log) > 2
+    assert_same_outcome(spec, loop)
+
+
+class _NoVictim:
+    """A cleaner that never finds a victim: the pool runs dry."""
+
+    def select(self, pool, now_seq):
+        return None
+
+
+def test_capacity_error_mid_window_leaves_store_consistent():
+    cfg = differential_config()
+    store = LogStructuredStore(cfg, make_policy("adapt", cfg))
+    store.victim_policy = _NoVictim()
+    rng = np.random.default_rng(3)
+    trace = make_write_trace(rng.integers(0, 1024, size=4000), gap_us=40)
+    with pytest.raises(CapacityError):
+        store.replay(trace)
+    # Every block that took a slot is booked; the one that raised is not.
+    assert 0 < store.user_seq < 4000
+    assert store.stats.user_blocks_requested == store.user_seq
+    store.check_invariants()
+    InvariantAuditor(every_blocks=0).audit(store)
+    # The plan died with the replay: the next write is placed per block.
+    assert store.policy._plan is None
+    lba = int(np.flatnonzero(store.mapping >= 0)[0])
+    gid = store.policy.place_user(lba, store.now_us)
+    assert 0 <= gid < len(store.groups)
+
+
+def test_planned_place_user_refuses_a_block_it_did_not_plan():
+    cfg = differential_config()
+    store = LogStructuredStore(cfg, make_policy("adapt", cfg))
+    lbas = np.array([5, 6, 7], dtype=np.int64)
+    store.policy.plan_user_writes(lbas, np.zeros(3, dtype=np.int64), 0)
+    assert store.policy.place_user(5, 0) in (0, 1)
+    store.user_seq = 1
+    with pytest.raises(RuntimeError, match="window plan"):
+        store.policy.place_user(9, 0)   # the plan has lba 6 at seq 1
+    store.user_seq = 3
+    with pytest.raises(RuntimeError, match="window plan"):
+        store.policy.place_user(7, 0)   # seq 3 is past the window
+
+
+def _replay_transient_bytes(num_requests: int) -> int:
+    """Peak traced memory of one replay above what the run retains
+    (policy and store state legitimately grow with the run)."""
+    cfg = differential_config()
+    store = LogStructuredStore(cfg, make_policy("adapt", cfg))
+    rng = np.random.default_rng(11)
+    trace = make_write_trace(rng.integers(0, 1024, size=num_requests),
+                             gap_us=30)
+    tracemalloc.start()
+    try:
+        store.replay(trace)
+        retained, peak = tracemalloc.get_traced_memory()
+        return peak - retained
+    finally:
+        tracemalloc.stop()
+
+
+def test_replay_memory_is_bounded_by_the_window_not_the_trace():
+    """Ten times the requests must not cost ten times the transient
+    memory: only window-sized arrays and lists may be live at once."""
+    _replay_transient_bytes(2_000)  # warm caches and lazy imports
+    small = _replay_transient_bytes(4_000)
+    large = _replay_transient_bytes(40_000)
+    assert large < 1.5 * small, (small, large)

@@ -124,3 +124,38 @@ def test_invalid_dimensions():
         SegmentPool(0, 8)
     with pytest.raises(ValueError):
         SegmentPool(4, 0)
+
+
+def test_reserved_slots_filled_in_bulk_equal_per_block_appends():
+    """reserve_slot + fill_slots, with padding in between and slots in
+    two segments, leaves every plane where append_block would."""
+    import numpy as np
+    lbas = [7, 3, 9, 4, 11]
+
+    def layout(pool, append):
+        a, b = pool.allocate(0, 0), pool.allocate(1, 0)
+        locs = [append(a, lbas[0]), append(b, lbas[1]), append(a, lbas[2])]
+        pool.append_padding(a, 2)  # a dead hole between reserved slots
+        locs += [append(a, lbas[3]), append(b, lbas[4])]
+        return locs
+
+    eager = SegmentPool(num_segments=4, segment_blocks=8)
+    eager_locs = layout(eager, eager.append_block)
+    lazy = SegmentPool(num_segments=4, segment_blocks=8)
+    lazy_locs = layout(lazy, lambda seg, lba: lazy.reserve_slot(seg))
+    assert lazy_locs == eager_locs
+    assert lazy.valid_count.sum() == 0 and not lazy.slot_valid.any()
+    lazy.fill_slots(np.array(lazy_locs), np.array(lbas))
+    for plane in ("slot_lba", "slot_valid", "slot_seq", "fill",
+                  "valid_count"):
+        assert np.array_equal(getattr(eager, plane), getattr(lazy, plane))
+    assert lazy._append_seq == eager._append_seq == len(lbas)
+    lazy.check_invariants()
+
+
+def test_reserve_slot_overflow(pool):
+    seg = pool.allocate(0, 0)
+    for _ in range(8):
+        pool.reserve_slot(seg)
+    with pytest.raises(CapacityError):
+        pool.reserve_slot(seg)

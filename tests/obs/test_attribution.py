@@ -113,7 +113,7 @@ def test_snapshot_ledger_conserves_store_totals():
 
 
 def test_publish_is_idempotent():
-    store, attr = _replayed_recorder()
+    store, attr = _replayed_recorder(engine="batched")
     registry = MetricsRegistry()
     attr.publish(registry)
     first = registry.snapshot()

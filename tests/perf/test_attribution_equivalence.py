@@ -5,10 +5,9 @@ describes the batched engine's chunk construction (meaningless under
 the scalar loop), while ``ledger`` and ``gc_provenance`` describe the
 simulated store — which the equivalence contract already forces to be
 bit-identical.  :func:`invariant_view` must therefore serialize to
-*identical JSON bytes* under ``auto`` (the batched engine for
-single-group policies, the scalar loop for the others) and under the
-scalar loop, for every policy, and attaching the recorder must never
-perturb the replay itself.
+*identical JSON bytes* under the batched engine (single-group policies;
+``auto`` for the others) and under the replay loop, for every policy,
+and attaching the recorder must never perturb the replay itself.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from repro.placement.registry import available_policies
 from repro.validate.differential import default_workloads
 
 from tests.perf.test_engine_equivalence import (assert_states_equal,
+                                                engine_under_test,
                                                 fresh_store)
 
 #: ali (index 0) and tencent (index 1) differential workloads.
@@ -47,19 +47,20 @@ def test_invariant_view_byte_identical_across_engines(policy_name,
     trace = default_workloads(num_requests=600)[workload_idx]
     ref_store, ref_attr = _replay_with_attribution(
         policy_name, trace, "scalar")
-    auto_store, auto_attr = _replay_with_attribution(
-        policy_name, trace, "auto")
-    assert_states_equal(ref_store, auto_store)
-    assert _canonical(ref_attr) == _canonical(auto_attr)
+    store, attr = _replay_with_attribution(
+        policy_name, trace, engine_under_test(policy_name))
+    assert_states_equal(ref_store, store)
+    assert _canonical(ref_attr) == _canonical(attr)
 
 
 @pytest.mark.parametrize("policy_name", ("sepgc", "adapt"))
 def test_attribution_does_not_change_replay(policy_name):
     """Attaching the recorder must not perturb the replay."""
     trace = default_workloads(num_requests=600)[0]
+    engine = engine_under_test(policy_name)
     bare = fresh_store(policy_name)
-    bare.replay(trace)
-    instrumented, _ = _replay_with_attribution(policy_name, trace, "auto")
+    bare.replay(trace, engine=engine)
+    instrumented, _ = _replay_with_attribution(policy_name, trace, engine)
     assert bare.replay_engine == instrumented.replay_engine
     assert_states_equal(bare, instrumented)
 

@@ -207,7 +207,7 @@ def test_obs_hook_calls_per_user_block_bounded(policy, engine, rec_bound,
     """What bounds the instrumentation overhead is how often the store
     calls into the recorder and the attribution sink.  On a fixed trace
     those call counts are deterministic, so tier-1 bounds them per user
-    block (measured: sepgc 0.21 / 0.054, adapt 1.52 / 0.022); the
+    block (measured: sepgc 0.21 / 0.054, adapt 0.23 / 0.022); the
     wall-clock cost lives in the bench's ``obs_overhead`` /
     ``attr_overhead`` maps."""
     from repro.experiments.runner import store_config_for
@@ -228,18 +228,18 @@ def test_obs_hook_calls_per_user_block_bounded(policy, engine, rec_bound,
     store = LogStructuredStore(cfg, make_policy(policy, cfg),
                                recorder=recorder_cls(),
                                attribution=attribution_cls())
-    blocks = store.replay(trace).user_blocks_requested
+    blocks = store.replay(trace, engine=engine).user_blocks_requested
     assert store.replay_engine[0] == engine
     assert blocks > 10_000
     assert sum(rec_calls.values()) / blocks < rec_bound
     assert sum(attr_calls.values()) / blocks < attr_bound
     # Every flush reaches the recorder through the one flush hook (a
-    # run of FULL flushes in one call); only the scalar loop reports
-    # user writes one block at a time.
+    # run of FULL flushes in one call), and user writes through the
+    # bulk hook — once per settle or chunk, never once per block.
     assert 0 < rec_calls["on_chunk_flush"] <= \
         sum(g.chunk_flushes for g in store.stats.groups)
-    assert rec_calls["on_user_write"] == \
-        (blocks if engine == "scalar" else 0)
+    assert rec_calls["on_user_write"] == 0
+    assert 0 < rec_calls["on_user_write_bulk"] < blocks / 10
 
 
 def test_compare_bench_matches_on_obs_mode():

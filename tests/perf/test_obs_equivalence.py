@@ -6,14 +6,16 @@ migration runs under either engine and user runs under the batched
 engine report ``count >= 1`` FULL flushes at once, the scalar loop's
 user appends report them one by one.  Both must leave the *entire*
 metrics registry — every counter, gauge, and histogram (bucket counts
-and float sums) — bit-identical.  The reference replay is the scalar
-loop; the replay under test is ``auto``: the batched engine for
-single-group policies, the scalar loop for the others.  Event-stream
-cadence is explicitly NOT part of the contract for batch-capable
-recorders (a run of FULL flushes collapses into one ``chunk_flush_bulk``
-record, series rows are sampled at chunk boundaries); metric totals
-are.  A ``trace_events=True`` recorder, in turn, gets the exact
-per-event stream — pinned by golden hashes below.
+and float sums) — bit-identical.  The reference replay is the replay
+loop (``"scalar"``, itself held to the per-block specification by
+``tests/lss/test_replay_loop.py``); the replay under test is the batched
+engine for single-group policies and ``auto`` for the others.
+Event-stream cadence is explicitly NOT part of the contract for
+batch-capable recorders (a run of FULL flushes collapses into one
+``chunk_flush_bulk`` record, series rows are sampled at settle and
+chunk boundaries); metric totals are.  A ``trace_events=True``
+recorder, in turn, gets the exact per-event stream — pinned by golden
+hashes below.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.placement.registry import available_policies
 from repro.validate.differential import default_workloads
 
 from tests.perf.test_engine_equivalence import (assert_states_equal,
+                                                engine_under_test,
                                                 fresh_store)
 
 #: ali (index 0) and tencent (index 1) differential workloads.
@@ -47,18 +50,20 @@ def _replay_with_recorder(policy_name: str, trace, engine: str):
 def test_metric_snapshots_equal_across_engines(policy_name, workload_idx):
     trace = default_workloads(num_requests=600)[workload_idx]
     ref_store, ref_rec = _replay_with_recorder(policy_name, trace, "scalar")
-    auto_store, auto_rec = _replay_with_recorder(policy_name, trace, "auto")
-    assert_states_equal(ref_store, auto_store)
-    assert ref_rec.registry.snapshot() == auto_rec.registry.snapshot()
+    store, rec = _replay_with_recorder(policy_name, trace,
+                                       engine_under_test(policy_name))
+    assert_states_equal(ref_store, store)
+    assert ref_rec.registry.snapshot() == rec.registry.snapshot()
 
 
 @pytest.mark.parametrize("policy_name", ("sepgc", "adapt"))
 def test_recorder_does_not_change_batched_results(policy_name):
     """Attaching a recorder must not perturb the replay itself."""
     trace = default_workloads(num_requests=600)[0]
+    engine = engine_under_test(policy_name)
     bare = fresh_store(policy_name)
-    bare.replay(trace)
-    instrumented, _ = _replay_with_recorder(policy_name, trace, "auto")
+    bare.replay(trace, engine=engine)
+    instrumented, _ = _replay_with_recorder(policy_name, trace, engine)
     assert bare.replay_engine == instrumented.replay_engine
     assert_states_equal(bare, instrumented)
 

@@ -4,13 +4,14 @@ For single-user-group policies the batched engine proves each chunk
 GC-free before placing it, and chunk feasibility is prefix-closed — so
 capping how many requests (or blocks) a chunk may span changes only
 *where* the replay is sliced, never the result.  Multi-group policies
-take the scalar loop; their batch boundary is the replay call itself
-(the fleet streams a volume as consecutive ``replay(chunk,
-finalize=False)`` calls), so for them the same caps cut the *trace* into
-consecutive pieces.  Either way these tests sweep arbitrary caps,
-including degenerate one-request chunks, across every registered policy
-and check the full observable state (mapping, statistics, per-group
-traffic, RAID accounting, occupancy) against the one-shot scalar replay.
+are not eligible for that engine; their batch boundary is the replay
+call itself (the fleet streams a volume as consecutive ``replay(chunk,
+finalize=False)`` calls, each of which starts a fresh window and a fresh
+plan), so for them the same caps cut the *trace* into consecutive
+pieces.  Either way these tests sweep arbitrary caps, including
+degenerate one-request chunks, across every registered policy and check
+the full observable state (mapping, statistics, per-group traffic, RAID
+accounting, occupancy) against the one-shot replay on the loop.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ stream — one through the scalar per-record API, one through the batched
 API with a random chop into sub-batches (including size-1 batches, which
 must also compose with interleaved scalar calls) — and asserts the full
 observable state matches, not just the final answers.
+
+At policy level the batched API is the window plan:
+``AdaptPolicy.plan_user_writes`` followed by one planned ``place_user``
+per block must equal the unplanned ``place_user`` under exactly what a
+GC-free batch contract would forbid — GC hooks firing between any two
+blocks, arbitrary window cuts, duplicate LBAs across a cut.
 """
 
 from __future__ import annotations
@@ -15,11 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.array.chunk import ChunkGeometry
+from repro.core.config import AdaptConfig
 from repro.core.demotion import ProactiveDemotion
 from repro.core.distance import DistanceTracker
 from repro.core.ghost import GhostSet
+from repro.core.policy import AdaptPolicy
 from repro.core.sampling import SpatialSampler
 from repro.core.threshold import ThresholdLadder
+from repro.lss.config import LSSConfig
+from repro.obs.recorder import ObsRecorder
 
 pytestmark = pytest.mark.property
 
@@ -154,6 +165,107 @@ def test_demotion_targets_match_scalar_under_mutation(seed, ops):
             for i, lba in enumerate(lbas.tolist()):
                 want = ref.demotion_target(lba)
                 assert targets[i] == (-1 if want is None else want)
-    # The pure batched probe takes no accounting side effects; totals are
-    # applied separately via account_batch on the placement path.
+    # The pure batched probe takes no accounting side effects.
     assert bat.demotions == 0
+
+
+# ----------------------------------------------------------------------
+# policy level: planned == unplanned place_user
+# ----------------------------------------------------------------------
+class _Clock:
+    """The one thing ``place_user`` reads off its store."""
+
+    user_seq = 0
+
+
+def _bound_adapt(demotion: bool, adaptation: bool):
+    cfg = LSSConfig(logical_blocks=256, segment_blocks=8,
+                    chunk=ChunkGeometry(chunk_bytes=16 * 1024),
+                    over_provisioning=0.6, gc_free_low=4, gc_free_high=6)
+    policy = AdaptPolicy(cfg, adapt=AdaptConfig(
+        sample_rate=0.5, adapt_every_fraction=0.05,
+        enable_demotion=demotion, enable_threshold_adaptation=adaptation,
+        bloom_filters=3, bloom_capacity=8))
+    clock = _Clock()
+    policy.bind(clock)
+    recorder = ObsRecorder(trace_events=True)
+    policy.attach_obs(recorder)
+    return policy, clock, recorder
+
+
+def _adapt_state(policy: AdaptPolicy, recorder: ObsRecorder) -> tuple:
+    ladder, demotion = policy.ladder, policy.demotion
+    return (
+        policy._last_user_write.tobytes(), policy.threshold,
+        policy._lifespan, policy._ghost_adapted, policy._rho,
+        policy._unique_seen, policy._sampled_since_adapt,
+        policy.adaptation_log,
+        (policy.distance._clock, policy.distance._last_pos,
+         policy.distance._live_positions),
+        None if ladder is None else (
+            ladder.mode, ladder.rounds,
+            [_ghost_state(g) for g in ladder.ghost_sets]),
+        None if demotion is None else (demotion.lookups,
+                                       demotion.demotions),
+        [e.to_json_dict() for e in recorder.tracer.events],
+        recorder.registry.snapshot(),
+    )
+
+
+def _drive_planned_against_unplanned(seed: int, n: int, demotion: bool,
+                                     adaptation: bool):
+    """Feed one random stream to an unplanned and a planned policy, with
+    the same GC-side mutations between blocks; returns both end states
+    (and asserts every placement and the threshold along the way)."""
+    rng = np.random.default_rng(seed)
+    ref, ref_clock, ref_rec = _bound_adapt(demotion, adaptation)
+    pol, pol_clock, pol_rec = _bound_adapt(demotion, adaptation)
+    lbas = rng.integers(0, 48, size=n)  # duplicates within and across cuts
+    ts = np.cumsum(rng.integers(0, 200, size=n))
+    gc_gids = [AdaptPolicy.GC_BASE + i for i in range(4)]
+    for a, b in _chop(rng, n):
+        pol.plan_user_writes(lbas[a:b], ts[a:b], a)
+        for i in range(a, b):
+            if rng.random() < 0.1:
+                # A reclaim moves _lifespan (and, before the first ghost
+                # adaptation, the threshold itself).
+                gid = int(rng.integers(0, 2))
+                age = int(rng.integers(1, 200))
+                for p in (ref, pol):
+                    p.on_segment_reclaimed(gid, max(i - age, 0), i, i, 3)
+            if rng.random() < 0.3:
+                # Same-group migrations feed the demotion cascade.
+                g = int(rng.choice(gc_gids))
+                lba = int(rng.integers(0, 48))
+                for p in (ref, pol):
+                    p.on_gc_block(lba, g, g)
+            ref_clock.user_seq = pol_clock.user_seq = i
+            lba, t = int(lbas[i]), int(ts[i])
+            assert ref.place_user(lba, t) == pol.place_user(lba, t), i
+            assert ref.threshold == pol.threshold, i
+    pol.plan_user_writes(lbas[:0], ts[:0], n)
+    assert pol._plan is None
+    return _adapt_state(ref, ref_rec), _adapt_state(pol, pol_rec)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       demotion=st.booleans(), adaptation=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_planned_place_user_matches_unplanned(seed, n, demotion,
+                                              adaptation):
+    ref, planned = _drive_planned_against_unplanned(seed, n, demotion,
+                                                    adaptation)
+    assert ref == planned
+
+
+def test_planned_place_user_driver_reaches_every_mechanism():
+    """The stream above is not vacuous: rounds close (checkpoints are
+    applied mid-window, after reclaims moved the lifespan), first writes
+    and rewrites both occur, and demotion fires."""
+    ref, planned = _drive_planned_against_unplanned(7, 400, True, True)
+    assert ref == planned
+    adaptation_log, demotion, events = planned[7], planned[10], planned[11]
+    assert len(adaptation_log) >= 3
+    assert demotion[1] > 0
+    kinds = {e["type"] for e in events}
+    assert {"threshold_switch", "demotion"} <= kinds

@@ -91,3 +91,24 @@ def test_mapping_and_traffic_invariants(ops, policy_name):
     # All written LBAs still readable.
     for lba, size, _ in ops:
         assert store.read_block(min(lba, LOGICAL - size))
+
+
+@given(ops=workloads, policy_name=policies,
+       cuts=st.lists(st.integers(min_value=1, max_value=299), max_size=6))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_replay_in_arbitrary_pieces_equals_one_shot(ops, policy_name, cuts):
+    """Every ``replay`` call starts a fresh window (and a fresh plan), so
+    cutting a trace at arbitrary requests moves the window boundaries —
+    across duplicate LBAs, pending chunks and armed deadlines — and must
+    change nothing."""
+    from tests.lss.test_replay_loop import assert_same_outcome
+    trace = build_trace(ops)
+    whole = LogStructuredStore(CONFIG, make_policy(policy_name, CONFIG))
+    whole.replay(trace)
+    pieces = LogStructuredStore(CONFIG, make_policy(policy_name, CONFIG))
+    bounds = sorted({0, len(trace), *(c for c in cuts if c < len(trace))})
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pieces.replay(trace[a:b], finalize=False)
+    pieces.finalize()
+    assert_same_outcome(whole, pieces)
