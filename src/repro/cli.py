@@ -173,10 +173,11 @@ def _positive_int(text: str) -> int:
 def _cmd_obs(args) -> str:
     """Replay one volume with observability and export artifacts.
 
-    Default mode traces every event (the replay loop's per-request
-    form).  ``--no-trace`` keeps only aggregated metrics, reported in
-    bulk at the loop's settle points.  ``--timeline-every N``
-    additionally records a replay timeline sampled every N user blocks.
+    Default mode traces every chunk flush as its own event;
+    ``--no-trace`` records a run of FULL flushes as one
+    ``chunk_flush_bulk`` event.  Metrics, series rows and the timeline
+    are the same in both modes.  ``--timeline-every N`` additionally
+    records a replay timeline sampled every N user blocks.
     """
     from repro.experiments.runner import replay_volume
     from repro.obs.recorder import ObsRecorder
@@ -368,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="BLOCKS",
                    help="time-series sampling period in user blocks")
     p.add_argument("--no-trace", action="store_true",
-                   help="skip per-event tracing; aggregated metrics only "
-                        "(batch-capable: user writes are reported in "
-                        "bulk, not per block)")
+                   help="record a run of FULL chunk flushes as one "
+                        "chunk_flush_bulk event instead of one event per "
+                        "flush (metrics and time series are unchanged)")
     p.add_argument("--event-sample-every", type=_positive_int, default=1,
                    metavar="N", help="keep every Nth traced event "
                                      "(default: 1, keep all)")

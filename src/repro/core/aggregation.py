@@ -154,8 +154,7 @@ class CrossGroupAggregator:
         hot.mark_all_shadowed(now_us)
         self.shadow_appends += 1
         self.shadow_blocks += len(batch)
-        if self.obs.enabled:
-            self.obs.on_shadow_append(hot.gid, cold.gid, len(batch), now_us)
+        self.obs.on_shadow_append(hot.gid, cold.gid, len(batch), now_us)
         return AggregationDecision(True, "shadow-append", blocks=len(batch))
 
     def absorb_before_padding(self, cold: Group, hot: Group,
@@ -176,6 +175,5 @@ class CrossGroupAggregator:
         hot.mark_partially_shadowed(len(batch), now_us)
         self.shadow_appends += 1
         self.shadow_blocks += len(batch)
-        if self.obs.enabled:
-            self.obs.on_shadow_append(hot.gid, cold.gid, len(batch), now_us)
+        self.obs.on_shadow_append(hot.gid, cold.gid, len(batch), now_us)
         return len(batch)

@@ -69,8 +69,7 @@ class ProactiveDemotion:
                 best_gid, best_score = gid, score
         if best_gid is not None and best_score >= self.score_threshold:
             self.demotions += 1
-            if self.obs.enabled:
-                self.obs.on_demotion(lba, best_gid, best_score, now_us)
+            self.obs.on_demotion(lba, best_gid, best_score, now_us)
             return best_gid
         return None
 

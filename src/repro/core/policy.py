@@ -329,10 +329,9 @@ class AdaptPolicy(PlacementPolicy):
         self.threshold += 0.5 * (target - self.threshold)
         self._ghost_adapted = True
         self.adaptation_log.append(result)
-        if self.obs.enabled:
-            self.obs.on_threshold_switch(result.best_threshold, result.mode,
-                                         result.rounds, sample_us)
-            self.obs.gauge("adapt_threshold_blocks", self.threshold)
+        self.obs.on_threshold_switch(result.best_threshold, result.mode,
+                                     result.rounds, sample_us)
+        self.obs.gauge("adapt_threshold_blocks", self.threshold)
 
     # ------------------------------------------------------------------
     # GC path (age ladder over the GC groups, SepBIT-style substrate)

@@ -34,8 +34,12 @@ from repro.obs.atomicio import atomic_write_bytes
 #: is gone.  v3: stores lost their flush-path flags, buffers their
 #: recorder reference.  v4: the batched engine is gone — ``FleetSpec``
 #: (so every ``fleet_key``) lost ``engine``, stores their two
-#: engine-only attributes, demotion its probe cache.
-CHECKPOINT_VERSION = 4
+#: engine-only attributes, demotion its probe cache.  v5: one replay
+#: route — stores lost their recorder mode flag, recorders the two
+#: attributes that picked the per-request route, and series/timeline
+#: rows are no longer settle-granular, so an older run's booked rows
+#: would not match.
+CHECKPOINT_VERSION = 5
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

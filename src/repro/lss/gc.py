@@ -89,9 +89,7 @@ class GarbageCollector:
         )
         pool.reclaim(victim)
         stats.gc_segments_reclaimed += 1
-        if store._obs_on:
-            store.obs.on_gc_pass(victim, victim_group, int(lbas.size),
-                                 now_us)
+        store.obs.on_gc_pass(victim, victim_group, int(lbas.size), now_us)
         store.on_segment_reclaimed_physical(victim)
 
     def _migrate_batch(self, lbas: np.ndarray, victim: int,

@@ -53,13 +53,14 @@ class LogStructuredStore:
         config: store geometry and GC knobs.
         policy: a placement policy instance (not yet bound to a store).
         recorder: observability sink (:class:`repro.obs.ObsRecorder`);
-            defaults to the shared no-op recorder, which keeps every
-            instrumented hot path at a cached-boolean cost.
+            defaults to the shared no-op recorder.
         auditor: optional :class:`repro.validate.InvariantAuditor`; when
             set, the store reports accepted user blocks to it (per block
             from ``write_block``, per settle from ``replay``) and
             finalize, so cross-structure invariants are checked on a
-            cadence while the replay is in flight.
+            cadence while the replay is in flight.  ``replay`` settles
+            at every audit point, so each audit sees the state a
+            per-block replay would audit.
         attribution: causal-attribution sink
             (:class:`repro.obs.attribution.AttributionRecorder`); defaults
             to the shared no-op sink.  When enabled the segment pool
@@ -74,7 +75,6 @@ class LogStructuredStore:
         self.config = config
         self.policy = policy
         self.obs = NULL_RECORDER if recorder is None else recorder
-        self._obs_on = self.obs.enabled
         self.attribution = (NULL_ATTRIBUTION if attribution is None
                             else attribution)
         self._attr_on = self.attribution.enabled
@@ -144,8 +144,7 @@ class LogStructuredStore:
         self.tick(ts_us)
         if op != OP_WRITE:
             self.stats.read_requests += 1
-            if self._obs_on:
-                self.obs.on_read(offset, ts_us)
+            self.obs.on_read_bulk(1, ts_us)
             return
         self.stats.write_requests += 1
         end = offset + size
@@ -171,12 +170,11 @@ class LogStructuredStore:
             self.pool.slot_epoch_flat[loc] = self.user_seq
         self.user_seq += 1
         self.stats.user_blocks_requested += 1
-        if self._obs_on:
-            self.obs.on_user_write(lba, now_us)
+        self.obs.on_user_write_bulk(1, lba, now_us)
         if self.gc.needed():
             self.gc.run(now_us)
         if self._auditor is not None:
-            self._auditor.on_user_write(self)
+            self._auditor.on_user_batch(self)
 
     def read_block(self, lba: int) -> bool:
         """Return whether ``lba`` has ever been written (reads do not touch
@@ -250,7 +248,8 @@ class LogStructuredStore:
         invalidation, the mapping, ``user_blocks_requested`` and the
         recorder/auditor reports — bit-identical to the per-block order
         as long as nothing read them in between, which is why the replay
-        loop settles immediately before every GC run.
+        loop settles immediately before every GC run and at every
+        observer's next sample point.
         """
         n = int(lbas.shape[0])
         if n == 0:
@@ -275,10 +274,17 @@ class LogStructuredStore:
                 pool.invalidate_many(dead)
             self.mapping[lbas[last_mask]] = locs[last_mask]
             self.stats.user_blocks_requested += n
-            if self._obs_on:
-                self.obs.on_user_write_bulk(n, int(lbas[-1]), now_us)
+            self.obs.on_user_write_bulk(n, int(lbas[-1]), now_us)
             if self._auditor is not None:
-                self._auditor.on_user_batch(self, n)
+                self._auditor.on_user_batch(self)
+
+    def _next_sample_seq(self) -> int:
+        """The ``user_seq`` at which the recorder or the auditor next
+        reads the store: the replay loop settles there."""
+        seq = self.obs.next_sample_seq()
+        if self._auditor is not None:
+            seq = min(seq, self._auditor.next_sample_seq())
+        return seq
 
     # ------------------------------------------------------------------
     # replay and finalisation
@@ -294,8 +300,9 @@ class LogStructuredStore:
         block, only what the next block's placement or the next tick can
         observe: place, take a slot, queue, flush, seal, trigger GC) and
         *settle* (:meth:`_settle_user_writes`, immediately before every
-        GC run and at the window's end).  Final state and metric totals
-        are bit-identical to a ``process_request`` loop; see
+        GC run, at every block where an observer samples and at the
+        window's end).  Final state, metric totals, sample rows and
+        events are bit-identical to a ``process_request`` loop; see
         ``docs/performance.md``.
 
         Args:
@@ -310,9 +317,6 @@ class LogStructuredStore:
         """
         check_engine(engine)
         check_write_bounds(trace, self.config.logical_blocks)
-        # A recorder that wants every block as its own event keeps the
-        # per-request loop (with the window planned all the same).
-        per_event = self._obs_on and not self.obs.batch_capable
         policy = self.policy
         prof = self.profiler
         try:
@@ -323,11 +327,7 @@ class LogStructuredStore:
                 with prof.span("plan"):
                     policy.plan_user_writes(ex.lbas, ex.block_ts,
                                             self.user_seq)
-                if per_event:
-                    for row in window.iter_requests():
-                        self.process_request(*row)
-                else:
-                    self._run_window(window, ex.lbas)
+                self._run_window(window, ex.lbas)
         finally:
             policy.plan_user_writes(_NO_BLOCKS, _NO_BLOCKS, self.user_seq)
         if finalize:
@@ -336,14 +336,16 @@ class LogStructuredStore:
 
     def _run_window(self, window: Trace, lbas: np.ndarray) -> None:
         """Run one planned window: the eager half of every write, with
-        the rest settled before each GC run and at the window's end
-        (also when the window raises, so the store stays consistent up
-        to the last block that took a slot)."""
+        the rest settled before each GC run, at each observer sample
+        point and at the window's end (also when the window raises, so
+        the store stays consistent up to the last block that took a
+        slot)."""
         place_user = self.policy.place_user
         groups = self.groups
         heap = self._deadline_heap
         pool = self.pool
         gc_low = self.config.gc_free_low
+        sample_at = self._next_sample_seq()
         locs: list[int] = []   # slots taken since the last settle
         settled = 0            # window blocks already settled
         start_seq = self.user_seq
@@ -367,19 +369,22 @@ class LogStructuredStore:
                     locs.append(groups[place_user(lba, t)]
                                 .reserve_user(lba, t))
                     self.user_seq += 1
-                    if pool.free_segments <= gc_low:
+                    gc_due = pool.free_segments <= gc_low
+                    if gc_due or self.user_seq >= sample_at:
                         self._settle_user_writes(
                             lbas[settled:settled + len(locs)], locs,
                             start_seq + settled, t)
                         settled += len(locs)
                         locs.clear()
-                        self.gc.run(t)
+                        if gc_due:
+                            self.gc.run(t)
+                        sample_at = self._next_sample_seq()
         finally:
             self._settle_user_writes(lbas[settled:settled + len(locs)],
                                      locs, start_seq + settled, t)
             self.stats.read_requests += reads
             self.stats.write_requests += writes
-            if reads and self._obs_on:
+            if reads:
                 self.obs.on_read_bulk(reads, t)
 
     def finalize(self) -> None:
@@ -388,8 +393,7 @@ class LogStructuredStore:
             now = self.now_us + self.config.coalesce_window_us
             for group in self.groups:
                 group.force_flush(now)
-            if self._obs_on:
-                self.obs.on_finalize(self.stats)
+            self.obs.on_finalize(self.stats)
             if self._attr_on:
                 self.attribution.on_finalize(self)
             if self._auditor is not None:
@@ -404,8 +408,7 @@ class LogStructuredStore:
         recorder, the placement policy (ADAPT's write monitors hang off
         this) and the physical-event listeners."""
         self.stats.raid.add_chunk_ios(flush.count)
-        if self._obs_on:
-            self.obs.on_chunk_flush(group.gid, group.spec.name, flush)
+        self.obs.on_chunk_flush(group.gid, group.spec.name, flush)
         self.policy.on_chunk_flush(group, flush)
         for fn in self.flush_listeners:
             fn(group, flush)

@@ -10,9 +10,9 @@ The package has five layers:
   instrumented hot path holds a recorder; the default
   :data:`~repro.obs.recorder.NULL_RECORDER` makes each hook a no-op, so
   instrumentation costs nothing unless an :class:`ObsRecorder` is
-  attached.  The default :class:`ObsRecorder` is *batch-capable*: the
-  replay loop drives it through settle-aggregated bulk hooks whose
-  metric totals are bit-identical to the per-event hooks;
+  attached.  The replay loop reports user writes through bulk hooks
+  once per settle and settles wherever a recorder samples, so metrics,
+  series rows and events equal a per-block replay's;
 * :mod:`repro.obs.profile` — wall-clock phase spans with Chrome
   ``trace_event`` and top-N table exports;
 * :mod:`repro.obs.timeline` — periodic per-N-blocks snapshots of WA,

@@ -12,9 +12,10 @@ sections describe the *simulated store state*, so they are equal under
 the replay loop and its per-block specification and merge
 deterministically serial-vs-sharded.
 
-Like :class:`~repro.obs.recorder.NullRecorder`, the default
-:data:`NULL_ATTRIBUTION` makes every hook a no-op behind a cached
-``enabled`` boolean, so disabled runs pay nothing.  The module imports
+The default :data:`NULL_ATTRIBUTION` makes every hook a no-op behind a
+cached ``enabled`` boolean — the same boolean decides whether the
+segment pool allocates its provenance planes and the store tags slots —
+so disabled runs pay nothing.  The module imports
 nothing from the simulator layers it observes (hooks receive plain
 values), keeping the import graph acyclic.
 """

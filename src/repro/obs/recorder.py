@@ -1,9 +1,11 @@
 """The recorder: the hook surface every instrumented code path calls.
 
 :class:`NullRecorder` defines the full hook vocabulary as no-ops and is the
-default everywhere (the module-level :data:`NULL_RECORDER` singleton), so
-instrumentation adds nothing but a cached boolean check to disabled hot
-paths.  :class:`ObsRecorder` implements the hooks for real: it feeds a
+default everywhere (the module-level :data:`NULL_RECORDER` singleton).
+Hooks are called unguarded: together they run about 0.2 times per user
+block (``test_obs_hook_calls_per_user_block_bounded``), so an inert
+method call costs nothing measurable.
+:class:`ObsRecorder` implements the hooks for real: it feeds a
 :class:`~repro.obs.metrics.MetricsRegistry`, emits typed events into an
 :class:`~repro.obs.events.EventTracer`, and samples a WA/padding/GC
 time-series every ``sample_every_blocks`` user blocks.
@@ -16,6 +18,7 @@ graph acyclic — the simulator imports ``repro.obs``, never the reverse.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 from repro.obs.events import (
@@ -42,23 +45,15 @@ SERIES_COLUMNS: tuple[str, ...] = (
     "gc_passes",
 )
 
+#: What :meth:`NullRecorder.next_sample_seq` answers for an observer that
+#: never needs the store settled.
+NO_SAMPLE: int = sys.maxsize
+
 
 class NullRecorder:
-    """No-op recorder; every hook exists and does nothing.
-
-    Instrumented call sites guard on :attr:`enabled` (usually via a cached
-    local boolean), so a disabled run pays one attribute read per guarded
-    region, not one method call per block.
-    """
+    """No-op recorder; every hook exists and does nothing."""
 
     enabled = False
-    #: Whether this recorder implements the bulk (chunk-aggregated) hook
-    #: contract — ``on_user_write_bulk``/``on_read_bulk`` producing totals
-    #: bit-identical to the per-event hooks.  ``False`` here on purpose:
-    #: a custom *enabled* recorder that merely subclasses this vocabulary
-    #: keeps the replay loop's per-request form (and its exact per-event
-    #: hook cadence) unless it opts in explicitly.
-    batch_capable = False
 
     # -- lifecycle ------------------------------------------------------
     def bind_store(self, store: Any) -> None:
@@ -67,12 +62,21 @@ class NullRecorder:
     def on_finalize(self, stats: Any) -> None:
         """End of replay: the store flushed every pending chunk."""
 
-    # -- hot-path hooks -------------------------------------------------
-    def on_user_write(self, lba: int, now_us: int) -> None:
-        """One user block write was accepted."""
+    def next_sample_seq(self) -> int:
+        """The user-block count at which this recorder next reads the
+        store (a series or timeline row).  The replay loop settles
+        exactly there, so every row equals a per-block replay's."""
+        return NO_SAMPLE
 
-    def on_read(self, offset: int, now_us: int) -> None:
-        """One read request arrived."""
+    # -- hot-path hooks -------------------------------------------------
+    def on_user_write_bulk(self, count: int, last_lba: int,
+                           now_us: int) -> None:
+        """``count >= 1`` user block writes were accepted (one from
+        ``write_block``, a settled run from the replay loop); the last
+        one wrote ``last_lba`` at ``now_us``."""
+
+    def on_read_bulk(self, count: int, now_us: int) -> None:
+        """``count`` read requests were observed."""
 
     def on_chunk_flush(self, gid: int, name: str, flush: Any) -> None:
         """Group ``gid`` wrote ``flush.count`` chunks (a
@@ -100,27 +104,12 @@ class NullRecorder:
                            now_us: int) -> None:
         """An :class:`~repro.validate.InvariantAuditor` check failed."""
 
-    # -- bulk (settle-aggregated) hooks ---------------------------------
-    # Called by the replay loop's settle instead of N per-event calls; a
-    # batch-capable recorder must make each produce exactly the metric
-    # updates the equivalent per-event calls would.
-    def on_user_write_bulk(self, count: int, last_lba: int,
-                           now_us: int) -> None:
-        """``count`` user block writes were accepted; the last one wrote
-        ``last_lba`` at ``now_us``."""
-
-    def on_read_bulk(self, count: int, now_us: int) -> None:
-        """``count`` read requests were observed."""
-
     # -- generic escape hatches -----------------------------------------
     def gauge(self, name: str, value: float) -> None:
         """Set a named gauge (no-op when disabled)."""
 
     def count(self, name: str, amount: float = 1) -> None:
         """Bump a named counter (no-op when disabled)."""
-
-    def inc_many(self, deltas: dict) -> None:
-        """Bump several named counters at once (no-op when disabled)."""
 
     def snapshot(self) -> dict | None:
         """Picklable summary of everything recorded (``None`` here)."""
@@ -135,29 +124,19 @@ NULL_RECORDER = NullRecorder()
 class ObsRecorder(NullRecorder):
     """Live recorder: metrics registry + event tracer + time-series.
 
-    By default the recorder is **batch-capable**: it implements the bulk
-    hooks with metric updates bit-identical to the per-event hooks, so
-    ``store.replay`` reports user writes once per settle instead of once
-    per block (``tests/lss/test_replay_loop.py`` proves the snapshots
-    match).  Requesting
-    exact per-event traces (``trace_events=True``) gives up that — the
-    loop then runs per request — while the default mode still records
-    events, just aggregated (a ``chunk_flush_bulk`` record for a run of
-    FULL flushes, a sampled ``user_write`` marker per series row, rows
-    at settle granularity) and optionally ratio-sampled via
-    ``event_sample_every``.
+    ``store.replay`` reports user writes once per settle, and settles
+    wherever :meth:`next_sample_seq` says a row is due, so the metrics
+    registry, the series rows, the timeline rows and the event stream
+    all equal a per-block replay's (``tests/lss/test_replay_loop.py``
+    compares them).
 
     Args:
         sample_every_blocks: append one time-series row (and one sampled
             ``user_write`` marker event) every N accepted user blocks.
         event_capacity: in-memory event buffer size.
         spill_path: optional JSONL file full buffers are appended to.
-        trace_user_writes: emit a ``user_write`` event for *every* block
-            (very chatty; implies ``trace_events``).
-        trace_events: demand the exact per-event stream — every
-            ``chunk_flush``, never an aggregate record.  Marks the
-            recorder not batch-capable, so ``store.replay`` reports
-            every block through ``on_user_write``.
+        trace_events: record a run of N FULL flushes as N ``chunk_flush``
+            events instead of one ``chunk_flush_bulk`` record.
         event_sample_every: ratio-sample the stored events (per-type
             counts stay exact); forwarded to :class:`EventTracer`.
         timeline: optional :class:`~repro.obs.timeline.ReplayTimeline`
@@ -170,16 +149,13 @@ class ObsRecorder(NullRecorder):
     def __init__(self, sample_every_blocks: int = 1024,
                  event_capacity: int = 65_536,
                  spill_path: str | None = None,
-                 trace_user_writes: bool = False,
                  trace_events: bool = False,
                  event_sample_every: int = 1,
                  timeline: Any = None) -> None:
         if sample_every_blocks < 1:
             raise ValueError("sample_every_blocks must be >= 1")
         self.sample_every_blocks = sample_every_blocks
-        self.trace_user_writes = trace_user_writes
-        self.trace_events = trace_events or trace_user_writes
-        self.batch_capable = not self.trace_events
+        self.trace_events = trace_events
         self.timeline = timeline
         self.registry = MetricsRegistry()
         self.tracer = EventTracer(event_capacity, spill_path=spill_path,
@@ -252,45 +228,26 @@ class ObsRecorder(NullRecorder):
         if self.timeline is not None:
             self.timeline.finalize(now_us)
 
+    def next_sample_seq(self) -> int:
+        se = self.sample_every_blocks
+        seq = (self._user_blocks.value // se + 1) * se
+        if self.timeline is not None:
+            seq = min(seq, self.timeline.next_sample_seq())
+        return seq
+
     # ------------------------------------------------------------------
     # hot-path hooks
     # ------------------------------------------------------------------
-    def on_user_write(self, lba: int, now_us: int) -> None:
-        self._user_blocks.value += 1
-        if self.trace_user_writes:
-            self.tracer.emit(EV_USER_WRITE, now_us, lba=lba)
-        if self._user_blocks.value % self.sample_every_blocks == 0:
-            stats = self._store.stats if self._store is not None else None
-            if stats is not None:
-                self._sample_row(now_us, stats)
-                if not self.trace_user_writes:
-                    # Sampled marker: one user_write event per series row.
-                    self.tracer.emit(
-                        EV_USER_WRITE, now_us, lba=lba,
-                        user_blocks=int(self._user_blocks.value))
-        if self.timeline is not None:
-            self.timeline.maybe_sample(now_us)
-
-    def on_read(self, offset: int, now_us: int) -> None:
-        self._reads.value += 1
-
-    # -- bulk (settle-aggregated) hooks ---------------------------------
     def on_user_write_bulk(self, count: int, last_lba: int,
                            now_us: int) -> None:
         ub = self._user_blocks
-        before = int(ub.value)
         ub.value += count
-        after = before + count
-        se = self.sample_every_blocks
-        if after // se > before // se:
-            # The batch crossed at least one sampling boundary: one row
-            # at the batch edge (settle-granular; the finalize row stays
-            # exact).
-            stats = self._store.stats if self._store is not None else None
-            if stats is not None:
-                self._sample_row(now_us, stats)
-                self.tracer.emit(EV_USER_WRITE, now_us, lba=last_lba,
-                                 user_blocks=after)
+        if ub.value % self.sample_every_blocks == 0:
+            # The store settled exactly on the boundary: the per-block
+            # row, with one sampled user_write marker event.
+            self._sample_row(now_us, self._store.stats)
+            self.tracer.emit(EV_USER_WRITE, now_us, lba=last_lba,
+                             user_blocks=ub.value)
         if self.timeline is not None:
             self.timeline.maybe_sample(now_us)
 
@@ -334,8 +291,8 @@ class ObsRecorder(NullRecorder):
             emit(EV_LAZY_APPEND, now_us, group=gid,
                  blocks=flush.lazy_blocks)
         if not aggregate:
-            # Exact tracing only ever sees a multi-flush run from the
-            # scalar loop's GC migrations, at one constant timestamp.
+            # Only a GC migration run flushes several chunks in one
+            # record, all at one constant timestamp.
             for _ in range(count - 1):
                 emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
 
@@ -381,11 +338,6 @@ class ObsRecorder(NullRecorder):
 
     def count(self, name: str, amount: float = 1) -> None:
         self.registry.counter(name).inc(amount)
-
-    def inc_many(self, deltas: dict) -> None:
-        counter = self.registry.counter
-        for name, amount in deltas.items():
-            counter(name).inc(amount)
 
     # ------------------------------------------------------------------
     # time-series + snapshot

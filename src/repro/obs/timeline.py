@@ -8,11 +8,10 @@ the placement policy's threshold position (NaN for policies without
 one), free segments, and per-group occupancy — into one growing NumPy
 matrix, then appends one exact final row at finalize.  The result is a
 figure-ready timeseries (the paper's §4 trajectories) at a few hundred
-bytes per sample.  Sampling keys off the user-block clock; a
-batch-capable recorder checks it when user writes are reported — at the
-replay loop's settle points — rather than per block, so intermediate row
-positions are settle-granular (the equivalence contract covers metric
-totals, not sampling cadence) while the final row is always exact.
+bytes per sample.  Sampling keys off the user-block clock: the owning
+recorder forwards :meth:`ReplayTimeline.next_sample_seq` to the store,
+whose replay loop settles exactly there, so every row equals the one a
+per-block replay takes.
 
 Export helpers live in :mod:`repro.obs.exporters`
 (:func:`~repro.obs.exporters.write_timeline_csv`,
@@ -96,6 +95,10 @@ class ReplayTimeline:
             return
         self._sample(now_us)
         self._next = (blocks // self.every_blocks + 1) * self.every_blocks
+
+    def next_sample_seq(self) -> int:
+        """The user-block count at which the next row is due."""
+        return self._next
 
     def finalize(self, now_us: int) -> None:
         """Append the exact end-of-run row (post force-flush)."""

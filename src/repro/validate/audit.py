@@ -44,6 +44,7 @@ from repro.common.errors import InvariantViolation
 from repro.lss.group import (APPEND_GC, APPEND_SHADOW, APPEND_USER)
 from repro.lss.segment import SEG_FREE
 from repro.lss.store import UNMAPPED
+from repro.obs.recorder import NO_SAMPLE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
@@ -227,13 +228,13 @@ class InvariantAuditor:
     """Cadence-driven invariant auditing hook for one store.
 
     Pass an instance to ``LogStructuredStore(..., auditor=...)``: the store
-    reports accepted user blocks — :meth:`on_user_write` per block from
-    ``write_block``, :meth:`on_user_batch` per settle from ``replay`` —
-    and calls :meth:`on_finalize` at end of replay.  Every
-    ``every_blocks`` user blocks (and at finalize) the auditor runs its
-    check catalogue on the next consistent state; the
-    first violated invariant raises :class:`InvariantViolation` after
-    emitting an ``audit_violation`` observability event.
+    reports accepted user blocks through :meth:`on_user_batch` — per block
+    from ``write_block``, per settle from ``replay``, which settles at
+    :meth:`next_sample_seq` — and calls :meth:`on_finalize` at end of
+    replay.  Every ``every_blocks`` user blocks (and at finalize) the
+    auditor runs its check catalogue; the first violated invariant raises
+    :class:`InvariantViolation` after emitting an ``audit_violation``
+    observability event.
 
     Args:
         every_blocks: audit cadence in accepted user blocks (``0`` disables
@@ -255,41 +256,27 @@ class InvariantAuditor:
         self.check_names = names
         self.audits_run = 0
         self.violations = 0
-        self._since = 0
+        self._rearm(0)
+
+    def _rearm(self, user_seq: int) -> None:
+        self._next = (user_seq + self.every_blocks if self.every_blocks
+                      else NO_SAMPLE)
 
     # -- store-facing hooks ---------------------------------------------
     def attach(self, store: "LogStructuredStore") -> None:
         """Called by the store when the auditor is installed."""
-        self._since = 0
+        self._rearm(store.user_seq)
 
-    def on_user_write(self, store: "LogStructuredStore") -> None:
-        if not self.every_blocks:
-            return
-        self._since += 1
-        if self._since >= self.every_blocks:
+    def next_sample_seq(self) -> int:
+        """The store's ``user_seq`` at which the next cadence audit is
+        due."""
+        return self._next
+
+    def on_user_batch(self, store: "LogStructuredStore") -> None:
+        """The store accepted and settled user blocks; audit if its clock
+        reached the cadence."""
+        if store.user_seq >= self._next:
             self.audit(store)
-
-    def on_user_batch(self, store: "LogStructuredStore",
-                      nblocks: int) -> None:
-        """Batch-cadence variant of :meth:`on_user_write`.
-
-        The replay loop settles user blocks in runs and calls this once
-        per run.  The catalogue runs once (on the consistent post-settle
-        state) whenever the run crossed the cadence, but ``audits_run``
-        advances by every crossing the per-block path would have audited
-        (as does the recorder's ``lss_audits_total``), so the counters
-        equal the per-block path's.
-        """
-        if not self.every_blocks or nblocks <= 0:
-            return
-        fires = (self._since + nblocks) // self.every_blocks
-        leftover = (self._since + nblocks) % self.every_blocks
-        if fires:
-            self.audit(store)
-            self.audits_run += fires - 1
-            if fires > 1 and store.obs.enabled:
-                store.obs.count("lss_audits_total", fires - 1)
-        self._since = leftover
 
     def on_finalize(self, store: "LogStructuredStore") -> None:
         self.audit(store)
@@ -297,16 +284,14 @@ class InvariantAuditor:
     # -- the audit -------------------------------------------------------
     def audit(self, store: "LogStructuredStore") -> None:
         """Run every configured check; raise on the first violation."""
-        self._since = 0
+        self._rearm(store.user_seq)
         self.audits_run += 1
         for check_name in self.check_names:
             try:
                 INVARIANT_CHECKS[check_name](store)
             except InvariantViolation as exc:
                 self.violations += 1
-                if store.obs.enabled:
-                    store.obs.on_audit_violation(exc.invariant, exc.detail,
-                                                 store.now_us)
+                store.obs.on_audit_violation(exc.invariant, exc.detail,
+                                             store.now_us)
                 raise
-        if store.obs.enabled:
-            store.obs.count("lss_audits_total")
+        store.obs.count("lss_audits_total")

@@ -465,7 +465,6 @@ class OracleStore:
         self.config = config
         self.policy = policy
         self.obs = NULL_RECORDER
-        self._obs_on = False
 
         specs = policy.group_specs()
         if not specs:

@@ -2,11 +2,12 @@
 
 ``store.replay`` plans each window ahead of its writes and settles slot
 planes, mapping, invalidation and the user-write reports in bulk before
-every GC run; ``process_request`` / ``write_block`` do all of it eagerly,
-one block at a time, and stay the specification.  Everything a finished
-replay leaves behind must be equal under both — for every policy, with
-the recorders attached — and the loop must stay O(window) in memory and
-self-consistent when a window raises.
+every GC run and wherever an observer samples; ``process_request`` /
+``write_block`` do all of it eagerly, one block at a time, and stay the
+specification.  Everything a finished replay leaves behind must be equal
+under both — for every policy, with the recorders attached, down to every
+series row, timeline row and event — and the loop must stay O(window) in
+memory and self-consistent when a window raises.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.lss import store as store_module
 from repro.lss.store import LogStructuredStore
 from repro.obs.attribution import AttributionRecorder
 from repro.obs.recorder import ObsRecorder
+from repro.obs.timeline import ReplayTimeline
 from repro.placement.registry import available_policies, make_policy
 from repro.validate.audit import InvariantAuditor
 from repro.validate.differential import (default_workloads,
@@ -37,10 +39,15 @@ _POOL_PLANES = ("slot_lba", "slot_valid", "slot_seq", "slot_origin",
                 "created_seq", "sealed_seq")
 
 
-def instrumented_store(policy_name):
+def instrumented_store(policy_name, trace_events=False):
+    """Every observer on, each on its own block period, none of them
+    lined up with the loop's windows or with each other."""
     cfg = differential_config()
+    recorder = ObsRecorder(sample_every_blocks=100,
+                           trace_events=trace_events,
+                           timeline=ReplayTimeline(every_blocks=77))
     return LogStructuredStore(
-        cfg, make_policy(policy_name, cfg), recorder=ObsRecorder(),
+        cfg, make_policy(policy_name, cfg), recorder=recorder,
         attribution=AttributionRecorder(),
         auditor=InvariantAuditor(every_blocks=256))
 
@@ -79,7 +86,7 @@ def assert_same_outcome(spec, loop):
     assert spec.policy.memory_bytes() == loop.policy.memory_bytes()
     assert policy_state(spec.policy) == policy_state(loop.policy)
     loop.check_invariants()
-    if spec._obs_on:
+    if spec.obs.enabled:
         assert spec.obs.registry.snapshot() == loop.obs.registry.snapshot()
         assert spec._auditor.audits_run == loop._auditor.audits_run
     if spec._attr_on:
@@ -88,23 +95,54 @@ def assert_same_outcome(spec, loop):
         assert views[0] == views[1]
 
 
+def assert_same_observations(spec, loop):
+    """What the observers saw, row by row and event by event."""
+    assert loop.obs.series == spec.obs.series
+    assert np.array_equal(loop.obs.timeline.rows, spec.obs.timeline.rows,
+                          equal_nan=True)
+    events = [[e.to_json_dict() for e in s.obs.tracer.events]
+              for s in (spec, loop)]
+    assert events[0] == events[1]
+    views = [json.dumps(s.obs.snapshot(), sort_keys=True)
+             for s in (spec, loop)]
+    assert views[0] == views[1]
+
+
+def _check_loop_against_specification(policy_name, workload_idx,
+                                      trace_events, monkeypatch):
+    """Several windows, GC runs inside them, recorders and auditor on."""
+    monkeypatch.setattr(store_module, "REPLAY_WINDOW_REQUESTS", 256)
+    trace = default_workloads(num_requests=900)[workload_idx]
+    spec = instrumented_store(policy_name, trace_events)
+    eager_replay(spec, trace)
+    loop = instrumented_store(policy_name, trace_events)
+    loop.replay(trace)
+    assert loop.stats.gc_blocks_written > 0
+    assert len(loop.obs.series) > 2 and len(loop.obs.timeline) > 2
+    assert_same_outcome(spec, loop)
+    assert_same_observations(spec, loop)
+
+
 @pytest.mark.parametrize("workload_idx", range(len(_WORKLOADS)),
                          ids=_WORKLOADS)
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_replay_loop_equals_per_block_specification(policy_name,
                                                     workload_idx,
                                                     monkeypatch):
-    """Several windows, GC runs inside them, recorders and auditor on."""
-    monkeypatch.setattr(store_module, "REPLAY_WINDOW_REQUESTS", 256)
-    trace = default_workloads(num_requests=900)[workload_idx]
-    spec = instrumented_store(policy_name)
-    eager_replay(spec, trace)
-    loop = instrumented_store(policy_name)
-    loop.replay(trace)
-    assert loop.stats.gc_blocks_written > 0
-    assert_same_outcome(spec, loop)
-    # Sample rows are settle-granular; the finalize row is exact.
-    assert loop.obs.series[-1] == spec.obs.series[-1]
+    """The default recorder (runs of FULL flushes aggregated)."""
+    _check_loop_against_specification(policy_name, workload_idx, False,
+                                      monkeypatch)
+
+
+@pytest.mark.parametrize("workload_idx", range(len(_WORKLOADS)),
+                         ids=_WORKLOADS)
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_traced_replay_loop_equals_per_block_specification(policy_name,
+                                                           workload_idx,
+                                                           monkeypatch):
+    """A ``trace_events=True`` recorder: one event per chunk flush."""
+    _check_loop_against_specification(policy_name, workload_idx, True,
+                                      monkeypatch)
 
 
 def test_replay_loop_equals_specification_without_recorders():

@@ -5,10 +5,9 @@ and settles user writes in batches; ``process_request`` /
 ``write_block`` do everything one block at a time and stay the scalar
 specification.  Without recorders, on the update-heavy workload, under
 ``sla_mode="first"`` and with flush listeners the two must end in the
-same state; a recorder picks the loop's form (settle-batched for a
-batch-capable one, per request otherwise).  ``"auto"`` and ``"scalar"``
-both name the loop, and anything else is refused before the store is
-touched.
+same state, and every recorder hears user writes through the bulk hook.
+``"auto"`` and ``"scalar"`` both name the loop, and anything else is
+refused before the store is touched.
 """
 
 from __future__ import annotations
@@ -92,16 +91,12 @@ def test_first_mode_and_flush_listeners_take_the_scalar_loop():
 
 
 def test_auto_engine_selects_batched_with_metrics_recorder():
-    """A default (batch-capable) recorder keeps the loop's batched form:
-    user writes reach it once per settle, never once per block."""
+    """A default recorder hears user writes once per settle, never once
+    per block."""
     from repro.obs.recorder import ObsRecorder
 
     class CountingRecorder(ObsRecorder):
-        writes = bulk = 0
-
-        def on_user_write(self, lba, now_us):
-            self.writes += 1
-            super().on_user_write(lba, now_us)
+        bulk = 0
 
         def on_user_write_bulk(self, count, last_lba, now_us):
             self.bulk += 1
@@ -111,13 +106,13 @@ def test_auto_engine_selects_batched_with_metrics_recorder():
     rec = CountingRecorder()
     store = fresh_store("sepgc", recorder=rec)
     store.replay(trace)
-    assert rec.writes == 0
     assert 0 < rec.bulk < store.stats.user_blocks_requested / 10
 
 
-def test_auto_engine_falls_back_with_trace_recorder():
-    """Exact per-event tracing runs the loop's per-request form (one
-    ``on_user_write`` per block) and ends in the same state."""
+def test_trace_recorder_sampling_every_block_runs_the_loop():
+    """A tracing recorder that samples every block makes the loop settle
+    after every block — one series row each — and ends in the same
+    state."""
     from repro.obs.recorder import ObsRecorder
     trace = default_workloads(num_requests=300)[0]
     rec = ObsRecorder(trace_events=True, sample_every_blocks=1)
@@ -130,27 +125,27 @@ def test_auto_engine_falls_back_with_trace_recorder():
     assert_states_equal(ref, store)
 
 
-def test_auto_engine_falls_back_for_custom_enabled_recorder():
-    """A third-party recorder that merely subclasses NullRecorder gets
-    the per-event cadence (one ``on_user_write`` per block, no bulk
-    hook) unless it opts into the bulk contract via batch_capable."""
+def test_custom_enabled_recorder_hears_every_user_write_in_bulk():
+    """A third-party recorder that merely subclasses NullRecorder runs
+    the same loop and hears every accepted user block through
+    ``on_user_write_bulk``."""
     from repro.obs.recorder import NullRecorder
 
     class CustomRecorder(NullRecorder):
         enabled = True
-        writes = bulk = 0
 
-        def on_user_write(self, lba, now_us):
-            self.writes += 1
+        def __init__(self):
+            self.counts = []
 
         def on_user_write_bulk(self, count, last_lba, now_us):
-            self.bulk += 1
+            self.counts.append(count)
 
     trace = default_workloads(num_requests=300)[0]
     rec = CustomRecorder()
     store = fresh_store("sepgc", recorder=rec)
     store.replay(trace)
-    assert rec.writes == store.stats.user_blocks_requested and not rec.bulk
+    assert sum(rec.counts) == store.stats.user_blocks_requested
+    assert len(rec.counts) < store.stats.user_blocks_requested / 10
 
 
 def test_unknown_engine_rejected():

@@ -1,17 +1,15 @@
 """Obs-on equivalence: run-shaped flush records vs one record per flush.
 
-With a batch-capable :class:`ObsRecorder` attached, the recorder hears
-of chunk flushes through one hook whose record carries a ``count``: a
-GC migration run reports ``count >= 1`` FULL flushes at once, user
-appends report them one by one.  Both must leave the *entire* metrics
-registry — every counter, gauge, and histogram (bucket counts and float
-sums) — bit-identical to single-flush records, and attaching the
-recorder must not perturb the replay.  Event-stream cadence is
-explicitly NOT part of the contract for batch-capable recorders (a run
-of FULL flushes collapses into one ``chunk_flush_bulk`` record, series
-rows are sampled at settle boundaries); metric totals are.  A
-``trace_events=True`` recorder, in turn, gets the exact per-event
-stream — pinned by golden hashes below.
+An :class:`ObsRecorder` hears of chunk flushes through one hook whose
+record carries a ``count``: a GC migration run reports ``count >= 1``
+FULL flushes at once, user appends report them one by one.  Both must
+leave the *entire* metrics registry — every counter, gauge, and
+histogram (bucket counts and float sums) — bit-identical to
+single-flush records, and attaching the recorder must not perturb the
+replay.  By default a run of FULL flushes is one ``chunk_flush_bulk``
+event; a ``trace_events=True`` recorder expands it into one
+``chunk_flush`` per chunk — that stream is pinned by golden hashes
+below.
 """
 
 from __future__ import annotations
@@ -30,8 +28,9 @@ from tests.perf.test_engine_equivalence import (assert_states_equal,
 
 @pytest.mark.parametrize("policy_name", ("sepgc", "adapt"))
 def test_recorder_does_not_change_batched_results(policy_name):
-    """Attaching a batch-capable recorder (user writes reported in
-    settle-sized batches) must not perturb the replay itself."""
+    """Attaching a recorder (user writes reported in settle-sized
+    batches, settles added at its sample points) must not perturb the
+    replay itself."""
     trace = default_workloads(num_requests=600)[0]
     bare = fresh_store(policy_name)
     bare.replay(trace)
