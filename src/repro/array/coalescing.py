@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Any
 
 from repro.common.errors import ConfigError
@@ -217,7 +218,7 @@ class CoalescingBuffer:
             # arms it at the chunk's first append.
             if self.sla_mode == "idle" or not tokens:
                 self._timer_start_us = now_us
-            tokens.extend((kind, lba) for lba in lbas)
+            tokens.extend(zip(repeat(kind), lbas))
             self._arm_heap()
             return 0, ()
         drained = self.take_pending()
@@ -225,7 +226,7 @@ class CoalescingBuffer:
         if leftover:
             # Episodes born and flushed inside the run never needed heap
             # entries (no tick can interleave); arm only the survivor.
-            tokens.extend((kind, lba) for lba in lbas[n - leftover:])
+            tokens.extend(zip(repeat(kind), lbas[n - leftover:]))
             self._timer_start_us = now_us
             self._arm_heap()
         return nf, drained

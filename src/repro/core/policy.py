@@ -61,6 +61,8 @@ class AdaptPolicy(PlacementPolicy):
     COLD = 1
     GC_BASE = 2
 
+    _scalar_views = {"_last_user_write_mv": "_last_user_write"}
+
     #: The active window plan.  Transient by construction — set by
     #: :meth:`plan_user_writes`, dropped before ``store.replay`` returns
     #: — so it lives on the class until planned and is never pickled.
@@ -74,6 +76,7 @@ class AdaptPolicy(PlacementPolicy):
 
         self._last_user_write = np.full(config.logical_blocks, -1,
                                         dtype=np.int64)
+        self._bind_scalar_views()
         self._unique_seen = 0
         #: Real hot/cold threshold in write-distance units; cold-start value
         #: is one segment of writes, refined by segment lifespans until the
@@ -156,18 +159,18 @@ class AdaptPolicy(PlacementPolicy):
                 raise RuntimeError(
                     f"user write (seq {now}, lba {lba}) is not the block "
                     f"the window plan from seq {plan.start_seq} expects")
-            self._last_user_write[lba] = now
+            self._last_user_write_mv[lba] = now
             if i in plan.checkpoints:
                 self._apply_adaptation(*plan.checkpoints.pop(i))
             v = plan.values[i]
         else:
             now = self.user_seq
-            last = int(self._last_user_write[lba])
+            last = self._last_user_write_mv[lba]
 
             if self.ladder is not None and self.sampler.is_sampled(lba):
                 self._observe_sample(lba, last, now, now_us)
 
-            self._last_user_write[lba] = now
+            self._last_user_write_mv[lba] = now
 
             if last < 0:
                 # First write: proxy the unseen reuse distance with the
@@ -337,7 +340,7 @@ class AdaptPolicy(PlacementPolicy):
     # GC path (age ladder over the GC groups, SepBIT-style substrate)
     # ------------------------------------------------------------------
     def place_gc(self, lba: int, victim_group: int, now_us: int) -> int:
-        last = int(self._last_user_write[lba])
+        last = self._last_user_write_mv[lba]
         age = self.user_seq - last if last >= 0 else self.user_seq
         bound = self._lifespan * 4
         for cls in range(self.adapt_config.num_gc_groups - 1):

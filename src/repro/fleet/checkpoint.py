@@ -38,8 +38,10 @@ from repro.obs.atomicio import atomic_write_bytes
 #: route — stores lost their recorder mode flag, recorders the two
 #: attributes that picked the per-request route, and series/timeline
 #: rows are no longer settle-granular, so an older run's booked rows
-#: would not match.
-CHECKPOINT_VERSION = 5
+#: would not match.  v6: scalar views — pickled segment pools keep
+#: ``fill`` as a list and count ``garbage_seals``, WARCIP's centroids are
+#: a list, and pools and policies rebuild their ``*_mv`` views on load.
+CHECKPOINT_VERSION = 6
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

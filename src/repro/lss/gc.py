@@ -43,13 +43,29 @@ class GarbageCollector:
         return self.store.pool.free_segments <= self.store.config.gc_free_low
 
     def run(self, now_us: int) -> int:
-        """Clean until the high watermark; return segments reclaimed."""
+        """Clean until the high watermark; return segments reclaimed.
+
+        Victims come from one :meth:`VictimPolicy.rank` per run, ranked
+        again only when a seal adds a productive segment; a policy
+        without a stable order is asked per victim (``select``).
+        """
         store = self.store
         pool = store.pool
+        victims = store.victim_policy
         reclaimed = 0
+        ranked, pos, seals = None, 0, -1
         with store.profiler.span("gc"):
             while pool.free_segments < store.config.gc_free_high:
-                victim = store.victim_policy.select(pool, store.user_seq)
+                if pool.garbage_seals != seals:
+                    seals = pool.garbage_seals
+                    ranked, pos = victims.rank(pool, store.user_seq), 0
+                if ranked is None:
+                    victim = victims.select(pool, store.user_seq)
+                elif pos < len(ranked):
+                    victim = ranked[pos]
+                    pos += 1
+                else:
+                    victim = None
                 if victim is None:
                     break  # no productive victim; stop rather than spin
                 self.clean_segment(victim, now_us)
@@ -60,11 +76,13 @@ class GarbageCollector:
         """Migrate the victim's valid blocks and reclaim it."""
         store = self.store
         pool = store.pool
-        if pool.state[victim] != SEG_SEALED:
+        if pool.state_mv[victim] != SEG_SEALED:
             raise ValueError(f"GC victim {victim} is not sealed")
-        victim_group = int(pool.group[victim])
+        victim_group = pool.group_mv[victim]
+        created_seq = pool.created_seq_mv[victim]
 
         lbas = pool.valid_lbas(victim)
+        n = int(lbas.shape[0])
         stats = store.stats
         stats.gc_passes += 1
         if store._attr_on:
@@ -73,23 +91,21 @@ class GarbageCollector:
             orig = pool.slot_origin[victim][pool.slot_valid[victim]]
             gc_origin = int(np.count_nonzero(orig == ORIGIN_GC))
             store.attribution.on_gc_victim(
-                victim_group,
-                store.user_seq - int(pool.created_seq[victim]),
-                int(lbas.size), pool.segment_blocks,
-                int(lbas.size) - gc_origin, gc_origin)
-        if lbas.size:
+                victim_group, store.user_seq - created_seq, n,
+                pool.segment_blocks, n - gc_origin, gc_origin)
+        if n:
             self._migrate_batch(lbas, victim, victim_group, now_us)
 
         store.policy.on_segment_reclaimed(
             group_id=victim_group,
-            created_seq=int(pool.created_seq[victim]),
-            sealed_seq=int(pool.sealed_seq[victim]),
+            created_seq=created_seq,
+            sealed_seq=pool.sealed_seq_mv[victim],
             now_seq=store.user_seq,
-            valid_blocks=int(lbas.size),
+            valid_blocks=n,
         )
         pool.reclaim(victim)
         stats.gc_segments_reclaimed += 1
-        store.obs.on_gc_pass(victim, victim_group, int(lbas.size), now_us)
+        store.obs.on_gc_pass(victim, victim_group, n, now_us)
         store.on_segment_reclaimed_physical(victim)
 
     def _migrate_batch(self, lbas: np.ndarray, victim: int,
@@ -100,15 +116,15 @@ class GarbageCollector:
         pool = store.pool
         n = int(lbas.shape[0])
         old_locs = store.mapping[lbas]
-        seg_of = old_locs // pool.segment_blocks
-        if (seg_of != victim).any():
-            bad = int(lbas[np.flatnonzero(seg_of != victim)[0]])
+        outside = old_locs // pool.segment_blocks != victim
+        if np.count_nonzero(outside):
+            bad = int(lbas[np.flatnonzero(outside)[0]])
             raise AssertionError(
                 f"mapping for lba {bad} points outside victim {victim}")
         dests = store.policy.place_gc_batch(lbas, victim_group, now_us)
         lba_list = lbas.tolist()
         d0 = int(dests[0])
-        if not (dests != d0).any():
+        if not np.count_nonzero(dests != d0):
             # Single destination (every GC-group-routing baseline).
             locs = store.groups[d0].append_gc_run(lbas, lba_list, now_us)
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +37,8 @@ class GroupSpec:
     kind: GroupKind
 
 
-# Append kinds for traffic accounting.
+# Append kinds for traffic accounting (also the index of each kind's
+# count in ``Group._flush``).
 APPEND_USER = 0
 APPEND_GC = 1
 APPEND_SHADOW = 2
@@ -83,33 +85,47 @@ class Group:
             self.store.policy.on_segment_sealed(self.gid, seg)
             self.open_seg = None
 
+    def _queue_run(self, kind: int, lbas: list[int], now_us: int) -> None:
+        """Queue a run of ``kind`` blocks, all at ``now_us``, whose slots
+        were just taken in the open segment: flush the chunks it fills
+        (one FULL record), then seal the segment if it is full — which
+        takes a flush, as segments are whole chunks and chunks start at
+        chunk boundaries."""
+        buf = self.buffer
+        nf, drained = buf.append_run(kind, lbas, now_us)
+        if nf:
+            self._flush(FlushReason.FULL, drained, now_us, nf, kind,
+                        nf * buf.chunk_blocks - len(drained))
+            self._maybe_seal()
+
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
-    def reserve_user(self, lba: int, now_us: int) -> int:
-        """Everything a user append does that the next block, the next
-        tick or a flush consumer can observe: take the slot (open a
-        segment if needed), queue the block in the open chunk, flush a
-        filled chunk, seal a filled segment.  Returns the slot's encoded
-        location; booking ``lba`` into it (``SegmentPool.fill_slot`` /
-        ``fill_slots``) is the caller's, and may wait until something
-        reads the slot planes — the next GC run at the latest."""
-        seg = self.open_seg
-        if seg is None:
-            seg = self._ensure_open_segment()
-        pool = self.store.pool
-        loc = pool.reserve_slot(seg)
-        drained = self.buffer.append((APPEND_USER, lba), now_us)
-        if drained is not None:
-            self._flush(FlushReason.FULL, drained, now_us)
-        # A FULL flush pads nothing, so the fill pointer sits right
-        # after this slot: the segment is full iff it was the last one.
-        if (loc + 1) % pool.segment_blocks == 0:
-            self._maybe_seal()
-        return loc
+    def reserve_user(self, lbas: list[int], now_us: int) -> range:
+        """Everything a run of user appends does that the next block, the
+        next tick or a flush consumer can observe: take ``len(lbas)``
+        consecutive slots (open a segment if needed), queue the blocks in
+        the open chunk, flush the chunk and seal the segment if the run
+        filled them.  A single block is a run of one.  Returns the slots'
+        encoded locations, in order; booking the LBAs into them
+        (``SegmentPool.fill_slot`` / ``fill_slots``) is the caller's, and
+        may wait until something reads the slot planes — the next GC run
+        at the latest.
+
+        The blocks share ``now_us``, and a segment the call opens or seals
+        is stamped with ``store.user_seq`` as it stands.  The state equals
+        ``len(lbas)`` single-block calls as long as only the run's last
+        block may fill the open chunk (that is where its FULL flush and
+        the seal fire) and ``store.user_seq`` is that block's; the replay
+        loop ends every run there, and opens segments with runs of one.
+        """
+        seg = self._ensure_open_segment()
+        loc = self.store.pool.reserve_slot(seg, len(lbas))
+        self._queue_run(APPEND_USER, lbas, now_us)
+        return range(loc, loc + len(lbas))
 
     def append_user(self, lba: int, now_us: int) -> int:
-        loc = self.reserve_user(lba, now_us)
+        loc = self.reserve_user([lba], now_us)[0]
         self.store.pool.fill_slot(loc, lba)
         return loc
 
@@ -123,11 +139,8 @@ class Group:
         """
         seg = self._ensure_open_segment()
         self.store.pool.append_padding(seg, 1)  # dead slot, real write
-        drained = self.buffer.append((APPEND_SHADOW, lba), now_us)
         self.segment_shadow_bytes += self.store.config.chunk.block_bytes
-        if drained is not None:
-            self._flush(FlushReason.FULL, drained, now_us)
-        self._maybe_seal()
+        self._queue_run(APPEND_SHADOW, [lba], now_us)
 
     # pinned by the frozen `bench/` harness — no caller
     def append_user_run(self, *args, **kwargs):
@@ -144,32 +157,18 @@ class Group:
         guarantees nothing can interleave inside the run.
         """
         pool = self.store.pool
-        seq = self.store.user_seq
         sb = pool.segment_blocks
-        buf = self.buffer
         n = len(lba_list)
         locs = np.empty(n, dtype=np.int64)
         done = 0
         while done < n:
-            if self.open_seg is None:
-                self.open_seg = pool.allocate(self.gid, seq)
-                self.segment_shadow_bytes = 0
-            seg = self.open_seg
-            take = min(n - done, sb - int(pool.fill[seg]))
-            slot0 = pool.append_many(seg, lbas[done:done + take])
-            base = seg * sb + slot0
+            seg = self._ensure_open_segment()
+            take = min(n - done, sb - pool.fill[seg])
+            base = seg * sb + pool.append_many(seg, lbas[done:done + take])
             locs[done:done + take] = np.arange(base, base + take,
                                                dtype=np.int64)
-            nf, drained = buf.append_run(
-                APPEND_GC, lba_list[done:done + take], now_us)
-            if nf:
-                self._flush(FlushReason.FULL, drained, now_us, nf,
-                            nf * buf.chunk_blocks - len(drained))
+            self._queue_run(APPEND_GC, lba_list[done:done + take], now_us)
             done += take
-            if pool.fill[seg] == sb:
-                pool.seal(seg, seq)
-                self.store.policy.on_segment_sealed(self.gid, seg)
-                self.open_seg = None
         return locs
 
     # ------------------------------------------------------------------
@@ -194,25 +193,23 @@ class Group:
         return flush
 
     def _flush(self, reason: FlushReason, drained, time_us: int,
-               count: int = 1, gc_run_blocks: int = 0) -> ChunkFlush:
+               count: int = 1, run_kind: int = APPEND_USER,
+               run_blocks: int = 0) -> ChunkFlush:
         """Book ``count`` chunk flushes: the one place the group's
         traffic, the segment's padding and the :class:`ChunkFlush` record
         the rest of the system sees are derived.
 
         The chunks carried the ``drained`` buffer tokens plus
-        ``gc_run_blocks`` blocks a GC append run pushed straight
-        through; whatever that leaves of ``count`` chunks is zero
-        padding (none for FULL flushes, by construction).
+        ``run_blocks`` blocks of kind ``run_kind`` that an append run
+        pushed straight through; whatever that leaves of ``count`` chunks
+        is zero padding (none for FULL flushes, by construction).
         """
-        user = gc = shadow = 0
-        for kind, _lba in drained:
-            if kind == APPEND_USER:
-                user += 1
-            elif kind == APPEND_GC:
-                gc += 1
-            else:
-                shadow += 1
-        gc += gc_run_blocks
+        kinds = list(map(itemgetter(0), drained))
+        user = kinds.count(APPEND_USER)
+        gc = kinds.count(APPEND_GC)
+        blocks = [user, gc, len(kinds) - user - gc]  # indexed by kind
+        blocks[run_kind] += run_blocks
+        user, gc, shadow = blocks
         total = count * self.buffer.chunk_blocks
         padding = total - user - gc - shadow
         t = self.traffic
@@ -233,7 +230,7 @@ class Group:
                 pool.append_padding(seg, padding)
             # The chunks end where the still-pending blocks begin, and
             # those end at the segment's fill pointer.
-            start = seg * pool.segment_blocks + int(pool.fill[seg]) \
+            start = seg * pool.segment_blocks + pool.fill[seg] \
                 - self.buffer.pending_blocks - total
         # Pending blocks below the watermark already had substitutes
         # persisted elsewhere; the first chunk is their lazy append (§3.3).

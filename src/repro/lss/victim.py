@@ -5,6 +5,10 @@ Greedy and Random Greedy from its related-work section are implemented as
 well and exercised by the ablation benches.  All policies refuse to pick a
 segment with zero garbage (cleaning it frees nothing) and return ``None``
 when no productive victim exists.
+
+Greedy and Cost-Benefit also :meth:`~VictimPolicy.rank` the pool once per
+GC run, in the order their ``select`` would pick; the three others draw
+from their RNG per pick and are asked per victim.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from repro.lss.segment import SegmentPool
 
 
 class VictimPolicy:
-    """Base class; subclasses implement :meth:`select`."""
+    """Base class; subclasses implement :meth:`select` and may implement
+    :meth:`rank`."""
 
     name = "abstract"
 
@@ -25,6 +30,20 @@ class VictimPolicy:
 
     def select(self, pool: SegmentPool, now_seq: int) -> int | None:
         raise NotImplementedError
+
+    def rank(self, pool: SegmentPool, now_seq: int) -> list[int] | None:
+        """The victims repeated :meth:`select` calls would return within
+        one GC run, in order, or ``None`` to be asked per victim.
+
+        Contract (see ``docs/extending.md``): during a GC run ``now_seq``
+        is fixed and cleaning a victim changes no other sealed segment,
+        so an order that depends only on per-segment metadata stays valid
+        until a seal adds a productive segment
+        (``SegmentPool.garbage_seals`` moves), when the run ranks again.
+        A policy that draws from its RNG per selection keeps ``None``:
+        its draws must stay one per victim.
+        """
+        return None
 
     @staticmethod
     def _productive(pool: SegmentPool, segs: np.ndarray) -> np.ndarray:
@@ -43,6 +62,12 @@ class GreedyVictim(VictimPolicy):
             return None
         return int(segs[np.argmin(pool.valid_count[segs])])
 
+    def rank(self, pool: SegmentPool, now_seq: int) -> list[int]:
+        # argmin takes the first minimum, so ties go to the lower segment.
+        segs = self._productive(pool, pool.sealed_segments())
+        return segs[np.argsort(pool.valid_count[segs],
+                               kind="stable")].tolist()
+
 
 class CostBenefitVictim(VictimPolicy):
     """Rosenblum & Ousterhout's cost-benefit: max (1-u)·age / (1+u).
@@ -53,14 +78,25 @@ class CostBenefitVictim(VictimPolicy):
 
     name = "cost-benefit"
 
+    @staticmethod
+    def _score(pool: SegmentPool, segs: np.ndarray,
+               now_seq: int) -> np.ndarray:
+        u = pool.valid_count[segs] / pool.segment_blocks
+        age = np.maximum(now_seq - pool.sealed_seq[segs], 1)
+        return (1.0 - u) * age / (1.0 + u)
+
     def select(self, pool: SegmentPool, now_seq: int) -> int | None:
         segs = self._productive(pool, pool.sealed_segments())
         if segs.size == 0:
             return None
-        u = pool.valid_count[segs] / pool.segment_blocks
-        age = np.maximum(now_seq - pool.sealed_seq[segs], 1)
-        score = (1.0 - u) * age / (1.0 + u)
-        return int(segs[np.argmax(score)])
+        return int(segs[np.argmax(self._score(pool, segs, now_seq))])
+
+    def rank(self, pool: SegmentPool, now_seq: int) -> list[int]:
+        # argmax takes the first maximum: a stable sort of the negated
+        # scores keeps ties in segment order too.
+        segs = self._productive(pool, pool.sealed_segments())
+        return segs[np.argsort(-self._score(pool, segs, now_seq),
+                               kind="stable")].tolist()
 
 
 class DChoiceVictim(VictimPolicy):

@@ -2,9 +2,10 @@
 
 A policy declares its groups, routes every user block write and every GC
 migration to a group, and may hook segment lifecycle events.  Policies hold
-their own per-LBA metadata in NumPy arrays (never per-block objects) and
-report its footprint through :meth:`memory_bytes` for the Fig 12b
-experiment.
+their own per-LBA metadata in NumPy arrays (never per-block objects),
+read and write single entries through scalar views of those arrays
+(:class:`~repro.common.views.ScalarViews`), and report its footprint
+through :meth:`memory_bytes` for the Fig 12b experiment.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.common.views import ScalarViews
 from repro.lss.config import LSSConfig
 from repro.lss.group import Group, GroupSpec
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
@@ -21,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
 
 
-class PlacementPolicy:
+class PlacementPolicy(ScalarViews):
     """Base class for placement policies.
 
     Lifecycle: construct with the store config, pass to

@@ -21,6 +21,7 @@ class DACPolicy(PlacementPolicy):
     """k mixed temperature regions with promote-on-write / demote-on-GC."""
 
     name = "dac"
+    _scalar_views = {"_region_mv": "_region", "_written_mv": "_written"}
 
     def __init__(self, config: LSSConfig, num_regions: int = 5) -> None:
         super().__init__(config)
@@ -30,23 +31,24 @@ class DACPolicy(PlacementPolicy):
         # Region 0 is the coldest. New blocks start there.
         self._region = np.zeros(config.logical_blocks, dtype=np.int8)
         self._written = np.zeros(config.logical_blocks, dtype=bool)
+        self._bind_scalar_views()
 
     def group_specs(self) -> list[GroupSpec]:
         return [GroupSpec(f"region-{i}", GroupKind.MIXED)
                 for i in range(self.num_regions)]
 
     def place_user(self, lba: int, now_us: int) -> int:
-        if self._written[lba]:
-            new = min(int(self._region[lba]) + 1, self.num_regions - 1)
+        if self._written_mv[lba]:
+            new = min(self._region_mv[lba] + 1, self.num_regions - 1)
         else:
             new = 0
-            self._written[lba] = True
-        self._region[lba] = new
+            self._written_mv[lba] = True
+        self._region_mv[lba] = new
         return new
 
     def place_gc(self, lba: int, victim_group: int, now_us: int) -> int:
-        new = max(int(self._region[lba]) - 1, 0)
-        self._region[lba] = new
+        new = max(self._region_mv[lba] - 1, 0)
+        self._region_mv[lba] = new
         return new
 
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,

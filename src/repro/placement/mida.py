@@ -21,6 +21,7 @@ class MiDAPolicy(PlacementPolicy):
     """Migration-count groups: user writes reset to 0, GC increments."""
 
     name = "mida"
+    _scalar_views = {"_migrations_mv": "_migrations"}
 
     def __init__(self, config: LSSConfig, num_groups: int = 8) -> None:
         super().__init__(config)
@@ -28,18 +29,19 @@ class MiDAPolicy(PlacementPolicy):
             raise ValueError("MiDA needs at least 2 groups")
         self.num_groups = num_groups
         self._migrations = np.zeros(config.logical_blocks, dtype=np.int8)
+        self._bind_scalar_views()
 
     def group_specs(self) -> list[GroupSpec]:
         return [GroupSpec(f"mig-{i}", GroupKind.MIXED)
                 for i in range(self.num_groups)]
 
     def place_user(self, lba: int, now_us: int) -> int:
-        self._migrations[lba] = 0
+        self._migrations_mv[lba] = 0
         return 0
 
     def place_gc(self, lba: int, victim_group: int, now_us: int) -> int:
-        count = min(int(self._migrations[lba]) + 1, self.num_groups - 1)
-        self._migrations[lba] = count
+        count = min(self._migrations_mv[lba] + 1, self.num_groups - 1)
+        self._migrations_mv[lba] = count
         return count
 
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,

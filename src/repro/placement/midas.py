@@ -31,6 +31,7 @@ class MidasLitePolicy(PlacementPolicy):
     """Adaptive-length migration-count chain."""
 
     name = "midas-lite"
+    _scalar_views = {"_migrations_mv": "_migrations"}
 
     def __init__(self, config: LSSConfig, max_groups: int = 8,
                  min_groups: int = 2, ewma_alpha: float = 0.3,
@@ -50,6 +51,7 @@ class MidasLitePolicy(PlacementPolicy):
 
         self.active_groups = min_groups
         self._migrations = np.zeros(config.logical_blocks, dtype=np.int8)
+        self._bind_scalar_views()
         self._victim_util = np.full(max_groups, np.nan)
         self._reclaims_since_adapt = 0
         self.adaptations: list[int] = []
@@ -64,12 +66,12 @@ class MidasLitePolicy(PlacementPolicy):
     # routing (MiDA semantics over the active prefix)
     # ------------------------------------------------------------------
     def place_user(self, lba: int, now_us: int) -> int:
-        self._migrations[lba] = 0
+        self._migrations_mv[lba] = 0
         return 0
 
     def place_gc(self, lba: int, victim_group: int, now_us: int) -> int:
-        count = min(int(self._migrations[lba]) + 1, self.active_groups - 1)
-        self._migrations[lba] = count
+        count = min(self._migrations_mv[lba] + 1, self.active_groups - 1)
+        self._migrations_mv[lba] = count
         return count
 
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,

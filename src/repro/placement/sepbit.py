@@ -30,6 +30,8 @@ class SepBITPolicy(PlacementPolicy):
     COLD = 1       # long-lived user writes
     GC_BASE = 2    # first of the four GC classes
 
+    _scalar_views = {"_last_user_write_mv": "_last_user_write"}
+
     def __init__(self, config: LSSConfig, num_gc_groups: int = 4,
                  ewma_alpha: float = 0.5) -> None:
         super().__init__(config)
@@ -41,6 +43,7 @@ class SepBITPolicy(PlacementPolicy):
         self.ewma_alpha = ewma_alpha
         self._last_user_write = np.full(config.logical_blocks, -1,
                                         dtype=np.int64)
+        self._bind_scalar_views()
         # Threshold l: initialised to one segment's worth of writes, the
         # natural cold-start guess (a class-0 segment that fills and is
         # immediately invalidated has lifespan ~ segment size).
@@ -58,8 +61,8 @@ class SepBITPolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     def place_user(self, lba: int, now_us: int) -> int:
         now = self.user_seq
-        last = int(self._last_user_write[lba])
-        self._last_user_write[lba] = now
+        last = self._last_user_write_mv[lba]
+        self._last_user_write_mv[lba] = now
         if last < 0:
             return self.COLD
         v = now - last
@@ -84,7 +87,7 @@ class SepBITPolicy(PlacementPolicy):
         return self.GC_BASE + cls
 
     def block_age(self, lba: int) -> int:
-        last = int(self._last_user_write[lba])
+        last = self._last_user_write_mv[lba]
         return self.user_seq - last if last >= 0 else self.user_seq
 
     def gc_class_for_age(self, age: int) -> int:

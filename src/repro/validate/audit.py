@@ -109,11 +109,12 @@ def check_group_occupancy(store: "LogStructuredStore") -> None:
     name = "group-occupancy"
     pool = store.pool
     free = pool.state == SEG_FREE
+    fill = np.asarray(pool.fill)
     if np.any(pool.group[free] != -1):
         _fail(name, "free segment still assigned to a group")
-    if np.any(pool.fill[free] != 0) or np.any(pool.valid_count[free] != 0):
+    if np.any(fill[free] != 0) or np.any(pool.valid_count[free] != 0):
         _fail(name, "free segment with non-zero fill or valid count")
-    if np.any(pool.fill > pool.segment_blocks):
+    if np.any(fill > pool.segment_blocks):
         _fail(name, "segment fill beyond capacity")
     occ = store.group_occupancy()
     mapped = int(np.count_nonzero(store.mapping != UNMAPPED))

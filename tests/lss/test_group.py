@@ -94,24 +94,61 @@ def test_deadline_flush_counters(store):
     assert g.traffic.forced_flushes == 1
 
 
+#: Blocks per request in the run tests: a run's blocks share a timestamp.
+_REQUEST_BLOCKS = 5
+
+
+def _reserve_in_runs(tiny_config, cuts):
+    """Reserve blocks 100, 101, ... in runs as the replay loop forms
+    them — a block with no open segment alone, else up to the block
+    filling the open chunk or the request's end — cut further at every
+    position in ``cuts``.  Returns the store, its user group, each
+    block's location and each flush record."""
+    store = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
+    flushes = []
+    store.flush_listeners.append(lambda group, flush: flushes.append(flush))
+    g = store.groups[0]
+    n = tiny_config.segment_blocks + 3
+    locs, run = [], []
+    for i in range(n):
+        run.append(100 + i)
+        if g.open_seg is None or len(run) == g.buffer.free_slots \
+                or i + 1 in cuts or (i + 1) % _REQUEST_BLOCKS == 0 \
+                or i + 1 == n:
+            locs.extend(g.reserve_user(run, now_us=i // _REQUEST_BLOCKS))
+            run = []
+        store.user_seq += 1
+    return store, g, locs, flushes
+
+
 def test_reserve_user_is_append_user_minus_the_slot_content(tiny_config):
     """reserve_user moves the fill pointer, queues, flushes and seals
-    like append_user; only the slot planes wait for fill_slots."""
+    like append_user — per block, and for runs that end where a chunk
+    fills; only the slot planes wait for fill_slots."""
+    # Runs of one, runs cut only by chunk fills, and extra cuts inside.
+    for cuts in (range(1, 200), (), (3, 5, 21, 22)):
+        _check_runs_against_append_user(tiny_config, cuts)
+
+
+def _check_runs_against_append_user(tiny_config, cuts):
     import numpy as np
 
-    def run(reserve):
-        store = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
-        g = store.groups[0]
-        append = g.reserve_user if reserve else g.append_user
-        locs = [append(100 + i, now_us=i)
-                for i in range(tiny_config.segment_blocks + 3)]
-        return store, g, locs
-
-    eager, ge, eager_locs = run(False)
-    lazy, gl, lazy_locs = run(True)
+    eager = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
+    eager_flushes = []
+    eager.flush_listeners.append(
+        lambda group, flush: eager_flushes.append(flush))
+    ge = eager.groups[0]
+    eager_locs = []
+    for i in range(tiny_config.segment_blocks + 3):
+        eager_locs.append(ge.append_user(100 + i,
+                                         now_us=i // _REQUEST_BLOCKS))
+        eager.user_seq += 1
+    lazy, gl, lazy_locs, lazy_flushes = _reserve_in_runs(tiny_config, cuts)
     assert lazy_locs == eager_locs
+    assert lazy_flushes == eager_flushes
     assert vars(gl.traffic) == vars(ge.traffic)
     assert gl.buffer.pending_tokens == ge.buffer.pending_tokens
+    assert gl.buffer.deadline_us == ge.buffer.deadline_us
     assert gl.open_seg == ge.open_seg
     for plane in ("fill", "state", "sealed_seq", "created_seq"):
         assert np.array_equal(getattr(lazy.pool, plane),
