@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lss.group import Group
-from repro.obs.recorder import NULL_RECORDER, NullRecorder
 
 
 @dataclass
@@ -91,7 +90,6 @@ class CrossGroupAggregator:
     shadow_appends: int = 0
     shadow_blocks: int = 0
     declined: int = 0
-    obs: NullRecorder = NULL_RECORDER
 
     def monitor_for(self, gid: int) -> GroupWriteMonitor:
         mon = self.monitors.get(gid)
@@ -154,7 +152,6 @@ class CrossGroupAggregator:
         hot.mark_all_shadowed(now_us)
         self.shadow_appends += 1
         self.shadow_blocks += len(batch)
-        self.obs.on_shadow_append(hot.gid, cold.gid, len(batch), now_us)
         return AggregationDecision(True, "shadow-append", blocks=len(batch))
 
     def absorb_before_padding(self, cold: Group, hot: Group,
@@ -175,5 +172,4 @@ class CrossGroupAggregator:
         hot.mark_partially_shadowed(len(batch), now_us)
         self.shadow_appends += 1
         self.shadow_blocks += len(batch)
-        self.obs.on_shadow_append(hot.gid, cold.gid, len(batch), now_us)
         return len(batch)

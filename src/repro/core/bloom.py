@@ -116,19 +116,29 @@ class CascadedDiscriminator:
             if self.use_bloom else None
 
     def insert(self, key: int) -> None:
-        if self._counts[-1] >= self.capacity:
-            self._filters.append(self._new_filter())
-            self._members.append(set())
-            self._counts.append(0)
-            if len(self._filters) > self.num_filters:
-                self._filters.pop(0)
-                self._members.pop(0)
-                self._counts.pop(0)
-                self.evictions += 1
-        if self.use_bloom:
-            self._filters[-1].add(key)
-        self._members[-1].add(key)
-        self._counts[-1] += 1
+        self.insert_many([key])
+
+    def insert_many(self, keys: list[int]) -> None:
+        """Insert ``keys`` in order: the state ``insert`` per key leaves,
+        with one set update per cascade filter they reach."""
+        done = 0
+        while done < len(keys):
+            if self._counts[-1] >= self.capacity:
+                self._filters.append(self._new_filter())
+                self._members.append(set())
+                self._counts.append(0)
+                if len(self._filters) > self.num_filters:
+                    self._filters.pop(0)
+                    self._members.pop(0)
+                    self._counts.pop(0)
+                    self.evictions += 1
+            part = keys[done:done + self.capacity - self._counts[-1]]
+            if self.use_bloom:
+                for key in part:
+                    self._filters[-1].add(key)
+            self._members[-1].update(part)
+            self._counts[-1] += len(part)
+            done += len(part)
 
     def maybe_member(self, key: int) -> bool:
         """Exact membership over the live cascade (pre-filter fast path)."""

@@ -16,8 +16,9 @@ configured threshold.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.bloom import CascadedDiscriminator
-from repro.obs.recorder import NULL_RECORDER, NullRecorder
 
 
 class ProactiveDemotion:
@@ -45,22 +46,28 @@ class ProactiveDemotion:
         }
         self.demotions = 0
         self.lookups = 0
-        self.obs: NullRecorder = NULL_RECORDER
 
     # ------------------------------------------------------------------
     # construction during GC
     # ------------------------------------------------------------------
-    def on_gc_block(self, lba: int, from_group: int, to_group: int) -> None:
-        """GC migrated ``lba``; record same-group GC-to-GC migrations."""
-        if from_group == to_group and from_group in self.discriminators:
-            self.discriminators[from_group].insert(lba)
+    def gc_blocks(self, lbas: np.ndarray, from_group: int,
+                  to_groups: np.ndarray) -> None:
+        """GC migrated ``lbas[i]`` from ``from_group`` to ``to_groups[i]``;
+        record the same-group GC-to-GC migrations, in order."""
+        disc = self.discriminators.get(from_group)
+        if disc is not None:
+            disc.insert_many(lbas[to_groups == from_group].tolist())
+
+    # pinned by the frozen `bench/` harness — no caller
+    def on_gc_block(self, *args, **kwargs):
+        raise NotImplementedError("pinned by the frozen bench/ harness")
 
     # ------------------------------------------------------------------
     # lookup on the user-write path
     # ------------------------------------------------------------------
-    def demotion_target(self, lba: int, now_us: int = 0) -> int | None:
-        """Group to demote ``lba`` into, or ``None`` to use the normal
-        hotness-based placement."""
+    def demotion_target(self, lba: int) -> tuple[int, int] | None:
+        """``(group, score)`` to demote ``lba`` into, or ``None`` to use
+        the normal hotness-based placement."""
         self.lookups += 1
         best_gid, best_score = None, 0
         for gid in self.gc_group_ids:
@@ -69,8 +76,7 @@ class ProactiveDemotion:
                 best_gid, best_score = gid, score
         if best_gid is not None and best_score >= self.score_threshold:
             self.demotions += 1
-            self.obs.on_demotion(lba, best_gid, best_score, now_us)
-            return best_gid
+            return best_gid, best_score
         return None
 
     # pinned by the frozen `bench/` harness — no caller

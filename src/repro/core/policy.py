@@ -126,13 +126,6 @@ class AdaptPolicy(PlacementPolicy):
             num_filters=ac.bloom_filters, capacity=ac.bloom_capacity,
             fp_rate=ac.bloom_fp_rate) if ac.enable_demotion else None
 
-    def attach_obs(self, obs) -> None:
-        super().attach_obs(obs)
-        if self.aggregator is not None:
-            self.aggregator.obs = obs
-        if self.demotion is not None:
-            self.demotion.obs = obs
-
     # ------------------------------------------------------------------
     # groups
     # ------------------------------------------------------------------
@@ -188,8 +181,10 @@ class AdaptPolicy(PlacementPolicy):
         # (§3.4 targets long-lived cold blocks; hot-classified blocks are
         # never demoted).
         if self.demotion is not None:
-            target = self.demotion.demotion_target(lba, now_us)
-            if target is not None:
+            hit = self.demotion.demotion_target(lba)
+            if hit is not None:
+                target, score = hit
+                self.obs.on_demotion(lba, target, score, now_us)
                 return target
         return self.COLD
 
@@ -351,7 +346,7 @@ class AdaptPolicy(PlacementPolicy):
 
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,
                        now_us: int) -> np.ndarray:
-        # _lifespan only moves in on_segment_reclaimed, after the whole
+        # _lifespan only moves in segment_reclaimed, after the whole
         # victim is migrated: the age ladder is constant here, and the
         # class is how many geometric boundaries the age clears.
         last = self._last_user_write[lbas]
@@ -363,9 +358,10 @@ class AdaptPolicy(PlacementPolicy):
             bound *= 4
         return self.GC_BASE + cls
 
-    def on_gc_block(self, lba: int, from_group: int, to_group: int) -> None:
+    def gc_blocks(self, lbas: np.ndarray, from_group: int,
+                  to_groups: np.ndarray, old_locs, new_locs) -> None:
         if self.demotion is not None:
-            self.demotion.on_gc_block(lba, from_group, to_group)
+            self.demotion.gc_blocks(lbas, from_group, to_groups)
 
     # ------------------------------------------------------------------
     # aggregation hooks
@@ -376,16 +372,23 @@ class AdaptPolicy(PlacementPolicy):
         if group.gid == self.HOT:
             cold = self.store.groups[self.COLD]
             decision = self.aggregator.try_aggregate(group, cold, now_us)
+            if decision.blocks:
+                self.obs.on_shadow_append(group.gid, cold.gid,
+                                          decision.blocks, now_us)
             return decision.aggregated
         if group.gid == self.COLD:
             # Symmetric direction: the cold chunk is about to pad — fill
             # its padding slots with substitutes of hot pending blocks.
             hot = self.store.groups[self.HOT]
-            self.aggregator.absorb_before_padding(group, hot, now_us)
+            blocks = self.aggregator.absorb_before_padding(group, hot,
+                                                           now_us)
+            if blocks:
+                self.obs.on_shadow_append(hot.gid, group.gid, blocks,
+                                          now_us)
             return False  # the (fuller) padded flush still proceeds
         return False
 
-    def on_chunk_flush(self, group: Group, flush) -> None:
+    def chunk_flush(self, group: Group, flush) -> None:
         if self.aggregator is not None and group.gid in (self.HOT,
                                                          self.COLD):
             self.aggregator.on_flush(group.gid, flush.data_blocks,
@@ -393,9 +396,9 @@ class AdaptPolicy(PlacementPolicy):
                                      flush.shadow_blocks, flush.count)
 
     # pinned by the frozen `bench/` harness — no caller
-    on_full_flush_run = None
+    on_full_flush_run = on_chunk_flush = None
 
-    def on_segment_sealed(self, group_id: int, seg: int) -> None:
+    def segment_sealed(self, group_id: int, seg: int) -> None:
         if self.aggregator is not None and group_id in (self.HOT,
                                                         self.COLD):
             self.aggregator.on_segment_sealed(group_id)
@@ -403,12 +406,11 @@ class AdaptPolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     # threshold cold start from hot-segment lifespans
     # ------------------------------------------------------------------
-    def on_segment_reclaimed(self, group_id: int, created_seq: int,
-                             sealed_seq: int, now_seq: int,
-                             valid_blocks: int) -> None:
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
         if group_id not in (self.HOT, self.COLD):
             return
-        lifespan = max(now_seq - created_seq, 1)
+        lifespan = max(self.user_seq - created_seq, 1)
         if group_id == self.HOT:
             self._lifespan += 0.5 * (lifespan - self._lifespan)
             if not self._ghost_adapted:

@@ -41,7 +41,11 @@ from repro.obs.atomicio import atomic_write_bytes
 #: would not match.  v6: scalar views — pickled segment pools keep
 #: ``fill`` as a list and count ``garbage_seals``, WARCIP's centroids are
 #: a list, and pools and policies rebuild their ``*_mv`` views on load.
-CHECKPOINT_VERSION = 6
+#: v7: one event seam — stores hold a ``StoreEvents`` instead of their
+#: listener lists and auditor slot, the slot provenance planes moved from
+#: the segment pool into the attribution recorder, and ADAPT's
+#: aggregator and demotion lost their recorder reference.
+CHECKPOINT_VERSION = 7
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

@@ -1,9 +1,10 @@
 """Bridge between the LSS store and the device FTL.
 
-Subscribes to the store's physical events: every flushed chunk becomes
-``chunk_blocks`` page programs on the device (stream = the group id in
-multi-stream mode, 0 otherwise), and every segment reclamation becomes a
-trim of the segment's page range — the discard a production LSS issues.
+Subscribes to the store's physical events (:meth:`LogStructuredStore.
+subscribe`): every flushed chunk becomes ``chunk_blocks`` page programs
+on the device (stream = the group id in multi-stream mode, 0 otherwise),
+and every segment reclamation becomes a trim of the segment's page range
+— the discard a production LSS issues.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
+from repro.common.observer import StoreObserver
 from repro.ftl.nand import FlashGeometry, PageMappedFTL
 from repro.lss.store import LogStructuredStore
 from repro.trace.model import Trace
 
 
-class StreamBridge:
+class StreamBridge(StoreObserver):
     """Feeds a store's flush/erase stream into a :class:`PageMappedFTL`."""
 
     def __init__(self, store: LogStructuredStore,
@@ -37,23 +39,19 @@ class StreamBridge:
             logical_pages=logical_pages,
             num_streams=num_streams,
         )
-        store.flush_listeners.append(self._on_flush)
-        store.reclaim_listeners.append(self._on_reclaim)
+        store.subscribe(self)
 
-    def _on_flush(self, group, flush) -> None:
+    def chunk_flush(self, group, flush) -> None:
         # A run of flush.count chunks is contiguous on the device.
         stream = group.gid if self.multi_stream else 0
         start = flush.device_lba_start
         for lpn in range(start, start + flush.total_blocks):
             self.ftl.write(lpn, stream)
 
-    def _on_reclaim(self, seg: int) -> None:
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
         seg_blocks = self.store.config.segment_blocks
         self.ftl.trim(seg * seg_blocks, seg_blocks)
-
-    def detach(self) -> None:
-        self.store.flush_listeners.remove(self._on_flush)
-        self.store.reclaim_listeners.remove(self._on_reclaim)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ watermark and cleans until the high watermark is restored.
 
 A victim's valid blocks migrate in one vectorized pass
 (:meth:`GarbageCollector._migrate_batch`): all placement decisions are
-hoisted above all appends, and invalidation, mapping updates and
-``on_gc_block`` are deferred to the end.  That is exact because, within
+hoisted above all appends, and invalidation, mapping updates and the
+one ``gc_blocks`` event are deferred to the end.  That is exact because, within
 one victim, nothing the append path touches feeds back into ``place_gc``
 (policies read only per-LBA metadata and clocks that are constant during
 a cleaning pass) and every valid LBA appears exactly once.  The readable
@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.lss.segment import ORIGIN_GC, SEG_SEALED
-from repro.placement.base import PlacementPolicy
+from repro.lss.segment import SEG_SEALED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
@@ -34,10 +33,8 @@ class GarbageCollector:
 
     def __init__(self, store: "LogStructuredStore") -> None:
         self.store = store
-        #: Policies with the base no-op ``on_gc_block`` skip the per-block
-        #: notification loop.
-        self._notify_gc_block = type(store.policy).on_gc_block \
-            is not PlacementPolicy.on_gc_block
+        # pinned by the frozen `bench/` harness — no caller
+        self._notify_gc_block = False
 
     def needed(self) -> bool:
         return self.store.pool.free_segments <= self.store.config.gc_free_low
@@ -85,28 +82,14 @@ class GarbageCollector:
         n = int(lbas.shape[0])
         stats = store.stats
         stats.gc_passes += 1
-        if store._attr_on:
-            # Victim attribution must be taken before migration clears
-            # the victim's slot_valid plane.
-            orig = pool.slot_origin[victim][pool.slot_valid[victim]]
-            gc_origin = int(np.count_nonzero(orig == ORIGIN_GC))
-            store.attribution.on_gc_victim(
-                victim_group, store.user_seq - created_seq, n,
-                pool.segment_blocks, n - gc_origin, gc_origin)
+        for fn in store.events.gc_victim:
+            fn(victim, victim_group, created_seq, n, now_us)
         if n:
             self._migrate_batch(lbas, victim, victim_group, now_us)
-
-        store.policy.on_segment_reclaimed(
-            group_id=victim_group,
-            created_seq=created_seq,
-            sealed_seq=pool.sealed_seq_mv[victim],
-            now_seq=store.user_seq,
-            valid_blocks=n,
-        )
         pool.reclaim(victim)
         stats.gc_segments_reclaimed += 1
-        store.obs.on_gc_pass(victim, victim_group, n, now_us)
-        store.on_segment_reclaimed_physical(victim)
+        for fn in store.events.segment_reclaimed:
+            fn(victim, victim_group, created_seq, n, now_us)
 
     def _migrate_batch(self, lbas: np.ndarray, victim: int,
                        victim_group: int, now_us: int) -> None:
@@ -135,22 +118,13 @@ class GarbageCollector:
                 group = store.groups[int(dests[b0])]
                 locs[b0:b1] = group.append_gc_run(lbas[b0:b1],
                                                   lba_list[b0:b1], now_us)
-        if store._attr_on:
-            # Gather epochs before scatter: old slots live in the victim,
-            # new slots outside it, so the planes never alias.
-            epochs = pool.slot_epoch_flat[old_locs]
-            pool.slot_origin_flat[locs] = ORIGIN_GC
-            pool.slot_epoch_flat[locs] = epochs
         # The batch is exactly the victim's valid set (checked above), so
         # the per-slot invalidation walk collapses to one row reset.
         pool.invalidate_all(victim)
         store.mapping[lbas] = locs
         store.stats.gc_blocks_migrated += n
-        if self._notify_gc_block:
-            dest_list = dests.tolist()
-            for idx, lba in enumerate(lba_list):
-                store.policy.on_gc_block(lba, victim_group,
-                                         dest_list[idx])
+        for fn in store.events.gc_blocks:
+            fn(lbas, victim_group, dests, old_locs, locs)
 
 
 __all__ = ["GarbageCollector"]

@@ -79,10 +79,12 @@ class Group:
 
     def _maybe_seal(self) -> None:
         seg = self.open_seg
-        if seg is not None and \
-                self.store.pool.fill[seg] == self.store.pool.segment_blocks:
-            self.store.pool.seal(seg, self.store.user_seq)
-            self.store.policy.on_segment_sealed(self.gid, seg)
+        store = self.store
+        pool = store.pool
+        if seg is not None and pool.fill[seg] == pool.segment_blocks:
+            pool.seal(seg, store.user_seq)
+            for fn in store.events.segment_sealed:
+                fn(self.gid, seg)
             self.open_seg = None
 
     def _queue_run(self, kind: int, lbas: list[int], now_us: int) -> None:

@@ -19,11 +19,6 @@ SEG_SEALED: int = 2
 
 NO_LBA: int = -1
 
-# Slot provenance origins (only tracked when attribution is enabled).
-ORIGIN_NONE: int = 0
-ORIGIN_USER: int = 1
-ORIGIN_GC: int = 2
-
 
 class SegmentPool(ScalarViews):
     """Fixed pool of physical segments with slot-level bookkeeping.
@@ -71,48 +66,6 @@ class SegmentPool(ScalarViews):
 
         self._free = list(range(num_segments - 1, -1, -1))
 
-        # Optional provenance plane (attribution): who wrote each slot
-        # (ORIGIN_USER vs ORIGIN_GC) and its birth epoch — the store's
-        # user_seq at first write, preserved across GC migrations.
-        self.slot_origin: np.ndarray | None = None
-        self.slot_epoch: np.ndarray | None = None
-        self.slot_origin_flat: np.ndarray | None = None
-        self.slot_epoch_flat: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # provenance (attribution)
-    # ------------------------------------------------------------------
-    def enable_provenance(self) -> None:
-        """Allocate the per-slot origin/epoch plane (idempotent).
-
-        Kept out of ``__init__`` so attribution-off runs pay neither the
-        memory nor the tagging writes.
-        """
-        if self.slot_origin is not None:
-            return
-        self.slot_origin = np.full((self.num_segments, self.segment_blocks),
-                                   ORIGIN_NONE, dtype=np.uint8)
-        self.slot_epoch = np.zeros((self.num_segments, self.segment_blocks),
-                                   dtype=np.int64)
-        self.slot_origin_flat = self.slot_origin.reshape(-1)
-        self.slot_epoch_flat = self.slot_epoch.reshape(-1)
-
-    def __getstate__(self) -> dict:
-        # The flat provenance views alias the 2-D arrays; naive pickling
-        # materializes them as independent copies and silently breaks
-        # the aliasing after a fleet checkpoint restore.  Drop them here
-        # and rebuild in __setstate__, like the scalar views.
-        state = super().__getstate__()
-        state["slot_origin_flat"] = None
-        state["slot_epoch_flat"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        if self.slot_origin is not None:
-            self.slot_origin_flat = self.slot_origin.reshape(-1)
-            self.slot_epoch_flat = self.slot_epoch.reshape(-1)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -154,9 +107,6 @@ class SegmentPool(ScalarViews):
         self.slot_lba[seg, :] = NO_LBA
         self.slot_valid[seg, :] = False
         self.slot_seq[seg, :] = 0
-        if self.slot_origin is not None:
-            self.slot_origin[seg, :] = ORIGIN_NONE
-            self.slot_epoch[seg, :] = 0
         self.state_mv[seg] = SEG_FREE
         self.group_mv[seg] = -1
         self.fill[seg] = 0

@@ -13,10 +13,11 @@ import heapq
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.observer import NO_SAMPLE, StoreEvents, StoreObserver
 from repro.lss.config import LSSConfig
 from repro.lss.gc import GarbageCollector
 from repro.lss.group import Group, GroupKind
-from repro.lss.segment import ORIGIN_USER, SegmentPool
+from repro.lss.segment import SegmentPool
 from repro.lss.stats import StoreStats
 from repro.lss.victim import make_victim_policy
 from repro.obs import profile as obs_profile
@@ -54,18 +55,19 @@ class LogStructuredStore:
         policy: a placement policy instance (not yet bound to a store).
         recorder: observability sink (:class:`repro.obs.ObsRecorder`);
             defaults to the shared no-op recorder.
-        auditor: optional :class:`repro.validate.InvariantAuditor`; when
-            set, the store reports accepted user blocks to it (per block
-            from ``write_block``, per settle from ``replay``) and
-            finalize, so cross-structure invariants are checked on a
-            cadence while the replay is in flight.  ``replay`` settles
-            at every audit point, so each audit sees the state a
-            per-block replay would audit.
+        auditor: optional :class:`repro.validate.InvariantAuditor`,
+            which checks cross-structure invariants on a cadence while the
+            replay is in flight.  ``replay`` settles at every audit point,
+            so each audit sees the state a per-block replay would audit.
         attribution: causal-attribution sink
-            (:class:`repro.obs.attribution.AttributionRecorder`); defaults
-            to the shared no-op sink.  When enabled the segment pool
-            tracks per-slot origin/epoch provenance and GC emits victim
-            attribution records.
+            (:class:`repro.obs.attribution.AttributionRecorder`, which
+            keeps the per-slot provenance planes); defaults to the shared
+            no-op sink.
+
+    The policy, the recorder, the attribution sink and the auditor are
+    the store's observers, in that order: each hears the store's events
+    through :attr:`events` (:mod:`repro.common.observer`), and
+    :meth:`subscribe` appends another.
     """
 
     def __init__(self, config: LSSConfig, policy,
@@ -77,13 +79,11 @@ class LogStructuredStore:
         self.obs = NULL_RECORDER if recorder is None else recorder
         self.attribution = (NULL_ATTRIBUTION if attribution is None
                             else attribution)
-        self._attr_on = self.attribution.enabled
         #: The process-global phase profiler, captured at construction so
         #: replay/GC spans attribute to the profiler active when the run
         #: was set up (NULL_PROFILER unless a CLI --profile-out or a test
         #: installed one).
         self.profiler = obs_profile.current()
-        self._auditor = auditor
 
         specs = policy.group_specs()
         if not specs:
@@ -92,8 +92,6 @@ class LogStructuredStore:
 
         self.pool = SegmentPool(config.physical_segments,
                                 config.segment_blocks)
-        if self._attr_on:
-            self.pool.enable_provenance()
         self.mapping = np.full(config.logical_blocks, UNMAPPED,
                                dtype=np.int64)
         self.stats = StoreStats()
@@ -102,10 +100,6 @@ class LogStructuredStore:
             group = Group(gid, spec, self)
             self.groups.append(group)
             self.stats.groups.append(group.traffic)
-        # Bind observability after groups exist: a recorder-attached
-        # timeline derives its occupancy columns from the group list.
-        self.attribution.bind_store(self)
-        self.obs.bind_store(self)
         self._sla_groups = [g for g in self.groups
                             if g.spec.kind in (GroupKind.USER,
                                                GroupKind.MIXED)]
@@ -126,14 +120,18 @@ class LogStructuredStore:
         self.now_us = 0
         # pinned by the frozen `bench/` harness — no caller
         self._fast_flush = self._fast_full = False
-        #: Optional observers of physical events (e.g. the FTL bridge):
-        #: called as fn(group, flush) and fn(segment).
-        self.flush_listeners: list = []
-        self.reclaim_listeners: list = []
-        policy.bind(self)
-        policy.attach_obs(self.obs)
-        if auditor is not None:
-            auditor.attach(self)
+        self.events = StoreEvents(
+            o for o in (policy, self.obs, self.attribution, auditor)
+            if o is not None)
+        for observer in self.events.observers:
+            observer.bind(self)
+
+    def subscribe(self, observer: StoreObserver) -> None:
+        """Bind ``observer`` to this finished store and append it to
+        every event it overrides, after the store's own observers (the
+        FTL bridge subscribes this way)."""
+        observer.bind(self)
+        self.events = StoreEvents(self.events.observers + (observer,))
 
     # ------------------------------------------------------------------
     # request processing
@@ -144,7 +142,8 @@ class LogStructuredStore:
         self.tick(ts_us)
         if op != OP_WRITE:
             self.stats.read_requests += 1
-            self.obs.on_read_bulk(1, ts_us)
+            for fn in self.events.reads:
+                fn(1, ts_us)
             return
         self.stats.write_requests += 1
         end = offset + size
@@ -163,18 +162,13 @@ class LogStructuredStore:
         gid = self.policy.place_user(lba, now_us)
         loc = self.groups[gid].append_user(lba, now_us)
         self.mapping[lba] = loc
-        if self._attr_on:
-            # Birth epoch = pre-increment user_seq; GC migrations carry
-            # it forward while flipping the origin to ORIGIN_GC.
-            self.pool.slot_origin_flat[loc] = ORIGIN_USER
-            self.pool.slot_epoch_flat[loc] = self.user_seq
-        self.user_seq += 1
+        seq = self.user_seq
+        self.user_seq = seq + 1
         self.stats.user_blocks_requested += 1
-        self.obs.on_user_write_bulk(1, lba, now_us)
+        for fn in self.events.user_writes:
+            fn([lba], [loc], seq, now_us)
         if self.gc.needed():
             self.gc.run(now_us)
-        if self._auditor is not None:
-            self._auditor.on_user_batch(self)
 
     def read_block(self, lba: int) -> bool:
         """Return whether ``lba`` has ever been written (reads do not touch
@@ -244,10 +238,10 @@ class LogStructuredStore:
         i`` (the last one at ``now_us``), through the eager half of the
         write path (:meth:`Group.reserve_user`, one call per run).  What
         is left is what :meth:`write_block` does around its append: the
-        slot planes and ``valid_count``, provenance tags, the overwritten
-        locations' invalidation, the mapping, ``user_blocks_requested``
-        and the recorder/auditor reports — bit-identical to the per-block order
-        as long as nothing read them in between, which is why the replay
+        slot planes and ``valid_count``, the overwritten locations'
+        invalidation, the mapping, ``user_blocks_requested`` and one
+        ``user_writes`` event — bit-identical to the per-block order as
+        long as nothing read them in between, which is why the replay
         loop settles immediately before every GC run and at every
         observer's next sample point.
         """
@@ -258,11 +252,6 @@ class LogStructuredStore:
         locs = np.asarray(locs, dtype=np.int64)
         with self.profiler.span("settle"):
             pool.fill_slots(locs, lbas)
-            if self._attr_on:
-                # Birth epoch = each block's pre-increment user_seq.
-                pool.slot_origin_flat[locs] = ORIGIN_USER
-                pool.slot_epoch_flat[locs] = np.arange(
-                    start_seq, start_seq + n, dtype=np.int64)
             # First occurrences kill their pre-run location, later ones
             # kill their predecessor's fresh slot; the last one is mapped.
             old = self.mapping[lbas]
@@ -274,17 +263,14 @@ class LogStructuredStore:
                 pool.invalidate_many(dead)
             self.mapping[lbas[last_mask]] = locs[last_mask]
             self.stats.user_blocks_requested += n
-            self.obs.on_user_write_bulk(n, int(lbas[-1]), now_us)
-            if self._auditor is not None:
-                self._auditor.on_user_batch(self)
+            for fn in self.events.user_writes:
+                fn(lbas, locs, start_seq, now_us)
 
     def _next_sample_seq(self) -> int:
-        """The ``user_seq`` at which the recorder or the auditor next
-        reads the store: the replay loop settles there."""
-        seq = self.obs.next_sample_seq()
-        if self._auditor is not None:
-            seq = min(seq, self._auditor.next_sample_seq())
-        return seq
+        """The ``user_seq`` at which an observer next reads the store:
+        the replay loop settles there."""
+        return min((fn() for fn in self.events.next_sample_seq),
+                   default=NO_SAMPLE)
 
     # ------------------------------------------------------------------
     # replay and finalisation
@@ -440,7 +426,8 @@ class LogStructuredStore:
             self.stats.read_requests += reads
             self.stats.write_requests += writes
             if reads:
-                self.obs.on_read_bulk(reads, t)
+                for fn in self.events.reads:
+                    fn(reads, t)
 
     def finalize(self) -> None:
         """Flush every pending chunk (padded) at end of run."""
@@ -448,30 +435,19 @@ class LogStructuredStore:
             now = self.now_us + self.config.coalesce_window_us
             for group in self.groups:
                 group.force_flush(now)
-            self.obs.on_finalize(self.stats)
-            if self._attr_on:
-                self.attribution.on_finalize(self)
-            if self._auditor is not None:
-                self._auditor.on_finalize(self)
+            for fn in self.events.finalize:
+                fn()
 
     # ------------------------------------------------------------------
     # hooks and introspection
     # ------------------------------------------------------------------
     def on_chunk_flush(self, group: Group, flush) -> None:
-        """Fan one :class:`~repro.array.coalescing.ChunkFlush` record out
-        to everything that books chunk writes: the RAID layer, the
-        recorder, the placement policy (ADAPT's write monitors hang off
-        this) and the physical-event listeners."""
+        """Book one :class:`~repro.array.coalescing.ChunkFlush` record in
+        the RAID layer and fire ``chunk_flush`` (ADAPT's write monitors,
+        the recorder and the FTL bridge hang off it)."""
         self.stats.raid.add_chunk_ios(flush.count)
-        self.obs.on_chunk_flush(group.gid, group.spec.name, flush)
-        self.policy.on_chunk_flush(group, flush)
-        for fn in self.flush_listeners:
+        for fn in self.events.chunk_flush:
             fn(group, flush)
-
-    def on_segment_reclaimed_physical(self, seg: int) -> None:
-        """GC erased physical segment ``seg`` (FTL bridges trim on this)."""
-        for fn in self.reclaim_listeners:
-            fn(seg)
 
     def group_occupancy(self) -> np.ndarray:
         """Blocks currently resident per group, counting sealed + open

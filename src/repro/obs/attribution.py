@@ -1,23 +1,22 @@
 """Causal attribution: the GC provenance ledger.
 
 The phase profiler says *where* replay time goes; this module says
-*which groups* the write amplification comes from.  The store tags every
-appended data block with its origin (user write vs GC migration) and
-birth epoch (``user_seq`` at first write, preserved across migrations),
-and GC reports every victim eviction (group, segment age, valid ratio,
-origin mix of the migrated blocks).  Rolled up with the per-group
-traffic breakdown this yields a per-group WA ledger: user/GC/shadow/
-padding writes per group plus where GC'd blocks were born.  Both
-sections describe the *simulated store state*, so they are equal under
-the replay loop and its per-block specification and merge
-deterministically serial-vs-sharded.
+*which groups* the write amplification comes from.  The recorder owns
+the slot provenance planes: it tags every appended data block with its
+origin (user write vs GC migration) and birth epoch (``user_seq`` at
+first write, preserved across migrations), and books every GC victim
+(group, segment age, valid ratio, origin mix of the migrated blocks).
+Rolled up with the per-group traffic breakdown this yields a per-group
+WA ledger: user/GC/shadow/padding writes per group plus where GC'd
+blocks were born.  Both sections describe the *simulated store state*,
+so they are equal under the replay loop and its per-block specification
+and merge deterministically serial-vs-sharded.
 
-The default :data:`NULL_ATTRIBUTION` makes every hook a no-op behind a
-cached ``enabled`` boolean — the same boolean decides whether the
-segment pool allocates its provenance planes and the store tags slots —
-so disabled runs pay nothing.  The module imports
-nothing from the simulator layers it observes (hooks receive plain
-values), keeping the import graph acyclic.
+Both classes are store observers (:mod:`repro.common.observer`): the
+default :data:`NULL_ATTRIBUTION` overrides no event, so a store without
+attribution never calls it and allocates no provenance plane.  The
+module imports nothing from the simulator layers it observes, keeping
+the import graph acyclic.
 """
 
 from __future__ import annotations
@@ -26,40 +25,26 @@ import json
 import re
 from typing import Any
 
+import numpy as np
+
+from repro.common.observer import StoreObserver
 from repro.obs.atomicio import atomic_write
 
 #: Attribution snapshot schema version.  v2: the batched engine's
 #: chunk-termination section is gone with the engine.
 ATTRIBUTION_SCHEMA = 2
 
+#: Slot origins in :attr:`AttributionRecorder.slot_origin`.
+ORIGIN_NONE: int = 0
+ORIGIN_USER: int = 1
+ORIGIN_GC: int = 2
 
-class NullAttribution:
-    """No-op attribution sink; every hook exists and does nothing.
 
-    Instrumented call sites guard on :attr:`enabled` (cached as
-    ``store._attr_on``), so a disabled run pays one boolean check per
-    guarded region.
-    """
+class NullAttribution(StoreObserver):
+    """No-op attribution sink: subscribes to no store event."""
 
     enabled = False
 
-    # -- lifecycle ------------------------------------------------------
-    def bind_store(self, store: Any) -> None:
-        """Called once by the store that owns this recorder."""
-
-    def on_finalize(self, store: Any) -> None:
-        """End of replay (after the store force-flushed every chunk)."""
-
-    # -- GC hooks -------------------------------------------------------
-    def on_gc_victim(self, group_id: int, age_seq: int, valid_blocks: int,
-                     segment_blocks: int, user_origin: int,
-                     gc_origin: int) -> None:
-        """GC evicted one victim segment of ``group_id``: ``age_seq``
-        user writes old, ``valid_blocks`` of ``segment_blocks`` still
-        valid, of which ``user_origin`` were born as user writes and
-        ``gc_origin`` had already been migrated at least once."""
-
-    # -- export ---------------------------------------------------------
     def publish(self, registry: Any) -> None:
         """Mirror the aggregates into a metrics registry (no-op here)."""
 
@@ -73,18 +58,24 @@ NULL_ATTRIBUTION = NullAttribution()
 
 
 class AttributionRecorder(NullAttribution):
-    """Live attribution sink: plain-int aggregates, no per-event storage.
+    """Live attribution sink: the provenance planes plus plain-int
+    aggregates, no per-event storage.
 
-    The hot-path hooks touch only dicts of Python ints; the structured
-    snapshot (and the optional :meth:`publish` into a
+    The planes are flat — one entry per encoded location (``segment *
+    segment_blocks + slot``) — so they pickle as they are.  The
+    structured snapshot (and the optional :meth:`publish` into a
     :class:`~repro.obs.metrics.MetricsRegistry`) is built on demand from
-    those aggregates plus the bound store's per-group traffic breakdown.
+    the aggregates plus the bound store's per-group traffic breakdown.
     """
 
     enabled = True
 
     def __init__(self) -> None:
         self._store: Any = None
+        #: Per location: who wrote the slot (``ORIGIN_*``) and its birth
+        #: epoch; allocated by :meth:`bind`.
+        self.slot_origin: np.ndarray | None = None
+        self.slot_epoch: np.ndarray | None = None
         #: victim gid -> [victims, valid_blocks, free_blocks,
         #:               age_seq_sum, user_origin, gc_origin]
         self.gc_groups: dict[int, list[int]] = {}
@@ -93,36 +84,60 @@ class AttributionRecorder(NullAttribution):
         self.total_migrated_user_origin = 0
         self.total_migrated_gc_origin = 0
 
-    # -- lifecycle ------------------------------------------------------
-    def bind_store(self, store: Any) -> None:
+    # -- store events ---------------------------------------------------
+    def bind(self, store: Any) -> None:
         self._store = store
+        slots = store.pool.num_segments * store.pool.segment_blocks
+        self.slot_origin = np.full(slots, ORIGIN_NONE, dtype=np.uint8)
+        self.slot_epoch = np.zeros(slots, dtype=np.int64)
 
-    def on_finalize(self, store: Any) -> None:
-        # Mirror the final aggregates into the run's metrics registry
-        # when observability is live alongside attribution.
-        registry = getattr(getattr(store, "obs", None), "registry", None)
-        if registry is not None:
-            self.publish(registry)
+    def user_writes(self, lbas, locs, start_seq: int, now_us: int) -> None:
+        # Birth epoch = each block's pre-increment user_seq.
+        self.slot_origin[locs] = ORIGIN_USER
+        self.slot_epoch[locs] = np.arange(start_seq, start_seq + len(locs),
+                                          dtype=np.int64)
 
-    # -- GC hooks -------------------------------------------------------
-    def on_gc_victim(self, group_id: int, age_seq: int, valid_blocks: int,
-                     segment_blocks: int, user_origin: int,
-                     gc_origin: int) -> None:
+    def gc_victim(self, seg: int, group_id: int, created_seq: int,
+                  valid_blocks: int, now_us: int) -> None:
+        pool = self._store.pool
+        sb = pool.segment_blocks
+        origin = self.slot_origin[seg * sb:(seg + 1) * sb]
+        gc_origin = int(np.count_nonzero(
+            origin[pool.slot_valid[seg]] == ORIGIN_GC))
+        user_origin = valid_blocks - gc_origin
+        age_seq = self._store.user_seq - created_seq
         agg = self.gc_groups.get(group_id)
         if agg is None:
-            self.gc_groups[group_id] = [
-                1, valid_blocks, segment_blocks - valid_blocks, age_seq,
-                user_origin, gc_origin]
-        else:
-            agg[0] += 1
-            agg[1] += valid_blocks
-            agg[2] += segment_blocks - valid_blocks
-            agg[3] += age_seq
-            agg[4] += user_origin
-            agg[5] += gc_origin
+            agg = self.gc_groups[group_id] = [0, 0, 0, 0, 0, 0]
+        agg[0] += 1
+        agg[1] += valid_blocks
+        agg[2] += sb - valid_blocks
+        agg[3] += age_seq
+        agg[4] += user_origin
+        agg[5] += gc_origin
         self.total_victims += 1
         self.total_migrated_user_origin += user_origin
         self.total_migrated_gc_origin += gc_origin
+
+    def gc_blocks(self, lbas, from_group: int, to_groups, old_locs,
+                  new_locs) -> None:
+        # Old slots live in the victim and new ones outside it, so the
+        # gather and the scatter never alias.
+        self.slot_origin[new_locs] = ORIGIN_GC
+        self.slot_epoch[new_locs] = self.slot_epoch[old_locs]
+
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
+        sb = self._store.pool.segment_blocks
+        self.slot_origin[seg * sb:(seg + 1) * sb] = ORIGIN_NONE
+        self.slot_epoch[seg * sb:(seg + 1) * sb] = 0
+
+    def finalize(self) -> None:
+        # Mirror the final aggregates into the run's metrics registry
+        # when observability is live alongside attribution.
+        registry = getattr(self._store.obs, "registry", None)
+        if registry is not None:
+            self.publish(registry)
 
     # -- export ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -280,6 +295,9 @@ def write_attribution_json(snapshot: dict, path: str) -> str:
 __all__ = [
     "ATTRIBUTION_SCHEMA",
     "NULL_ATTRIBUTION",
+    "ORIGIN_GC",
+    "ORIGIN_NONE",
+    "ORIGIN_USER",
     "AttributionRecorder",
     "NullAttribution",
     "merge_attribution_snapshots",

@@ -1,11 +1,13 @@
-"""The recorder: the hook surface every instrumented code path calls.
+"""The recorder: a store observer plus the hooks policies emit through.
 
-:class:`NullRecorder` defines the full hook vocabulary as no-ops and is the
-default everywhere (the module-level :data:`NULL_RECORDER` singleton).
-Hooks are called unguarded: together they run about 0.2 times per user
-block (``test_obs_hook_calls_per_user_block_bounded``), so an inert
-method call costs nothing measurable.
-:class:`ObsRecorder` implements the hooks for real: it feeds a
+:class:`NullRecorder` is the default everywhere (the module-level
+:data:`NULL_RECORDER` singleton).  It overrides no store event
+(:mod:`repro.common.observer`), so the store never calls it, and its
+emitter hooks (``on_shadow_append``, ``on_demotion``, ...) are no-ops
+that policies call unguarded.  Together the recorder's events and hooks
+run about 0.2 times per user block
+(``test_obs_hook_calls_per_user_block_bounded``).
+:class:`ObsRecorder` implements them for real: it feeds a
 :class:`~repro.obs.metrics.MetricsRegistry`, emits typed events into an
 :class:`~repro.obs.events.EventTracer`, and samples a WA/padding/GC
 time-series every ``sample_every_blocks`` user blocks.
@@ -18,9 +20,9 @@ graph acyclic — the simulator imports ``repro.obs``, never the reverse.
 
 from __future__ import annotations
 
-import sys
 from typing import Any
 
+from repro.common.observer import StoreObserver
 from repro.obs.events import (
     EV_AUDIT_VIOLATION,
     EV_CHUNK_FLUSH,
@@ -45,49 +47,14 @@ SERIES_COLUMNS: tuple[str, ...] = (
     "gc_passes",
 )
 
-#: What :meth:`NullRecorder.next_sample_seq` answers for an observer that
-#: never needs the store settled.
-NO_SAMPLE: int = sys.maxsize
 
-
-class NullRecorder:
-    """No-op recorder; every hook exists and does nothing."""
+class NullRecorder(StoreObserver):
+    """No-op recorder: no store event, and every emitter hook exists and
+    does nothing."""
 
     enabled = False
 
-    # -- lifecycle ------------------------------------------------------
-    def bind_store(self, store: Any) -> None:
-        """Called once by the store that owns this recorder."""
-
-    def on_finalize(self, stats: Any) -> None:
-        """End of replay: the store flushed every pending chunk."""
-
-    def next_sample_seq(self) -> int:
-        """The user-block count at which this recorder next reads the
-        store (a series or timeline row).  The replay loop settles
-        exactly there, so every row equals a per-block replay's."""
-        return NO_SAMPLE
-
-    # -- hot-path hooks -------------------------------------------------
-    def on_user_write_bulk(self, count: int, last_lba: int,
-                           now_us: int) -> None:
-        """``count >= 1`` user block writes were accepted (one from
-        ``write_block``, a settled run from the replay loop); the last
-        one wrote ``last_lba`` at ``now_us``."""
-
-    def on_read_bulk(self, count: int, now_us: int) -> None:
-        """``count`` read requests were observed."""
-
-    def on_chunk_flush(self, gid: int, name: str, flush: Any) -> None:
-        """Group ``gid`` wrote ``flush.count`` chunks (a
-        :class:`ChunkFlush`; ``count > 1`` is a run of FULL flushes).
-        ``flush.lazy_blocks`` of them already had substitutes persisted
-        elsewhere (§3.3's lazy append)."""
-
-    def on_gc_pass(self, victim_seg: int, group_id: int, valid_blocks: int,
-                   now_us: int) -> None:
-        """GC cleaned one victim segment."""
-
+    # -- hooks policies and the auditor emit through --------------------
     def on_shadow_append(self, hot_gid: int, cold_gid: int, blocks: int,
                          now_us: int) -> None:
         """Cross-group aggregation persisted substitutes (§3.3)."""
@@ -207,9 +174,9 @@ class ObsRecorder(NullRecorder):
             "valid blocks per GC victim segment")
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # store events
     # ------------------------------------------------------------------
-    def bind_store(self, store: Any) -> None:
+    def bind(self, store: Any) -> None:
         self._store = store
         g = self.registry.gauge("lss_logical_blocks",
                                 "configured logical address space")
@@ -217,10 +184,11 @@ class ObsRecorder(NullRecorder):
         if self.timeline is not None:
             self.timeline.bind(store)
 
-    def on_finalize(self, stats: Any) -> None:
+    def finalize(self) -> None:
         # Always close the series with an exact final row: exporters and
         # tests rely on the last row matching StoreStats to the bit.
-        now_us = getattr(self._store, "now_us", 0)
+        now_us = self._store.now_us
+        stats = self._store.stats
         self._sample_row(now_us, stats)
         self.gauge("lss_write_amplification", stats.write_amplification())
         self.gauge("lss_padding_traffic_ratio", stats.padding_traffic_ratio())
@@ -235,26 +203,24 @@ class ObsRecorder(NullRecorder):
             seq = min(seq, self.timeline.next_sample_seq())
         return seq
 
-    # ------------------------------------------------------------------
-    # hot-path hooks
-    # ------------------------------------------------------------------
-    def on_user_write_bulk(self, count: int, last_lba: int,
-                           now_us: int) -> None:
+    def user_writes(self, lbas, locs, start_seq: int, now_us: int) -> None:
         ub = self._user_blocks
-        ub.value += count
+        ub.value += len(lbas)
         if ub.value % self.sample_every_blocks == 0:
             # The store settled exactly on the boundary: the per-block
             # row, with one sampled user_write marker event.
             self._sample_row(now_us, self._store.stats)
-            self.tracer.emit(EV_USER_WRITE, now_us, lba=last_lba,
+            self.tracer.emit(EV_USER_WRITE, now_us, lba=int(lbas[-1]),
                              user_blocks=ub.value)
         if self.timeline is not None:
             self.timeline.maybe_sample(now_us)
 
-    def on_read_bulk(self, count: int, now_us: int) -> None:
+    def reads(self, count: int, now_us: int) -> None:
         self._reads.value += count
 
-    def on_chunk_flush(self, gid: int, name: str, flush: Any) -> None:
+    def chunk_flush(self, group: Any, flush: Any) -> None:
+        gid = group.gid
+        name = group.spec.name
         reason = flush.reason.value
         count = flush.count
         data = flush.data_blocks
@@ -296,13 +262,17 @@ class ObsRecorder(NullRecorder):
             for _ in range(count - 1):
                 emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
 
-    def on_gc_pass(self, victim_seg: int, group_id: int, valid_blocks: int,
-                   now_us: int) -> None:
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
         self._gc_passes.value += 1
         self._gc_migrated.value += valid_blocks
         self._h_victim.observe(valid_blocks)
-        self.tracer.emit(EV_GC_PASS, now_us, victim=victim_seg,
-                         group=group_id, valid_blocks=valid_blocks)
+        self.tracer.emit(EV_GC_PASS, now_us, victim=seg, group=group_id,
+                         valid_blocks=valid_blocks)
+
+    # ------------------------------------------------------------------
+    # emitter hooks
+    # ------------------------------------------------------------------
 
     def on_shadow_append(self, hot_gid: int, cold_gid: int, blocks: int,
                          now_us: int) -> None:

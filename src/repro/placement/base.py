@@ -1,7 +1,9 @@
 """Placement-policy protocol shared by the baselines and ADAPT.
 
 A policy declares its groups, routes every user block write and every GC
-migration to a group, and may hook segment lifecycle events.  Policies hold
+migration to a group, and — as the store's first observer
+(:mod:`repro.common.observer`) — may override any store event (chunk
+flushes, seals, GC migrations, reclaims).  Policies hold
 their own per-LBA metadata in NumPy arrays (never per-block objects),
 read and write single entries through scalar views of those arrays
 (:class:`~repro.common.views.ScalarViews`), and report its footprint
@@ -14,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.common.observer import StoreObserver
 from repro.common.views import ScalarViews
 from repro.lss.config import LSSConfig
 from repro.lss.group import Group, GroupSpec
@@ -23,11 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
 
 
-class PlacementPolicy(ScalarViews):
+class PlacementPolicy(ScalarViews, StoreObserver):
     """Base class for placement policies.
 
     Lifecycle: construct with the store config, pass to
     :class:`~repro.lss.store.LogStructuredStore`, which calls :meth:`bind`.
+    Events a policy overrides reach it before every other observer.
     """
 
     #: Registry name; subclasses override.
@@ -103,13 +107,9 @@ class PlacementPolicy(ScalarViews):
     # optional hooks
     # ------------------------------------------------------------------
     def bind(self, store: "LogStructuredStore") -> None:
+        """Receive the store and, as :attr:`obs`, its recorder."""
         self.store = store
-
-    def attach_obs(self, obs: NullRecorder) -> None:
-        """Receive the store's observability recorder (called right after
-        :meth:`bind`).  Policies with instrumented sub-components override
-        this to propagate the recorder."""
-        self.obs = obs
+        self.obs = store.obs
 
     def before_padding_flush(self, group: Group, now_us: int) -> bool:
         """Last chance to avert an SLA padding flush for ``group``.
@@ -118,27 +118,6 @@ class PlacementPolicy(ScalarViews):
         way (ADAPT's cross-group aggregation); ``False`` lets the store pad.
         """
         return False
-
-    def on_segment_sealed(self, group_id: int, seg: int) -> None:
-        """A segment of ``group_id`` filled up and became immutable."""
-
-    def on_chunk_flush(self, group: Group, flush) -> None:
-        """``flush.count`` chunks of ``group`` were written to the array.
-
-        ``flush`` is a :class:`~repro.array.coalescing.ChunkFlush`: one
-        padded (DEADLINE/FORCED) or FULL flush, or — from an append run —
-        ``count > 1`` FULL flushes at once, with block counts summed over
-        the run.  An override must leave the state ``count`` single-flush
-        calls would.
-        """
-
-    def on_segment_reclaimed(self, group_id: int, created_seq: int,
-                             sealed_seq: int, now_seq: int,
-                             valid_blocks: int) -> None:
-        """GC reclaimed a segment of ``group_id``."""
-
-    def on_gc_block(self, lba: int, from_group: int, to_group: int) -> None:
-        """GC migrated ``lba`` between groups."""
 
     def memory_bytes(self) -> int:
         """Approximate resident metadata footprint of this policy."""

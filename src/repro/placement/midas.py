@@ -76,7 +76,7 @@ class MidasLitePolicy(PlacementPolicy):
 
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,
                        now_us: int) -> np.ndarray:
-        # active_groups only moves in on_segment_reclaimed, after the
+        # active_groups only moves in segment_reclaimed, after the
         # whole victim is migrated, so it is constant across the batch.
         counts = np.minimum(self._migrations[lbas].astype(np.int64) + 1,
                             self.active_groups - 1)
@@ -86,9 +86,8 @@ class MidasLitePolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     # adaptation
     # ------------------------------------------------------------------
-    def on_segment_reclaimed(self, group_id: int, created_seq: int,
-                             sealed_seq: int, now_seq: int,
-                             valid_blocks: int) -> None:
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
         util = valid_blocks / self.config.segment_blocks
         prev = self._victim_util[group_id]
         if np.isnan(prev):

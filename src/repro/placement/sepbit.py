@@ -74,7 +74,7 @@ class SepBITPolicy(PlacementPolicy):
 
     def place_gc_batch(self, lbas: np.ndarray, victim_group: int,
                        now_us: int) -> np.ndarray:
-        # The threshold only moves in on_segment_reclaimed, after the
+        # The threshold only moves in segment_reclaimed, after the
         # whole victim is migrated: the age ladder is constant here, and
         # the class is how many geometric boundaries the age clears.
         last = self._last_user_write[lbas]
@@ -102,12 +102,11 @@ class SepBITPolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     # threshold inference
     # ------------------------------------------------------------------
-    def on_segment_reclaimed(self, group_id: int, created_seq: int,
-                             sealed_seq: int, now_seq: int,
-                             valid_blocks: int) -> None:
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
         if group_id != self.HOT:
             return
-        lifespan = max(now_seq - created_seq, 1)
+        lifespan = max(self.user_seq - created_seq, 1)
         self.threshold += self.ewma_alpha * (lifespan - self.threshold)
 
     def memory_bytes(self) -> int:

@@ -58,7 +58,12 @@ def _to_block_range(offset_bytes: int, size_bytes: int) -> tuple[int, int]:
 
 
 def _build(rows: list[tuple[int, int, int, int]], volume: str) -> Trace:
-    trace = Trace.from_rows(rows, volume=volume)
+    try:
+        trace = Trace.from_rows(rows, volume=volume)
+    except OverflowError as exc:
+        raise TraceFormatError(
+            f"{volume}: a timestamp, offset or size does not fit in a "
+            f"signed 64-bit integer") from exc
     order = np.argsort(trace.timestamps, kind="stable")
     trace = Trace(trace.timestamps[order], trace.ops[order],
                   trace.offsets[order], trace.sizes[order], volume=volume)

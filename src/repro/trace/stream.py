@@ -307,6 +307,11 @@ class FileChunkStream(TraceStream):
         except KeyError as exc:
             raise TraceFormatError(
                 f"{self.path}: missing chunk {index}") from exc
+        try:
+            trace.validate()
+        except TraceFormatError as exc:
+            raise TraceFormatError(
+                f"{self.path}: chunk {index}: {exc}") from exc
         return trace, None
 
     def close(self) -> None:

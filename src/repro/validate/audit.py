@@ -41,10 +41,10 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from repro.common.errors import InvariantViolation
+from repro.common.observer import NO_SAMPLE, StoreObserver
 from repro.lss.group import (APPEND_GC, APPEND_SHADOW, APPEND_USER)
 from repro.lss.segment import SEG_FREE
 from repro.lss.store import UNMAPPED
-from repro.obs.recorder import NO_SAMPLE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
@@ -225,15 +225,14 @@ INVARIANT_CHECKS: dict[str, CheckFn] = {
 }
 
 
-class InvariantAuditor:
-    """Cadence-driven invariant auditing hook for one store.
+class InvariantAuditor(StoreObserver):
+    """Cadence-driven invariant auditing observer for one store.
 
-    Pass an instance to ``LogStructuredStore(..., auditor=...)``: the store
-    reports accepted user blocks through :meth:`on_user_batch` — per block
-    from ``write_block``, per settle from ``replay``, which settles at
-    :meth:`next_sample_seq` — and calls :meth:`on_finalize` at end of
-    replay.  Every ``every_blocks`` user blocks (and at finalize) the
-    auditor runs its check catalogue; the first violated invariant raises
+    Pass an instance to ``LogStructuredStore(..., auditor=...)``: it hears
+    every settled run of user writes (``replay`` settles at
+    :meth:`next_sample_seq`) and the end of replay.  Every
+    ``every_blocks`` user blocks (and at finalize) the auditor runs its
+    check catalogue; the first violated invariant raises
     :class:`InvariantViolation` after emitting an ``audit_violation``
     observability event.
 
@@ -257,15 +256,16 @@ class InvariantAuditor:
         self.check_names = names
         self.audits_run = 0
         self.violations = 0
+        self._store = None
         self._rearm(0)
 
     def _rearm(self, user_seq: int) -> None:
         self._next = (user_seq + self.every_blocks if self.every_blocks
                       else NO_SAMPLE)
 
-    # -- store-facing hooks ---------------------------------------------
-    def attach(self, store: "LogStructuredStore") -> None:
-        """Called by the store when the auditor is installed."""
+    # -- store events ---------------------------------------------------
+    def bind(self, store: "LogStructuredStore") -> None:
+        self._store = store
         self._rearm(store.user_seq)
 
     def next_sample_seq(self) -> int:
@@ -273,14 +273,12 @@ class InvariantAuditor:
         due."""
         return self._next
 
-    def on_user_batch(self, store: "LogStructuredStore") -> None:
-        """The store accepted and settled user blocks; audit if its clock
-        reached the cadence."""
-        if store.user_seq >= self._next:
-            self.audit(store)
+    def user_writes(self, lbas, locs, start_seq: int, now_us: int) -> None:
+        if self._store.user_seq >= self._next:
+            self.audit(self._store)
 
-    def on_finalize(self, store: "LogStructuredStore") -> None:
-        self.audit(store)
+    def finalize(self) -> None:
+        self.audit(self._store)
 
     # -- the audit -------------------------------------------------------
     def audit(self, store: "LogStructuredStore") -> None:

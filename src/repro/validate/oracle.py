@@ -29,6 +29,8 @@ the fast store, which would defeat the point of an independent model.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.array.coalescing import ChunkFlush, FlushReason
 from repro.common.errors import (CapacityError, ConfigError, ValidationError)
 from repro.lss.config import LSSConfig
@@ -373,7 +375,7 @@ class OracleGroup:
                 self.store.pool.segments[seg].fill == \
                 self.store.pool.segment_blocks:
             self.store.pool.seal(seg, self.store.user_seq)
-            self.store.policy.on_segment_sealed(self.gid, seg)
+            self.store.policy.segment_sealed(self.gid, seg)
             self.open_seg = None
 
     # -- appends --------------------------------------------------------
@@ -491,7 +493,6 @@ class OracleStore:
         self.user_seq = 0
         self.now_us = 0
         policy.bind(self)
-        policy.attach_obs(self.obs)
 
     # -- request processing --------------------------------------------
     def process_request(self, ts_us: int, op: int, offset: int,
@@ -555,7 +556,7 @@ class OracleStore:
     # -- hooks ----------------------------------------------------------
     def on_chunk_flush(self, group: OracleGroup, flush: ChunkFlush) -> None:
         self.stats.raid.add_chunks(1)
-        self.policy.on_chunk_flush(group, flush)
+        self.policy.chunk_flush(group, flush)
 
     # -- garbage collection ---------------------------------------------
     def _gc_needed(self) -> bool:
@@ -590,14 +591,13 @@ class OracleStore:
             pool.invalidate(old_loc)
             self.mapping[lba] = new_loc
             self.stats.gc_blocks_migrated += 1
-            self.policy.on_gc_block(lba, victim_group, dest)
-        self.policy.on_segment_reclaimed(
-            group_id=victim_group,
-            created_seq=rec.created_seq,
-            sealed_seq=rec.sealed_seq,
-            now_seq=self.user_seq,
-            valid_blocks=len(lbas),
-        )
+            # The fast store fires one gc_blocks per victim; the oracle
+            # specifies it as one per block.
+            self.policy.gc_blocks(np.array([lba]), victim_group,
+                                  np.array([dest]), np.array([old_loc]),
+                                  np.array([new_loc]))
+        self.policy.segment_reclaimed(victim, victim_group, rec.created_seq,
+                                      len(lbas), now_us)
         pool.reclaim(victim)
         self.stats.gc_segments_reclaimed += 1
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.array.chunk import ChunkGeometry
+from repro.common.observer import StoreObserver
 from repro.common.units import KiB
 from repro.lss.config import LSSConfig
 from repro.trace.model import OP_WRITE, Trace
@@ -39,6 +40,17 @@ def make_write_trace(lbas, start_us: int = 0, gap_us: int = 10,
     ops = np.full(n, OP_WRITE, dtype=np.uint8)
     sizes = np.ones(n, dtype=np.int64)
     return Trace(ts, ops, lbas, sizes, volume=volume)
+
+
+class FlushLog(StoreObserver):
+    """Subscribes to ``store`` and keeps every chunk-flush record."""
+
+    def __init__(self, store) -> None:
+        self.flushes: list = []
+        store.subscribe(self)
+
+    def chunk_flush(self, group, flush) -> None:
+        self.flushes.append(flush)
 
 
 @pytest.fixture

@@ -125,6 +125,26 @@ class TestFileChunkStream:
         assert np.array_equal(collect(clone).offsets,
                               collect(s).offsets)
 
+    @pytest.mark.parametrize("column,value,why", [
+        ("timestamps", 5, "non-decreasing"),
+        ("ops", 7, "op code"),
+        ("sizes", 0, ">= 1 block"),
+    ])
+    def test_invalid_chunk_raises_naming_file_and_chunk(self, tmp_path,
+                                                        column, value, why):
+        from repro.common.errors import TraceFormatError
+        cols = {"timestamps": [10, 20, 30, 40], "ops": [1, 1, 1, 1],
+                "offsets": [0, 1, 2, 3], "sizes": [1, 1, 1, 1]}
+        cols[column][3] = value          # request 3 lives in chunk 1
+        bad = Trace(**cols, volume="bad")
+        path = str(tmp_path / "bad.chunks.npz")
+        write_chunk_file(MaterializedStream(bad, chunk_requests=2), path)
+        s = FileChunkStream(path)
+        assert len(s.chunk(0, None)[0]) == 2
+        with pytest.raises(TraceFormatError, match=why) as err:
+            s.chunk(1, None)
+        assert f"{path}: chunk 1" in str(err.value)
+
 
 def test_stream_generation_memory_is_o_chunk():
     """Walking a stream never materializes the whole volume: 4x the

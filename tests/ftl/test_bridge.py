@@ -32,15 +32,6 @@ def test_bridge_receives_every_flushed_block(small_cfg, trace):
     bridge.ftl.check_invariants()
 
 
-def test_detach_stops_feed(small_cfg, trace):
-    policy = make_policy("sepgc", small_cfg)
-    store = LogStructuredStore(small_cfg, policy)
-    bridge = StreamBridge(store, multi_stream=True)
-    bridge.detach()
-    store.replay(trace)
-    assert bridge.ftl.host_pages == 0
-
-
 def test_multi_stream_lowers_device_wa(small_cfg, trace):
     """§3.1: mapping groups to streams one-to-one reduces in-device WA."""
     multi = measure_device_wa("sepbit", trace, small_cfg, multi_stream=True)

@@ -6,6 +6,8 @@ from repro.lss.group import APPEND_SHADOW, APPEND_USER
 from repro.lss.store import LogStructuredStore
 from repro.placement.sepgc import SepGCPolicy
 
+from tests.conftest import FlushLog
+
 
 @pytest.fixture
 def store(tiny_config):
@@ -105,8 +107,7 @@ def _reserve_in_runs(tiny_config, cuts):
     position in ``cuts``.  Returns the store, its user group, each
     block's location and each flush record."""
     store = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
-    flushes = []
-    store.flush_listeners.append(lambda group, flush: flushes.append(flush))
+    flushes = FlushLog(store).flushes
     g = store.groups[0]
     n = tiny_config.segment_blocks + 3
     locs, run = [], []
@@ -134,9 +135,7 @@ def _check_runs_against_append_user(tiny_config, cuts):
     import numpy as np
 
     eager = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
-    eager_flushes = []
-    eager.flush_listeners.append(
-        lambda group, flush: eager_flushes.append(flush))
+    eager_flushes = FlushLog(eager).flushes
     ge = eager.groups[0]
     eager_locs = []
     for i in range(tiny_config.segment_blocks + 3):

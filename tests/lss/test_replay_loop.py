@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import CapacityError
+from repro.common.observer import StoreObserver
 from repro.lss import store as store_module
 from repro.lss.store import LogStructuredStore
 from repro.lss.victim import VictimPolicy
@@ -36,9 +37,8 @@ from tests.conftest import make_write_trace
 #: ali (index 0) and tencent (index 1) differential workloads.
 _WORKLOADS = ("ali", "tencent")
 
-_POOL_PLANES = ("slot_lba", "slot_valid", "slot_seq", "slot_origin",
-                "slot_epoch", "state", "group", "fill", "valid_count",
-                "created_seq", "sealed_seq")
+_POOL_PLANES = ("slot_lba", "slot_valid", "slot_seq", "state", "group",
+                "fill", "valid_count", "created_seq", "sealed_seq")
 
 
 def instrumented_store(policy_name, trace_events=False):
@@ -93,11 +93,17 @@ def assert_same_outcome(spec, loop):
     loop.check_invariants()
     if spec.obs.enabled:
         assert spec.obs.registry.snapshot() == loop.obs.registry.snapshot()
-        assert spec._auditor.audits_run == loop._auditor.audits_run
-    if spec._attr_on:
+        audits = [o.audits_run for s in (spec, loop)
+                  for o in s.events.observers
+                  if isinstance(o, InvariantAuditor)]
+        assert len(audits) == 2 and audits[0] == audits[1]
+    if spec.attribution.enabled:
         views = [json.dumps(s.attribution.snapshot(), sort_keys=True)
                  for s in (spec, loop)]
         assert views[0] == views[1]
+        for plane in ("slot_origin", "slot_epoch"):
+            assert np.array_equal(getattr(spec.attribution, plane),
+                                  getattr(loop.attribution, plane)), plane
 
 
 def assert_same_observations(spec, loop):
@@ -238,10 +244,8 @@ def test_hook_raising_inside_a_run_books_the_blocks_before_it(
     stores = []
     for _ in range(2):
         store, trace = _one_request_store(raises_at + 3)
-        if hook == "flush":
-            store.flush_listeners.append(fail)
-        else:
-            monkeypatch.setattr(store.policy, "on_segment_sealed", fail)
+        event = "chunk_flush" if hook == "flush" else "segment_sealed"
+        store.subscribe(type("Failing", (StoreObserver,), {event: fail})())
         stores.append(store)
     spec, loop = stores
     with pytest.raises(RuntimeError, match=f"{hook} hook failed"):

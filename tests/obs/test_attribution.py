@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.common.observer import EVENTS, StoreEvents
 from repro.lss.store import LogStructuredStore
 from repro.obs.attribution import (
     ATTRIBUTION_SCHEMA,
@@ -33,9 +34,12 @@ def _replayed_recorder(policy_name="sepgc"):
 
 def test_null_attribution_is_inert():
     assert not NULL_ATTRIBUTION.enabled
-    NULL_ATTRIBUTION.on_gc_victim(0, 10, 4, 16, 3, 1)
+    NULL_ATTRIBUTION.gc_victim(0, 1, 10, 4, 0)
     NULL_ATTRIBUTION.publish(MetricsRegistry())
     assert NULL_ATTRIBUTION.snapshot() is None
+    # It overrides no store event, so a store never calls it.
+    assert all(not getattr(StoreEvents([NULL_ATTRIBUTION]), event)
+               for event in EVENTS)
 
 
 def test_store_defaults_to_null_attribution():
@@ -43,18 +47,25 @@ def test_store_defaults_to_null_attribution():
     store = LogStructuredStore(cfg, make_policy("sepgc", cfg))
     assert isinstance(store.attribution, NullAttribution)
     assert not store.attribution.enabled
-    assert store.pool.slot_origin is None  # provenance plane never built
+    # The provenance planes live in the attribution recorder only.
+    assert not hasattr(store.pool, "slot_origin")
+    assert not hasattr(store.attribution, "slot_origin")
 
 
 def test_gc_victim_hook_aggregates_and_running_totals():
+    store, attr = _replayed_recorder("adapt")
+    stats = store.stats
+    rows = list(attr.gc_groups.values())
+    assert attr.total_victims == sum(r[0] for r in rows) == stats.gc_passes
+    assert sum(r[1] for r in rows) == stats.gc_blocks_migrated
+    assert attr.total_migrated_user_origin == sum(r[4] for r in rows)
+    assert attr.total_migrated_gc_origin == sum(r[5] for r in rows) > 0
+    assert attr.total_migrated_user_origin + \
+        attr.total_migrated_gc_origin == stats.gc_blocks_migrated
+    seg = store.config.segment_blocks
+    assert all(r[1] + r[2] == r[0] * seg for r in rows)
     attr = AttributionRecorder()
-    attr.on_gc_victim(1, 100, 4, 16, 3, 1)
-    attr.on_gc_victim(1, 200, 8, 16, 8, 0)
-    attr.on_gc_victim(0, 50, 0, 16, 0, 0)
-    assert attr.gc_groups[1] == [2, 12, 20, 300, 11, 1]
-    assert attr.total_victims == 3
-    assert attr.total_migrated_user_origin == 11
-    assert attr.total_migrated_gc_origin == 1
+    attr.gc_groups = {1: [2, 12, 20, 300, 11, 1], 0: [1, 0, 16, 50, 0, 0]}
     snap = attr.snapshot()
     # No bound store: groups fall back to gid names, totals still sum.
     assert snap["gc_provenance"]["groups"]["gid1"]["victims"] == 2
@@ -145,4 +156,4 @@ def test_write_attribution_json_atomic_and_stable(tmp_path):
 def test_unknown_gc_cause_still_counts():
     attr = AttributionRecorder()
     with pytest.raises(TypeError):
-        attr.on_gc_victim()  # hooks take explicit positional values
+        attr.gc_victim()  # events take explicit positional values

@@ -3,7 +3,7 @@
 The snapshot's ``ledger`` and ``gc_provenance`` sections describe the
 simulated store (``tests/lss/test_replay_loop.py`` holds them equal
 under the replay loop and its per-block specification); here the
-recorder must leave the replay's final state alone, and the provenance
+recorder must leave the replay's final state alone, and its provenance
 plane must carry every block's birth epoch across GC migrations.
 """
 
@@ -39,18 +39,18 @@ def test_provenance_epochs_survive_migration():
     """Valid blocks keep their birth epoch across GC migrations: every
     tagged live slot's epoch is a real user_seq issued before now."""
     import numpy as np
-    from repro.lss.segment import ORIGIN_NONE
+    from repro.obs.attribution import ORIGIN_NONE
     trace = default_workloads(num_requests=800)[0]
-    store, _ = _replay_with_attribution("adapt", trace)
+    store, attr = _replay_with_attribution("adapt", trace)
     pool = store.pool
-    tagged = pool.slot_origin_flat != ORIGIN_NONE
+    tagged = attr.slot_origin != ORIGIN_NONE
     assert tagged.any()
-    epochs = pool.slot_epoch_flat[tagged]
+    epochs = attr.slot_epoch[tagged]
     # Birth epochs are pre-increment user_seq values: [0, user_seq).
     assert int(epochs.min()) >= 0
     assert int(epochs.max()) < store.user_seq
     # Epochs of currently-valid slots are unique (one live copy per
     # logical write).
     valid = pool.slot_valid.reshape(-1) & tagged
-    live = pool.slot_epoch_flat[valid]
+    live = attr.slot_epoch[valid]
     assert live.size == np.unique(live).size

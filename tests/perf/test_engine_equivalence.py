@@ -19,6 +19,7 @@ from repro.placement.registry import available_policies, make_policy
 from repro.validate.differential import (default_workloads,
                                          differential_config)
 
+from tests.conftest import FlushLog
 from tests.lss.test_replay_loop import eager_replay
 
 
@@ -79,12 +80,11 @@ def test_first_mode_and_flush_listeners_take_the_scalar_loop():
     spec = LogStructuredStore(cfg, make_policy("sepgc", cfg))
     eager_replay(spec, trace)
     assert_states_equal(spec, first)
-    heard = []
     listened = fresh_store("sepgc")
-    listened.flush_listeners.append(
-        lambda group, flush: heard.append(flush.count))
+    heard = FlushLog(listened).flushes
     listened.replay(trace)
-    assert sum(heard) == sum(g.chunk_flushes for g in listened.stats.groups)
+    assert sum(f.count for f in heard) == \
+        sum(g.chunk_flushes for g in listened.stats.groups)
     spec = fresh_store("sepgc")
     eager_replay(spec, trace)
     assert_states_equal(spec, listened)
@@ -98,9 +98,9 @@ def test_auto_engine_selects_batched_with_metrics_recorder():
     class CountingRecorder(ObsRecorder):
         bulk = 0
 
-        def on_user_write_bulk(self, count, last_lba, now_us):
+        def user_writes(self, lbas, locs, start_seq, now_us):
             self.bulk += 1
-            super().on_user_write_bulk(count, last_lba, now_us)
+            super().user_writes(lbas, locs, start_seq, now_us)
 
     trace = default_workloads(num_requests=300)[0]
     rec = CountingRecorder()
@@ -128,7 +128,7 @@ def test_trace_recorder_sampling_every_block_runs_the_loop():
 def test_custom_enabled_recorder_hears_every_user_write_in_bulk():
     """A third-party recorder that merely subclasses NullRecorder runs
     the same loop and hears every accepted user block through
-    ``on_user_write_bulk``."""
+    ``user_writes``."""
     from repro.obs.recorder import NullRecorder
 
     class CustomRecorder(NullRecorder):
@@ -137,8 +137,8 @@ def test_custom_enabled_recorder_hears_every_user_write_in_bulk():
         def __init__(self):
             self.counts = []
 
-        def on_user_write_bulk(self, count, last_lba, now_us):
-            self.counts.append(count)
+        def user_writes(self, lbas, locs, start_seq, now_us):
+            self.counts.append(len(lbas))
 
     trace = default_workloads(num_requests=300)[0]
     rec = CustomRecorder()

@@ -176,12 +176,14 @@ def test_sepbit_gc_age_ladder(small_config):
 
 def test_sepbit_threshold_learns_from_hot_reclaims(small_config):
     pol = SepBITPolicy(small_config, ewma_alpha=1.0)
-    bind(pol, small_config)
-    pol.on_segment_reclaimed(group_id=SepBITPolicy.HOT, created_seq=0,
-                             sealed_seq=100, now_seq=500, valid_blocks=0)
+    store = bind(pol, small_config)
+    store.user_seq = 500
+    pol.segment_reclaimed(seg=0, group_id=SepBITPolicy.HOT, created_seq=0,
+                          valid_blocks=0, now_us=0)
     assert pol.threshold == 500
-    pol.on_segment_reclaimed(group_id=SepBITPolicy.COLD, created_seq=0,
-                             sealed_seq=0, now_seq=9999, valid_blocks=0)
+    store.user_seq = 9999
+    pol.segment_reclaimed(seg=0, group_id=SepBITPolicy.COLD, created_seq=0,
+                          valid_blocks=0, now_us=0)
     assert pol.threshold == 500  # cold reclaims don't update
 
 

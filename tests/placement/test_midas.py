@@ -10,6 +10,11 @@ from repro.placement.registry import make_policy
 from tests.conftest import make_write_trace
 
 
+def reclaim(pol, group_id, valid_blocks):
+    """GC reclaimed a victim of ``group_id`` that held ``valid_blocks``."""
+    pol.segment_reclaimed(0, group_id, 0, valid_blocks, 0)
+
+
 def test_registered(small_config):
     pol = make_policy("midas-lite", small_config)
     assert isinstance(pol, MidasLitePolicy)
@@ -32,8 +37,7 @@ def test_growth_on_high_tail_utilisation(small_config):
     LogStructuredStore(small_config, pol)
     seg = small_config.segment_blocks
     for _ in range(4):
-        pol.on_segment_reclaimed(group_id=1, created_seq=0, sealed_seq=0,
-                                 now_seq=100, valid_blocks=int(0.9 * seg))
+        reclaim(pol, 1, int(0.9 * seg))
     assert pol.active_groups == 3
     assert pol.adaptations == [3]
 
@@ -44,9 +48,9 @@ def test_shrink_on_indistinguishable_tail(small_config):
     LogStructuredStore(small_config, pol)
     pol.active_groups = 4
     seg = small_config.segment_blocks
-    pol.on_segment_reclaimed(2, 0, 0, 100, int(0.30 * seg))
+    reclaim(pol, 2, int(0.30 * seg))
     for _ in range(3):
-        pol.on_segment_reclaimed(3, 0, 0, 100, int(0.31 * seg))
+        reclaim(pol, 3, int(0.31 * seg))
     assert pol.active_groups == 3
 
 
@@ -56,8 +60,8 @@ def test_no_adaptation_without_signal(small_config):
     LogStructuredStore(small_config, pol)
     seg = small_config.segment_blocks
     # Low, well-separated utilisations: the configuration is fine as-is.
-    pol.on_segment_reclaimed(0, 0, 0, 100, int(0.10 * seg))
-    pol.on_segment_reclaimed(1, 0, 0, 100, int(0.40 * seg))
+    reclaim(pol, 0, int(0.10 * seg))
+    reclaim(pol, 1, int(0.40 * seg))
     assert pol.active_groups == 2
     assert pol.adaptations == []
 

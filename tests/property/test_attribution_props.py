@@ -100,10 +100,9 @@ def test_ledger_conservation(ops, policy_name):
     assert ptot["valid_blocks"] >= stats.gc_blocks_migrated
 
     # Provenance-plane epochs stay in [0, user_seq).
-    pool = store.pool
-    from repro.lss.segment import ORIGIN_NONE
-    tagged = pool.slot_origin_flat != ORIGIN_NONE
+    from repro.obs.attribution import ORIGIN_NONE
+    tagged = attr.slot_origin != ORIGIN_NONE
     if tagged.any():
-        epochs = pool.slot_epoch_flat[tagged]
+        epochs = attr.slot_epoch[tagged]
         assert int(epochs.min()) >= 0
         assert int(epochs.max()) < store.user_seq

@@ -142,9 +142,12 @@ def test_distance_access_many_matches_scalar(seed, n):
 # policy level: planned == unplanned place_user
 # ----------------------------------------------------------------------
 class _Clock:
-    """The one thing ``place_user`` reads off its store."""
+    """What a policy reads off its store: the clock and the recorder."""
 
     user_seq = 0
+
+    def __init__(self, obs) -> None:
+        self.obs = obs
 
 
 def _bound_adapt(demotion: bool, adaptation: bool):
@@ -155,10 +158,9 @@ def _bound_adapt(demotion: bool, adaptation: bool):
         sample_rate=0.5, adapt_every_fraction=0.05,
         enable_demotion=demotion, enable_threshold_adaptation=adaptation,
         bloom_filters=3, bloom_capacity=8))
-    clock = _Clock()
-    policy.bind(clock)
     recorder = ObsRecorder(trace_events=True)
-    policy.attach_obs(recorder)
+    clock = _Clock(recorder)
+    policy.bind(clock)
     return policy, clock, recorder
 
 
@@ -195,20 +197,20 @@ def _drive_planned_against_unplanned(seed: int, n: int, demotion: bool,
     for a, b in _chop(rng, n):
         pol.plan_user_writes(lbas[a:b], ts[a:b], a)
         for i in range(a, b):
+            ref_clock.user_seq = pol_clock.user_seq = i
             if rng.random() < 0.1:
                 # A reclaim moves _lifespan (and, before the first ghost
                 # adaptation, the threshold itself).
                 gid = int(rng.integers(0, 2))
                 age = int(rng.integers(1, 200))
                 for p in (ref, pol):
-                    p.on_segment_reclaimed(gid, max(i - age, 0), i, i, 3)
+                    p.segment_reclaimed(0, gid, max(i - age, 0), 3, 0)
             if rng.random() < 0.3:
                 # Same-group migrations feed the demotion cascade.
                 g = int(rng.choice(gc_gids))
-                lba = int(rng.integers(0, 48))
+                lba = np.array([int(rng.integers(0, 48))])
                 for p in (ref, pol):
-                    p.on_gc_block(lba, g, g)
-            ref_clock.user_seq = pol_clock.user_seq = i
+                    p.gc_blocks(lba, g, np.array([g]), lba, lba)
             lba, t = int(lbas[i]), int(ts[i])
             assert ref.place_user(lba, t) == pol.place_user(lba, t), i
             assert ref.threshold == pol.threshold, i

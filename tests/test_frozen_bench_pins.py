@@ -2,7 +2,7 @@
 
 ``bench/layers.py`` wraps ``vars(owner)[attr]`` for each of its targets
 and ``bench/test_harness.py`` reads a few store flags and policy hooks;
-the code behind ten of those names is gone.  They stay as stubs — a
+the code behind thirteen of those names is gone.  They stay as stubs — a
 callable raises ``NotImplementedError`` naming ``bench/``, an attribute
 keeps its inert value — under the comment "pinned by the frozen
 `bench/` harness — no caller".  This test lists exactly that surface:
@@ -53,6 +53,12 @@ PINS = [
      None),
     (_store, "_fast_flush", "store._fast_flush", False),
     (_store, "_fast_full", "store._fast_full", False),
+    # The store's event seam replaced the per-block GC hook and the
+    # policy's flush hook by its own event names.
+    (lambda: ProactiveDemotion, "on_gc_block", '"on_gc_block"', None),
+    (lambda: _store().gc, "_notify_gc_block", "store.gc._notify_gc_block",
+     False),
+    (lambda: AdaptPolicy, "on_chunk_flush", '"on_chunk_flush"', None),
 ]
 
 
@@ -80,8 +86,8 @@ def _bench_names(needle: str) -> bool:
     return False
 
 
-def test_exactly_ten_pins():
-    assert len({needle for _, _, needle, _ in PINS}) == len(PINS) == 10
+def test_exactly_thirteen_pins():
+    assert len({needle for _, _, needle, _ in PINS}) == len(PINS) == 13
 
 
 @pytest.mark.parametrize(

@@ -79,3 +79,14 @@ def test_load_trace_unknown_format(tmp_path):
     p.write_text("")
     with pytest.raises(TraceFormatError):
         load_trace(p, fmt="nope")
+
+
+@pytest.mark.parametrize("parse,lines", [
+    (parse_csv, ["0,W,99999999999999999999999999,4096"]),
+    (parse_csv, ["0,W,0,99999999999999999999999999"]),
+    (parse_ali, ["1,W,0,4096,0", f"1,W,0,4096,{10 ** 23}"]),
+    (parse_msr, ["0,h,0,Write,0,4096,0", f"{10 ** 27},h,0,Write,0,4096,0"]),
+], ids=["csv-offset", "csv-size", "ali-timestamp", "msr-timestamp"])
+def test_out_of_range_values_raise_trace_format_error(parse, lines):
+    with pytest.raises(TraceFormatError, match="64-bit"):
+        parse(lines)
