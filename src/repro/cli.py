@@ -480,8 +480,25 @@ def _dispatch(args) -> tuple[str, bool]:
     return _FIGS[args.command](args), True
 
 
+def _check_fleet_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject in the parser what ``run_fleet`` would refuse (or, for
+    ``--timeline-every``, silently skip) without an artifact directory."""
+    if args.checkpoint_every < 0:
+        parser.error("argument --checkpoint-every: must be >= 0")
+    if args.out:
+        return
+    for flag, value in (("--checkpoint-every", args.checkpoint_every),
+                        ("--resume", args.resume),
+                        ("--timeline-every", args.timeline_every)):
+        if value:
+            parser.error(f"argument {flag}: requires --out")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fleet":
+        _check_fleet_args(parser, args)
     if args.command == "list":
         print("experiments:", ", ".join(sorted(_FIGS)),
               "+ replay, obs, analyze, validate, fleet")

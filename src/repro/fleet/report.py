@@ -22,8 +22,9 @@ from repro.obs.atomicio import atomic_write
 #: (counters + histograms, not just counters) and a merged
 #: ``attribution`` section when the spec collected them.  v3: the spec
 #: has no ``engine`` and attribution snapshots no chunk-termination
-#: section.
-SUMMARY_SCHEMA = 3
+#: section.  v4: the aggregate has no ``metrics_counter_totals`` (it
+#: repeated ``metrics_totals.counters``).
+SUMMARY_SCHEMA = 4
 
 #: Percentiles reported for every headline ratio.
 PERCENTILES = (50, 95, 99)
@@ -94,32 +95,16 @@ def aggregate_fleet(volumes: list[dict]) -> dict:
         "totals": totals,
         "overall": overall,
     }
-    counters = _sum_metric_counters(volumes)
-    if counters is not None:
-        out["metrics_counter_totals"] = counters
+    snapshots = [v["metrics"] for v in volumes if v.get("metrics")]
+    if snapshots:
         from repro.obs.metrics import merge_metric_snapshots
-        out["metrics_totals"] = merge_metric_snapshots(
-            [v["metrics"] for v in volumes if v.get("metrics")])
+        out["metrics_totals"] = merge_metric_snapshots(snapshots)
     from repro.obs.attribution import merge_attribution_snapshots
     attribution = merge_attribution_snapshots(
         [v.get("attribution") for v in volumes])
     if attribution is not None:
         out["attribution"] = attribution
     return out
-
-
-def _sum_metric_counters(volumes: list[dict]) -> dict | None:
-    """Summed metric counters across volumes that carried snapshots."""
-    totals: dict[str, float] = {}
-    seen = False
-    for v in volumes:
-        snap = v.get("metrics")
-        if not snap:
-            continue
-        seen = True
-        for name, value in snap.get("counters", {}).items():
-            totals[name] = totals.get(name, 0.0) + value
-    return totals if seen else None
 
 
 def fleet_summary(spec, num_shards: int, volumes: list[dict]) -> dict:

@@ -214,9 +214,6 @@ class SegmentPool(ScalarViews):
         self.slot_valid[seg, :] = False
         self.valid_count_mv[seg] = 0
 
-    def location_of(self, seg: int, slot: int) -> int:
-        return seg * self.segment_blocks + slot
-
     def valid_lbas(self, seg: int) -> np.ndarray:
         """LBAs of the valid blocks in ``seg`` (in slot order)."""
         mask = self.slot_valid[seg]

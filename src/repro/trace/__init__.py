@@ -3,15 +3,7 @@ and chunked streams."""
 
 from repro.trace.model import OP_READ, OP_WRITE, Trace
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.stream import (
-    DEFAULT_CHUNK_REQUESTS,
-    FileChunkStream,
-    MaterializedStream,
-    SyntheticVolumeStream,
-    TraceStream,
-    write_chunk_file,
-)
+from repro.trace.stream import DEFAULT_CHUNK_REQUESTS, SyntheticVolumeStream
 
 __all__ = ["Trace", "OP_READ", "OP_WRITE", "TraceStats", "compute_stats",
-           "TraceStream", "MaterializedStream", "SyntheticVolumeStream",
-           "FileChunkStream", "write_chunk_file", "DEFAULT_CHUNK_REQUESTS"]
+           "SyntheticVolumeStream", "DEFAULT_CHUNK_REQUESTS"]

@@ -81,6 +81,22 @@ def test_unknown_scheme_or_victim_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--checkpoint-every", "2"], "--checkpoint-every"),
+    (["--checkpoint-every", "-1"], "--checkpoint-every"),
+    (["--resume"], "--resume"),
+    (["--timeline-every", "256"], "--timeline-every"),
+])
+def test_fleet_flags_that_need_out_are_usage_errors(argv, flag, capsys):
+    """Checkpoints, resume and timelines live in ``--out``: without it
+    the flag fails in the parser, exit 2 naming it, before any worker."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "usage:" in err
+
+
 def test_removed_commands_and_flags_are_gone():
     for argv in (["bench"], ["validate", "--engine", "auto"],
                  ["fleet", "--engine", "auto"]):

@@ -124,6 +124,7 @@ def test_attribution_snapshots_identical_across_sharding():
     assert ledger["totals"]["user_blocks_requested"] == sum(
         v["stats"]["user_blocks_requested"] for v in serial.volumes)
     assert agg_serial["metrics_totals"]["volumes"] == 4
+    assert "metrics_counter_totals" not in agg_serial
     assert agg_serial["metrics_totals"]["counters"][
         "lss_user_blocks_total"] == \
         ledger["totals"]["user_blocks_requested"]
@@ -187,7 +188,7 @@ def test_checkpoint_requires_out_dir():
 def test_summary_shape_and_determinism(tmp_path):
     result = run_fleet(TINY, workers=1, out_dir=str(tmp_path))
     s = result.summary
-    assert s["schema"] == SUMMARY_SCHEMA == 3
+    assert s["schema"] == SUMMARY_SCHEMA == 4
     assert s["fleet_key"] == TINY.fleet_key()
     assert [v["volume"] for v in s["volumes"]] == TINY.tenant_ids()
     agg = s["aggregate"]

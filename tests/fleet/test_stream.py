@@ -1,4 +1,4 @@
-"""Streaming trace ingestion: chunked generation, files, memory bounds."""
+"""Streaming trace ingestion: chunked generation, resume, memory bounds."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.trace.model import Trace
-from repro.trace.stream import (
-    FileChunkStream,
-    MaterializedStream,
-    SyntheticVolumeStream,
-    write_chunk_file,
-)
+from repro.trace.stream import SyntheticVolumeStream
 
 
 def stream_for(requests=1000, chunk=256, volume="ali-0000", seed=3):
@@ -79,71 +74,16 @@ class TestSyntheticVolumeStream:
         assert list(s.chunks()) == []
         assert len(s.materialize()) == 0
 
+    def test_out_of_range_chunk(self):
+        s = stream_for(requests=100, chunk=64)
+        with pytest.raises(IndexError):
+            s.chunk(2, s.initial_state())
+
     def test_stream_is_picklable(self):
         s = stream_for()
         clone = pickle.loads(pickle.dumps(s))
         assert np.array_equal(collect(clone).offsets,
                               collect(s).offsets)
-
-
-class TestMaterializedStream:
-    def test_wraps_existing_trace(self):
-        base = stream_for(requests=500, chunk=128).materialize()
-        s = MaterializedStream(base, chunk_requests=128)
-        again = collect(s)
-        assert np.array_equal(base.offsets, again.offsets)
-        assert s.num_chunks == 4
-
-    def test_out_of_range_chunk(self):
-        base = stream_for(requests=100, chunk=64).materialize()
-        s = MaterializedStream(base, chunk_requests=64)
-        with pytest.raises(IndexError):
-            s.chunk(2, s.initial_state())
-
-
-class TestFileChunkStream:
-    def test_roundtrip(self, tmp_path):
-        src = stream_for(requests=700, chunk=200)
-        path = str(tmp_path / "vol.chunks.npz")
-        write_chunk_file(src, path)
-        loaded = FileChunkStream(path)
-        assert loaded.volume == src.volume
-        assert loaded.num_chunks == src.num_chunks
-        a, b = collect(src), collect(loaded)
-        assert np.array_equal(a.timestamps, b.timestamps)
-        assert np.array_equal(a.ops, b.ops)
-        assert np.array_equal(a.offsets, b.offsets)
-        assert np.array_equal(a.sizes, b.sizes)
-
-    def test_picklable_without_open_handle(self, tmp_path):
-        src = stream_for(requests=300, chunk=100)
-        path = str(tmp_path / "vol.chunks.npz")
-        write_chunk_file(src, path)
-        s = FileChunkStream(path)
-        collect(s)  # force the lazy handle open
-        clone = pickle.loads(pickle.dumps(s))
-        assert np.array_equal(collect(clone).offsets,
-                              collect(s).offsets)
-
-    @pytest.mark.parametrize("column,value,why", [
-        ("timestamps", 5, "non-decreasing"),
-        ("ops", 7, "op code"),
-        ("sizes", 0, ">= 1 block"),
-    ])
-    def test_invalid_chunk_raises_naming_file_and_chunk(self, tmp_path,
-                                                        column, value, why):
-        from repro.common.errors import TraceFormatError
-        cols = {"timestamps": [10, 20, 30, 40], "ops": [1, 1, 1, 1],
-                "offsets": [0, 1, 2, 3], "sizes": [1, 1, 1, 1]}
-        cols[column][3] = value          # request 3 lives in chunk 1
-        bad = Trace(**cols, volume="bad")
-        path = str(tmp_path / "bad.chunks.npz")
-        write_chunk_file(MaterializedStream(bad, chunk_requests=2), path)
-        s = FileChunkStream(path)
-        assert len(s.chunk(0, None)[0]) == 2
-        with pytest.raises(TraceFormatError, match=why) as err:
-            s.chunk(1, None)
-        assert f"{path}: chunk 1" in str(err.value)
 
 
 def test_stream_generation_memory_is_o_chunk():
