@@ -1,11 +1,9 @@
-"""SSD-array substrate: chunk geometry, RAID-5 parity accounting, the
-chunk-coalescing buffer with the zero-padding SLA, and a bandwidth device
-model used by the prototype."""
+"""SSD-array substrate: chunk geometry, RAID-5 parity accounting, and the
+chunk-coalescing buffer with the zero-padding SLA."""
 
 from repro.array.chunk import ChunkGeometry
 from repro.array.raid5 import Raid5Accounting, Raid5Config
 from repro.array.coalescing import ChunkFlush, CoalescingBuffer, FlushReason
-from repro.array.device import Raid5Array, SSDDevice
 
 __all__ = [
     "ChunkGeometry",
@@ -14,6 +12,4 @@ __all__ = [
     "CoalescingBuffer",
     "ChunkFlush",
     "FlushReason",
-    "SSDDevice",
-    "Raid5Array",
 ]

@@ -8,8 +8,8 @@ Examples::
     adapt-repro replay --scheme adapt --profile ali --volumes 3
     adapt-repro replay --scheme adapt --metrics-out out/
     adapt-repro obs --scheme adapt --out obs-out/
-    adapt-repro obs --scheme adapt --no-trace --timeline-every 4096
-    adapt-repro obs --scheme adapt --no-trace --attribution
+    adapt-repro obs --scheme adapt --timeline-every 4096
+    adapt-repro obs --scheme adapt --attribution
     adapt-repro analyze --trace run.trace.json --attribution a.json
     adapt-repro fleet --volumes 64 --workers 4 --out fleet-out
     adapt-repro fleet --volumes 64 --workers 4 --out fleet-out --resume
@@ -94,20 +94,14 @@ def _export_observability(recorder, out_dir: str, stem: str) -> list[str]:
     paths written.  Exporters create parent directories and write
     atomically, so ``out_dir`` may not exist yet."""
     from repro.obs.exporters import (write_events_jsonl, write_prometheus,
-                                     write_timeline_csv,
-                                     write_timeseries_csv)
+                                     write_timeline_csv)
     events = os.path.join(out_dir, f"{stem}.events.jsonl")
-    series = os.path.join(out_dir, f"{stem}.timeseries.csv")
+    timeline = os.path.join(out_dir, f"{stem}.timeline.csv")
     prom = os.path.join(out_dir, f"{stem}.prom")
     write_events_jsonl(recorder.tracer, events)
-    write_timeseries_csv(recorder, series)
+    write_timeline_csv(recorder.timeline, timeline)
     write_prometheus(recorder.registry, prom)
-    written = [events, series, prom]
-    if recorder.timeline is not None and len(recorder.timeline):
-        timeline = os.path.join(out_dir, f"{stem}.timeline.csv")
-        write_timeline_csv(recorder.timeline, timeline)
-        written.append(timeline)
-    return written
+    return [events, timeline, prom]
 
 
 def _cmd_replay(args) -> str:
@@ -171,31 +165,18 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_obs(args) -> str:
-    """Replay one volume with observability and export artifacts.
-
-    Default mode traces every chunk flush as its own event;
-    ``--no-trace`` records a run of FULL flushes as one
-    ``chunk_flush_bulk`` event.  Metrics, series rows and the timeline
-    are the same in both modes.  ``--timeline-every N`` additionally
-    records a replay timeline sampled every N user blocks.
-    """
+    """Replay one volume with observability and export artifacts: every
+    chunk flush as its own event, and a timeline sampled every
+    ``--timeline-every`` user blocks."""
     from repro.experiments.runner import replay_volume
     from repro.obs.recorder import ObsRecorder
-    from repro.obs.timeline import ReplayTimeline
     from repro.trace.synthetic.cloud import generate_fleet
     s = _get_scale(args.scale)
     trace = generate_fleet(args.profile, 1, unique_blocks=s.volume_blocks,
                            num_requests=s.volume_requests,
                            seed=args.seed)[0]
     spill = os.path.join(args.out, f"{trace.volume}.events.jsonl")
-    timeline = None
-    if args.timeline_every:
-        timeline = ReplayTimeline(every_blocks=args.timeline_every)
-    recorder = ObsRecorder(sample_every_blocks=args.sample_every,
-                           spill_path=spill,
-                           trace_events=not args.no_trace,
-                           event_sample_every=args.event_sample_every,
-                           timeline=timeline)
+    recorder = ObsRecorder(args.timeline_every, spill_path=spill)
     attribution = None
     if args.attribution:
         from repro.obs.attribution import AttributionRecorder
@@ -212,9 +193,7 @@ def _cmd_obs(args) -> str:
         written.append(attr_path)
     counts = recorder.tracer.counts
     rows = [[k, counts[k]] for k in sorted(counts)]
-    rows.append(["(series rows)", len(recorder.series)])
-    if timeline is not None:
-        rows.append(["(timeline rows)", len(timeline)])
+    rows.append(["(timeline rows)", len(recorder.timeline)])
     table = render_table(
         ["event", "count"], rows,
         title=f"{args.scheme} on {trace.volume}: "
@@ -317,6 +296,7 @@ _FIGS = {
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.lss.victim import available_victim_policies
+    from repro.obs.timeline import TIMELINE_EVERY
     from repro.placement import available_policies
     schemes = available_policies()
     victims = available_victim_policies()
@@ -350,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["smoke", "default", "paper"])
     p.add_argument("--metrics-out", default=None, metavar="DIR",
                    help="export per-volume observability artifacts "
-                        "(events JSONL, time-series CSV, Prometheus "
+                        "(events JSONL, timeline CSV, Prometheus "
                         "snapshot) into DIR")
     add_profile_out(p)
 
@@ -365,21 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["smoke", "default", "paper"])
     p.add_argument("--out", default="obs-out", metavar="DIR",
                    help="artifact output directory (default: obs-out)")
-    p.add_argument("--sample-every", type=_positive_int, default=1024,
-                   metavar="BLOCKS",
-                   help="time-series sampling period in user blocks")
-    p.add_argument("--no-trace", action="store_true",
-                   help="record a run of FULL chunk flushes as one "
-                        "chunk_flush_bulk event instead of one event per "
-                        "flush (metrics and time series are unchanged)")
-    p.add_argument("--event-sample-every", type=_positive_int, default=1,
-                   metavar="N", help="keep every Nth traced event "
-                                     "(default: 1, keep all)")
-    p.add_argument("--timeline-every", type=_positive_int, default=None,
-                   metavar="BLOCKS",
-                   help="record a replay timeline (WA, padding, "
-                        "occupancy, threshold) every BLOCKS user blocks "
-                        "and export it as CSV")
+    p.add_argument("--timeline-every", type=_positive_int,
+                   default=TIMELINE_EVERY, metavar="BLOCKS",
+                   help="timeline sampling period in user blocks "
+                        "(default: %(default)s)")
     p.add_argument("--attribution", action="store_true",
                    help="collect causal attribution (GC provenance, "
                         "per-group WA ledger) and export "
@@ -397,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attribution snapshot "
                         "(from obs --attribution or fleet --attribution)")
     p.add_argument("--timeline", default=None, metavar="CSV",
-                   help="replay timeline CSV/JSONL "
-                        "(from obs --timeline-every)")
+                   help="replay timeline CSV (from obs, replay "
+                        "--metrics-out or fleet --timeline-every)")
     p.add_argument("--out", default=None, metavar="JSON",
                    help="also write the report as JSON (atomic)")
 

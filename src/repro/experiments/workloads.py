@@ -4,8 +4,8 @@ per scale so figs 3, 8, 9 and 10 replay identical traces).
 Fleets are memoised twice: in-process (``lru_cache``, so one run's
 drivers share Trace objects) and on disk via
 :mod:`repro.perf.tracecache` (so repeated runs — the bench harness, CI —
-skip generation entirely; opt out with ``--no-trace-cache`` or
-``ADAPT_REPRO_NO_TRACE_CACHE=1``)."""
+skip generation entirely; opt out with ``ADAPT_REPRO_NO_TRACE_CACHE=1``
+or :func:`repro.perf.tracecache.set_enabled`)."""
 
 from __future__ import annotations
 

@@ -44,8 +44,10 @@ from repro.obs.atomicio import atomic_write_bytes
 #: v7: one event seam — stores hold a ``StoreEvents`` instead of their
 #: listener lists and auditor slot, the slot provenance planes moved from
 #: the segment pool into the attribution recorder, and ADAPT's
-#: aggregator and demotion lost their recorder reference.
-CHECKPOINT_VERSION = 7
+#: aggregator and demotion lost their recorder reference.  v8: one
+#: time series — recorders own their timeline and lost ``series`` and
+#: their flush-shape flag, tracers their ratio sampling.
+CHECKPOINT_VERSION = 8
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

@@ -23,8 +23,11 @@ from repro.obs.atomicio import atomic_write
 #: ``attribution`` section when the spec collected them.  v3: the spec
 #: has no ``engine`` and attribution snapshots no chunk-termination
 #: section.  v4: the aggregate has no ``metrics_counter_totals`` (it
-#: repeated ``metrics_totals.counters``).
-SUMMARY_SCHEMA = 4
+#: repeated ``metrics_totals.counters``).  v5: a metrics snapshot's
+#: ``final`` is the recorder timeline's last row (its columns, NaN as
+#: ``null``) and ``timeline_rows`` is always present; ``series_rows``
+#: and ``events_sampled_out`` are gone.
+SUMMARY_SCHEMA = 5
 
 #: Percentiles reported for every headline ratio.
 PERCENTILES = (50, 95, 99)

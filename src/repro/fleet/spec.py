@@ -51,9 +51,9 @@ class FleetSpec:
             replay memory is O(this), not O(volume_requests)).
         collect_metrics: attach a :class:`~repro.obs.ObsRecorder` per
             volume and carry its snapshot into the fleet summary.
-        timeline_every: when set, record a per-volume
-            :class:`~repro.obs.timeline.ReplayTimeline` sampled every N
-            user blocks (exported next to the summary).
+        timeline_every: when set, attach a recorder per volume whose
+            timeline samples every N user blocks (instead of 1024) and
+            export each timeline next to the summary.
         collect_attribution: attach an
             :class:`~repro.obs.attribution.AttributionRecorder` per
             volume; snapshots ride the volume reports and merge

@@ -42,11 +42,8 @@ def _fresh_store(spec: FleetSpec, tenant_id: str):
     recorder = None
     if spec.collect_metrics or spec.timeline_every:
         from repro.obs.recorder import ObsRecorder
-        timeline = None
-        if spec.timeline_every:
-            from repro.obs.timeline import ReplayTimeline
-            timeline = ReplayTimeline(every_blocks=spec.timeline_every)
-        recorder = ObsRecorder(timeline=timeline)
+        from repro.obs.timeline import TIMELINE_EVERY
+        recorder = ObsRecorder(spec.timeline_every or TIMELINE_EVERY)
     attribution = None
     if spec.collect_attribution:
         from repro.obs.attribution import AttributionRecorder
@@ -59,8 +56,7 @@ def _fresh_store(spec: FleetSpec, tenant_id: str):
 
 def _export_timeline(recorder, tenant_id: str,
                      timeline_dir: str | None) -> None:
-    if recorder is None or timeline_dir is None \
-            or recorder.timeline is None or not len(recorder.timeline):
+    if recorder is None or timeline_dir is None:
         return
     from repro.obs.exporters import write_timeline_csv
     write_timeline_csv(recorder.timeline,

@@ -5,18 +5,19 @@ The package has five layers:
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   collected in a :class:`MetricsRegistry`;
 * :mod:`repro.obs.events` — a typed event tracer with an in-memory ring
-  buffer, optional JSONL spill, and ratio sampling;
+  buffer and optional JSONL spill;
 * :mod:`repro.obs.recorder` — the hook surface the simulator calls.  Every
   instrumented hot path holds a recorder; the default
   :data:`~repro.obs.recorder.NULL_RECORDER` makes each hook a no-op, so
   instrumentation costs nothing unless an :class:`ObsRecorder` is
   attached.  The replay loop reports user writes through bulk hooks
   once per settle and settles wherever a recorder samples, so metrics,
-  series rows and events equal a per-block replay's;
+  timeline rows and events equal a per-block replay's;
 * :mod:`repro.obs.profile` — wall-clock phase spans with Chrome
   ``trace_event`` and top-N table exports;
-* :mod:`repro.obs.timeline` — periodic per-N-blocks snapshots of WA,
-  padding, occupancy, and threshold position as a NumPy timeseries;
+* :mod:`repro.obs.timeline` — the recorder's one time series: periodic
+  per-N-blocks snapshots of traffic counters, WA, padding, occupancy and
+  threshold position as a NumPy matrix;
 * :mod:`repro.obs.attribution` — causal attribution: the per-group WA
   ledger, GC provenance, and deterministic cross-shard snapshot merging (the default
   :data:`~repro.obs.attribution.NULL_ATTRIBUTION` makes every hook a
@@ -25,9 +26,8 @@ The package has five layers:
   explainer over profiler traces, attribution snapshots and timelines.
 
 Exporters (:mod:`repro.obs.exporters`) turn a recorder into artifacts: a
-JSONL event log, a CSV time-series of headline metrics, a Prometheus
-text-format snapshot, and timeline CSV/JSONL — all written atomically
-(:mod:`repro.obs.atomicio`).
+JSONL event log, a timeline CSV and a Prometheus text-format snapshot —
+all written atomically (:mod:`repro.obs.atomicio`).
 """
 
 from repro.obs.analyze import (
@@ -47,7 +47,6 @@ from repro.obs.attribution import (
 )
 from repro.obs.events import (
     EV_CHUNK_FLUSH,
-    EV_CHUNK_FLUSH_BULK,
     EV_DEMOTION,
     EV_GC_PASS,
     EV_LAZY_APPEND,
@@ -64,8 +63,6 @@ from repro.obs.exporters import (
     write_events_jsonl,
     write_prometheus,
     write_timeline_csv,
-    write_timeline_jsonl,
-    write_timeseries_csv,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import (
@@ -77,7 +74,6 @@ from repro.obs.profile import (
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
-    SERIES_COLUMNS,
     NullRecorder,
     ObsRecorder,
 )
@@ -104,7 +100,6 @@ __all__ = [
     "EVENT_TYPES",
     "EV_USER_WRITE",
     "EV_CHUNK_FLUSH",
-    "EV_CHUNK_FLUSH_BULK",
     "EV_PADDING",
     "EV_SHADOW_APPEND",
     "EV_LAZY_APPEND",
@@ -114,7 +109,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "ObsRecorder",
-    "SERIES_COLUMNS",
     "NullProfiler",
     "NULL_PROFILER",
     "PhaseProfiler",
@@ -128,6 +122,4 @@ __all__ = [
     "write_events_jsonl",
     "write_prometheus",
     "write_timeline_csv",
-    "write_timeline_jsonl",
-    "write_timeseries_csv",
 ]

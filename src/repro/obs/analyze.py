@@ -10,8 +10,8 @@ artifacts a run produced —
 * an attribution JSON (:mod:`repro.obs.attribution`), naming which
   groups generate the write-amplification overhead and how productive
   GC victims were;
-* a replay timeline CSV/JSONL (:mod:`repro.obs.timeline`), for the
-  final WA trajectory row;
+* a replay timeline CSV (:mod:`repro.obs.timeline`), for the final
+  row of the WA trajectory;
 
 — and emits one report (dict + text table, written atomically) whose
 headline is the ranked phases and the top WA-contributing groups,
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from typing import Any
 
 from repro.obs.atomicio import atomic_write
+from repro.obs.timeline import cell
 
 #: Report schema version.  v2: no chunk-termination section (the batched
 #: engine that produced chunk causes is gone).
@@ -60,21 +60,18 @@ def load_chrome_trace(path: str) -> dict:
 
 
 def load_timeline_tail(path: str) -> dict | None:
-    """Final row of a timeline CSV/JSONL as a plain dict, or ``None``."""
+    """Final row of a timeline CSV as a plain dict, or ``None``.
+
+    Cells follow the exporter's rule (:func:`~repro.obs.timeline.cell`):
+    integral values are ints, and an empty cell (NaN, e.g. the threshold
+    of a policy without one) is ``None``, so the report stays valid JSON.
+    """
     last: dict | None = None
-    if path.endswith(".jsonl"):
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    last = json.loads(line)
-        return last
     with open(path, encoding="utf-8", newline="") as f:
         for row in csv.DictReader(f):
             last = row
     if last is not None:
-        # An empty cell is a NaN column (a policy without a threshold).
-        last = {k: float(v) if v else math.nan for k, v in last.items()}
+        last = {k: cell(float(v)) if v else None for k, v in last.items()}
     return last
 
 
@@ -204,6 +201,20 @@ def _table(rows: list[dict], columns: list[tuple[str, str]]) -> list[str]:
     return lines
 
 
+#: (label, column) of the timeline's final row in the text report.
+_TIMELINE_FIELDS = (
+    ("user blocks", "user_blocks"), ("WA", "write_amplification"),
+    ("padding ratio", "padding_ratio"), ("GC ratio", "gc_ratio"),
+    ("threshold", "threshold"), ("free segments", "free_segments"),
+)
+
+
+def _timeline_value(value: float | int | None) -> str:
+    if value is None:
+        return "n/a"
+    return str(value if isinstance(value, int) else round(value, 4))
+
+
 def render_report(report: dict, top: int = 10) -> str:
     """Human-readable text rendering of an :func:`analyze` report."""
     out: list[str] = []
@@ -235,13 +246,21 @@ def render_report(report: dict, top: int = 10) -> str:
                    f"mean age (user writes): {prov['mean_age_seq']}  "
                    f"re-migration ratio: {prov['remigration_ratio']}")
         out.append("")
+    final = report.get("timeline_final")
+    if final is not None:
+        out.append("== Timeline (final row) ==")
+        out.append("  ".join(
+            f"{label}: {_timeline_value(final.get(key))}"
+            for label, key in _TIMELINE_FIELDS))
+        out.append("")
     recs = report.get("recommendations")
     if recs:
         out.append("== Recommendations ==")
         for r in recs:
             out.append(f"- {r}")
         out.append("")
-    if len(out) <= 1:
+    if not any(k in report for k in ("profile", "wa_groups",
+                                     "timeline_final")):
         out.append("no artifacts provided - nothing to analyze")
     return "\n".join(out).rstrip() + "\n"
 

@@ -23,10 +23,6 @@ from repro.common.errors import ConfigError
 # Event types emitted by the instrumented simulator.
 EV_USER_WRITE = "user_write"
 EV_CHUNK_FLUSH = "chunk_flush"
-#: Aggregate record of N consecutive FULL chunk flushes of one group,
-#: emitted for a GC append run instead of N ``chunk_flush``
-#: events (counters stay exact; the per-flush records are collapsed).
-EV_CHUNK_FLUSH_BULK = "chunk_flush_bulk"
 EV_PADDING = "padding"
 EV_SHADOW_APPEND = "shadow_append"
 EV_LAZY_APPEND = "lazy_append"
@@ -36,9 +32,9 @@ EV_THRESHOLD_SWITCH = "threshold_switch"
 EV_AUDIT_VIOLATION = "audit_violation"
 
 EVENT_TYPES: tuple[str, ...] = (
-    EV_USER_WRITE, EV_CHUNK_FLUSH, EV_CHUNK_FLUSH_BULK, EV_PADDING,
-    EV_SHADOW_APPEND, EV_LAZY_APPEND, EV_GC_PASS, EV_DEMOTION,
-    EV_THRESHOLD_SWITCH, EV_AUDIT_VIOLATION,
+    EV_USER_WRITE, EV_CHUNK_FLUSH, EV_PADDING, EV_SHADOW_APPEND,
+    EV_LAZY_APPEND, EV_GC_PASS, EV_DEMOTION, EV_THRESHOLD_SWITCH,
+    EV_AUDIT_VIOLATION,
 )
 
 
@@ -69,39 +65,24 @@ class EventTracer:
     Args:
         capacity: in-memory buffer size before spilling/dropping.
         spill_path: optional JSONL file full buffers are appended to.
-        sample_every: ratio sampling — store only every Nth event of each
-            type (the first, the (N+1)th, ...).  Per-type ``counts`` stay
-            exact regardless; only the stored records thin out, which is
-            what makes event tracing affordable on long replays.  ``1``
-            (the default) stores everything.
     """
 
     def __init__(self, capacity: int = 65_536,
-                 spill_path: str | None = None,
-                 sample_every: int = 1) -> None:
+                 spill_path: str | None = None) -> None:
         if capacity < 1:
             raise ConfigError("event capacity must be >= 1")
-        if sample_every < 1:
-            raise ConfigError("sample_every must be >= 1")
         self.capacity = capacity
         self.spill_path = spill_path
-        self.sample_every = sample_every
         self._buf: deque[Event] = deque()
         self._seq = 0
         self.dropped = 0
         self.spilled = 0
-        #: Events counted but not stored because of ratio sampling.
-        self.sampled_out = 0
         self._spill_started = False
         self.counts: dict[str, int] = {}
 
     def emit(self, type_: str, time_us: int, **fields: Any) -> None:
         """Record one event (fields must be JSON-serialisable)."""
-        n = self.counts.get(type_, 0) + 1
-        self.counts[type_] = n
-        if self.sample_every > 1 and (n - 1) % self.sample_every:
-            self.sampled_out += 1
-            return
+        self.counts[type_] = self.counts.get(type_, 0) + 1
         if len(self._buf) >= self.capacity:
             if self.spill_path is not None:
                 self.spill()
@@ -121,12 +102,6 @@ class EventTracer:
 
     def __len__(self) -> int:
         return len(self._buf)
-
-    @property
-    def total_emitted(self) -> int:
-        """Events stored (buffered or spilled); under ratio sampling the
-        thinned-out events count in ``counts``/``sampled_out``, not here."""
-        return self._seq
 
     def iter_type(self, type_: str) -> Iterator[Event]:
         return (e for e in self._buf if e.type == type_)

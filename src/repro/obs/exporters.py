@@ -4,16 +4,15 @@ One format per consumer:
 
 * **JSONL event log** — one JSON object per traced event, for replaying a
   run's timeline in a notebook or diffing two runs' behaviour.
-* **CSV time-series** — the sampled WA/padding/GC trajectory (columns in
-  :data:`repro.obs.recorder.SERIES_COLUMNS`); the final row is exact, not
-  sampled, and matches :class:`StoreStats` to the bit.
+* **Timeline CSV** — the recorder's
+  :class:`~repro.obs.timeline.ReplayTimeline` as a spreadsheet-ready
+  table; the final row is exact, not sampled, and matches
+  :class:`StoreStats` to the bit.
 * **Prometheus text format** — a scrape-shaped snapshot of the metrics
   registry, so counters and histograms drop straight into existing
   dashboards.  Histograms follow the exposition format exactly: cumulative
   ``_bucket`` samples ending in ``le="+Inf"``, then ``_sum`` and
   ``_count``; HELP text is escaped per the spec.
-* **Timeline CSV/JSONL** — a :class:`~repro.obs.timeline.ReplayTimeline`
-  as a spreadsheet-ready table or one JSON object per sample.
 
 Every writer goes through :mod:`repro.obs.atomicio`: parent directories
 are created and files land via tmp + rename, so an interrupted export
@@ -25,16 +24,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from typing import TYPE_CHECKING
 
 from repro.obs.atomicio import atomic_write
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.recorder import SERIES_COLUMNS
+from repro.obs.timeline import cell
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import EventTracer
-    from repro.obs.recorder import ObsRecorder
     from repro.obs.timeline import ReplayTimeline
 
 
@@ -61,22 +58,6 @@ def write_events_jsonl(tracer: "EventTracer", path: str) -> int:
     return len(events)
 
 
-def write_timeseries_csv(recorder: "ObsRecorder", path: str) -> int:
-    """Write the sampled time-series as CSV; returns the row count."""
-    with atomic_write(path, newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SERIES_COLUMNS)
-        writer.writerows(recorder.series)
-    return len(recorder.series)
-
-
-def _timeline_cell(value: float) -> float | int | None:
-    """CSV/JSON-friendly cell: integral floats as ints, NaN as None."""
-    if math.isnan(value):
-        return None
-    return int(value) if value.is_integer() else value
-
-
 def write_timeline_csv(timeline: "ReplayTimeline", path: str) -> int:
     """Write a replay timeline as CSV; returns the row count.
 
@@ -86,20 +67,8 @@ def write_timeline_csv(timeline: "ReplayTimeline", path: str) -> int:
         writer = csv.writer(f)
         writer.writerow(timeline.columns)
         for row in timeline.rows:
-            writer.writerow(["" if (c := _timeline_cell(v)) is None else c
+            writer.writerow(["" if (c := cell(v)) is None else c
                              for v in row.tolist()])
-    return len(timeline)
-
-
-def write_timeline_jsonl(timeline: "ReplayTimeline", path: str) -> int:
-    """Write a replay timeline as JSON Lines (one object per sample);
-    returns the row count.  NaN cells export as ``null``."""
-    columns = timeline.columns
-    with atomic_write(path) as f:
-        for row in timeline.rows:
-            obj = {k: _timeline_cell(v)
-                   for k, v in zip(columns, row.tolist())}
-            f.write(json.dumps(obj, separators=(",", ":")) + "\n")
     return len(timeline)
 
 

@@ -2,9 +2,8 @@
 
 All three are plain-attribute objects on the hot path (``c.value += n`` is
 one attribute store); histograms keep their bucket counts in a NumPy int64
-array and bin scalars with :func:`bisect.bisect_left` (arrays with
-:func:`numpy.searchsorted`).  The registry is an ordered
-name -> metric map with get-or-create accessors, a picklable
+array and bin values with :func:`bisect.bisect_left`.  The registry is an
+ordered name -> metric map with get-or-create accessors, a picklable
 :meth:`~MetricsRegistry.snapshot`, and enough structure for the Prometheus
 exporter to render every metric type faithfully.
 
@@ -110,15 +109,6 @@ class Histogram:
             return
         self.counts[bisect_left(self._edge_list, value)] += count
         self.sum += value * count
-
-    def observe_many(self, values) -> None:
-        """Record a whole array of observations in one vectorized pass."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
-            return
-        idx = np.searchsorted(self.edges, arr, side="left")
-        self.counts += np.bincount(idx, minlength=self.counts.size)
-        self.sum += float(arr.sum())
 
     @property
     def count(self) -> int:

@@ -9,8 +9,9 @@ run about 0.2 times per user block
 (``test_obs_hook_calls_per_user_block_bounded``).
 :class:`ObsRecorder` implements them for real: it feeds a
 :class:`~repro.obs.metrics.MetricsRegistry`, emits typed events into an
-:class:`~repro.obs.events.EventTracer`, and samples a WA/padding/GC
-time-series every ``sample_every_blocks`` user blocks.
+:class:`~repro.obs.events.EventTracer`, and samples its one time series,
+a :class:`~repro.obs.timeline.ReplayTimeline`, every ``timeline_every``
+user blocks.
 
 The recorder deliberately imports nothing from the simulator layers it
 observes (``lss``/``array``/``core``); hooks receive plain values or duck-
@@ -26,7 +27,6 @@ from repro.common.observer import StoreObserver
 from repro.obs.events import (
     EV_AUDIT_VIOLATION,
     EV_CHUNK_FLUSH,
-    EV_CHUNK_FLUSH_BULK,
     EV_DEMOTION,
     EV_GC_PASS,
     EV_LAZY_APPEND,
@@ -37,15 +37,7 @@ from repro.obs.events import (
     EventTracer,
 )
 from repro.obs.metrics import BLOCK_BUCKETS, MetricsRegistry
-
-#: Column order of the time-series rows collected by :class:`ObsRecorder`
-#: (and of the CSV written by
-#: :func:`repro.obs.exporters.write_timeseries_csv`).
-SERIES_COLUMNS: tuple[str, ...] = (
-    "time_us", "user_blocks", "flash_blocks", "gc_blocks", "padding_blocks",
-    "shadow_blocks", "write_amplification", "padding_ratio", "gc_ratio",
-    "gc_passes",
-)
+from repro.obs.timeline import TIMELINE_EVERY, ReplayTimeline
 
 
 class NullRecorder(StoreObserver):
@@ -89,45 +81,27 @@ NULL_RECORDER = NullRecorder()
 
 
 class ObsRecorder(NullRecorder):
-    """Live recorder: metrics registry + event tracer + time-series.
+    """Live recorder: metrics registry + event tracer + timeline.
 
     ``store.replay`` reports user writes once per settle, and settles
     wherever :meth:`next_sample_seq` says a row is due, so the metrics
-    registry, the series rows, the timeline rows and the event stream
-    all equal a per-block replay's (``tests/lss/test_replay_loop.py``
-    compares them).
+    registry, the timeline rows and the event stream all equal a
+    per-block replay's (``tests/lss/test_replay_loop.py`` compares them).
 
     Args:
-        sample_every_blocks: append one time-series row (and one sampled
-            ``user_write`` marker event) every N accepted user blocks.
-        event_capacity: in-memory event buffer size.
-        spill_path: optional JSONL file full buffers are appended to.
-        trace_events: record a run of N FULL flushes as N ``chunk_flush``
-            events instead of one ``chunk_flush_bulk`` record.
-        event_sample_every: ratio-sample the stored events (per-type
-            counts stay exact); forwarded to :class:`EventTracer`.
-        timeline: optional :class:`~repro.obs.timeline.ReplayTimeline`
-            to drive from this recorder's hooks (bound to the store and
-            finalized alongside the recorder).
+        timeline_every: append one timeline row (and one ``user_write``
+            marker event) every N accepted user blocks.
+        spill_path: optional JSONL file full event buffers are appended
+            to.
     """
 
     enabled = True
 
-    def __init__(self, sample_every_blocks: int = 1024,
-                 event_capacity: int = 65_536,
-                 spill_path: str | None = None,
-                 trace_events: bool = False,
-                 event_sample_every: int = 1,
-                 timeline: Any = None) -> None:
-        if sample_every_blocks < 1:
-            raise ValueError("sample_every_blocks must be >= 1")
-        self.sample_every_blocks = sample_every_blocks
-        self.trace_events = trace_events
-        self.timeline = timeline
+    def __init__(self, timeline_every: int = TIMELINE_EVERY,
+                 spill_path: str | None = None) -> None:
+        self.timeline = ReplayTimeline(timeline_every)
         self.registry = MetricsRegistry()
-        self.tracer = EventTracer(event_capacity, spill_path=spill_path,
-                                  sample_every=event_sample_every)
-        self.series: list[tuple] = []
+        self.tracer = EventTracer(spill_path=spill_path)
         self._store: Any = None
 
         reg = self.registry
@@ -181,39 +155,29 @@ class ObsRecorder(NullRecorder):
         g = self.registry.gauge("lss_logical_blocks",
                                 "configured logical address space")
         g.set(store.config.logical_blocks)
-        if self.timeline is not None:
-            self.timeline.bind(store)
+        self.timeline.bind(store)
 
     def finalize(self) -> None:
-        # Always close the series with an exact final row: exporters and
-        # tests rely on the last row matching StoreStats to the bit.
-        now_us = self._store.now_us
         stats = self._store.stats
-        self._sample_row(now_us, stats)
         self.gauge("lss_write_amplification", stats.write_amplification())
         self.gauge("lss_padding_traffic_ratio", stats.padding_traffic_ratio())
         self.gauge("lss_gc_traffic_ratio", stats.gc_traffic_ratio())
-        if self.timeline is not None:
-            self.timeline.finalize(now_us)
+        # Always close the timeline with an exact final row: exporters
+        # and tests rely on the last row matching StoreStats to the bit.
+        self.timeline.finalize(self._store.now_us)
 
     def next_sample_seq(self) -> int:
-        se = self.sample_every_blocks
-        seq = (self._user_blocks.value // se + 1) * se
-        if self.timeline is not None:
-            seq = min(seq, self.timeline.next_sample_seq())
-        return seq
+        return self.timeline.next_sample_seq()
 
     def user_writes(self, lbas, locs, start_seq: int, now_us: int) -> None:
         ub = self._user_blocks
         ub.value += len(lbas)
-        if ub.value % self.sample_every_blocks == 0:
+        if ub.value >= self.timeline.next_sample_seq():
             # The store settled exactly on the boundary: the per-block
-            # row, with one sampled user_write marker event.
-            self._sample_row(now_us, self._store.stats)
+            # row, with one user_write marker event.
+            self.timeline.sample(now_us)
             self.tracer.emit(EV_USER_WRITE, now_us, lba=int(lbas[-1]),
                              user_blocks=ub.value)
-        if self.timeline is not None:
-            self.timeline.maybe_sample(now_us)
 
     def reads(self, count: int, now_us: int) -> None:
         self._reads.value += count
@@ -240,12 +204,7 @@ class ObsRecorder(NullRecorder):
         emit = self.tracer.emit
         chunk_event = dict(group=gid, name=name, reason=reason,
                            data_blocks=per_chunk, padding_blocks=padding)
-        aggregate = count > 1 and not self.trace_events
-        if aggregate:
-            emit(EV_CHUNK_FLUSH_BULK, now_us, group=gid, name=name,
-                 flushes=count, data_blocks=data)
-        else:
-            emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
+        emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
         if padding:
             self._padding_blocks.value += padding
             self._h_padding.observe(padding)
@@ -256,11 +215,10 @@ class ObsRecorder(NullRecorder):
             self._lazy_blocks.value += flush.lazy_blocks
             emit(EV_LAZY_APPEND, now_us, group=gid,
                  blocks=flush.lazy_blocks)
-        if not aggregate:
-            # Only a GC migration run flushes several chunks in one
-            # record, all at one constant timestamp.
-            for _ in range(count - 1):
-                emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
+        # Only a GC migration run flushes several chunks in one record,
+        # all at one constant timestamp.
+        for _ in range(count - 1):
+            emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
 
     def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
                           valid_blocks: int, now_us: int) -> None:
@@ -310,24 +268,11 @@ class ObsRecorder(NullRecorder):
         self.registry.counter(name).inc(amount)
 
     # ------------------------------------------------------------------
-    # time-series + snapshot
+    # snapshot
     # ------------------------------------------------------------------
-    def _sample_row(self, now_us: int, stats: Any) -> None:
-        self.series.append((
-            int(now_us),
-            int(stats.user_blocks_requested),
-            int(stats.flash_blocks_written),
-            int(stats.gc_blocks_written),
-            int(stats.padding_blocks_written),
-            int(stats.shadow_blocks_written),
-            float(stats.write_amplification()),
-            float(stats.padding_traffic_ratio()),
-            float(stats.gc_traffic_ratio()),
-            int(stats.gc_passes),
-        ))
-
     def snapshot(self) -> dict:
-        """Plain-dict summary: metrics, event counts, final series row.
+        """Plain-dict summary: metrics, event counts, final timeline row
+        (JSON-safe: NaN is ``None``).
 
         Everything is picklable, so :func:`replay_volume` can attach it to
         a :class:`VolumeResult` even across worker processes.
@@ -336,10 +281,6 @@ class ObsRecorder(NullRecorder):
         snap["events"] = dict(self.tracer.counts)
         snap["events_dropped"] = self.tracer.dropped
         snap["events_spilled"] = self.tracer.spilled
-        snap["events_sampled_out"] = self.tracer.sampled_out
-        snap["series_rows"] = len(self.series)
-        snap["final"] = (dict(zip(SERIES_COLUMNS, self.series[-1]))
-                         if self.series else None)
-        if self.timeline is not None:
-            snap["timeline_rows"] = len(self.timeline)
+        snap["timeline_rows"] = len(self.timeline)
+        snap["final"] = self.timeline.final()
         return snap

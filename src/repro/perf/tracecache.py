@@ -11,8 +11,8 @@ Layout and controls:
 
 * cache root: ``$ADAPT_REPRO_CACHE_DIR`` or ``~/.cache/adapt-repro/``,
   one ``traces/<key>.npz`` per fleet;
-* opt-out: ``ADAPT_REPRO_NO_TRACE_CACHE=1`` in the environment, the
-  ``--no-trace-cache`` CLI flag, or :func:`set_enabled` in code;
+* opt-out: ``ADAPT_REPRO_NO_TRACE_CACHE=1`` in the environment, or
+  :func:`set_enabled` in code;
 * writes are atomic (temp file + ``os.replace``), so concurrent
   processes can only ever observe complete files;
 * corrupt or unreadable cache files are treated as misses and
@@ -50,12 +50,13 @@ DEFAULT_MAX_MB = 512
 #: Environment override for the size cap; ``0`` disables eviction.
 MAX_MB_ENV = "ADAPT_REPRO_TRACE_CACHE_MAX_MB"
 
-#: Module-level switch flipped by ``--no-trace-cache`` (env wins if set).
+#: Module-level switch flipped by :func:`set_enabled`; a set
+#: ``ADAPT_REPRO_NO_TRACE_CACHE`` disables the cache regardless.
 _enabled = True
 
 
 def set_enabled(enabled: bool) -> None:
-    """Enable/disable the cache for this process (e.g. CLI opt-out)."""
+    """Enable/disable the cache for this process."""
     global _enabled
     _enabled = enabled
 

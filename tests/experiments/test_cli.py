@@ -39,17 +39,21 @@ def test_extension_commands_listed(capsys):
 def test_obs_command_writes_artifacts(capsys, tmp_path):
     out_dir = tmp_path / "obs"
     assert main(["obs", "--scheme", "sepbit", "--scale", "smoke",
-                 "--out", str(out_dir), "--sample-every", "512"]) == 0
+                 "--out", str(out_dir), "--timeline-every", "512"]) == 0
     out = capsys.readouterr().out
     assert "chunk_flush" in out
     events = out_dir / "ali-000.events.jsonl"
-    series = out_dir / "ali-000.timeseries.csv"
+    timeline = out_dir / "ali-000.timeline.csv"
     prom = out_dir / "ali-000.prom"
-    for path in (events, series, prom):
-        assert path.exists() and path.stat().st_size > 0
+    assert sorted(p.name for p in out_dir.iterdir()) == \
+        sorted(p.name for p in (events, timeline, prom))
+    for path in (events, timeline, prom):
+        assert path.stat().st_size > 0
     first = events.read_text().splitlines()[0]
     assert '"type"' in first
-    assert series.read_text().splitlines()[0].startswith("time_us,")
+    lines = timeline.read_text().splitlines()
+    assert lines[0].startswith("user_blocks,time_us,")
+    assert int(lines[1].split(",")[0]) == 512
     assert "lss_user_blocks_total" in prom.read_text()
 
 
@@ -59,9 +63,8 @@ def test_replay_metrics_out(capsys, tmp_path):
                  "--scale", "smoke", "--metrics-out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "metrics written" in out
-    assert (out_dir / "ali-000.events.jsonl").exists()
-    assert (out_dir / "ali-000.timeseries.csv").exists()
-    assert (out_dir / "ali-000.prom").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "ali-000.events.jsonl", "ali-000.prom", "ali-000.timeline.csv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -99,6 +102,8 @@ def test_fleet_flags_that_need_out_are_usage_errors(argv, flag, capsys):
 
 def test_removed_commands_and_flags_are_gone():
     for argv in (["bench"], ["validate", "--engine", "auto"],
-                 ["fleet", "--engine", "auto"]):
+                 ["fleet", "--engine", "auto"], ["obs", "--no-trace"],
+                 ["obs", "--sample-every", "512"],
+                 ["obs", "--event-sample-every", "2"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)

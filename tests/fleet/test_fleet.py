@@ -103,6 +103,27 @@ def test_metrics_snapshots_identical_across_sharding():
     assert all(v["metrics"] is not None for v in sharded)
 
 
+def test_metrics_final_row_is_strict_json(tmp_path):
+    """A snapshot's ``final`` is the timeline's last row; sepgc's NaN
+    threshold lands in the summary as null, never as a bare NaN."""
+    spec = FleetSpec(scheme="sepgc", num_volumes=2, volume_blocks=2048,
+                     volume_requests=900, chunk_requests=256,
+                     collect_metrics=True)
+    result = run_fleet(spec, workers=1, out_dir=str(tmp_path))
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+    with open(result.summary_path, encoding="utf-8") as f:
+        summary = json.load(f, parse_constant=refuse)
+    for volume in summary["volumes"]:
+        final = volume["metrics"]["final"]
+        assert final["threshold"] is None
+        assert final["user_blocks"] == \
+            volume["stats"]["user_blocks_requested"]
+        assert final["write_amplification"] == \
+            volume["stats"]["write_amplification"]
+
+
 def test_attribution_snapshots_identical_across_sharding():
     """Attribution rides the volume reports: serial and sharded runs
     carry identical snapshots, and the aggregate's merged sections are
@@ -188,7 +209,7 @@ def test_checkpoint_requires_out_dir():
 def test_summary_shape_and_determinism(tmp_path):
     result = run_fleet(TINY, workers=1, out_dir=str(tmp_path))
     s = result.summary
-    assert s["schema"] == SUMMARY_SCHEMA == 4
+    assert s["schema"] == SUMMARY_SCHEMA == 5
     assert s["fleet_key"] == TINY.fleet_key()
     assert [v["volume"] for v in s["volumes"]] == TINY.tenant_ids()
     agg = s["aggregate"]

@@ -6,7 +6,7 @@ every GC run and wherever an observer samples; ``process_request`` /
 ``write_block`` do all of it eagerly, one block at a time, and stay the
 specification.  Everything a finished replay leaves behind must be equal
 under both — for every policy, with the recorders attached, down to every
-series row, timeline row and event — and the loop must stay O(window) in
+timeline row and event — and the loop must stay O(window) in
 memory and self-consistent when a window raises.
 """
 
@@ -25,7 +25,6 @@ from repro.lss.store import LogStructuredStore
 from repro.lss.victim import VictimPolicy
 from repro.obs.attribution import AttributionRecorder
 from repro.obs.recorder import ObsRecorder
-from repro.obs.timeline import ReplayTimeline
 from repro.placement.registry import available_policies, make_policy
 from repro.trace.model import OP_WRITE, Trace
 from repro.validate.audit import InvariantAuditor
@@ -41,16 +40,14 @@ _POOL_PLANES = ("slot_lba", "slot_valid", "slot_seq", "state", "group",
                 "fill", "valid_count", "created_seq", "sealed_seq")
 
 
-def instrumented_store(policy_name, trace_events=False):
-    """Every observer on, each on its own block period, none of them
-    lined up with the loop's windows or with each other."""
+def instrumented_store(policy_name, attribution=True):
+    """Every observer on (the attribution ledger optionally), each on its
+    own block period, none of them lined up with the loop's windows or
+    with each other."""
     cfg = differential_config()
-    recorder = ObsRecorder(sample_every_blocks=100,
-                           trace_events=trace_events,
-                           timeline=ReplayTimeline(every_blocks=77))
     return LogStructuredStore(
-        cfg, make_policy(policy_name, cfg), recorder=recorder,
-        attribution=AttributionRecorder(),
+        cfg, make_policy(policy_name, cfg), recorder=ObsRecorder(77),
+        attribution=AttributionRecorder() if attribution else None,
         auditor=InvariantAuditor(every_blocks=256))
 
 
@@ -108,7 +105,7 @@ def assert_same_outcome(spec, loop):
 
 def assert_same_observations(spec, loop):
     """What the observers saw, row by row and event by event."""
-    assert loop.obs.series == spec.obs.series
+    assert loop.obs.timeline.columns == spec.obs.timeline.columns
     assert np.array_equal(loop.obs.timeline.rows, spec.obs.timeline.rows,
                           equal_nan=True)
     events = [[e.to_json_dict() for e in s.obs.tracer.events]
@@ -120,16 +117,17 @@ def assert_same_observations(spec, loop):
 
 
 def _check_loop_against_specification(policy_name, workload_idx,
-                                      trace_events, monkeypatch):
+                                      attribution, monkeypatch):
     """Several windows, GC runs inside them, recorders and auditor on."""
     monkeypatch.setattr(store_module, "REPLAY_WINDOW_REQUESTS", 256)
     trace = default_workloads(num_requests=900)[workload_idx]
-    spec = instrumented_store(policy_name, trace_events)
+    spec = instrumented_store(policy_name, attribution)
     eager_replay(spec, trace)
-    loop = instrumented_store(policy_name, trace_events)
+    loop = instrumented_store(policy_name, attribution)
     loop.replay(trace)
     assert loop.stats.gc_blocks_written > 0
-    assert len(loop.obs.series) > 2 and len(loop.obs.timeline) > 2
+    assert len(loop.obs.timeline) > 2
+    assert ("attr_gc_victims" in loop.obs.timeline.columns) == attribution
     assert_same_outcome(spec, loop)
     assert_same_observations(spec, loop)
 
@@ -140,8 +138,9 @@ def _check_loop_against_specification(policy_name, workload_idx,
 def test_replay_loop_equals_per_block_specification(policy_name,
                                                     workload_idx,
                                                     monkeypatch):
-    """The default recorder (runs of FULL flushes aggregated)."""
-    _check_loop_against_specification(policy_name, workload_idx, False,
+    """The recorder and the attribution ledger (``attr_*`` timeline
+    columns)."""
+    _check_loop_against_specification(policy_name, workload_idx, True,
                                       monkeypatch)
 
 
@@ -151,8 +150,8 @@ def test_replay_loop_equals_per_block_specification(policy_name,
 def test_traced_replay_loop_equals_per_block_specification(policy_name,
                                                            workload_idx,
                                                            monkeypatch):
-    """A ``trace_events=True`` recorder: one event per chunk flush."""
-    _check_loop_against_specification(policy_name, workload_idx, True,
+    """The tracing recorder alone, without the attribution ledger."""
+    _check_loop_against_specification(policy_name, workload_idx, False,
                                       monkeypatch)
 
 

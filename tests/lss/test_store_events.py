@@ -62,8 +62,7 @@ def _observed_replay(policy_cls):
     cfg = differential_config()
     store = LogStructuredStore(
         cfg, _logged(policy_cls, "policy", log)(cfg),
-        recorder=_logged(ObsRecorder, "recorder", log)(
-            sample_every_blocks=100),
+        recorder=_logged(ObsRecorder, "recorder", log)(100),
         attribution=_logged(AttributionRecorder, "attribution", log)(),
         auditor=_logged(InvariantAuditor, "auditor", log)(every_blocks=256))
     _logged(StreamBridge, "bridge", log)(store)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-import math
+
+import pytest
 
 from repro.obs.analyze import (
     ANALYZE_SCHEMA,
@@ -44,19 +45,17 @@ def test_load_chrome_trace_legacy_dropped_key(tmp_path):
     assert load_chrome_trace(path)["profile_events_dropped"] == 7
 
 
-def test_load_timeline_tail_csv_and_jsonl(tmp_path):
+def test_load_timeline_tail_csv(tmp_path):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("user_blocks,write_amplification\n"
                         "100,1.5\n200,1.25\n")
     tail = load_timeline_tail(str(csv_path))
-    assert tail == {"user_blocks": 200.0, "write_amplification": 1.25}
-    jsonl_path = tmp_path / "t.jsonl"
-    jsonl_path.write_text('{"user_blocks": 100}\n{"user_blocks": 300}\n')
-    assert load_timeline_tail(str(jsonl_path)) == {"user_blocks": 300}
-    # Empty cells are the exporter's NaN (sepgc has no threshold).
+    assert tail == {"user_blocks": 200, "write_amplification": 1.25}
+    # Empty cells are the exporter's NaN (sepgc has no threshold); they
+    # load as None, the exporter's JSON rule.
     nan_path = tmp_path / "n.csv"
     nan_path.write_text("user_blocks,threshold\n100,\n")
-    assert math.isnan(load_timeline_tail(str(nan_path))["threshold"])
+    assert load_timeline_tail(str(nan_path))["threshold"] is None
     empty = tmp_path / "e.csv"
     empty.write_text("user_blocks\n")
     assert load_timeline_tail(str(empty)) is None
@@ -159,3 +158,43 @@ def test_cli_analyze_requires_an_artifact(tmp_path, capsys):
     # A missing file is a loud failure, not a silent empty report.
     assert main(["analyze", "--trace",
                  str(tmp_path / "missing.json")]) == 1
+
+
+def _strict_json(path):
+    """Parse ``path`` as JSON proper: NaN and Infinity raise."""
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+    with open(path, encoding="utf-8") as f:
+        return json.load(f, parse_constant=refuse)
+
+
+@pytest.fixture(scope="module")
+def sepgc_timeline(tmp_path_factory):
+    """A real sepgc timeline: its threshold column is NaN throughout."""
+    from repro.cli import main
+    out = tmp_path_factory.mktemp("obs")
+    assert main(["obs", "--scheme", "sepgc", "--scale", "smoke",
+                 "--timeline-every", "4096", "--out", str(out)]) == 0
+    return str(out / "ali-000.timeline.csv")
+
+
+def test_cli_analyze_timeline_report_is_strict_json(sepgc_timeline,
+                                                    tmp_path, capsys):
+    from repro.cli import main
+    out_path = str(tmp_path / "r.json")
+    assert main(["analyze", "--timeline", sepgc_timeline,
+                 "--out", out_path]) == 0
+    final = _strict_json(out_path)["timeline_final"]
+    assert final["threshold"] is None
+    assert final["write_amplification"] > 1.0
+
+
+def test_cli_analyze_renders_a_timeline_alone(sepgc_timeline, capsys):
+    from repro.cli import main
+    assert main(["analyze", "--timeline", sepgc_timeline]) == 0
+    text = capsys.readouterr().out
+    assert "nothing to analyze" not in text
+    assert "== Timeline (final row) ==" in text
+    for label in ("WA:", "padding ratio:", "GC ratio:",
+                  "threshold: n/a", "free segments:"):
+        assert label in text, label

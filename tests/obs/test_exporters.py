@@ -1,4 +1,4 @@
-"""Exporter formats: JSONL, CSV time-series, Prometheus text."""
+"""Exporter formats: JSONL events, timeline CSV, Prometheus text."""
 
 import csv
 import json
@@ -13,10 +13,10 @@ from repro.obs.exporters import (
     prometheus_text,
     write_events_jsonl,
     write_prometheus,
-    write_timeseries_csv,
+    write_timeline_csv,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import SERIES_COLUMNS, ObsRecorder
+from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
 
@@ -31,7 +31,7 @@ _SAMPLE_RE = re.compile(
 @pytest.fixture(scope="module")
 def recorder():
     cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
-    rec = ObsRecorder(sample_every_blocks=512)
+    rec = ObsRecorder(512)
     store = LogStructuredStore(cfg, make_policy("adapt", cfg), recorder=rec)
     trace = generate_ycsb_a(4096, 12_000, density=DensityPreset.LIGHT,
                             read_ratio=0.0, seed=3)
@@ -61,18 +61,20 @@ def test_events_jsonl_spill_path_completes_file(tmp_path):
 
 
 def test_timeseries_csv(tmp_path, recorder):
-    path = str(tmp_path / "series.csv")
-    n = write_timeseries_csv(recorder, path)
+    """The recorder's time series exports as the timeline CSV."""
+    path = str(tmp_path / "timeline.csv")
+    n = write_timeline_csv(recorder.timeline, path)
     with open(path, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
-    assert tuple(rows[0]) == SERIES_COLUMNS
+    assert tuple(rows[0]) == recorder.timeline.columns
     assert len(rows) == n + 1
-    final = dict(zip(SERIES_COLUMNS, rows[-1]))
+    final = dict(zip(rows[0], rows[-1]))
     # The CSV is the canonical artifact: its final WA must equal the
-    # in-memory stats to float precision even after text round-trip.
+    # in-memory stats exactly even after text round-trip.
     stats = recorder._store.stats
     assert float(final["write_amplification"]) == \
-        pytest.approx(stats.write_amplification(), abs=1e-9)
+        stats.write_amplification()
+    assert int(final["flash_blocks"]) == stats.flash_blocks_written
 
 
 def test_prometheus_text_parses(recorder):

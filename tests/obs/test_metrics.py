@@ -67,19 +67,6 @@ def test_observe_bulk_equals_repeated_observe():
         b.observe_bulk(7, -1)
 
 
-def test_observe_many_equals_repeated_observe():
-    a = Histogram("a", buckets=[1, 4, 16])
-    b = Histogram("b", buckets=[1, 4, 16])
-    values = [0, 1, 2, 4, 5, 16, 17, 100, 1]
-    for v in values:
-        a.observe(v)
-    b.observe_many(values)
-    assert list(a.counts) == list(b.counts)
-    assert a.sum == b.sum
-    b.observe_many([])  # empty batch is a no-op
-    assert a.count == b.count
-
-
 def test_registry_get_or_create():
     reg = MetricsRegistry()
     a = reg.counter("c_total")

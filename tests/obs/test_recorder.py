@@ -19,7 +19,7 @@ from repro.obs.events import (
     EV_SHADOW_APPEND,
     EV_THRESHOLD_SWITCH,
 )
-from repro.obs.recorder import NULL_RECORDER, ObsRecorder, SERIES_COLUMNS
+from repro.obs.recorder import NULL_RECORDER, ObsRecorder
 from repro.placement.registry import make_policy
 from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
 
@@ -40,7 +40,7 @@ def replay(recorder=None, scheme="adapt"):
 
 @pytest.fixture(scope="module")
 def recorded():
-    rec = ObsRecorder(sample_every_blocks=512)
+    rec = ObsRecorder(512)
     _, stats = replay(rec)
     return rec, stats
 
@@ -78,10 +78,10 @@ def test_counters_match_store_stats(recorded):
 
 
 def test_final_series_row_is_exact(recorded):
+    """The recorder's one time series is its timeline."""
     rec, stats = recorded
-    final = dict(zip(SERIES_COLUMNS, rec.series[-1]))
-    assert final["write_amplification"] == \
-        pytest.approx(stats.write_amplification(), abs=1e-9)
+    final = dict(zip(rec.timeline.columns, rec.timeline.rows[-1]))
+    assert final["write_amplification"] == stats.write_amplification()
     assert final["user_blocks"] == stats.user_blocks_requested
     assert final["flash_blocks"] == stats.flash_blocks_written
     assert final["padding_blocks"] == stats.padding_blocks_written
@@ -89,9 +89,11 @@ def test_final_series_row_is_exact(recorded):
 
 def test_series_is_monotone(recorded):
     rec, _ = recorded
-    users = [row[1] for row in rec.series]
+    users = rec.timeline.to_arrays()["user_blocks"].tolist()
     assert users == sorted(users)
-    assert len(rec.series) >= 2
+    assert len(rec.timeline) >= 2
+    # One user_write marker event per sampled (non-final) row.
+    assert rec.tracer.counts["user_write"] == len(rec.timeline) - 1
 
 
 def test_snapshot_pickles(recorded):
@@ -104,7 +106,7 @@ def test_snapshot_pickles(recorded):
 def test_instrumentation_does_not_change_results():
     """The recorder observes; it must never perturb the simulation."""
     _, base = replay(recorder=None)
-    _, observed = replay(recorder=ObsRecorder(sample_every_blocks=256))
+    _, observed = replay(recorder=ObsRecorder(256))
     assert observed.write_amplification() == base.write_amplification()
     assert observed.flash_blocks_written == base.flash_blocks_written
     assert observed.gc_passes == base.gc_passes

@@ -2,26 +2,23 @@
 
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
 
 from repro.lss.config import LSSConfig
 from repro.lss.store import LogStructuredStore
-from repro.obs.exporters import write_timeline_csv, write_timeline_jsonl
+from repro.obs.exporters import write_timeline_csv
 from repro.obs.recorder import ObsRecorder
 from repro.obs.timeline import BASE_COLUMNS, ReplayTimeline
 from repro.placement.registry import make_policy
 from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
 
 
-def _replay(policy="adapt", every=512, capture_occupancy=True,
-            per_block=False):
+def _replay(policy="adapt", every=512, per_block=False):
     cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
-    timeline = ReplayTimeline(every_blocks=every,
-                              capture_occupancy=capture_occupancy)
-    rec = ObsRecorder(timeline=timeline)
+    rec = ObsRecorder(every)
+    timeline = rec.timeline
     store = LogStructuredStore(cfg, make_policy(policy, cfg), recorder=rec)
     trace = generate_ycsb_a(4096, 12_000, density=DensityPreset.LIGHT,
                             read_ratio=0.0, seed=3)
@@ -48,7 +45,13 @@ def test_final_row_matches_stats_exactly():
     store, tl = _replay()
     final = dict(zip(tl.columns, tl.rows[-1]))
     stats = store.stats
+    assert tl.columns[:len(BASE_COLUMNS)] == BASE_COLUMNS
     assert final["user_blocks"] == stats.user_blocks_requested
+    assert final["flash_blocks"] == stats.flash_blocks_written
+    assert final["gc_blocks"] == stats.gc_blocks_written
+    assert final["padding_blocks"] == stats.padding_blocks_written
+    assert final["shadow_blocks"] == stats.shadow_blocks_written
+    assert final["gc_passes"] == stats.gc_passes
     assert final["write_amplification"] == stats.write_amplification()
     assert final["padding_ratio"] == stats.padding_traffic_ratio()
     assert final["gc_ratio"] == stats.gc_traffic_ratio()
@@ -73,11 +76,6 @@ def test_threshold_column():
     assert np.isnan(tl2.to_arrays()["threshold"]).all()
 
 
-def test_capture_occupancy_off():
-    _, tl = _replay(capture_occupancy=False)
-    assert tl.columns == BASE_COLUMNS
-
-
 def test_batched_final_row_equals_scalar_final_row():
     s_store, s_tl = _replay(policy="sepgc", per_block=True)
     b_store, b_tl = _replay(policy="sepgc")
@@ -91,6 +89,8 @@ def test_batched_final_row_equals_scalar_final_row():
 def test_every_blocks_validation():
     with pytest.raises(ValueError):
         ReplayTimeline(every_blocks=0)
+    with pytest.raises(ValueError):
+        ObsRecorder(0)
 
 
 def test_csv_export_roundtrip(tmp_path):
@@ -107,23 +107,12 @@ def test_csv_export_roundtrip(tmp_path):
     assert float(first["user_blocks"]) == tl.rows[0][0]
 
 
-def test_jsonl_export_roundtrip(tmp_path):
-    _, tl = _replay(policy="sepgc")
-    path = str(tmp_path / "timeline.jsonl")
-    n = write_timeline_jsonl(tl, path)
-    lines = [json.loads(line) for line in open(path, encoding="utf-8")]
-    assert len(lines) == n == len(tl)
-    assert lines[0]["threshold"] is None  # NaN -> null
-    assert lines[-1]["user_blocks"] == int(tl.rows[-1][0])
-    assert not math.isnan(lines[-1]["write_amplification"])
-
-
 def test_attribution_columns_track_recorder_totals():
     from repro.obs.attribution import AttributionRecorder
     from repro.obs.timeline import ATTR_COLUMNS
     cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
-    timeline = ReplayTimeline(every_blocks=512)
-    rec = ObsRecorder(timeline=timeline)
+    rec = ObsRecorder(512)
+    timeline = rec.timeline
     attr = AttributionRecorder()
     store = LogStructuredStore(cfg, make_policy("adapt", cfg),
                                recorder=rec, attribution=attr)
@@ -149,14 +138,15 @@ def test_no_attribution_columns_without_recorder():
 
 
 def test_recorder_snapshot_reports_timeline_rows():
-    _, tl = _replay()
-    # snapshot() is produced via the recorder bound in _replay; rebuild
-    # one here to read it.
-    cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
-    timeline = ReplayTimeline(every_blocks=256)
-    rec = ObsRecorder(timeline=timeline)
-    store = LogStructuredStore(cfg, make_policy("sepgc", cfg), recorder=rec)
-    trace = generate_ycsb_a(4096, 8000, density=DensityPreset.LIGHT,
-                            read_ratio=0.0, seed=1)
-    store.replay(trace)
-    assert rec.snapshot()["timeline_rows"] == len(timeline)
+    store, tl = _replay(policy="sepgc", every=256)
+    snap = store.obs.snapshot()
+    assert snap["timeline_rows"] == len(tl)
+    # The final row rides the snapshot as valid JSON: integral values as
+    # ints, sepgc's NaN threshold as null.
+    final = json.loads(json.dumps(snap["final"], allow_nan=False))
+    assert list(final) == list(tl.columns)
+    assert final["threshold"] is None
+    assert final["user_blocks"] == store.stats.user_blocks_requested
+    assert isinstance(final["flash_blocks"], int)
+    assert final["write_amplification"] == \
+        store.stats.write_amplification()

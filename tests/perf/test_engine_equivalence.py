@@ -111,15 +111,15 @@ def test_auto_engine_selects_batched_with_metrics_recorder():
 
 def test_trace_recorder_sampling_every_block_runs_the_loop():
     """A tracing recorder that samples every block makes the loop settle
-    after every block — one series row each — and ends in the same
+    after every block — one timeline row each — and ends in the same
     state."""
     from repro.obs.recorder import ObsRecorder
     trace = default_workloads(num_requests=300)[0]
-    rec = ObsRecorder(trace_events=True, sample_every_blocks=1)
+    rec = ObsRecorder(1)
     store = fresh_store("sepgc", recorder=rec)
     store.replay(trace)
-    # One series row per block, plus the finalize row.
-    assert len(rec.series) == store.stats.user_blocks_requested + 1
+    # One timeline row per block, plus the finalize row.
+    assert len(rec.timeline) == store.stats.user_blocks_requested + 1
     ref = fresh_store("sepgc")
     ref.replay(trace, engine="scalar")
     assert_states_equal(ref, store)

@@ -6,9 +6,8 @@ FULL flushes at once, user appends report them one by one.  Both must
 leave the *entire* metrics registry — every counter, gauge, and
 histogram (bucket counts and float sums) — bit-identical to
 single-flush records, and attaching the recorder must not perturb the
-replay.  By default a run of FULL flushes is one ``chunk_flush_bulk``
-event; a ``trace_events=True`` recorder expands it into one
-``chunk_flush`` per chunk — that stream is pinned by golden hashes
+replay.  The recorder expands a run of FULL flushes into one
+``chunk_flush`` event per chunk — that stream is pinned by golden hashes
 below.
 """
 
@@ -39,13 +38,11 @@ def test_recorder_does_not_change_batched_results(policy_name):
     assert_states_equal(bare, instrumented)
 
 
-@pytest.mark.parametrize("trace_events", [False, True])
-def test_flush_record_of_count_n_equals_n_records_of_one(trace_events):
+def test_flush_record_of_count_n_equals_n_records_of_one():
     """The flush-record contract every consumer relies on: one record
     with ``count = n`` books what n single-flush records book — in the
-    metrics registry, ADAPT's write monitor and the RAID layer, and (for
-    an exact-tracing recorder) in the event stream, lazy append after
-    the first chunk."""
+    metrics registry, ADAPT's write monitor, the RAID layer and the
+    event stream, lazy append after the first chunk."""
     from repro.array.coalescing import ChunkFlush, FlushReason
 
     n, time_us = 5, 700
@@ -58,7 +55,7 @@ def test_flush_record_of_count_n_equals_n_records_of_one(trace_events):
     rest = ChunkFlush(FlushReason.FULL, 1, cb, 0, 0, 0, time_us)
 
     def book(flushes):
-        rec = ObsRecorder(trace_events=trace_events)
+        rec = ObsRecorder()
         store = fresh_store("adapt", recorder=rec)
         hot = store.groups[store.policy.HOT]
         for flush in flushes:
@@ -66,7 +63,7 @@ def test_flush_record_of_count_n_equals_n_records_of_one(trace_events):
         monitor = store.policy.aggregator.monitor_for(hot.gid)
         events = [e.to_json_dict() for e in rec.tracer.events]
         return (rec.registry.snapshot(), vars(monitor),
-                vars(store.stats.raid), events if trace_events else None)
+                vars(store.stats.raid), events)
 
     assert book([run]) == book([first] + [rest] * (n - 1))
     snapshot, monitor, raid, _ = book([run])
@@ -77,31 +74,30 @@ def test_flush_record_of_count_n_equals_n_records_of_one(trace_events):
 
 
 #: policy -> (events, sha256 of the event list, sha256 of the recorder
-#: snapshot) for a ``trace_events=True`` replay of the 1200-request
-#: tencent differential workload.  Captured with the per-block GC loop
+#: snapshot) for a replay of the 1200-request tencent differential
+#: workload.  Captured with the per-block GC loop
 #: that ``validate/oracle.py`` still specifies: migrating a victim in
 #: runs must not reorder, merge or drop a single traced event.
 _EVENT_GOLDEN = {
     "adapt": (
         3802,
         "62ac90fe33cfbda8c72bed7e89b15f52f4aa175798dd1bd4e08be36744f44ca3",
-        "589df858cce2dbf0a46e1ed3235c223e3354b46a62590c1dcecbac2eb1f91fb4"),
+        "d697b383c7ca5276c6939825f83ce242e1ee7ba17f847c73247af6ac5e8ed5d7"),
     "sepgc": (
         3600,
         "a49b184bbb165180f1f63147fb998140b28c49680fdd0f67b610045372386ea0",
-        "061f8f02355f06eabef39fb3b44a5dbc45ca4998be94e9de821c71662e7fbc6a"),
+        "f463f2a5c1f10f2e2869c75d98e69b2ab11363d1ec294c6ffb79f1ad8e3d6f98"),
     "dac": (
         4577,
         "7decdb7b059e43d67507e5cfb0b33ef8afcae77f96e0e4a982f7f815a97297a4",
-        "13327335c98afe820585b393b29be00d54233f35532ee4f398955eb74b07f727"),
+        "d7f75c1fb6b9e0ca9e895f680b87fbc8efcb561580b5ff08a393393913cd1636"),
 }
 
 
 @pytest.mark.parametrize("policy_name", sorted(_EVENT_GOLDEN))
 def test_traced_event_stream_pinned(policy_name):
     trace = default_workloads(num_requests=1200)[1]
-    rec = ObsRecorder(trace_events=True, event_capacity=1_000_000,
-                      sample_every_blocks=256)
+    rec = ObsRecorder(256)
     store = fresh_store(policy_name, recorder=rec)
     store.replay(trace)
     assert rec.tracer.dropped == 0

@@ -158,7 +158,7 @@ def _bound_adapt(demotion: bool, adaptation: bool):
         sample_rate=0.5, adapt_every_fraction=0.05,
         enable_demotion=demotion, enable_threshold_adaptation=adaptation,
         bloom_filters=3, bloom_capacity=8))
-    recorder = ObsRecorder(trace_events=True)
+    recorder = ObsRecorder()
     clock = _Clock(recorder)
     policy.bind(clock)
     return policy, clock, recorder
