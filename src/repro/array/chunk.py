@@ -14,7 +14,7 @@ from repro.common.errors import ConfigError
 from repro.common.units import BLOCK_SIZE, KiB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkGeometry:
     """Geometry relating LSS blocks to array chunks."""
 

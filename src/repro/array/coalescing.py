@@ -93,6 +93,9 @@ class CoalescingBuffer:
             shared deadline heap.
     """
 
+    __slots__ = ("chunk_blocks", "window_us", "sla_mode", "owner_gid",
+                 "_tokens", "_timer_start_us", "_heap", "_heap_entry_us")
+
     def __init__(self, chunk_blocks: int, window_us: int | None,
                  sla_mode: str = "idle", owner_gid: int = -1) -> None:
         if chunk_blocks < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Raid5Config:
     """RAID-5 shape: ``num_devices`` total, one parity column per stripe."""
 
@@ -30,7 +30,7 @@ class Raid5Config:
         return self.num_devices - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Raid5Accounting:
     """Streaming accounting of chunk writes onto a RAID-5 array.
 

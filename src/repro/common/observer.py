@@ -37,6 +37,8 @@ class StoreObserver:
     need.  Handlers receive plain values, arrays or the store's own
     group and flush records."""
 
+    __slots__ = ()
+
     def bind(self, store: Any) -> None:
         """Receive the finished store (once, when attached)."""
 
@@ -85,6 +87,8 @@ class StoreObserver:
 class StoreEvents:
     """One ordered tuple of bound handlers per event of :data:`EVENTS`,
     holding only the ``observers`` whose class overrides that event."""
+
+    __slots__ = ("observers",) + EVENTS
 
     def __init__(self, observers: Iterable[StoreObserver]) -> None:
         self.observers = tuple(observers)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.lss.group import Group
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupWriteMonitor:
     """Per-group statistics behind Eq. 1 and the stop condition."""
 
@@ -71,7 +71,7 @@ class GroupWriteMonitor:
         return (self.padding_blocks + self.shadow_blocks) / segs
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregationDecision:
     """Outcome of one deadline event (exported for tests/telemetry)."""
 
@@ -80,7 +80,7 @@ class AggregationDecision:
     blocks: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class CrossGroupAggregator:
     """Implements the shadow-append path between one hot and one cold
     user group."""

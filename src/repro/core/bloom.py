@@ -42,6 +42,9 @@ class BloomFilter:
     ``m = -n·ln(p)/ln(2)²`` bits and ``k = m/n·ln(2)`` hash functions.
     """
 
+    __slots__ = ("capacity", "fp_rate", "num_bits", "num_hashes", "_bits",
+                 "count")
+
     def __init__(self, capacity: int, fp_rate: float = 0.01) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -95,6 +98,10 @@ class CascadedDiscriminator:
     * ``use_bloom=True`` — real :class:`BloomFilter` probes, including
       false positives.  Tests cross-check the two modes.
     """
+
+    __slots__ = ("num_filters", "capacity", "fp_rate", "use_bloom",
+                 "_filters", "_members", "_counts", "evictions",
+                 "_bytes_per_filter")
 
     def __init__(self, num_filters: int = 4, capacity: int = 4096,
                  fp_rate: float = 0.01, use_bloom: bool = False) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptConfig:
     """Knobs for :class:`~repro.core.policy.AdaptPolicy`.
 

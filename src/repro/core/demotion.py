@@ -31,6 +31,9 @@ class ProactiveDemotion:
         num_filters / capacity / fp_rate: cascade shape per group.
     """
 
+    __slots__ = ("gc_group_ids", "score_threshold", "discriminators",
+                 "demotions", "lookups")
+
     def __init__(self, gc_group_ids: list[int], score_threshold: int = 2,
                  num_filters: int = 4, capacity: int = 4096,
                  fp_rate: float = 0.01) -> None:

@@ -23,6 +23,8 @@ class DistanceTracker:
     ``key``'s previous access, or ``None`` on first access.
     """
 
+    __slots__ = ("_clock", "_last_pos", "_live_positions")
+
     def __init__(self) -> None:
         self._clock = 0
         self._last_pos: dict[int, int] = {}

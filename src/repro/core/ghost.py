@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.array.coalescing import CoalescingBuffer
 
 
-@dataclass
+@dataclass(slots=True)
 class _GhostSegment:
     """One miniature segment: just the LBA list and a fill/pad count."""
 
@@ -56,6 +56,11 @@ class GhostSet:
             exceeds this.
         sla_mode: coalescing window semantics (matches the real store).
     """
+
+    __slots__ = ("threshold", "segment_blocks", "chunk_blocks",
+                 "garbage_limit", "_buffers", "_open", "_sealed", "_where",
+                 "blocks_written", "blocks_discarded", "padding_blocks",
+                 "gc_passes", "_total_slots")
 
     HOT, COLD = 0, 1
 

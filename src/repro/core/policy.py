@@ -61,12 +61,13 @@ class AdaptPolicy(PlacementPolicy):
     COLD = 1
     GC_BASE = 2
 
-    _scalar_views = {"_last_user_write_mv": "_last_user_write"}
+    __slots__ = ("adapt_config", "_last_user_write", "_last_user_write_mv",
+                 "_unique_seen", "threshold", "_lifespan", "_ghost_adapted",
+                 "adaptation_log", "sampler", "distance", "_rho", "ladder",
+                 "_sampled_since_adapt", "_adapt_budget", "aggregator",
+                 "demotion", "_plan")
 
-    #: The active window plan.  Transient by construction — set by
-    #: :meth:`plan_user_writes`, dropped before ``store.replay`` returns
-    #: — so it lives on the class until planned and is never pickled.
-    _plan: _UserWritePlan | None = None
+    _scalar_views = {"_last_user_write_mv": "_last_user_write"}
 
     def __init__(self, config: LSSConfig,
                  adapt: AdaptConfig | None = None) -> None:
@@ -77,6 +78,10 @@ class AdaptPolicy(PlacementPolicy):
         self._last_user_write = np.full(config.logical_blocks, -1,
                                         dtype=np.int64)
         self._bind_scalar_views()
+        #: The active window plan.  Transient by construction — set by
+        #: :meth:`plan_user_writes`, dropped before ``store.replay``
+        #: returns — so a checkpoint always holds ``None`` here.
+        self._plan: _UserWritePlan | None = None
         self._unique_seen = 0
         #: Real hot/cold threshold in write-distance units; cold-start value
         #: is one segment of writes, refined by segment lifespans until the

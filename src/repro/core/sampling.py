@@ -24,6 +24,8 @@ class SpatialSampler:
         salt: perturbs the hash so independent samplers disagree.
     """
 
+    __slots__ = ("rate", "salt", "_threshold")
+
     def __init__(self, rate: float, salt: int = 0) -> None:
         if not 0 < rate <= 1:
             raise ValueError(f"rate must be in (0, 1], got {rate}")

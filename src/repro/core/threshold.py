@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.ghost import GhostSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptationResult:
     """Outcome of one adaptation round."""
 
@@ -29,6 +29,9 @@ class AdaptationResult:
 
 class ThresholdLadder:
     """Manages the ghost-set grid and threshold search."""
+
+    __slots__ = ("num_sets", "segment_blocks", "chunk_blocks", "window_us",
+                 "garbage_limit", "sla_mode", "mode", "rounds", "ghost_sets")
 
     def __init__(self, num_sets: int, segment_blocks: int, chunk_blocks: int,
                  window_us: int, garbage_limit: float,

@@ -46,8 +46,11 @@ from repro.obs.atomicio import atomic_write_bytes
 #: the segment pool into the attribution recorder, and ADAPT's
 #: aggregator and demotion lost their recorder reference.  v8: one
 #: time series — recorders own their timeline and lost ``series`` and
-#: their flush-shape flag, tracers their ratio sampling.
-CHECKPOINT_VERSION = 8
+#: their flush-shape flag, tracers their ratio sampling.  v9: slotted
+#: replay state — every pickled object keeps its fields in ``__slots__``
+#: (no instance ``__dict__``), tracers hold ``(seq, time_us, type,
+#: values)`` records and only with a spill path, and lost ``dropped``.
+CHECKPOINT_VERSION = 9
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

@@ -26,8 +26,10 @@ from repro.obs.atomicio import atomic_write
 #: repeated ``metrics_totals.counters``).  v5: a metrics snapshot's
 #: ``final`` is the recorder timeline's last row (its columns, NaN as
 #: ``null``) and ``timeline_rows`` is always present; ``series_rows``
-#: and ``events_sampled_out`` are gone.
-SUMMARY_SCHEMA = 5
+#: and ``events_sampled_out`` are gone.  v6: metrics snapshots have no
+#: ``events_dropped`` (a tracer without a sink only counts, and drops
+#: nothing).
+SUMMARY_SCHEMA = 6
 
 #: Percentiles reported for every headline ratio.
 PERCENTILES = (50, 95, 99)

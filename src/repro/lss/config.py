@@ -19,7 +19,7 @@ def default_segment_blocks(logical_blocks: int,
     return -(-seg // chunk_blocks) * chunk_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LSSConfig:
     """Shape and policy knobs of one simulated store instance.
 

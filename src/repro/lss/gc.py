@@ -31,10 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class GarbageCollector:
     """Watermark-driven cleaner bound to one store."""
 
+    __slots__ = ("store",)
+
+    # pinned by the frozen `bench/` harness — no caller
+    _notify_gc_block = False
+
     def __init__(self, store: "LogStructuredStore") -> None:
         self.store = store
-        # pinned by the frozen `bench/` harness — no caller
-        self._notify_gc_block = False
 
     def needed(self) -> bool:
         return self.store.pool.free_segments <= self.store.config.gc_free_low

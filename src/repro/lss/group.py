@@ -29,7 +29,7 @@ class GroupKind(Enum):
     MIXED = "mixed"  # receives both (DAC/MiDA style); SLA window applies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSpec:
     """Declarative description of one group, provided by the policy."""
 
@@ -46,6 +46,9 @@ APPEND_SHADOW = 2
 
 class Group:
     """Runtime state of one group inside a store."""
+
+    __slots__ = ("gid", "spec", "store", "buffer", "open_seg", "traffic",
+                 "_shadow_mark", "segment_shadow_bytes")
 
     def __init__(self, gid: int, spec: GroupSpec,
                  store: "LogStructuredStore") -> None:

@@ -29,6 +29,12 @@ class SegmentPool(ScalarViews):
     ``fill`` is a plain list: nothing reads it in bulk.
     """
 
+    __slots__ = ("num_segments", "segment_blocks", "slot_lba", "slot_valid",
+                 "slot_seq", "_append_seq", "state", "group", "fill",
+                 "valid_count", "created_seq", "sealed_seq", "state_mv",
+                 "group_mv", "valid_count_mv", "created_seq_mv",
+                 "sealed_seq_mv", "garbage_seals", "_free")
+
     _scalar_views = {"state_mv": "state", "group_mv": "group",
                      "valid_count_mv": "valid_count",
                      "created_seq_mv": "created_seq",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.array.raid5 import Raid5Accounting
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupTraffic:
     """Per-group block-write breakdown (Fig 3a's bars)."""
 
@@ -42,7 +42,7 @@ class GroupTraffic:
         return self.padding_blocks / total if total else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreStats:
     """Aggregated counters for one store instance."""
 

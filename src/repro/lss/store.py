@@ -70,6 +70,14 @@ class LogStructuredStore:
     :meth:`subscribe` appends another.
     """
 
+    __slots__ = ("config", "policy", "obs", "attribution", "profiler",
+                 "pool", "mapping", "stats", "groups", "_sla_groups",
+                 "_deadline_heap", "victim_policy", "gc", "user_seq",
+                 "now_us", "events")
+
+    # pinned by the frozen `bench/` harness — no caller
+    _fast_flush = _fast_full = False
+
     def __init__(self, config: LSSConfig, policy,
                  recorder: NullRecorder | None = None,
                  auditor=None,
@@ -118,8 +126,6 @@ class LogStructuredStore:
         #: Logical clock: number of user block writes accepted so far.
         self.user_seq = 0
         self.now_us = 0
-        # pinned by the frozen `bench/` harness — no caller
-        self._fast_flush = self._fast_full = False
         self.events = StoreEvents(
             o for o in (policy, self.obs, self.attribution, auditor)
             if o is not None)

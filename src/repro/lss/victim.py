@@ -23,6 +23,8 @@ class VictimPolicy:
     """Base class; subclasses implement :meth:`select` and may implement
     :meth:`rank`."""
 
+    __slots__ = ("rng",)
+
     name = "abstract"
 
     def __init__(self, rng: np.random.Generator | int | None = None) -> None:
@@ -54,6 +56,8 @@ class VictimPolicy:
 class GreedyVictim(VictimPolicy):
     """Pick the sealed segment with the fewest valid blocks."""
 
+    __slots__ = ()
+
     name = "greedy"
 
     def select(self, pool: SegmentPool, now_seq: int) -> int | None:
@@ -75,6 +79,8 @@ class CostBenefitVictim(VictimPolicy):
     ``age`` is measured in user-written blocks since the segment sealed,
     the standard logical clock for trace-driven WA studies.
     """
+
+    __slots__ = ()
 
     name = "cost-benefit"
 
@@ -102,6 +108,8 @@ class CostBenefitVictim(VictimPolicy):
 class DChoiceVictim(VictimPolicy):
     """d-choice [Van Houdt '13]: greedy among d uniformly sampled segments."""
 
+    __slots__ = ("d",)
+
     name = "d-choice"
 
     def __init__(self, d: int = 10,
@@ -123,6 +131,8 @@ class DChoiceVictim(VictimPolicy):
 class WindowedGreedyVictim(VictimPolicy):
     """Windowed Greedy [Hu et al. '09]: greedy restricted to the w oldest
     sealed segments (FIFO window)."""
+
+    __slots__ = ("window",)
 
     name = "windowed-greedy"
 
@@ -150,6 +160,8 @@ class WindowedGreedyVictim(VictimPolicy):
 class RandomGreedyVictim(VictimPolicy):
     """Random Greedy [Li et al. '13 variant]: uniform pick among sealed
     segments whose utilisation is within ``slack`` of the greedy minimum."""
+
+    __slots__ = ("slack",)
 
     name = "random-greedy"
 

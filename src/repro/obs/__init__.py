@@ -4,8 +4,8 @@ The package has five layers:
 
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   collected in a :class:`MetricsRegistry`;
-* :mod:`repro.obs.events` — a typed event tracer with an in-memory ring
-  buffer and optional JSONL spill;
+* :mod:`repro.obs.events` — a typed event tracer: per-type counts, and
+  with a JSONL sink every event as a plain record, formatted on read;
 * :mod:`repro.obs.recorder` — the hook surface the simulator calls.  Every
   instrumented hot path holds a recorder; the default
   :data:`~repro.obs.recorder.NULL_RECORDER` makes each hook a no-op, so

@@ -43,6 +43,8 @@ ORIGIN_GC: int = 2
 class NullAttribution(StoreObserver):
     """No-op attribution sink: subscribes to no store event."""
 
+    __slots__ = ()
+
     enabled = False
 
     def publish(self, registry: Any) -> None:
@@ -67,6 +69,10 @@ class AttributionRecorder(NullAttribution):
     :class:`~repro.obs.metrics.MetricsRegistry`) is built on demand from
     the aggregates plus the bound store's per-group traffic breakdown.
     """
+
+    __slots__ = ("_store", "slot_origin", "slot_epoch", "gc_groups",
+                 "total_victims", "total_migrated_user_origin",
+                 "total_migrated_gc_origin")
 
     enabled = True
 

@@ -23,9 +23,9 @@ design, but its parent is created the same way).
 from __future__ import annotations
 
 import csv
-import json
 from typing import TYPE_CHECKING
 
+from repro.common.errors import ConfigError
 from repro.obs.atomicio import atomic_write
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.timeline import cell
@@ -36,26 +36,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def write_events_jsonl(tracer: "EventTracer", path: str) -> int:
-    """Write the tracer's events to ``path`` as JSON Lines.
+    """Complete the JSON Lines event log of a tracer that spills to
+    ``path``: append the records it still holds.  Returns the number of
+    events the file gained.
 
-    If the tracer spills to this same path, the buffered remainder is
-    appended (completing the file); otherwise the in-memory events are
-    written fresh.  Returns the number of events the file gained.
+    Only a tracer with a sink keeps its events (one without only counts
+    them), so ``path`` must be the tracer's ``spill_path``.
     """
     import os
-    if tracer.spill_path == path:
-        written = tracer.spill()
-        if not os.path.exists(path):  # zero-event run still yields a file
-            from repro.obs.atomicio import ensure_parent
-            ensure_parent(path)
-            open(path, "w", encoding="utf-8").close()
-        return written
-    events = tracer.events
-    with atomic_write(path) as f:
-        for ev in events:
-            f.write(json.dumps(ev.to_json_dict(),
-                               separators=(",", ":")) + "\n")
-    return len(events)
+    if tracer.spill_path != path:
+        raise ConfigError(f"the tracer spills to {tracer.spill_path!r}, "
+                          f"not {path!r}; it keeps no other events")
+    written = tracer.spill()
+    if not os.path.exists(path):  # zero-event run still yields a file
+        from repro.obs.atomicio import ensure_parent
+        ensure_parent(path)
+        open(path, "w", encoding="utf-8").close()
+    return written
 
 
 def write_timeline_csv(timeline: "ReplayTimeline", path: str) -> int:

@@ -123,6 +123,8 @@ class Histogram:
 class MetricsRegistry:
     """Ordered collection of metrics with get-or-create accessors."""
 
+    __slots__ = ("_metrics",)
+
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 

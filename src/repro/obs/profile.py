@@ -49,6 +49,8 @@ _NULL_SPAN = _NullSpan()
 class NullProfiler:
     """No-op profiler: every span is the shared inert context manager."""
 
+    __slots__ = ()
+
     enabled = False
 
     def span(self, name: str, **args: Any) -> _NullSpan:

@@ -44,6 +44,8 @@ class NullRecorder(StoreObserver):
     """No-op recorder: no store event, and every emitter hook exists and
     does nothing."""
 
+    __slots__ = ()
+
     enabled = False
 
     # -- hooks policies and the auditor emit through --------------------
@@ -91,9 +93,16 @@ class ObsRecorder(NullRecorder):
     Args:
         timeline_every: append one timeline row (and one ``user_write``
             marker event) every N accepted user blocks.
-        spill_path: optional JSONL file full event buffers are appended
-            to.
+        spill_path: optional JSONL file every event is appended to;
+            without one the tracer only counts events.
     """
+
+    __slots__ = ("timeline", "registry", "tracer", "_store", "_user_blocks",
+                 "_reads", "_flush_full", "_flush_deadline", "_flush_forced",
+                 "_data_blocks", "_padding_blocks", "_gc_passes",
+                 "_gc_migrated", "_shadow_blocks", "_lazy_blocks",
+                 "_demotions", "_threshold_switches", "_audit_violations",
+                 "_h_fill", "_h_padding", "_h_victim")
 
     enabled = True
 
@@ -176,8 +185,8 @@ class ObsRecorder(NullRecorder):
             # The store settled exactly on the boundary: the per-block
             # row, with one user_write marker event.
             self.timeline.sample(now_us)
-            self.tracer.emit(EV_USER_WRITE, now_us, lba=int(lbas[-1]),
-                             user_blocks=ub.value)
+            self.tracer.emit(EV_USER_WRITE, now_us, int(lbas[-1]),
+                             ub.value)
 
     def reads(self, count: int, now_us: int) -> None:
         self._reads.value += count
@@ -202,31 +211,27 @@ class ObsRecorder(NullRecorder):
         per_chunk = data // count
         self._h_fill.observe_bulk(per_chunk, count)
         emit = self.tracer.emit
-        chunk_event = dict(group=gid, name=name, reason=reason,
-                           data_blocks=per_chunk, padding_blocks=padding)
-        emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
+        emit(EV_CHUNK_FLUSH, now_us, gid, name, reason, per_chunk, padding)
         if padding:
             self._padding_blocks.value += padding
             self._h_padding.observe(padding)
-            emit(EV_PADDING, now_us, group=gid, name=name, blocks=padding,
-                 reason=reason)
+            emit(EV_PADDING, now_us, gid, name, padding, reason)
         if flush.lazy_blocks:
             # The run's first chunk carried the shadowed backlog.
             self._lazy_blocks.value += flush.lazy_blocks
-            emit(EV_LAZY_APPEND, now_us, group=gid,
-                 blocks=flush.lazy_blocks)
+            emit(EV_LAZY_APPEND, now_us, gid, flush.lazy_blocks)
         # Only a GC migration run flushes several chunks in one record,
         # all at one constant timestamp.
         for _ in range(count - 1):
-            emit(EV_CHUNK_FLUSH, now_us, **chunk_event)
+            emit(EV_CHUNK_FLUSH, now_us, gid, name, reason, per_chunk,
+                 padding)
 
     def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
                           valid_blocks: int, now_us: int) -> None:
         self._gc_passes.value += 1
         self._gc_migrated.value += valid_blocks
         self._h_victim.observe(valid_blocks)
-        self.tracer.emit(EV_GC_PASS, now_us, victim=seg, group=group_id,
-                         valid_blocks=valid_blocks)
+        self.tracer.emit(EV_GC_PASS, now_us, seg, group_id, valid_blocks)
 
     # ------------------------------------------------------------------
     # emitter hooks
@@ -235,28 +240,25 @@ class ObsRecorder(NullRecorder):
     def on_shadow_append(self, hot_gid: int, cold_gid: int, blocks: int,
                          now_us: int) -> None:
         self._shadow_blocks.value += blocks
-        self.tracer.emit(EV_SHADOW_APPEND, now_us, hot_group=hot_gid,
-                         cold_group=cold_gid, blocks=blocks)
+        self.tracer.emit(EV_SHADOW_APPEND, now_us, hot_gid, cold_gid, blocks)
 
     def on_demotion(self, lba: int, target_gid: int, score: int,
                     now_us: int) -> None:
         self._demotions.value += 1
-        self.tracer.emit(EV_DEMOTION, now_us, lba=lba, group=target_gid,
-                         score=score)
+        self.tracer.emit(EV_DEMOTION, now_us, lba, target_gid, score)
 
     def on_threshold_switch(self, threshold: float, mode: str, rounds: int,
                             now_us: int) -> None:
         self._threshold_switches.value += 1
         self.registry.gauge("lss_ghost_best_threshold",
                             "ghost-side winning threshold").set(threshold)
-        self.tracer.emit(EV_THRESHOLD_SWITCH, now_us, threshold=threshold,
-                         mode=mode, rounds=rounds)
+        self.tracer.emit(EV_THRESHOLD_SWITCH, now_us, threshold, mode,
+                         rounds)
 
     def on_audit_violation(self, invariant: str, detail: str,
                            now_us: int) -> None:
         self._audit_violations.value += 1
-        self.tracer.emit(EV_AUDIT_VIOLATION, now_us, invariant=invariant,
-                         detail=detail)
+        self.tracer.emit(EV_AUDIT_VIOLATION, now_us, invariant, detail)
 
     # ------------------------------------------------------------------
     # generic escape hatches
@@ -279,7 +281,6 @@ class ObsRecorder(NullRecorder):
         """
         snap = self.registry.snapshot()
         snap["events"] = dict(self.tracer.counts)
-        snap["events_dropped"] = self.tracer.dropped
         snap["events_spilled"] = self.tracer.spilled
         snap["timeline_rows"] = len(self.timeline)
         snap["final"] = self.timeline.final()

@@ -57,6 +57,9 @@ class ReplayTimeline:
         every_blocks: sampling period on the user-block clock.
     """
 
+    __slots__ = ("every_blocks", "_store", "_attr", "_columns", "_buf", "_n",
+                 "_next")
+
     def __init__(self, every_blocks: int = TIMELINE_EVERY) -> None:
         if every_blocks < 1:
             raise ValueError("every_blocks must be >= 1")

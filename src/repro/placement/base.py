@@ -34,6 +34,8 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     Events a policy overrides reach it before every other observer.
     """
 
+    __slots__ = ("config", "store", "obs")
+
     #: Registry name; subclasses override.
     name = "abstract"
 

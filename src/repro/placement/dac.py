@@ -20,6 +20,9 @@ from repro.placement.registry import register
 class DACPolicy(PlacementPolicy):
     """k mixed temperature regions with promote-on-write / demote-on-GC."""
 
+    __slots__ = ("num_regions", "_region", "_written", "_region_mv",
+                 "_written_mv")
+
     name = "dac"
     _scalar_views = {"_region_mv": "_region", "_written_mv": "_written"}
 

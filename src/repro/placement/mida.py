@@ -20,6 +20,8 @@ from repro.placement.registry import register
 class MiDAPolicy(PlacementPolicy):
     """Migration-count groups: user writes reset to 0, GC increments."""
 
+    __slots__ = ("num_groups", "_migrations", "_migrations_mv")
+
     name = "mida"
     _scalar_views = {"_migrations_mv": "_migrations"}
 

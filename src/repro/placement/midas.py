@@ -30,6 +30,11 @@ from repro.placement.registry import register
 class MidasLitePolicy(PlacementPolicy):
     """Adaptive-length migration-count chain."""
 
+    __slots__ = ("max_groups", "min_groups", "ewma_alpha",
+                 "adapt_every_reclaims", "grow_util", "merge_gap",
+                 "active_groups", "_migrations", "_migrations_mv",
+                 "_victim_util", "_reclaims_since_adapt", "adaptations")
+
     name = "midas-lite"
     _scalar_views = {"_migrations_mv": "_migrations"}
 

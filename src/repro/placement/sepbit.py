@@ -24,6 +24,9 @@ from repro.placement.registry import register
 class SepBITPolicy(PlacementPolicy):
     """2 user classes + 4 GC classes with an inferred lifespan threshold."""
 
+    __slots__ = ("num_gc_groups", "ewma_alpha", "_last_user_write",
+                 "_last_user_write_mv", "threshold")
+
     name = "sepbit"
 
     HOT = 0        # short-lived user writes

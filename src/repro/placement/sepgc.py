@@ -18,6 +18,8 @@ from repro.placement.registry import register
 class SepGCPolicy(PlacementPolicy):
     """Two groups: user-written and GC-rewritten."""
 
+    __slots__ = ()
+
     name = "sepgc"
 
     USER_GROUP = 0

@@ -23,6 +23,9 @@ from repro.placement.registry import register
 class WarcipPolicy(PlacementPolicy):
     """k rewrite-interval clusters (user writes) + 1 GC group."""
 
+    __slots__ = ("num_clusters", "learning_rate", "_last_write",
+                 "_last_write_mv", "_centroids")
+
     name = "warcip"
     _scalar_views = {"_last_write_mv": "_last_write"}
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.array.chunk import ChunkGeometry
 from repro.common.observer import StoreObserver
 from repro.common.units import KiB
 from repro.lss.config import LSSConfig
+from repro.obs.exporters import write_events_jsonl
 from repro.trace.model import OP_WRITE, Trace
 
 
@@ -51,6 +54,14 @@ class FlushLog(StoreObserver):
 
     def chunk_flush(self, group, flush) -> None:
         self.flushes.append(flush)
+
+
+def spilled_events(tracer) -> list[dict]:
+    """Every event ``tracer`` recorded, as JSON dicts read back from its
+    spill file (a tracer keeps events only when it has one)."""
+    write_events_jsonl(tracer, tracer.spill_path)
+    with open(tracer.spill_path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
 
 
 @pytest.fixture

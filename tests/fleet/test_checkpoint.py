@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import io
 import pickle
 
 import pytest
+
+import repro.fleet.worker as worker
 
 from repro.common.errors import CheckpointError
 from repro.fleet.checkpoint import (
@@ -14,6 +19,7 @@ from repro.fleet.checkpoint import (
     write_shard_checkpoint,
 )
 from repro.fleet.spec import FleetSpec
+from repro.fleet.worker import run_shard
 
 SPEC = FleetSpec(num_volumes=2, volume_blocks=2048, volume_requests=800,
                  chunk_requests=256)
@@ -133,3 +139,65 @@ def test_tampered_store_fails_recovery_crosscheck(tmp_path):
                   "recorder": None})
     with pytest.raises(CheckpointError, match="recovery"):
         load_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=1)
+
+
+class _DictFinder(pickle.Pickler):
+    """Pickles into nothing, visiting every object a pickle of the input
+    visits: records each ``repro`` class met and names those whose
+    instances carry a ``__dict__`` (enum members aside, which pickle by
+    value)."""
+
+    def __init__(self) -> None:
+        super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+        self.seen: set[str] = set()
+        self.with_dict: set[str] = set()
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if cls.__module__.split(".")[0] == "repro" \
+                and not isinstance(obj, enum.Enum):
+            self.seen.add(cls.__name__)
+            if hasattr(obj, "__dict__"):
+                self.with_dict.add(f"{cls.__module__}.{cls.__qualname__}")
+        return NotImplemented
+
+    def walk(self, obj) -> "_DictFinder":
+        self.dump(obj)
+        return self
+
+
+@pytest.mark.parametrize("scheme,policy_cls",
+                         [("adapt", "AdaptPolicy"),
+                          ("sepbit", "SepBITPolicy")])
+def test_checkpointed_replay_state_has_no_instance_dict(
+        scheme, policy_cls, tmp_path, monkeypatch):
+    """Everything an in-flight shard checkpoint pickles is slotted.
+
+    Pickling reads an object's ``__dict__``, and on CPython 3.11 that
+    permanently costs the live object its fast attribute access, so a
+    store that was checkpointed replays the rest of its volume slower.
+    A slotted object has no ``__dict__`` to read.  The graph a load
+    returns is checked too: resumed tenants replay on it.
+    """
+    spec = dataclasses.replace(SPEC, scheme=scheme, collect_metrics=True,
+                               collect_attribution=True)
+    written = []
+    write = worker.write_shard_checkpoint
+
+    def recording_write(path, **payload):
+        written.append(payload)
+        return write(path, **payload)
+
+    monkeypatch.setattr(worker, "write_shard_checkpoint", recording_write)
+    result = run_shard(spec, 0, 1, checkpoint_dir=str(tmp_path),
+                       checkpoint_every=1, stop_after_chunks=2)
+    assert result["interrupted"] and written[-1]["inflight"] is not None
+    loaded = load_shard_checkpoint(checkpoint_path(str(tmp_path), 0, 1),
+                                   fleet_key=spec.fleet_key(), shard=0,
+                                   num_shards=1)
+    for graph in (written[-1], loaded):
+        finder = _DictFinder().walk(graph)
+        assert {"LogStructuredStore", policy_cls, "ObsRecorder",
+                "EventTracer", "AttributionRecorder", "SegmentPool",
+                "Group", "StoreEvents"} <= finder.seen
+        assert finder.with_dict == set()

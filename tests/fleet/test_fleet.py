@@ -124,6 +124,48 @@ def test_metrics_final_row_is_strict_json(tmp_path):
             volume["stats"]["write_amplification"]
 
 
+#: Per tenant of the fleet below, the event counts its recorders
+#: reported while every tracer still kept a ring of ``Event`` objects.
+_FLEET_EVENT_COUNTS = {
+    "ali-0000": {"shadow_append": 124, "chunk_flush": 234,
+                 "lazy_append": 34, "padding": 123, "threshold_switch": 10,
+                 "user_write": 1, "gc_pass": 42},
+    "ali-0001": {"shadow_append": 73, "chunk_flush": 185, "padding": 113,
+                 "lazy_append": 20, "threshold_switch": 7, "user_write": 1,
+                 "gc_pass": 22},
+}
+
+
+def test_metrics_fleet_without_an_event_sink_builds_no_event(monkeypatch):
+    """The fleet reads only per-type event counts, and its tracers have
+    no sink: they count, keep no record and never build an ``Event``,
+    and the counts are the ones the ring-keeping tracers reported."""
+    import repro.obs.events as events_module
+    import repro.obs.recorder as recorder_module
+
+    built, tracers = [], []
+    event, tracer = events_module.Event, recorder_module.EventTracer
+
+    def counted_event(*args):
+        built.append(args)
+        return event(*args)
+
+    def kept_tracer(*args, **kwargs):
+        tracers.append(tracer(*args, **kwargs))
+        return tracers[-1]
+
+    monkeypatch.setattr(events_module, "Event", counted_event)
+    monkeypatch.setattr(recorder_module, "EventTracer", kept_tracer)
+    spec = FleetSpec(num_volumes=2, volume_blocks=2048, volume_requests=800,
+                     chunk_requests=256, collect_metrics=True)
+    result = run_fleet(spec, workers=1)
+    assert built == []
+    assert len(tracers) == 2
+    assert all(t.spill_path is None and t.events == () for t in tracers)
+    assert {v["volume"]: v["metrics"]["events"] for v in result.volumes} \
+        == _FLEET_EVENT_COUNTS
+
+
 def test_attribution_snapshots_identical_across_sharding():
     """Attribution rides the volume reports: serial and sharded runs
     carry identical snapshots, and the aggregate's merged sections are
@@ -209,7 +251,7 @@ def test_checkpoint_requires_out_dir():
 def test_summary_shape_and_determinism(tmp_path):
     result = run_fleet(TINY, workers=1, out_dir=str(tmp_path))
     s = result.summary
-    assert s["schema"] == SUMMARY_SCHEMA == 5
+    assert s["schema"] == SUMMARY_SCHEMA == 6
     assert s["fleet_key"] == TINY.fleet_key()
     assert [v["volume"] for v in s["volumes"]] == TINY.tenant_ids()
     agg = s["aggregate"]

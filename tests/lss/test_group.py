@@ -145,7 +145,7 @@ def _check_runs_against_append_user(tiny_config, cuts):
     lazy, gl, lazy_locs, lazy_flushes = _reserve_in_runs(tiny_config, cuts)
     assert lazy_locs == eager_locs
     assert lazy_flushes == eager_flushes
-    assert vars(gl.traffic) == vars(ge.traffic)
+    assert gl.traffic == ge.traffic
     assert gl.buffer.pending_tokens == ge.buffer.pending_tokens
     assert gl.buffer.deadline_us == ge.buffer.deadline_us
     assert gl.open_seg == ge.open_seg

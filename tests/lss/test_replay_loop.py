@@ -12,6 +12,7 @@ memory and self-consistent when a window raises.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -20,6 +21,7 @@ import pytest
 
 from repro.common.errors import CapacityError
 from repro.common.observer import StoreObserver
+from repro.common.views import slot_state
 from repro.lss import store as store_module
 from repro.lss.store import LogStructuredStore
 from repro.lss.victim import VictimPolicy
@@ -31,7 +33,7 @@ from repro.validate.audit import InvariantAuditor
 from repro.validate.differential import (default_workloads,
                                          differential_config)
 
-from tests.conftest import make_write_trace
+from tests.conftest import make_write_trace, spilled_events
 
 #: ali (index 0) and tencent (index 1) differential workloads.
 _WORKLOADS = ("ali", "tencent")
@@ -40,13 +42,14 @@ _POOL_PLANES = ("slot_lba", "slot_valid", "slot_seq", "state", "group",
                 "fill", "valid_count", "created_seq", "sealed_seq")
 
 
-def instrumented_store(policy_name, attribution=True):
+def instrumented_store(policy_name, spill_path, attribution=True):
     """Every observer on (the attribution ledger optionally), each on its
     own block period, none of them lined up with the loop's windows or
-    with each other."""
+    with each other; the recorder's events go to ``spill_path``."""
     cfg = differential_config()
     return LogStructuredStore(
-        cfg, make_policy(policy_name, cfg), recorder=ObsRecorder(77),
+        cfg, make_policy(policy_name, cfg),
+        recorder=ObsRecorder(77, spill_path=str(spill_path)),
         attribution=AttributionRecorder() if attribution else None,
         auditor=InvariantAuditor(every_blocks=256))
 
@@ -62,7 +65,7 @@ def eager_replay(store, trace, finalize=True):
 def policy_state(policy) -> dict:
     """Every array and scalar the policy object holds."""
     state = {}
-    for name, value in vars(policy).items():
+    for name, value in slot_state(policy).items():
         if isinstance(value, np.ndarray):
             state[name] = value.tobytes()
         elif isinstance(value, (bool, int, float, str)):
@@ -81,8 +84,9 @@ def assert_same_outcome(spec, loop):
     assert spec.pool._free == loop.pool._free
     assert spec.pool._append_seq == loop.pool._append_seq
     for a, b in zip(spec.stats.groups, loop.stats.groups):
-        assert vars(a) == vars(b), a.name
-    assert vars(spec.stats.raid) == vars(loop.stats.raid)
+        assert dataclasses.asdict(a) == dataclasses.asdict(b), a.name
+    assert dataclasses.asdict(spec.stats.raid) \
+        == dataclasses.asdict(loop.stats.raid)
     assert spec.stats.summary() == loop.stats.summary()
     assert (spec.user_seq, spec.now_us) == (loop.user_seq, loop.now_us)
     assert spec.policy.memory_bytes() == loop.policy.memory_bytes()
@@ -108,22 +112,22 @@ def assert_same_observations(spec, loop):
     assert loop.obs.timeline.columns == spec.obs.timeline.columns
     assert np.array_equal(loop.obs.timeline.rows, spec.obs.timeline.rows,
                           equal_nan=True)
-    events = [[e.to_json_dict() for e in s.obs.tracer.events]
-              for s in (spec, loop)]
-    assert events[0] == events[1]
     views = [json.dumps(s.obs.snapshot(), sort_keys=True)
              for s in (spec, loop)]
     assert views[0] == views[1]
+    assert spilled_events(spec.obs.tracer) == spilled_events(loop.obs.tracer)
 
 
 def _check_loop_against_specification(policy_name, workload_idx,
-                                      attribution, monkeypatch):
+                                      attribution, monkeypatch, tmp_path):
     """Several windows, GC runs inside them, recorders and auditor on."""
     monkeypatch.setattr(store_module, "REPLAY_WINDOW_REQUESTS", 256)
     trace = default_workloads(num_requests=900)[workload_idx]
-    spec = instrumented_store(policy_name, attribution)
+    spec = instrumented_store(policy_name, tmp_path / "spec.jsonl",
+                              attribution)
     eager_replay(spec, trace)
-    loop = instrumented_store(policy_name, attribution)
+    loop = instrumented_store(policy_name, tmp_path / "loop.jsonl",
+                              attribution)
     loop.replay(trace)
     assert loop.stats.gc_blocks_written > 0
     assert len(loop.obs.timeline) > 2
@@ -137,11 +141,11 @@ def _check_loop_against_specification(policy_name, workload_idx,
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_replay_loop_equals_per_block_specification(policy_name,
                                                     workload_idx,
-                                                    monkeypatch):
+                                                    monkeypatch, tmp_path):
     """The recorder and the attribution ledger (``attr_*`` timeline
     columns)."""
     _check_loop_against_specification(policy_name, workload_idx, True,
-                                      monkeypatch)
+                                      monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("workload_idx", range(len(_WORKLOADS)),
@@ -149,10 +153,11 @@ def test_replay_loop_equals_per_block_specification(policy_name,
 @pytest.mark.parametrize("policy_name", available_policies())
 def test_traced_replay_loop_equals_per_block_specification(policy_name,
                                                            workload_idx,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           tmp_path):
     """The tracing recorder alone, without the attribution ledger."""
     _check_loop_against_specification(policy_name, workload_idx, False,
-                                      monkeypatch)
+                                      monkeypatch, tmp_path)
 
 
 def test_replay_loop_equals_specification_without_recorders():
@@ -209,16 +214,17 @@ def test_place_user_raising_after_a_pending_run_books_the_run(monkeypatch):
     run for the block that fills the chunk; block 3's placement raises.
     The waiting run still takes its slots before the settle."""
     store, trace = _one_request_store(6)
-    place_user = store.policy.place_user
+    policy_cls = type(store.policy)
+    place_user = policy_cls.place_user
     placed = []
 
-    def failing_place_user(lba, now_us):
+    def failing_place_user(self, lba, now_us):
         if len(placed) == 3:
             raise RuntimeError("placement failed")
         placed.append(lba)
-        return place_user(lba, now_us)
+        return place_user(self, lba, now_us)
 
-    monkeypatch.setattr(store.policy, "place_user", failing_place_user)
+    monkeypatch.setattr(policy_cls, "place_user", failing_place_user)
     with pytest.raises(RuntimeError, match="placement failed"):
         store.replay(trace)
     reserved = sum(store.pool.fill)

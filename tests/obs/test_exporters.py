@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.lss.config import LSSConfig
 from repro.lss.store import LogStructuredStore
 from repro.obs.events import EventTracer
@@ -29,9 +30,10 @@ _SAMPLE_RE = re.compile(
 
 
 @pytest.fixture(scope="module")
-def recorder():
+def recorder(tmp_path_factory):
     cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
-    rec = ObsRecorder(512)
+    spill = tmp_path_factory.mktemp("events") / "events.jsonl"
+    rec = ObsRecorder(512, spill_path=str(spill))
     store = LogStructuredStore(cfg, make_policy("adapt", cfg), recorder=rec)
     trace = generate_ycsb_a(4096, 12_000, density=DensityPreset.LIGHT,
                             read_ratio=0.0, seed=3)
@@ -40,10 +42,12 @@ def recorder():
 
 
 def test_events_jsonl_roundtrip(tmp_path, recorder):
-    path = str(tmp_path / "events.jsonl")
+    with pytest.raises(ConfigError, match="spills to"):
+        write_events_jsonl(recorder.tracer, str(tmp_path / "other.jsonl"))
+    path = recorder.tracer.spill_path
     n = write_events_jsonl(recorder.tracer, path)
     lines = [json.loads(line) for line in open(path, encoding="utf-8")]
-    assert len(lines) == n == len(recorder.tracer)
+    assert len(lines) == n == sum(recorder.tracer.counts.values())
     types = {ev["type"] for ev in lines}
     assert {"chunk_flush", "gc_pass", "padding"} <= types
     for ev in lines:
@@ -54,7 +58,7 @@ def test_events_jsonl_spill_path_completes_file(tmp_path):
     path = str(tmp_path / "spill.jsonl")
     tracer = EventTracer(capacity=4, spill_path=path)
     for i in range(10):
-        tracer.emit("user_write", i, lba=i)
+        tracer.emit("user_write", i, i, i + 1)
     write_events_jsonl(tracer, path)
     lines = [json.loads(line) for line in open(path, encoding="utf-8")]
     assert [ev["lba"] for ev in lines] == list(range(10))

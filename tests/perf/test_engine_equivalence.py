@@ -12,6 +12,8 @@ refused before the store is touched.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.lss.store import LogStructuredStore
@@ -32,13 +34,13 @@ def fresh_store(policy_name, **store_kwargs):
 
 def assert_states_equal(ref, other):
     assert (ref.mapping == other.mapping).all()
-    s, b = vars(ref.stats).copy(), vars(other.stats).copy()
+    s, b = dataclasses.asdict(ref.stats), dataclasses.asdict(other.stats)
     sg, bg = s.pop("groups"), b.pop("groups")
     sr, br = s.pop("raid"), b.pop("raid")
     assert s == b
-    assert vars(sr) == vars(br)
+    assert sr == br
     for a, c in zip(sg, bg):
-        assert vars(a) == vars(c), a.name
+        assert a == c, a["name"]
     assert (ref.group_occupancy() == other.group_occupancy()).all()
     other.check_invariants()
 

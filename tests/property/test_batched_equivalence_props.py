@@ -16,6 +16,9 @@ blocks, arbitrary window cuts, duplicate LBAs across a cut.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,8 @@ from repro.core.sampling import SpatialSampler
 from repro.core.threshold import ThresholdLadder
 from repro.lss.config import LSSConfig
 from repro.obs.recorder import ObsRecorder
+
+from tests.conftest import spilled_events
 
 pytestmark = pytest.mark.property
 
@@ -150,7 +155,7 @@ class _Clock:
         self.obs = obs
 
 
-def _bound_adapt(demotion: bool, adaptation: bool):
+def _bound_adapt(demotion: bool, adaptation: bool, spill_path: str):
     cfg = LSSConfig(logical_blocks=256, segment_blocks=8,
                     chunk=ChunkGeometry(chunk_bytes=16 * 1024),
                     over_provisioning=0.6, gc_free_low=4, gc_free_high=6)
@@ -158,7 +163,7 @@ def _bound_adapt(demotion: bool, adaptation: bool):
         sample_rate=0.5, adapt_every_fraction=0.05,
         enable_demotion=demotion, enable_threshold_adaptation=adaptation,
         bloom_filters=3, bloom_capacity=8))
-    recorder = ObsRecorder()
+    recorder = ObsRecorder(spill_path=spill_path)
     clock = _Clock(recorder)
     policy.bind(clock)
     return policy, clock, recorder
@@ -178,7 +183,7 @@ def _adapt_state(policy: AdaptPolicy, recorder: ObsRecorder) -> tuple:
             [_ghost_state(g) for g in ladder.ghost_sets]),
         None if demotion is None else (demotion.lookups,
                                        demotion.demotions),
-        [e.to_json_dict() for e in recorder.tracer.events],
+        spilled_events(recorder.tracer),
         recorder.registry.snapshot(),
     )
 
@@ -188,9 +193,17 @@ def _drive_planned_against_unplanned(seed: int, n: int, demotion: bool,
     """Feed one random stream to an unplanned and a planned policy, with
     the same GC-side mutations between blocks; returns both end states
     (and asserts every placement and the threshold along the way)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _drive(seed, n, demotion, adaptation,
+                      os.path.join(tmp, "ref.jsonl"),
+                      os.path.join(tmp, "planned.jsonl"))
+
+
+def _drive(seed: int, n: int, demotion: bool, adaptation: bool,
+           ref_spill: str, pol_spill: str):
     rng = np.random.default_rng(seed)
-    ref, ref_clock, ref_rec = _bound_adapt(demotion, adaptation)
-    pol, pol_clock, pol_rec = _bound_adapt(demotion, adaptation)
+    ref, ref_clock, ref_rec = _bound_adapt(demotion, adaptation, ref_spill)
+    pol, pol_clock, pol_rec = _bound_adapt(demotion, adaptation, pol_spill)
     lbas = rng.integers(0, 48, size=n)  # duplicates within and across cuts
     ts = np.cumsum(rng.integers(0, 200, size=n))
     gc_gids = [AdaptPolicy.GC_BASE + i for i in range(4)]

@@ -20,22 +20,18 @@ import pytest
 import repro.perf.engine as engine
 from repro.core.demotion import ProactiveDemotion
 from repro.core.policy import AdaptPolicy
+from repro.lss.gc import GarbageCollector
 from repro.lss.group import Group
 from repro.lss.store import LogStructuredStore
 from repro.placement.base import PlacementPolicy
-from repro.placement.registry import make_policy
-from repro.validate.differential import differential_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_FILES = ("bench/layers.py", "bench/test_harness.py")
 
 
-def _store():
-    cfg = differential_config()
-    return LogStructuredStore(cfg, make_policy("sepgc", cfg))
-
-
 #: (owner, attribute, how bench/ names it, value of a non-callable pin).
+#: The store and collector flags are class attributes: ``bench/`` reads
+#: them off instances, which have no ``__dict__`` to hold them.
 PINS = [
     (lambda: engine, "expand_trace", '"expand_trace"', None),
     (lambda: engine.BatchedReplayEngine, "replay",
@@ -51,13 +47,14 @@ PINS = [
      "AdaptPolicy.candidate_user_gids", None),
     (lambda: AdaptPolicy, "on_full_flush_run", '"on_full_flush_run"',
      None),
-    (_store, "_fast_flush", "store._fast_flush", False),
-    (_store, "_fast_full", "store._fast_full", False),
+    (lambda: LogStructuredStore, "_fast_flush", "store._fast_flush",
+     False),
+    (lambda: LogStructuredStore, "_fast_full", "store._fast_full", False),
     # The store's event seam replaced the per-block GC hook and the
     # policy's flush hook by its own event names.
     (lambda: ProactiveDemotion, "on_gc_block", '"on_gc_block"', None),
-    (lambda: _store().gc, "_notify_gc_block", "store.gc._notify_gc_block",
-     False),
+    (lambda: GarbageCollector, "_notify_gc_block",
+     "store.gc._notify_gc_block", False),
     (lambda: AdaptPolicy, "on_chunk_flush", '"on_chunk_flush"', None),
 ]
 

@@ -13,7 +13,7 @@ from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.validate.audit import INVARIANT_CHECKS, InvariantAuditor
 from repro.validate.differential import differential_config
-from tests.conftest import make_write_trace
+from tests.conftest import make_write_trace, spilled_events
 
 
 def churn_lbas(n: int = 2500, logical: int = 512, seed: int = 9):
@@ -94,16 +94,17 @@ def test_raid_skew_is_caught_and_named():
     assert exc.value.invariant == "raid-parity-accounting"
 
 
-def test_violation_emits_observability_event():
-    recorder = ObsRecorder()
+def test_violation_emits_observability_event(tmp_path):
+    recorder = ObsRecorder(spill_path=str(tmp_path / "events.jsonl"))
     store = replayed_store(recorder=recorder)
     store.mapping[first_mapped_lba(store)] = UNMAPPED  # orphan a valid slot
     auditor = InvariantAuditor()
     with pytest.raises(InvariantViolation):
         auditor.audit(store)
-    events = list(recorder.tracer.iter_type(EV_AUDIT_VIOLATION))
+    events = [e for e in spilled_events(recorder.tracer)
+              if e["type"] == EV_AUDIT_VIOLATION]
     assert len(events) == 1
-    assert events[0].fields["invariant"] == "mapping-bijection"
+    assert events[0]["invariant"] == "mapping-bijection"
     assert recorder.registry.get("lss_audit_violations_total").value == 1
 
 
