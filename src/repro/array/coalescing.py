@@ -17,8 +17,9 @@ Two window semantics are supported:
 * ``"first"`` — the deadline is fixed at first-append + window (a strict
   per-block buffering-latency SLA).  Exposed for ablations.
 
-The buffer stores opaque *tokens* (the LSS puts segment-slot handles in
-them) so this module stays independent of the log layer above it.
+The buffer keeps only how many blocks of each append kind are pending:
+nothing above it reads a pending block's identity, and a flush books
+per-kind totals, so counts are all the log layer needs.
 """
 
 from __future__ import annotations
@@ -26,10 +27,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Any
 
 from repro.common.errors import ConfigError
+
+# Append kinds: the index of each kind's count in a buffer's ``pending``
+# list and in the per-kind counts a drain returns.
+APPEND_USER = 0
+APPEND_GC = 1
+APPEND_SHADOW = 2
 
 
 class FlushReason(Enum):
@@ -43,8 +48,8 @@ class ChunkFlush:
     """``count`` chunk writes one group issued to the array.
 
     The one shape in which every layer learns that chunks were flushed;
-    the group that owns the buffer builds it (the buffer's tokens are
-    opaque here).  A single flush is a run of one.  ``count > 1`` only
+    the group that owns the buffer builds it from the drained per-kind
+    counts.  A single flush is a run of one.  ``count > 1`` only
     for the FULL flushes one append run emits back to back, which occupy
     consecutive device addresses; the block counts are totals over the
     run and ``time_us`` is when its last chunk filled.
@@ -77,11 +82,13 @@ class ChunkFlush:
 
 
 class CoalescingBuffer:
-    """Open-chunk accumulator for one group.
+    """Open-chunk accumulator for one group: per-kind pending counts and
+    the SLA timer.
 
     Every operation that flushes the chunk drains it and returns the
-    drained tokens; what the flush means (kinds, padding, accounting)
-    is the owner's business.
+    drained per-kind counts (a ``[user, gc, shadow]`` list the caller
+    now owns); what the flush means (padding, accounting) is the
+    owner's business.
 
     Args:
         chunk_blocks: chunk capacity in blocks.
@@ -94,7 +101,8 @@ class CoalescingBuffer:
     """
 
     __slots__ = ("chunk_blocks", "window_us", "sla_mode", "owner_gid",
-                 "_tokens", "_timer_start_us", "_heap", "_heap_entry_us")
+                 "pending", "pending_blocks", "_timer_start_us", "_heap",
+                 "_heap_entry_us")
 
     def __init__(self, chunk_blocks: int, window_us: int | None,
                  sla_mode: str = "idle", owner_gid: int = -1) -> None:
@@ -108,7 +116,9 @@ class CoalescingBuffer:
         self.window_us = window_us
         self.sla_mode = sla_mode
         self.owner_gid = owner_gid
-        self._tokens: list[Any] = []
+        #: Pending blocks per append kind, and their total.
+        self.pending = [0, 0, 0]
+        self.pending_blocks = 0
         self._timer_start_us: int | None = None
         # Lazy deadline-heap support (see bind_deadline_heap): the shared
         # min-heap of (deadline_us, owner_gid) entries and the smallest
@@ -120,16 +130,8 @@ class CoalescingBuffer:
     # state
     # ------------------------------------------------------------------
     @property
-    def pending_blocks(self) -> int:
-        return len(self._tokens)
-
-    @property
     def free_slots(self) -> int:
-        return self.chunk_blocks - len(self._tokens)
-
-    @property
-    def pending_tokens(self) -> tuple[Any, ...]:
-        return tuple(self._tokens)
+        return self.chunk_blocks - self.pending_blocks
 
     @property
     def deadline_us(self) -> int | None:
@@ -141,7 +143,7 @@ class CoalescingBuffer:
     def reset_timer(self, now_us: int) -> None:
         """Restart the SLA window (used by shadow append, §3.3: the chunk
         keeps its blocks but gets a fresh aggregation timer)."""
-        if self._tokens:
+        if self.pending_blocks:
             self._timer_start_us = now_us
             self._arm_heap()
 
@@ -186,72 +188,58 @@ class CoalescingBuffer:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def append(self, token: Any, now_us: int) -> tuple[Any, ...] | None:
-        """Add one block; if that fills the chunk, drain it (a ``FULL``
-        flush) and return its tokens."""
-        if not self._tokens or self.sla_mode == "idle":
-            self._timer_start_us = now_us
-            # An entry at or below the new deadline already covers it
-            # (no entry is ever live without a window).
-            entry = self._heap_entry_us
-            if entry is None or now_us + self.window_us < entry:
-                self._arm_heap()
-        self._tokens.append(token)
-        if len(self._tokens) >= self.chunk_blocks:
-            return self.take_pending()
-        return None
+    def append_run(self, kind: int, n: int,
+                   now_us: int) -> tuple[int, list[int] | None]:
+        """Append ``n >= 1`` blocks of append ``kind``, all at ``now_us``.
 
-    def append_run(self, kind: int, lbas: list[int],
-                   now_us: int) -> tuple[int, tuple[Any, ...]]:
-        """Append a run of ``(kind, lba)`` tokens, all at ``now_us``.
-
-        Leaves exactly the state (tokens, timer, heap entry) that calling
-        :meth:`append` once per token would.  Returns ``(flushes,
+        Leaves exactly the state (counts, timer, heap entry) that
+        appending the blocks one by one would.  Returns ``(flushes,
         drained)``: how many ``FULL`` flushes the run emitted, and the
-        tokens that were pending before the run — they left with the
-        first flush (``()`` when nothing flushed).
+        per-kind counts that were pending before the run — they left
+        with the first flush (``None`` when nothing flushed).
         """
-        tokens = self._tokens
+        p = self.pending_blocks
         cb = self.chunk_blocks
-        p = len(tokens)
-        n = len(lbas)
         nf = (p + n) // cb
         if nf == 0:
             # Idle mode restarts the timer on every append; "first" mode
             # arms it at the chunk's first append.
-            if self.sla_mode == "idle" or not tokens:
+            if self.sla_mode == "idle" or not p:
                 self._timer_start_us = now_us
-            tokens.extend(zip(repeat(kind), lbas))
+            self.pending[kind] += n
+            self.pending_blocks = p + n
             self._arm_heap()
-            return 0, ()
+            return 0, None
         drained = self.take_pending()
         leftover = p + n - nf * cb
         if leftover:
             # Episodes born and flushed inside the run never needed heap
             # entries (no tick can interleave); arm only the survivor.
-            tokens.extend(zip(repeat(kind), lbas[n - leftover:]))
+            self.pending[kind] = leftover
+            self.pending_blocks = leftover
             self._timer_start_us = now_us
             self._arm_heap()
         return nf, drained
 
-    def poll(self, now_us: int) -> tuple[Any, ...] | None:
+    def poll(self, now_us: int) -> list[int] | None:
         """Drain the chunk (a padded ``DEADLINE`` flush) if the SLA
-        deadline has passed; return its tokens."""
+        deadline has passed; return its per-kind counts."""
         dl = self.deadline_us
-        if dl is not None and now_us >= dl and self._tokens:
+        if dl is not None and now_us >= dl and self.pending_blocks:
             return self.take_pending()
         return None
 
-    def force_flush(self) -> tuple[Any, ...] | None:
+    def force_flush(self) -> list[int] | None:
         """Drain whatever is pending (a padded ``FORCED`` flush);
         ``None`` if empty."""
-        return self.take_pending() if self._tokens else None
+        return self.take_pending() if self.pending_blocks else None
 
-    def take_pending(self) -> tuple[Any, ...]:
-        """Remove and return all pending tokens and disarm the timer
-        (whether that is a flush is up to the caller)."""
-        tokens = tuple(self._tokens)
-        self._tokens.clear()
+    def take_pending(self) -> list[int]:
+        """Remove and return the per-kind pending counts and disarm the
+        timer (whether that is a flush is up to the caller)."""
+        drained = self.pending
+        self.pending = [0, 0, 0]
+        self.pending_blocks = 0
         self._timer_start_us = None
         self._heap_entry_us = None
-        return tokens
+        return drained

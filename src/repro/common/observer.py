@@ -27,7 +27,7 @@ NO_SAMPLE: int = sys.maxsize
 #: The events the store fires (``bind`` aside), in declaration order.
 EVENTS: tuple[str, ...] = (
     "next_sample_seq", "user_writes", "reads", "chunk_flush",
-    "segment_sealed", "gc_victim", "gc_blocks", "segment_reclaimed",
+    "segment_sealed", "gc_blocks", "segment_reclaimed",
     "finalize",
 )
 
@@ -63,11 +63,6 @@ class StoreObserver:
 
     def segment_sealed(self, group_id: int, seg: int) -> None:
         """Segment ``seg`` of ``group_id`` filled up and became immutable."""
-
-    def gc_victim(self, seg: int, group_id: int, created_seq: int,
-                  valid_blocks: int, now_us: int) -> None:
-        """GC picked sealed segment ``seg`` of ``group_id`` and is about to
-        migrate its ``valid_blocks`` valid blocks."""
 
     def gc_blocks(self, lbas, from_group: int, to_groups, old_locs,
                   new_locs) -> None:

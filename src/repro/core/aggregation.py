@@ -142,17 +142,16 @@ class CrossGroupAggregator:
             return AggregationDecision(False, "budget-exhausted")
 
         # Never shadow more blocks than one chunk can hold.
-        batch = pending[: self.chunk_blocks]
-        for _kind, lba in batch:
-            cold.append_shadow(lba, now_us)
+        batch = min(pending, self.chunk_blocks)
+        cold.append_shadow(batch, now_us)
         # The substitutes ride the cold group's chunk: it flushes when it
         # fills (no padding at all — the "filled chunk" of Fig 6) or at the
         # cold group's own SLA deadline (one padded flush covering both
         # groups' sparse streams instead of two).
         hot.mark_all_shadowed(now_us)
         self.shadow_appends += 1
-        self.shadow_blocks += len(batch)
-        return AggregationDecision(True, "shadow-append", blocks=len(batch))
+        self.shadow_blocks += batch
+        return AggregationDecision(True, "shadow-append", blocks=batch)
 
     def absorb_before_padding(self, cold: Group, hot: Group,
                               now_us: int) -> int:
@@ -164,12 +163,11 @@ class CrossGroupAggregator:
         free = cold.buffer.free_slots
         if free <= 0:
             return 0
-        batch = hot.unshadowed_pending[:free]
+        batch = min(hot.unshadowed_pending, free)
         if not batch:
             return 0
-        for _kind, lba in batch:
-            cold.append_shadow(lba, now_us)
-        hot.mark_partially_shadowed(len(batch), now_us)
+        cold.append_shadow(batch, now_us)
+        hot.mark_partially_shadowed(batch, now_us)
         self.shadow_appends += 1
-        self.shadow_blocks += len(batch)
-        return len(batch)
+        self.shadow_blocks += batch
+        return batch

@@ -97,14 +97,19 @@ class CascadedDiscriminator:
       Fig 12b accounts.
     * ``use_bloom=True`` — real :class:`BloomFilter` probes, including
       false positives.  Tests cross-check the two modes.
+
+    ``holders``, when given, is a dict shared by several cascades: key ->
+    how many of their live member sets hold it.  Inserts and evictions
+    keep it exact, so a key it lacks scores 0 in every one of them.
     """
 
     __slots__ = ("num_filters", "capacity", "fp_rate", "use_bloom",
                  "_filters", "_members", "_counts", "evictions",
-                 "_bytes_per_filter")
+                 "_bytes_per_filter", "_holders")
 
     def __init__(self, num_filters: int = 4, capacity: int = 4096,
-                 fp_rate: float = 0.01, use_bloom: bool = False) -> None:
+                 fp_rate: float = 0.01, use_bloom: bool = False,
+                 holders: dict[int, int] | None = None) -> None:
         if num_filters < 1:
             raise ValueError("num_filters must be >= 1")
         self.num_filters = num_filters
@@ -117,6 +122,7 @@ class CascadedDiscriminator:
         self.evictions = 0
         self._bytes_per_filter = \
             BloomFilter(capacity, fp_rate).memory_bytes()
+        self._holders = holders
 
     def _new_filter(self) -> BloomFilter | None:
         return BloomFilter(self.capacity, self.fp_rate) \
@@ -128,6 +134,7 @@ class CascadedDiscriminator:
     def insert_many(self, keys: list[int]) -> None:
         """Insert ``keys`` in order: the state ``insert`` per key leaves,
         with one set update per cascade filter they reach."""
+        holders = self._holders
         done = 0
         while done < len(keys):
             if self._counts[-1] >= self.capacity:
@@ -136,14 +143,30 @@ class CascadedDiscriminator:
                 self._counts.append(0)
                 if len(self._filters) > self.num_filters:
                     self._filters.pop(0)
-                    self._members.pop(0)
+                    evicted = self._members.pop(0)
                     self._counts.pop(0)
                     self.evictions += 1
+                    if holders is not None:
+                        for key in evicted:
+                            left = holders[key] - 1
+                            if left:
+                                holders[key] = left
+                            else:
+                                del holders[key]
             part = keys[done:done + self.capacity - self._counts[-1]]
             if self.use_bloom:
                 for key in part:
                     self._filters[-1].add(key)
-            self._members[-1].update(part)
+            members = self._members[-1]
+            if holders is None:
+                members.update(part)
+            else:
+                new = set(part)
+                new -= members
+                members |= new
+                get = holders.get
+                for key in new:
+                    holders[key] = get(key, 0) + 1
             self._counts[-1] += len(part)
             done += len(part)
 

@@ -11,7 +11,9 @@ cascade of intermediate migrations.
 One cascaded bloom-filter discriminator per GC group; the score of an LBA
 for a group is the number of cascade filters containing it.  The user-write
 lookup picks the best-scoring group and demotes when the score clears the
-configured threshold.
+configured threshold.  Most probed LBAs are in no cascade at all, so the
+cascades share one ``holders`` count and a probe for an LBA it lacks
+returns before scoring any group.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class ProactiveDemotion:
     """
 
     __slots__ = ("gc_group_ids", "score_threshold", "discriminators",
-                 "demotions", "lookups")
+                 "holders", "demotions", "lookups")
 
     def __init__(self, gc_group_ids: list[int], score_threshold: int = 2,
                  num_filters: int = 4, capacity: int = 4096,
@@ -43,8 +45,11 @@ class ProactiveDemotion:
             raise ValueError("score_threshold must be >= 1")
         self.gc_group_ids = list(gc_group_ids)
         self.score_threshold = score_threshold
+        #: LBA -> live member sets holding it, across all cascades.
+        self.holders: dict[int, int] = {}
         self.discriminators = {
-            gid: CascadedDiscriminator(num_filters, capacity, fp_rate)
+            gid: CascadedDiscriminator(num_filters, capacity, fp_rate,
+                                       holders=self.holders)
             for gid in gc_group_ids
         }
         self.demotions = 0
@@ -72,6 +77,8 @@ class ProactiveDemotion:
         """``(group, score)`` to demote ``lba`` into, or ``None`` to use
         the normal hotness-based placement."""
         self.lookups += 1
+        if lba not in self.holders:
+            return None
         best_gid, best_score = None, 0
         for gid in self.gc_group_ids:
             score = self.discriminators[gid].score(lba)

@@ -13,34 +13,30 @@ which captures exactly the two components the threshold is meant to
 minimise: GC migration out of user groups and zero-padding.  Each ghost set
 runs one candidate threshold; the ladder compares their costs.
 
-The scalar :meth:`GhostSet.record` path drives real
-:class:`CoalescingBuffer` objects — the same chunk machinery the store
-itself uses — while the bulk :meth:`GhostSet.record_many` path (the
-replay loop's window plan) operates on those buffers' state with
-the per-record machinery inlined.  Both paths share one canonical state,
-so arbitrary interleavings stay bit-identical (the ghost equivalence
-suite fuzzes exactly that).
+Each ghost group's open chunk is two inline counters — pending blocks
+and the SLA timer start — with the store's coalescing semantics (a
+:class:`~repro.array.coalescing.CoalescingBuffer` without deadline heap
+or flush consumers).  :meth:`GhostSet.record` is a one-block
+:meth:`GhostSet.record_many`, so arbitrary interleavings of the two stay
+bit-identical (the ghost equivalence suite fuzzes exactly that).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.array.coalescing import CoalescingBuffer
+from repro.common.errors import ConfigError
 
 
 @dataclass(slots=True)
 class _GhostSegment:
-    """One miniature segment: just the LBA list and a fill/pad count."""
+    """One miniature segment: the LBA list (its fill is that plus the
+    padding) and a valid count."""
 
     blocks: list[int]
     padding: int = 0
     valid: int = 0
     sealed: bool = False
-
-    @property
-    def fill(self) -> int:
-        return len(self.blocks) + self.padding
 
 
 class GhostSet:
@@ -58,9 +54,10 @@ class GhostSet:
     """
 
     __slots__ = ("threshold", "segment_blocks", "chunk_blocks",
-                 "garbage_limit", "_buffers", "_open", "_sealed", "_where",
-                 "blocks_written", "blocks_discarded", "padding_blocks",
-                 "gc_passes", "_total_slots")
+                 "window_us", "sla_mode", "garbage_limit", "_pending",
+                 "_timer", "_open", "_sealed", "_where", "blocks_written",
+                 "blocks_discarded", "padding_blocks", "gc_passes",
+                 "_total_slots")
 
     HOT, COLD = 0, 1
 
@@ -73,15 +70,19 @@ class GhostSet:
             raise ValueError("segment must hold at least one chunk")
         if not 0 < garbage_limit < 1:
             raise ValueError("garbage_limit must be in (0, 1)")
+        if sla_mode not in ("idle", "first"):
+            raise ConfigError(f"unknown sla_mode {sla_mode!r}")
         self.threshold = threshold
         self.segment_blocks = segment_blocks
         self.chunk_blocks = chunk_blocks
+        self.window_us = window_us
+        self.sla_mode = sla_mode
         self.garbage_limit = garbage_limit
 
-        self._buffers = [
-            CoalescingBuffer(chunk_blocks, window_us, sla_mode=sla_mode)
-            for _ in range(2)
-        ]
+        #: Per group (HOT, COLD): blocks pending in the open chunk, and
+        #: the chunk's SLA timer start (``None`` while it is empty).
+        self._pending = [0, 0]
+        self._timer: list[int | None] = [None, None]
         self._open: list[_GhostSegment] = [self._new_segment(),
                                            self._new_segment()]
         self._sealed: list[_GhostSegment] = []
@@ -108,37 +109,26 @@ class GhostSet:
         splitting costs more padding than GC saves — route first writes hot
         too, collapsing to single-user-group behaviour.
         """
-        self._poll(now_us)
-        if interval is None:
-            interval = float(len(self._where))
-        group = self.HOT if interval < self.threshold else self.COLD
-        # A previous copy of this LBA (if any) becomes garbage implicitly:
-        # validity is derived from the _where map pointing elsewhere.
-        self._append(group, lba, now_us)
-        self._maybe_gc()
+        self.record_many([lba], [interval], [now_us])
 
     def record_many(self, lbas: list[int], intervals: list[float | None],
                     ts_us: list[int]) -> None:
-        """Feed many sampled writes at per-block times.
+        """Feed many sampled writes at per-block times, each as
+        :meth:`record` describes: poll both chunks' SLA deadlines, classify,
+        append, seal, and clean while the garbage ratio is over the limit.
 
-        Bit-identical to sequential :meth:`record` calls — the poll /
-        classify / append / seal / GC cadence is preserved per record —
-        but with the buffer machinery inlined onto its own state (the
-        pending-token lists and SLA timers) and every per-call attribute
-        lookup hoisted out of the loop.  The ghost buffers have no bound
-        deadline heap and no flush consumers, so a ``FULL`` flush reduces
-        to clearing the tokens and timer, and a ``DEADLINE`` flush to
-        that plus the padding accounting.
+        A ``FULL`` flush empties the chunk and disarms its timer; a
+        ``DEADLINE`` flush also pads the rest of the chunk.  Every per-call
+        attribute lookup is hoisted out of the loop.
         """
         where = self._where
         get = where.get
         open_ = self._open
         sealed = self._sealed
-        bufs = self._buffers
-        tok = [bufs[0]._tokens, bufs[1]._tokens]
-        timer = [bufs[0]._timer_start_us, bufs[1]._timer_start_us]
-        window = bufs[0].window_us
-        idle = bufs[0].sla_mode == "idle"
+        pending = self._pending
+        timer = self._timer
+        window = self.window_us
+        idle = self.sla_mode == "idle"
         threshold = self.threshold
         cb = self.chunk_blocks
         segb = self.segment_blocks
@@ -151,16 +141,16 @@ class GhostSet:
             if window is not None:
                 for g in (0, 1):
                     t0 = timer[g]
-                    tg = tok[g]
-                    if t0 is not None and now >= t0 + window and tg:
-                        pad = cb - len(tg)
-                        tg.clear()
+                    if t0 is not None and now >= t0 + window \
+                            and pending[g]:
+                        pad = cb - pending[g]
+                        pending[g] = 0
                         timer[g] = None
                         seg = open_[g]
                         seg.padding += pad
                         padded += pad
                         total += pad
-                        if seg.fill >= segb:
+                        if len(seg.blocks) + seg.padding >= segb:
                             seg.sealed = True
                             sealed.append(seg)
                             open_[g] = _GhostSegment(blocks=[])
@@ -173,19 +163,21 @@ class GhostSet:
             if old is not None:
                 old.valid -= 1
             seg = open_[g]
-            seg.blocks.append(lba)
+            blocks = seg.blocks
+            blocks.append(lba)
             seg.valid += 1
             where[lba] = seg
             written += 1
             total += 1
-            tg = tok[g]
-            if idle or not tg:
+            p = pending[g]
+            if idle or not p:
                 timer[g] = now
-            tg.append(lba)
-            if len(tg) >= cb:
-                tg.clear()
+            if p + 1 >= cb:
+                pending[g] = 0
                 timer[g] = None
-            if seg.fill >= segb:
+            else:
+                pending[g] = p + 1
+            if len(blocks) + seg.padding >= segb:
                 seg.sealed = True
                 sealed.append(seg)
                 open_[g] = _GhostSegment(blocks=[])
@@ -196,38 +188,6 @@ class GhostSet:
         self.blocks_written += written
         self.padding_blocks += padded
         self._total_slots = total
-        bufs[0]._timer_start_us = timer[0]
-        bufs[1]._timer_start_us = timer[1]
-
-    def _append(self, group: int, lba: int, now_us: int) -> None:
-        seg = self._open[group]
-        old = self._where.get(lba)
-        if old is not None:
-            old.valid -= 1
-        seg.blocks.append(lba)
-        seg.valid += 1
-        self._where[lba] = seg
-        self.blocks_written += 1
-        self._total_slots += 1
-        self._buffers[group].append(lba, now_us)  # a FULL flush pads nothing
-        self._maybe_seal(group)
-
-    def _poll(self, now_us: int) -> None:
-        for group in (self.HOT, self.COLD):
-            drained = self._buffers[group].poll(now_us)
-            if drained is not None:
-                pad = self.chunk_blocks - len(drained)
-                self._open[group].padding += pad
-                self.padding_blocks += pad
-                self._total_slots += pad
-                self._maybe_seal(group)
-
-    def _maybe_seal(self, group: int) -> None:
-        seg = self._open[group]
-        if seg.fill >= self.segment_blocks:
-            seg.sealed = True
-            self._sealed.append(seg)
-            self._open[group] = self._new_segment()
 
     @staticmethod
     def _new_segment() -> _GhostSegment:
@@ -236,31 +196,35 @@ class GhostSet:
     # ------------------------------------------------------------------
     # ghost GC
     # ------------------------------------------------------------------
-    def _valid_count(self, seg: _GhostSegment) -> int:
-        return seg.valid
-
     def garbage_ratio(self) -> float:
         if self._total_slots == 0:
             return 0.0
         return 1.0 - len(self._where) / self._total_slots
 
     def _maybe_gc(self) -> None:
-        while self._sealed and self.garbage_ratio() > self.garbage_limit:
-            victim_idx = min(
-                range(len(self._sealed)),
-                key=lambda i: self._valid_count(self._sealed[i]))
-            victim = self._sealed.pop(victim_idx)
+        sealed = self._sealed
+        where = self._where
+        limit = self.garbage_limit
+        while sealed and self._total_slots \
+                and 1.0 - len(where) / self._total_slots > limit:
+            # The first sealed segment with the fewest valid blocks.
+            victim_idx = 0
+            fewest = sealed[0].valid
+            for i, seg in enumerate(sealed):
+                if seg.valid < fewest:
+                    victim_idx, fewest = i, seg.valid
+            victim = sealed.pop(victim_idx)
             self.gc_passes += 1
-            self._total_slots -= victim.fill
+            self._total_slots -= len(victim.blocks) + victim.padding
             for lba in victim.blocks:
                 if victim.valid == 0:
                     break
-                if self._where.get(lba) is victim:
+                if where.get(lba) is victim:
                     # A real system would migrate this block to a
                     # GC-rewritten group; the ghost set only models
                     # user-written groups, so the block is discarded and
                     # counted as migration cost.
-                    del self._where[lba]
+                    del where[lba]
                     victim.valid -= 1
                     self.blocks_discarded += 1
 

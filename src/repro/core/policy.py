@@ -31,6 +31,7 @@ from repro.perf.batch import duplicate_chains
 from repro.lss.group import Group, GroupKind, GroupSpec
 from repro.placement.base import PlacementPolicy
 from repro.placement.registry import register
+from repro.placement.sepbit import gc_age_bounds
 
 
 @dataclass(slots=True)
@@ -356,12 +357,9 @@ class AdaptPolicy(PlacementPolicy):
         # class is how many geometric boundaries the age clears.
         last = self._last_user_write[lbas]
         age = np.where(last >= 0, self.user_seq - last, self.user_seq)
-        cls = np.zeros(int(lbas.shape[0]), dtype=np.int64)
-        bound = self._lifespan * 4
-        for _ in range(self.adapt_config.num_gc_groups - 1):
-            cls += age >= bound
-            bound *= 4
-        return self.GC_BASE + cls
+        bounds = gc_age_bounds(self._lifespan,
+                               self.adapt_config.num_gc_groups)
+        return self.GC_BASE + bounds.searchsorted(age, side="right")
 
     def gc_blocks(self, lbas: np.ndarray, from_group: int,
                   to_groups: np.ndarray, old_locs, new_locs) -> None:

@@ -50,7 +50,12 @@ from repro.obs.atomicio import atomic_write_bytes
 #: replay state — every pickled object keeps its fields in ``__slots__``
 #: (no instance ``__dict__``), tracers hold ``(seq, time_us, type,
 #: values)`` records and only with a spill path, and lost ``dropped``.
-CHECKPOINT_VERSION = 9
+#: v10: counts, not records — chunk buffers hold per-kind pending
+#: counts (no tokens), ``StoreStats`` gained its padded-flush, victim
+#: and lazy-append tallies, the ghost sets their inline chunk counters,
+#: demotion its shared ``holders`` count, and attribution the pending
+#: victim's GC-origin count.
+CHECKPOINT_VERSION = 10
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

@@ -85,12 +85,11 @@ class GarbageCollector:
         n = int(lbas.shape[0])
         stats = store.stats
         stats.gc_passes += 1
-        for fn in store.events.gc_victim:
-            fn(victim, victim_group, created_seq, n, now_us)
         if n:
             self._migrate_batch(lbas, victim, victim_group, now_us)
         pool.reclaim(victim)
         stats.gc_segments_reclaimed += 1
+        stats.victim_valid[n] += 1
         for fn in store.events.segment_reclaimed:
             fn(victim, victim_group, created_seq, n, now_us)
 
@@ -108,19 +107,17 @@ class GarbageCollector:
             raise AssertionError(
                 f"mapping for lba {bad} points outside victim {victim}")
         dests = store.policy.place_gc_batch(lbas, victim_group, now_us)
-        lba_list = lbas.tolist()
         d0 = int(dests[0])
         if not np.count_nonzero(dests != d0):
             # Single destination (every GC-group-routing baseline).
-            locs = store.groups[d0].append_gc_run(lbas, lba_list, now_us)
+            locs = store.groups[d0].append_gc_run(lbas, now_us)
         else:
             locs = np.empty(n, dtype=np.int64)
             change = np.flatnonzero(np.diff(dests)) + 1
             bounds = [0] + change.tolist() + [n]
             for b0, b1 in zip(bounds[:-1], bounds[1:]):
                 group = store.groups[int(dests[b0])]
-                locs[b0:b1] = group.append_gc_run(lbas[b0:b1],
-                                                  lba_list[b0:b1], now_us)
+                locs[b0:b1] = group.append_gc_run(lbas[b0:b1], now_us)
         # The batch is exactly the victim's valid set (checked above), so
         # the per-slot invalidation walk collapses to one row reset.
         pool.invalidate_all(victim)

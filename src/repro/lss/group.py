@@ -2,21 +2,22 @@
 
 A group owns one open segment and one open (coalescing) chunk at a time
 (paper §3.1).  User-facing groups flush chunks under the SLA window and pad;
-GC-facing groups write in bulk and only flush full chunks.  Append kinds are
-tracked per block so the per-group traffic breakdown of Fig 3 falls out of
-the accounting.
+GC-facing groups write in bulk and only flush full chunks.  The open chunk
+counts its pending blocks per append kind, so the per-group traffic
+breakdown of Fig 3 falls out of the accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.array.coalescing import ChunkFlush, CoalescingBuffer, FlushReason
+from repro.array.coalescing import (APPEND_GC, APPEND_SHADOW, APPEND_USER,
+                                    ChunkFlush, CoalescingBuffer,
+                                    FlushReason)
 from repro.lss.stats import GroupTraffic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,13 +38,6 @@ class GroupSpec:
     kind: GroupKind
 
 
-# Append kinds for traffic accounting (also the index of each kind's
-# count in ``Group._flush``).
-APPEND_USER = 0
-APPEND_GC = 1
-APPEND_SHADOW = 2
-
-
 class Group:
     """Runtime state of one group inside a store."""
 
@@ -62,8 +56,8 @@ class Group:
                                        sla_mode=cfg.sla_mode, owner_gid=gid)
         self.open_seg: int | None = None
         self.traffic = GroupTraffic(name=spec.name, kind=spec.kind.value)
-        #: Tokens at index < _shadow_mark already have substitutes persisted
-        #: elsewhere (cross-group aggregation watermark, §3.3).
+        #: The oldest _shadow_mark pending blocks already have substitutes
+        #: persisted elsewhere (cross-group aggregation watermark, §3.3).
         self._shadow_mark = 0
         #: Blocks shadow-appended into the current open segment; compared
         #: against the group's average padding size by the aggregation
@@ -90,25 +84,23 @@ class Group:
                 fn(self.gid, seg)
             self.open_seg = None
 
-    def _queue_run(self, kind: int, lbas: list[int], now_us: int) -> None:
-        """Queue a run of ``kind`` blocks, all at ``now_us``, whose slots
-        were just taken in the open segment: flush the chunks it fills
-        (one FULL record), then seal the segment if it is full — which
-        takes a flush, as segments are whole chunks and chunks start at
-        chunk boundaries."""
-        buf = self.buffer
-        nf, drained = buf.append_run(kind, lbas, now_us)
+    def _queue_run(self, kind: int, n: int, now_us: int) -> None:
+        """Queue a run of ``n`` ``kind`` blocks, all at ``now_us``, whose
+        slots were just taken in the open segment: flush the chunks it
+        fills (one FULL record), then seal the segment if it is full —
+        which takes a flush, as segments are whole chunks and chunks
+        start at chunk boundaries."""
+        nf, drained = self.buffer.append_run(kind, n, now_us)
         if nf:
-            self._flush(FlushReason.FULL, drained, now_us, nf, kind,
-                        nf * buf.chunk_blocks - len(drained))
+            self._flush(FlushReason.FULL, drained, now_us, nf, kind)
             self._maybe_seal()
 
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
-    def reserve_user(self, lbas: list[int], now_us: int) -> range:
-        """Everything a run of user appends does that the next block, the
-        next tick or a flush consumer can observe: take ``len(lbas)``
+    def reserve_user(self, n: int, now_us: int) -> range:
+        """Everything a run of ``n`` user appends does that the next
+        block, the next tick or a flush consumer can observe: take ``n``
         consecutive slots (open a segment if needed), queue the blocks in
         the open chunk, flush the chunk and seal the segment if the run
         filled them.  A single block is a run of one.  Returns the slots'
@@ -119,40 +111,46 @@ class Group:
 
         The blocks share ``now_us``, and a segment the call opens or seals
         is stamped with ``store.user_seq`` as it stands.  The state equals
-        ``len(lbas)`` single-block calls as long as only the run's last
+        ``n`` single-block calls as long as only the run's last
         block may fill the open chunk (that is where its FULL flush and
         the seal fire) and ``store.user_seq`` is that block's; the replay
         loop ends every run there, and opens segments with runs of one.
         """
         seg = self._ensure_open_segment()
-        loc = self.store.pool.reserve_slot(seg, len(lbas))
-        self._queue_run(APPEND_USER, lbas, now_us)
-        return range(loc, loc + len(lbas))
+        loc = self.store.pool.reserve_slot(seg, n)
+        self._queue_run(APPEND_USER, n, now_us)
+        return range(loc, loc + n)
 
     def append_user(self, lba: int, now_us: int) -> int:
-        loc = self.reserve_user([lba], now_us)[0]
+        loc = self.reserve_user(1, now_us).start
         self.store.pool.fill_slot(loc, lba)
         return loc
 
-    def append_shadow(self, lba: int, now_us: int) -> None:
-        """Persist a substitute copy of a hot pending block in this group's
-        open chunk (shadow append, §3.3).
+    def append_shadow(self, n: int, now_us: int) -> None:
+        """Persist substitute copies of ``n`` hot pending blocks in this
+        group's open chunk (shadow append, §3.3).
 
-        The substitute is accounted as written traffic but its slot is dead
-        on arrival: the canonical copy remains the (pending) original in the
-        hot group, which will be persisted by the lazy append.
+        The substitutes are accounted as written traffic but their slots
+        are dead on arrival: the canonical copies remain the (pending)
+        originals in the hot group, which the lazy append persists.  The
+        blocks go in as one run per chunk they fill, so the state equals
+        ``n`` single-block appends.
         """
-        seg = self._ensure_open_segment()
-        self.store.pool.append_padding(seg, 1)  # dead slot, real write
-        self.segment_shadow_bytes += self.store.config.chunk.block_bytes
-        self._queue_run(APPEND_SHADOW, [lba], now_us)
+        pool = self.store.pool
+        block_bytes = self.store.config.chunk.block_bytes
+        while n:
+            seg = self._ensure_open_segment()
+            take = min(n, self.buffer.free_slots)
+            pool.append_padding(seg, take)  # dead slots, real writes
+            self.segment_shadow_bytes += take * block_bytes
+            self._queue_run(APPEND_SHADOW, take, now_us)
+            n -= take
 
     # pinned by the frozen `bench/` harness — no caller
     def append_user_run(self, *args, **kwargs):
         raise NotImplementedError("pinned by the frozen bench/ harness")
 
-    def append_gc_run(self, lbas, lba_list: list[int],
-                      now_us: int) -> np.ndarray:
+    def append_gc_run(self, lbas: np.ndarray, now_us: int) -> np.ndarray:
         """Append one GC-migration run; returns the encoded locations.
 
         GC migrations happen at one instant of both clocks — ``now_us``
@@ -163,7 +161,7 @@ class Group:
         """
         pool = self.store.pool
         sb = pool.segment_blocks
-        n = len(lba_list)
+        n = int(lbas.shape[0])
         locs = np.empty(n, dtype=np.int64)
         done = 0
         while done < n:
@@ -172,7 +170,7 @@ class Group:
             base = seg * sb + pool.append_many(seg, lbas[done:done + take])
             locs[done:done + take] = np.arange(base, base + take,
                                                dtype=np.int64)
-            self._queue_run(APPEND_GC, lba_list[done:done + take], now_us)
+            self._queue_run(APPEND_GC, take, now_us)
             done += take
         return locs
 
@@ -197,26 +195,28 @@ class Group:
         self._maybe_seal()
         return flush
 
-    def _flush(self, reason: FlushReason, drained, time_us: int,
-               count: int = 1, run_kind: int = APPEND_USER,
-               run_blocks: int = 0) -> ChunkFlush:
+    def _flush(self, reason: FlushReason, drained: list[int], time_us: int,
+               count: int = 1, run_kind: int = APPEND_USER) -> ChunkFlush:
         """Book ``count`` chunk flushes: the one place the group's
-        traffic, the segment's padding and the :class:`ChunkFlush` record
-        the rest of the system sees are derived.
+        traffic, the segment's padding, the store's padded-flush and
+        lazy-append tallies and the :class:`ChunkFlush` record the rest
+        of the system sees are derived.
 
-        The chunks carried the ``drained`` buffer tokens plus
-        ``run_blocks`` blocks of kind ``run_kind`` that an append run
-        pushed straight through; whatever that leaves of ``count`` chunks
-        is zero padding (none for FULL flushes, by construction).
+        The chunks carried the ``drained`` per-kind counts.  FULL chunks
+        are full: what the drained blocks leave of them are ``run_kind``
+        blocks an append run pushed straight through.  A padded flush
+        pads what they leave of its one chunk.
         """
-        kinds = list(map(itemgetter(0), drained))
-        user = kinds.count(APPEND_USER)
-        gc = kinds.count(APPEND_GC)
-        blocks = [user, gc, len(kinds) - user - gc]  # indexed by kind
-        blocks[run_kind] += run_blocks
-        user, gc, shadow = blocks
         total = count * self.buffer.chunk_blocks
-        padding = total - user - gc - shadow
+        pending = drained[0] + drained[1] + drained[2]
+        stats = self.store.stats
+        if reason is FlushReason.FULL:
+            drained[run_kind] += total - pending
+            padding = 0
+        else:
+            padding = total - pending
+            stats.padded_flushes[padding] += 1
+        user, gc, shadow = drained
         t = self.traffic
         t.user_blocks += user
         t.gc_blocks += gc
@@ -239,8 +239,12 @@ class Group:
                 - self.buffer.pending_blocks - total
         # Pending blocks below the watermark already had substitutes
         # persisted elsewhere; the first chunk is their lazy append (§3.3).
+        lazy = min(self._shadow_mark, pending)
+        if lazy:
+            stats.lazy_appends += 1
+            stats.lazy_blocks += lazy
         flush = ChunkFlush(reason, count, user, gc, shadow, padding, time_us,
-                           min(self._shadow_mark, len(drained)), start)
+                           lazy, start)
         self._shadow_mark = 0
         self.store.on_chunk_flush(self, flush)
         return flush
@@ -249,9 +253,9 @@ class Group:
     # cross-group aggregation support
     # ------------------------------------------------------------------
     @property
-    def unshadowed_pending(self) -> tuple[tuple[int, int], ...]:
-        """Pending tokens that do not yet have a substitute elsewhere."""
-        return self.buffer.pending_tokens[self._shadow_mark:]
+    def unshadowed_pending(self) -> int:
+        """Pending blocks that do not yet have a substitute elsewhere."""
+        return self.buffer.pending_blocks - self._shadow_mark
 
     def mark_all_shadowed(self, now_us: int) -> None:
         """Record that every pending block now has a substitute, and restart

@@ -44,7 +44,14 @@ class GroupTraffic:
 
 @dataclass(slots=True)
 class StoreStats:
-    """Aggregated counters for one store instance."""
+    """Aggregated counters for one store instance.
+
+    Besides the totals, the store tallies the shapes its observers
+    report as distributions: padded flushes by padding size, GC victims
+    by valid blocks, and lazy appends (§3.3).  The recorder derives its
+    flush, padding and victim histograms from these tallies instead of
+    re-counting events.
+    """
 
     user_blocks_requested: int = 0
     read_requests: int = 0
@@ -54,6 +61,15 @@ class StoreStats:
     gc_blocks_migrated: int = 0
     groups: list[GroupTraffic] = field(default_factory=list)
     raid: Raid5Accounting = field(default_factory=Raid5Accounting)
+    #: Padded (DEADLINE or FORCED) chunk flushes, indexed by padding
+    #: blocks (sized ``chunk_blocks`` by the store).
+    padded_flushes: list[int] = field(default_factory=list)
+    #: Reclaimed GC victims, indexed by valid blocks migrated out (sized
+    #: ``segment_blocks + 1`` by the store).
+    victim_valid: list[int] = field(default_factory=list)
+    #: Chunk flushes that lazily appended shadowed blocks, and the blocks.
+    lazy_appends: int = 0
+    lazy_blocks: int = 0
 
     # ------------------------------------------------------------------
     # totals

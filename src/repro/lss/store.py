@@ -102,7 +102,9 @@ class LogStructuredStore:
                                 config.segment_blocks)
         self.mapping = np.full(config.logical_blocks, UNMAPPED,
                                dtype=np.int64)
-        self.stats = StoreStats()
+        self.stats = StoreStats(
+            padded_flushes=[0] * config.chunk.chunk_blocks,
+            victim_valid=[0] * (config.segment_blocks + 1))
         self.groups: list[Group] = []
         for gid, spec in enumerate(specs):
             group = Group(gid, spec, self)
@@ -355,7 +357,7 @@ class LogStructuredStore:
         start_seq = self.user_seq
         reads = writes = 0
         t = self.now_us
-        run: list[int] = []    # placed blocks of `group` without slots
+        run = 0                # placed blocks of `group` without slots
         group = groups[0]
         run_gid = 0
         run_seq = last = 0     # user_seq of the run's first, last block
@@ -378,7 +380,7 @@ class LogStructuredStore:
                     seq = self.user_seq
                     if run and gid != run_gid:
                         locs.extend(group.reserve_user(run, t))
-                        run = []
+                        run = 0
                     if not run:
                         run_gid, group, run_seq = gid, groups[gid], seq
                         if group.open_seg is None \
@@ -387,14 +389,14 @@ class LogStructuredStore:
                         else:
                             last = min(seq + group.buffer.free_slots,
                                        sample_at) - 1
-                    run.append(lba)
+                    run += 1
                     if seq < last:
                         self.user_seq = seq + 1
                         continue
                     # Reserved before the increment: a seal stamps the
                     # filling block's user_seq.
                     locs.extend(group.reserve_user(run, t))
-                    run = []
+                    run = 0
                     self.user_seq = seq = seq + 1
                     gc_due = pool.free_segments <= gc_low
                     if gc_due or seq >= sample_at:
@@ -408,14 +410,14 @@ class LogStructuredStore:
                         sample_at = self._next_sample_seq()
                 if run:
                     locs.extend(group.reserve_user(run, t))
-                    run = []
+                    run = 0
         finally:
             if run:
-                if self.user_seq - run_seq == len(run):
+                if self.user_seq - run_seq == run:
                     # A later place_user raised: the run is placed and
                     # counted, so it takes its slots like any other.
                     locs.extend(group.reserve_user(run, t))
-                elif len(run) > 1:
+                elif run > 1:
                     # The run's own reservation raised in a hook of the
                     # chunk its last block fills (that block was never
                     # counted).  As on the per-block path, the blocks
@@ -426,7 +428,7 @@ class LogStructuredStore:
                     # pointer.
                     seg = group.open_seg
                     end = seg * pool.segment_blocks + pool.fill[seg]
-                    locs.extend(range(end - len(run), end - 1))
+                    locs.extend(range(end - run, end - 1))
             self._settle_user_writes(lbas[settled:settled + len(locs)],
                                      locs, start_seq + settled, t)
             self.stats.read_requests += reads

@@ -5,7 +5,8 @@ The phase profiler says *where* replay time goes; this module says
 the slot provenance planes: it tags every appended data block with its
 origin (user write vs GC migration) and birth epoch (``user_seq`` at
 first write, preserved across migrations), and books every GC victim
-(group, segment age, valid ratio, origin mix of the migrated blocks).
+(group, segment age, valid ratio, origin mix of the migrated blocks)
+once, when it is reclaimed.
 Rolled up with the per-group traffic breakdown this yields a per-group
 WA ledger: user/GC/shadow/padding writes per group plus where GC'd
 blocks were born.  Both sections describe the *simulated store state*,
@@ -72,7 +73,7 @@ class AttributionRecorder(NullAttribution):
 
     __slots__ = ("_store", "slot_origin", "slot_epoch", "gc_groups",
                  "total_victims", "total_migrated_user_origin",
-                 "total_migrated_gc_origin")
+                 "total_migrated_gc_origin", "_victim_gc_origin")
 
     enabled = True
 
@@ -89,6 +90,9 @@ class AttributionRecorder(NullAttribution):
         self.total_victims = 0
         self.total_migrated_user_origin = 0
         self.total_migrated_gc_origin = 0
+        #: GC-origin blocks among the victim being cleaned (set by
+        #: ``gc_blocks``, booked and cleared by ``segment_reclaimed``).
+        self._victim_gc_origin = 0
 
     # -- store events ---------------------------------------------------
     def bind(self, store: Any) -> None:
@@ -103,15 +107,23 @@ class AttributionRecorder(NullAttribution):
         self.slot_epoch[locs] = np.arange(start_seq, start_seq + len(locs),
                                           dtype=np.int64)
 
-    def gc_victim(self, seg: int, group_id: int, created_seq: int,
-                  valid_blocks: int, now_us: int) -> None:
-        pool = self._store.pool
-        sb = pool.segment_blocks
-        origin = self.slot_origin[seg * sb:(seg + 1) * sb]
-        gc_origin = int(np.count_nonzero(
-            origin[pool.slot_valid[seg]] == ORIGIN_GC))
+    def gc_blocks(self, lbas, from_group: int, to_groups, old_locs,
+                  new_locs) -> None:
+        # old_locs are exactly the victim's valid slots.
+        self._victim_gc_origin = int(np.count_nonzero(
+            self.slot_origin[old_locs] == ORIGIN_GC))
+        # Old slots live in the victim and new ones outside it, so the
+        # gather and the scatter never alias.
+        self.slot_origin[new_locs] = ORIGIN_GC
+        self.slot_epoch[new_locs] = self.slot_epoch[old_locs]
+
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
+        gc_origin = self._victim_gc_origin
+        self._victim_gc_origin = 0
         user_origin = valid_blocks - gc_origin
         age_seq = self._store.user_seq - created_seq
+        sb = self._store.pool.segment_blocks
         agg = self.gc_groups.get(group_id)
         if agg is None:
             agg = self.gc_groups[group_id] = [0, 0, 0, 0, 0, 0]
@@ -124,17 +136,6 @@ class AttributionRecorder(NullAttribution):
         self.total_victims += 1
         self.total_migrated_user_origin += user_origin
         self.total_migrated_gc_origin += gc_origin
-
-    def gc_blocks(self, lbas, from_group: int, to_groups, old_locs,
-                  new_locs) -> None:
-        # Old slots live in the victim and new ones outside it, so the
-        # gather and the scatter never alias.
-        self.slot_origin[new_locs] = ORIGIN_GC
-        self.slot_epoch[new_locs] = self.slot_epoch[old_locs]
-
-    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
-                          valid_blocks: int, now_us: int) -> None:
-        sb = self._store.pool.segment_blocks
         self.slot_origin[seg * sb:(seg + 1) * sb] = ORIGIN_NONE
         self.slot_epoch[seg * sb:(seg + 1) * sb] = 0
 

@@ -12,6 +12,10 @@ appends every ``capacity`` of them to that file as JSON Lines, so
 arbitrarily long runs trace completely with bounded memory.  An
 :class:`Event` or a JSON dict is built only when records are read.  A
 tracer without a sink keeps nothing but the counts.
+
+A tracer is also the store observer that logs the store's chunk-flush
+and GC-victim records; its recorder subscribes it only when it has a
+sink, since without one those counts are the store's own.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 from typing import Any, NamedTuple
 
 from repro.common.errors import ConfigError
+from repro.common.observer import StoreObserver
 
 # Event types emitted by the instrumented simulator.
 EV_USER_WRITE = "user_write"
@@ -66,7 +71,7 @@ class Event(NamedTuple):
         return out
 
 
-class EventTracer:
+class EventTracer(StoreObserver):
     """Per-type event counts, plus JSONL spill of every event when
     ``spill_path`` is set.
 
@@ -101,6 +106,34 @@ class EventTracer:
             self.spill()
         records.append((self.spilled + len(records), time_us, type_,
                         values))
+
+    # -- the store's records (subscribed only with a spill_path) --------
+    def chunk_flush(self, group: Any, flush: Any) -> None:
+        """One ``chunk_flush`` record per chunk, after the first a
+        ``padding`` record if it padded and a ``lazy_append`` record if
+        it carried a shadowed backlog."""
+        gid = group.gid
+        name = group.spec.name
+        reason = flush.reason.value
+        padding = flush.padding_blocks
+        now_us = flush.time_us
+        # Only FULL flushes come in runs (a GC migration run, at one
+        # constant timestamp), so the chunks of a run are equally full.
+        per_chunk = flush.data_blocks // flush.count
+        emit = self.emit
+        emit(EV_CHUNK_FLUSH, now_us, gid, name, reason, per_chunk, padding)
+        if padding:
+            emit(EV_PADDING, now_us, gid, name, padding, reason)
+        if flush.lazy_blocks:
+            emit(EV_LAZY_APPEND, now_us, gid, flush.lazy_blocks)
+        for _ in range(flush.count - 1):
+            emit(EV_CHUNK_FLUSH, now_us, gid, name, reason, per_chunk,
+                 padding)
+
+    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
+                          valid_blocks: int, now_us: int) -> None:
+        """One ``gc_pass`` record per reclaimed victim."""
+        self.emit(EV_GC_PASS, now_us, seg, group_id, valid_blocks)
 
     @property
     def events(self) -> tuple[Event, ...]:

@@ -4,14 +4,22 @@
 :data:`NULL_RECORDER` singleton).  It overrides no store event
 (:mod:`repro.common.observer`), so the store never calls it, and its
 emitter hooks (``on_shadow_append``, ``on_demotion``, ...) are no-ops
-that policies call unguarded.  Together the recorder's events and hooks
-run about 0.2 times per user block
-(``test_obs_hook_calls_per_user_block_bounded``).
+that policies call unguarded.
 :class:`ObsRecorder` implements them for real: it feeds a
 :class:`~repro.obs.metrics.MetricsRegistry`, emits typed events into an
 :class:`~repro.obs.events.EventTracer`, and samples its one time series,
 a :class:`~repro.obs.timeline.ReplayTimeline`, every ``timeline_every``
 user blocks.
+
+An observer reads a store count rather than re-counting an event: what
+:class:`~repro.lss.stats.StoreStats` already counts — chunk flushes by
+reason, flushed and padding blocks, padded flushes by size, lazy
+appends, GC victims by valid blocks — becomes the recorder's counters,
+histograms and event counts when it finalizes or snapshots, so the
+recorder hears no ``chunk_flush`` and no ``segment_reclaimed``.  Only a
+tracer with a ``spill_path`` subscribes to those two events, to log
+their records.  What is left runs about 0.05 times per user block
+(``test_obs_hook_calls_per_user_block_bounded``).
 
 The recorder deliberately imports nothing from the simulator layers it
 observes (``lss``/``array``/``core``); hooks receive plain values or duck-
@@ -89,6 +97,10 @@ class ObsRecorder(NullRecorder):
     wherever :meth:`next_sample_seq` says a row is due, so the metrics
     registry, the timeline rows and the event stream all equal a
     per-block replay's (``tests/lss/test_replay_loop.py`` compares them).
+    The counters, histograms and event counts the store's
+    :class:`~repro.lss.stats.StoreStats` determines are set from it at
+    :meth:`finalize` and :meth:`snapshot` and cover the store's whole
+    life.
 
     Args:
         timeline_every: append one timeline row (and one ``user_write``
@@ -165,8 +177,11 @@ class ObsRecorder(NullRecorder):
                                 "configured logical address space")
         g.set(store.config.logical_blocks)
         self.timeline.bind(store)
+        if self.tracer.spill_path is not None:
+            store.subscribe(self.tracer)
 
     def finalize(self) -> None:
+        self._read_store_counts()
         stats = self._store.stats
         self.gauge("lss_write_amplification", stats.write_amplification())
         self.gauge("lss_padding_traffic_ratio", stats.padding_traffic_ratio())
@@ -191,47 +206,38 @@ class ObsRecorder(NullRecorder):
     def reads(self, count: int, now_us: int) -> None:
         self._reads.value += count
 
-    def chunk_flush(self, group: Any, flush: Any) -> None:
-        gid = group.gid
-        name = group.spec.name
-        reason = flush.reason.value
-        count = flush.count
-        data = flush.data_blocks
-        padding = flush.padding_blocks
-        now_us = flush.time_us
-        if reason == "full":
-            self._flush_full.value += count
-        elif reason == "deadline":
-            self._flush_deadline.value += count
-        else:
-            self._flush_forced.value += count
-        self._data_blocks.value += data
-        # Only FULL flushes come in runs, so the chunks of a run are
-        # equally full.
-        per_chunk = data // count
-        self._h_fill.observe_bulk(per_chunk, count)
-        emit = self.tracer.emit
-        emit(EV_CHUNK_FLUSH, now_us, gid, name, reason, per_chunk, padding)
-        if padding:
-            self._padding_blocks.value += padding
-            self._h_padding.observe(padding)
-            emit(EV_PADDING, now_us, gid, name, padding, reason)
-        if flush.lazy_blocks:
-            # The run's first chunk carried the shadowed backlog.
-            self._lazy_blocks.value += flush.lazy_blocks
-            emit(EV_LAZY_APPEND, now_us, gid, flush.lazy_blocks)
-        # Only a GC migration run flushes several chunks in one record,
-        # all at one constant timestamp.
-        for _ in range(count - 1):
-            emit(EV_CHUNK_FLUSH, now_us, gid, name, reason, per_chunk,
-                 padding)
-
-    def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
-                          valid_blocks: int, now_us: int) -> None:
-        self._gc_passes.value += 1
-        self._gc_migrated.value += valid_blocks
-        self._h_victim.observe(valid_blocks)
-        self.tracer.emit(EV_GC_PASS, now_us, seg, group_id, valid_blocks)
+    def _read_store_counts(self) -> dict[str, int]:
+        """Set every counter and histogram the store's stats determine,
+        and return the event counts they determine (the records a
+        spilling tracer logs for chunk flushes and GC victims)."""
+        if self._store is None:
+            return {}
+        stats = self._store.stats
+        groups = stats.groups
+        flushes = sum(g.chunk_flushes for g in groups)
+        deadline = sum(g.deadline_flushes for g in groups)
+        forced = sum(g.forced_flushes for g in groups)
+        full = flushes - deadline - forced
+        padding = stats.padding_blocks_written
+        self._flush_full.value = full
+        self._flush_deadline.value = deadline
+        self._flush_forced.value = forced
+        self._data_blocks.value = stats.flash_blocks_written - padding
+        self._padding_blocks.value = padding
+        self._lazy_blocks.value = stats.lazy_blocks
+        self._gc_passes.value = stats.gc_segments_reclaimed
+        self._gc_migrated.value = stats.gc_blocks_migrated
+        # A padded flush of p blocks carried chunk_blocks - p data
+        # blocks; a FULL chunk carried chunk_blocks.
+        padded = list(enumerate(stats.padded_flushes))
+        cb = len(padded)
+        _set_tally(self._h_fill,
+                   [(cb - p, n) for p, n in padded] + [(cb, full)])
+        _set_tally(self._h_padding, padded)
+        _set_tally(self._h_victim, enumerate(stats.victim_valid))
+        return {EV_CHUNK_FLUSH: flushes, EV_PADDING: deadline + forced,
+                EV_LAZY_APPEND: stats.lazy_appends,
+                EV_GC_PASS: stats.gc_segments_reclaimed}
 
     # ------------------------------------------------------------------
     # emitter hooks
@@ -279,9 +285,22 @@ class ObsRecorder(NullRecorder):
         Everything is picklable, so :func:`replay_volume` can attach it to
         a :class:`VolumeResult` even across worker processes.
         """
+        events = dict(self.tracer.counts)
+        for type_, count in self._read_store_counts().items():
+            if count:
+                events[type_] = count
         snap = self.registry.snapshot()
-        snap["events"] = dict(self.tracer.counts)
+        snap["events"] = events
         snap["events_spilled"] = self.tracer.spilled
         snap["timeline_rows"] = len(self.timeline)
         snap["final"] = self.timeline.final()
         return snap
+
+
+def _set_tally(hist: Any, tally) -> None:
+    """Make ``hist`` hold exactly the ``(value, count)`` observations of
+    ``tally``."""
+    hist.counts[:] = 0
+    hist.sum = 0.0
+    for value, count in tally:
+        hist.observe_bulk(value, count)

@@ -82,12 +82,8 @@ class SepBITPolicy(PlacementPolicy):
         # the class is how many geometric boundaries the age clears.
         last = self._last_user_write[lbas]
         age = np.where(last >= 0, self.user_seq - last, self.user_seq)
-        cls = np.zeros(int(lbas.shape[0]), dtype=np.int64)
-        bound = self.threshold * 4
-        for _ in range(self.num_gc_groups - 1):
-            cls += age >= bound
-            bound *= 4
-        return self.GC_BASE + cls
+        bounds = gc_age_bounds(self.threshold, self.num_gc_groups)
+        return self.GC_BASE + bounds.searchsorted(age, side="right")
 
     def block_age(self, lba: int) -> int:
         last = self._last_user_write_mv[lba]
@@ -114,6 +110,19 @@ class SepBITPolicy(PlacementPolicy):
 
     def memory_bytes(self) -> int:
         return self._last_user_write.nbytes
+
+
+def gc_age_bounds(unit: float, classes: int) -> np.ndarray:
+    """The GC age ladder's class boundaries ``unit·4^i`` for ``i = 1 ..
+    classes - 1``, built by the repeated ``*4`` the per-block ladders
+    use, so a block's class is how many of them its age reaches (one
+    ``searchsorted(age, side="right")``)."""
+    bounds = []
+    bound = unit * 4
+    for _ in range(classes - 1):
+        bounds.append(bound)
+        bound *= 4
+    return np.array(bounds, dtype=np.float64)
 
 
 register(SepBITPolicy.name, SepBITPolicy)

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.observer import NO_SAMPLE, StoreObserver
-from repro.lss.group import (APPEND_GC, APPEND_SHADOW, APPEND_USER)
+from repro.lss.group import APPEND_GC, APPEND_USER
 from repro.lss.segment import SEG_FREE
 from repro.lss.store import UNMAPPED
 
@@ -156,12 +156,10 @@ def check_coalescing_bounds(store: "LogStructuredStore") -> None:
                         f"{chunk_blocks - 1}")
 
 
-def _pending_by_kind(store: "LogStructuredStore") -> dict[int, int]:
-    pending = {APPEND_USER: 0, APPEND_GC: 0, APPEND_SHADOW: 0}
-    for group in store.groups:
-        for kind, _lba in group.buffer.pending_tokens:
-            pending[kind] += 1
-    return pending
+def _pending_by_kind(store: "LogStructuredStore") -> list[int]:
+    """Pending blocks per append kind, summed over the groups' chunks."""
+    return [sum(counts) for counts
+            in zip(*(group.buffer.pending for group in store.groups))]
 
 
 def check_traffic_conservation(store: "LogStructuredStore") -> None:

@@ -55,20 +55,16 @@ class OracleBuffer:
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
         self.sla_mode = sla_mode
-        self._tokens: list = []
+        self._kinds: list[int] = []  # one append kind per pending block
         self._timer_start_us: int | None = None
 
     @property
     def pending_blocks(self) -> int:
-        return len(self._tokens)
+        return len(self._kinds)
 
     @property
     def free_slots(self) -> int:
-        return self.chunk_blocks - len(self._tokens)
-
-    @property
-    def pending_tokens(self) -> tuple:
-        return tuple(self._tokens)
+        return self.chunk_blocks - len(self._kinds)
 
     @property
     def deadline_us(self) -> int | None:
@@ -77,33 +73,33 @@ class OracleBuffer:
         return self._timer_start_us + self.window_us
 
     def reset_timer(self, now_us: int) -> None:
-        if self._tokens:
+        if self._kinds:
             self._timer_start_us = now_us
 
-    def append(self, token, now_us: int) -> ChunkFlush | None:
-        if not self._tokens or self.sla_mode == "idle":
+    def append(self, kind: int, now_us: int) -> ChunkFlush | None:
+        if not self._kinds or self.sla_mode == "idle":
             self._timer_start_us = now_us
-        self._tokens.append(token)
-        if len(self._tokens) >= self.chunk_blocks:
+        self._kinds.append(kind)
+        if len(self._kinds) >= self.chunk_blocks:
             return self._emit(FlushReason.FULL, now_us, pad=False)
         return None
 
     def poll(self, now_us: int) -> ChunkFlush | None:
         dl = self.deadline_us
-        if dl is not None and now_us >= dl and self._tokens:
+        if dl is not None and now_us >= dl and self._kinds:
             return self._emit(FlushReason.DEADLINE, now_us, pad=True)
         return None
 
     def force_flush(self, now_us: int) -> ChunkFlush | None:
-        if not self._tokens:
+        if not self._kinds:
             return None
         return self._emit(FlushReason.FORCED, now_us, pad=True)
 
     def _emit(self, reason: FlushReason, now_us: int,
               pad: bool) -> ChunkFlush:
-        kinds = [kind for kind, _lba in self._tokens]
+        kinds = self._kinds
         padding = self.chunk_blocks - len(kinds) if pad else 0
-        self._tokens.clear()
+        self._kinds = []
         self._timer_start_us = None
         return ChunkFlush(reason=reason, count=1,
                           user_blocks=kinds.count(APPEND_USER),
@@ -385,19 +381,20 @@ class OracleGroup:
     def append_gc(self, lba: int, now_us: int) -> int:
         return self._append_data(lba, now_us, APPEND_GC)
 
-    def append_shadow(self, lba: int, now_us: int) -> None:
-        seg = self._ensure_open_segment()
-        self.store.pool.append_padding(seg, 1)  # dead slot, real write
-        flush = self.buffer.append((APPEND_SHADOW, lba), now_us)
-        self.segment_shadow_bytes += self.store.config.chunk.block_bytes
-        if flush is not None:
-            self._account_flush(flush)
-        self._maybe_seal()
+    def append_shadow(self, n: int, now_us: int) -> None:
+        for _ in range(n):
+            seg = self._ensure_open_segment()
+            self.store.pool.append_padding(seg, 1)  # dead slot, real write
+            flush = self.buffer.append(APPEND_SHADOW, now_us)
+            self.segment_shadow_bytes += self.store.config.chunk.block_bytes
+            if flush is not None:
+                self._account_flush(flush)
+            self._maybe_seal()
 
     def _append_data(self, lba: int, now_us: int, kind: int) -> int:
         seg = self._ensure_open_segment()
         loc = self.store.pool.append_block(seg, lba)
-        flush = self.buffer.append((kind, lba), now_us)
+        flush = self.buffer.append(kind, now_us)
         if flush is not None:
             self._account_flush(flush)
         self._maybe_seal()
@@ -441,8 +438,8 @@ class OracleGroup:
 
     # -- cross-group aggregation surface --------------------------------
     @property
-    def unshadowed_pending(self) -> tuple:
-        return self.buffer.pending_tokens[self._shadow_mark:]
+    def unshadowed_pending(self) -> int:
+        return self.buffer.pending_blocks - self._shadow_mark
 
     def mark_all_shadowed(self, now_us: int) -> None:
         self._shadow_mark = self.buffer.pending_blocks

@@ -82,7 +82,7 @@ def test_combined_flush_carries_both_streams(adapt_store):
     store.process_request(2, 1, 5, 1)     # cold
     store.process_request(3, 1, 5, 1)     # quick rewrite -> hot pending
     assert cold.buffer.pending_blocks >= 1
-    assert len(hot.unshadowed_pending) >= 1
+    assert hot.unshadowed_pending >= 1
     store.tick(50_000)
     # Hot never padded; its pending blocks were substituted into the cold
     # chunk, which flushed at its own deadline carrying both streams.

@@ -166,6 +166,57 @@ def test_metrics_fleet_without_an_event_sink_builds_no_event(monkeypatch):
         == _FLEET_EVENT_COUNTS
 
 
+#: volume -> (sha256 of its metrics snapshot, sha256 of its attribution
+#: snapshot), both as sort_keys JSON, for the 2-volume metrics +
+#: attribution fleet below; captured at the commit before the recorder
+#: and attribution stopped counting flushes and victims themselves.
+_FLEET_SNAPSHOT_SHA = {
+    "ali-0000": (
+        "a8cba3afc9a067f4b25e62091f1e68223f39669dc5c48a307cc24f8f5e64d2e0",
+        "29533362d64f010d968c0631556c1e6d7041018571cfb68978b5af4703e93b74"),
+    "ali-0001": (
+        "0a7e2ff438a991a6731aefa2fa393355dbdb55827dbcbafc0757cfe55b2c7943",
+        "8416b138deffd32cce1fc5991fb5b6a835e746ddf7178394227ceaa4e34ad67a"),
+}
+
+
+def test_observers_count_nothing_the_store_counts(monkeypatch):
+    """Without an event sink, no recorder or tracer handler runs per
+    chunk flush or per GC victim, and attribution books each victim
+    once: the counts come from the store's stats, and the snapshots
+    equal the ones the re-counting observers produced."""
+    import hashlib
+
+    import repro.lss.store as store_module
+    from repro.obs.attribution import AttributionRecorder
+
+    built = []
+
+    class KeptEvents(store_module.StoreEvents):
+        __slots__ = ()
+
+        def __init__(self, observers):
+            super().__init__(observers)
+            built.append(self)
+
+    monkeypatch.setattr(store_module, "StoreEvents", KeptEvents)
+    spec = FleetSpec(num_volumes=2, volume_blocks=2048, volume_requests=800,
+                     chunk_requests=256, collect_metrics=True,
+                     collect_attribution=True)
+    result = run_fleet(spec, workers=1)
+    assert len(built) == 2
+    for events in built:
+        policy = events.observers[0]
+        assert [h.__self__ for h in events.chunk_flush] in ([], [policy])
+        owners = [type(h.__self__) for h in events.segment_reclaimed]
+        assert owners == [type(policy), AttributionRecorder]
+        assert not hasattr(events, "gc_victim")
+    assert {v["volume"]: tuple(
+        hashlib.sha256(json.dumps(v[key], sort_keys=True).encode())
+        .hexdigest() for key in ("metrics", "attribution"))
+        for v in result.volumes} == _FLEET_SNAPSHOT_SHA
+
+
 def test_attribution_snapshots_identical_across_sharding():
     """Attribution rides the volume reports: serial and sharded runs
     carry identical snapshots, and the aggregate's merged sections are

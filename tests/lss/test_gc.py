@@ -44,9 +44,7 @@ def test_gc_counts_match(tiny_config):
     # All migrated blocks were either flushed or are still pending in the
     # GC group's open chunk.
     from repro.lss.group import APPEND_GC
-    pending_gc = sum(1 for g in store.groups
-                     for kind, _ in g.buffer.pending_tokens
-                     if kind == APPEND_GC)
+    pending_gc = sum(g.buffer.pending[APPEND_GC] for g in store.groups)
     assert st.gc_blocks_migrated == st.gc_blocks_written + pending_gc
 
 

@@ -34,31 +34,54 @@ def test_padding_advances_fill_to_chunk_boundary(store, tiny_config):
 
 def test_shadow_append_creates_dead_slot(store):
     g = store.groups[0]
-    g.append_shadow(lba=7, now_us=0)
+    g.append_shadow(1, now_us=0)
     seg = g.open_seg
     assert store.pool.fill[seg] == 1
     assert store.pool.valid_count[seg] == 0
     assert g.segment_shadow_bytes == 4096
-    assert g.buffer.pending_tokens == ((APPEND_SHADOW, 7),)
+    assert g.buffer.pending == [0, 0, 1]
+    assert g.buffer.pending[APPEND_SHADOW] == g.buffer.pending_blocks == 1
 
 
 def test_shadow_accounted_on_flush(store, tiny_config):
     g = store.groups[0]
-    for i in range(tiny_config.chunk.chunk_blocks):
-        g.append_shadow(i, now_us=0)
+    g.append_shadow(tiny_config.chunk.chunk_blocks, now_us=0)
     assert g.traffic.shadow_blocks == tiny_config.chunk.chunk_blocks
     assert g.traffic.chunk_flushes == 1
+
+
+def test_shadow_run_equals_single_shadow_appends(tiny_config):
+    """append_shadow(n) splits where it fills the open chunk, so one
+    call leaves what n one-block calls leave — across a segment seal."""
+    import numpy as np
+
+    def shadowed(calls):
+        store = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
+        flushes = FlushLog(store).flushes
+        g = store.groups[0]
+        g.append_user(1, now_us=0)
+        for n in calls:
+            g.append_shadow(n, now_us=3)
+        return (flushes, g.traffic, g.buffer.pending, g.buffer.deadline_us,
+                g.open_seg, g.segment_shadow_bytes,
+                list(store.pool.fill), store.pool.state.tolist())
+
+    n = tiny_config.segment_blocks + 3
+    run = shadowed([n])
+    assert run == shadowed([1] * n)
+    assert np.count_nonzero(np.array(run[7])) == 2  # one sealed, one open
 
 
 def test_shadow_watermark_and_unshadowed(store):
     g = store.groups[0]
     g.append_user(1, 0)
     g.append_user(2, 0)
-    assert len(g.unshadowed_pending) == 2
+    assert g.unshadowed_pending == 2
     g.mark_all_shadowed(now_us=5)
-    assert g.unshadowed_pending == ()
+    assert g.unshadowed_pending == 0
     g.append_user(3, 6)
-    assert g.unshadowed_pending == ((APPEND_USER, 3),)
+    assert g.unshadowed_pending == 1
+    assert g.buffer.pending[APPEND_USER] == 3
 
 
 def test_partial_shadow_watermark(store):
@@ -66,10 +89,10 @@ def test_partial_shadow_watermark(store):
     for lba in (1, 2, 3):
         g.append_user(lba, 0)
     g.mark_partially_shadowed(2, now_us=5)
-    assert g.unshadowed_pending == ((APPEND_USER, 3),)
+    assert g.unshadowed_pending == 1
     before = g.buffer.deadline_us
     g.mark_partially_shadowed(1, now_us=50)
-    assert g.unshadowed_pending == ()
+    assert g.unshadowed_pending == 0
     assert g.buffer.deadline_us == 150  # timer restarted at full coverage
     assert before != g.buffer.deadline_us
 
@@ -83,7 +106,7 @@ def test_watermark_resets_on_flush(store, tiny_config):
     # Chunk flushed FULL; watermark must reset for the next chunk.
     assert g.buffer.pending_blocks == 0
     g.append_user(99, 1)
-    assert len(g.unshadowed_pending) == 1
+    assert g.unshadowed_pending == 1
 
 
 def test_deadline_flush_counters(store):
@@ -110,14 +133,14 @@ def _reserve_in_runs(tiny_config, cuts):
     flushes = FlushLog(store).flushes
     g = store.groups[0]
     n = tiny_config.segment_blocks + 3
-    locs, run = [], []
+    locs, run = [], 0
     for i in range(n):
-        run.append(100 + i)
-        if g.open_seg is None or len(run) == g.buffer.free_slots \
+        run += 1
+        if g.open_seg is None or run == g.buffer.free_slots \
                 or i + 1 in cuts or (i + 1) % _REQUEST_BLOCKS == 0 \
                 or i + 1 == n:
             locs.extend(g.reserve_user(run, now_us=i // _REQUEST_BLOCKS))
-            run = []
+            run = 0
         store.user_seq += 1
     return store, g, locs, flushes
 
@@ -146,7 +169,7 @@ def _check_runs_against_append_user(tiny_config, cuts):
     assert lazy_locs == eager_locs
     assert lazy_flushes == eager_flushes
     assert gl.traffic == ge.traffic
-    assert gl.buffer.pending_tokens == ge.buffer.pending_tokens
+    assert gl.buffer.pending == ge.buffer.pending
     assert gl.buffer.deadline_us == ge.buffer.deadline_us
     assert gl.open_seg == ge.open_seg
     for plane in ("fill", "state", "sealed_seq", "created_seq"):

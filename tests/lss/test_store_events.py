@@ -1,9 +1,11 @@
 """The store's one event seam (``repro.common.observer``).
 
 Every observer — the policy, the recorder, the attribution ledger, the
-auditor, the FTL bridge and anything ``store.subscribe`` adds — hears
-each event in one documented order, and a store calls only the
-observers that override an event.  ADAPT's demotion cascades, fed one
+auditor, a spilling recorder's tracer, the FTL bridge and anything
+``store.subscribe`` adds — hears each event in one documented order, and
+a store calls only the observers that override an event.  No observer
+re-counts a chunk flush or a GC victim: only a tracer with a sink hears
+those, to log their records.  ADAPT's demotion cascades, fed one
 ``gc_blocks`` call per victim, end where the oracle's one call per
 migrated block leaves them.
 """
@@ -18,6 +20,7 @@ from repro.core.policy import AdaptPolicy
 from repro.ftl.bridge import StreamBridge
 from repro.lss.store import LogStructuredStore
 from repro.obs.attribution import AttributionRecorder
+from repro.obs.events import EventTracer
 from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.placement.sepbit import SepBITPolicy
@@ -27,8 +30,8 @@ from repro.validate.differential import (default_workloads,
 from repro.validate.oracle import OracleStore
 
 #: The documented subscriber order, by the names the log below uses.
-ORDER = ("policy", "recorder", "attribution", "auditor", "bridge",
-         "recording")
+ORDER = ("policy", "recorder", "attribution", "auditor", "tracer",
+         "bridge", "recording")
 
 
 def _logged(cls, name: str, log: list):
@@ -57,12 +60,16 @@ def _recording(log: list) -> StoreObserver:
                 {event: hook(event) for event in EVENTS})()
 
 
-def _observed_replay(policy_cls):
+def _observed_replay(policy_cls, spill_path=None):
     log: list = []
     cfg = differential_config()
+    recorder = _logged(ObsRecorder, "recorder", log)(100)
+    if spill_path is not None:
+        recorder.tracer = _logged(EventTracer, "tracer", log)(
+            spill_path=str(spill_path))
     store = LogStructuredStore(
         cfg, _logged(policy_cls, "policy", log)(cfg),
-        recorder=_logged(ObsRecorder, "recorder", log)(100),
+        recorder=recorder,
         attribution=_logged(AttributionRecorder, "attribution", log)(),
         auditor=_logged(InvariantAuditor, "auditor", log)(every_blocks=256))
     _logged(StreamBridge, "bridge", log)(store)
@@ -71,11 +78,9 @@ def _observed_replay(policy_cls):
     return store, log
 
 
-@pytest.mark.parametrize("policy_cls", (AdaptPolicy, SepBITPolicy),
-                         ids=("adapt", "sepbit"))
-def test_every_event_reaches_its_subscribers_in_the_documented_order(
-        policy_cls):
-    store, log = _observed_replay(policy_cls)
+def _subscribers(store, log) -> dict[str, tuple[str, ...]]:
+    """Per event, the observers that heard it, checked to be the same
+    documented order at every firing and to be exactly its overriders."""
     # Each firing ends at the recording subscriber, which overrides every
     # event; no handler fires another event, so firings do not nest.
     firings, current = [], []
@@ -92,17 +97,42 @@ def test_every_event_reaches_its_subscribers_in_the_documented_order(
         names = tuple(name for _, name in firing)
         assert subscribers.setdefault(event, names) == names, event
     assert set(subscribers) == set(EVENTS)
+    spilling = any(name == "tracer" for _, name in log)
+    present = [n for n in ORDER if n != "tracer" or spilling]
     for event, names in subscribers.items():
         assert names == tuple(n for n in ORDER if n in names), event
-        overriders = {o for o, obj in zip(ORDER, store.events.observers)
+        overriders = {o for o, obj in zip(present, store.events.observers)
                       if getattr(type(obj), event)
                       is not getattr(StoreObserver, event)}
         assert set(names) == overriders, event
+    return subscribers
+
+
+@pytest.mark.parametrize("policy_cls", (AdaptPolicy, SepBITPolicy),
+                         ids=("adapt", "sepbit"))
+def test_every_event_reaches_its_subscribers_in_the_documented_order(
+        policy_cls):
+    store, log = _observed_replay(policy_cls)
+    subscribers = _subscribers(store, log)
     assert subscribers["gc_blocks"][:2] == (
         ("policy", "attribution") if policy_cls is AdaptPolicy
         else ("attribution", "recording"))
     assert subscribers["segment_reclaimed"] == (
-        "policy", "recorder", "attribution", "bridge", "recording")
+        "policy", "attribution", "bridge", "recording")
+    assert subscribers["chunk_flush"] == (
+        ("policy", "bridge", "recording") if policy_cls is AdaptPolicy
+        else ("bridge", "recording"))
+
+
+def test_a_spilling_recorder_subscribes_its_tracer_to_flushes_and_victims(
+        tmp_path):
+    store, log = _observed_replay(SepBITPolicy, tmp_path / "ev.jsonl")
+    subscribers = _subscribers(store, log)
+    assert subscribers["chunk_flush"] == ("tracer", "bridge", "recording")
+    assert subscribers["segment_reclaimed"] == (
+        "policy", "attribution", "tracer", "bridge", "recording")
+    assert {e for e, n in log if n == "tracer"} == {
+        "chunk_flush", "segment_reclaimed"}
 
 
 def test_store_without_observers_subscribes_nothing():

@@ -34,7 +34,7 @@ def _replayed_recorder(policy_name="sepgc"):
 
 def test_null_attribution_is_inert():
     assert not NULL_ATTRIBUTION.enabled
-    NULL_ATTRIBUTION.gc_victim(0, 1, 10, 4, 0)
+    NULL_ATTRIBUTION.segment_reclaimed(0, 1, 10, 4, 0)
     NULL_ATTRIBUTION.publish(MetricsRegistry())
     assert NULL_ATTRIBUTION.snapshot() is None
     # It overrides no store event, so a store never calls it.
@@ -52,7 +52,9 @@ def test_store_defaults_to_null_attribution():
     assert not hasattr(store.attribution, "slot_origin")
 
 
-def test_gc_victim_hook_aggregates_and_running_totals():
+def test_victim_booking_aggregates_and_running_totals():
+    """Each victim is booked once, when it is reclaimed, with the origin
+    mix its gc_blocks event carried."""
     store, attr = _replayed_recorder("adapt")
     stats = store.stats
     rows = list(attr.gc_groups.values())
@@ -156,4 +158,4 @@ def test_write_attribution_json_atomic_and_stable(tmp_path):
 def test_unknown_gc_cause_still_counts():
     attr = AttributionRecorder()
     with pytest.raises(TypeError):
-        attr.gc_victim()  # events take explicit positional values
+        attr.segment_reclaimed()  # events take explicit positional values

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs.recorder import ObsRecorder
@@ -42,9 +43,13 @@ def test_recorder_does_not_change_batched_results(policy_name):
 
 def test_flush_record_of_count_n_equals_n_records_of_one(tmp_path):
     """The flush-record contract every consumer relies on: one record
-    with ``count = n`` books what n single-flush records book — in the
-    metrics registry, ADAPT's write monitor, the RAID layer and the
-    event stream, lazy append after the first chunk."""
+    with ``count = n`` books what n single-flush records book — in
+    ADAPT's write monitor, the RAID layer and the event stream, lazy
+    append after the first chunk.  The recorder's registry is read from
+    the store's own counts, so its half of the contract is the store's:
+    an append run that fills n chunks books, in :class:`StoreStats` and
+    hence in the registry and the event counts, what n runs that fill
+    one chunk each book."""
     from repro.array.coalescing import ChunkFlush, FlushReason
 
     n, time_us = 5, 700
@@ -63,17 +68,42 @@ def test_flush_record_of_count_n_equals_n_records_of_one(tmp_path):
         for flush in flushes:
             store.on_chunk_flush(hot, flush)
         monitor = store.policy.aggregator.monitor_for(hot.gid)
-        return (rec.registry.snapshot(), dataclasses.asdict(monitor),
+        return (dataclasses.asdict(monitor),
                 dataclasses.asdict(store.stats.raid),
                 spilled_events(rec.tracer))
 
     assert book([run], tmp_path / "run.jsonl") \
         == book([first] + [rest] * (n - 1), tmp_path / "single.jsonl")
-    snapshot, monitor, raid, _ = book([run], tmp_path / "again.jsonl")
-    assert snapshot["counters"]["lss_chunk_flushes_full_total"] == n
-    assert snapshot["counters"]["lss_lazy_append_blocks_total"] == 2
+    monitor, raid, events = book([run], tmp_path / "again.jsonl")
     assert monitor["full_flushes"] == n and monitor["shadow_blocks"] == 3
     assert raid["data_chunks"] == n
+    assert [e["type"] for e in events] == \
+        ["chunk_flush", "lazy_append"] + ["chunk_flush"] * (n - 1)
+
+    def counted(runs):
+        """A GC group whose first 3 pending blocks were shadowed, then
+        appended in ``runs``; the store's stats and the registry."""
+        rec = ObsRecorder()
+        store = fresh_store("adapt", recorder=rec)
+        g = store.groups[store.policy.GC_BASE]
+        lbas = np.arange(3 + sum(runs), dtype=np.int64)
+        g.append_gc_run(lbas[:3], time_us)
+        g.mark_all_shadowed(time_us)
+        done = 3
+        for k in runs:
+            g.append_gc_run(lbas[done:done + k], time_us)
+            done += k
+        return dataclasses.asdict(store.stats), rec.snapshot()
+
+    k = 3  # chunks one segment holds after the shadowed backlog
+    stats, snap = counted([k * cb - 3])
+    assert (stats, snap) == counted([cb - 3] + [cb] * (k - 1))
+    assert stats["lazy_appends"] == 1 and stats["lazy_blocks"] == 3
+    assert snap["counters"]["lss_chunk_flushes_full_total"] == k
+    assert snap["counters"]["lss_lazy_append_blocks_total"] == 3
+    assert snap["counters"]["lss_flushed_data_blocks_total"] == k * cb
+    assert snap["histograms"]["lss_chunk_fill_blocks"]["count"] == k
+    assert snap["events"] == {"chunk_flush": k, "lazy_append": 1}
 
 
 #: policy -> (events, sha256 of the event list, sha256 of the recorder

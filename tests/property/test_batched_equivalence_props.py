@@ -56,7 +56,7 @@ def _ghost_state(g: GhostSet) -> tuple:
         sorted(g._where),
         [(s.blocks, s.padding, s.valid, s.sealed) for s in g._open],
         [(s.blocks, s.padding, s.valid, s.sealed) for s in g._sealed],
-        [(list(b._tokens), b._timer_start_us) for b in g._buffers],
+        list(g._pending), list(g._timer),
     )
 
 

@@ -76,9 +76,7 @@ def test_mapping_and_traffic_invariants(ops, policy_name):
     stats = store.stats
     assert stats.user_blocks_requested == trace.total_write_blocks()
     # Conservation: every requested user block was flushed or is pending.
-    pending_user = sum(
-        1 for g in store.groups
-        for kind, _ in g.buffer.pending_tokens if kind == APPEND_USER)
+    pending_user = sum(g.buffer.pending[APPEND_USER] for g in store.groups)
     assert stats.user_blocks_written + pending_user == \
         stats.user_blocks_requested
 

@@ -74,19 +74,22 @@ def test_cascade_bloom_score_bounds_exact_score(keys):
 @settings(max_examples=80, deadline=None)
 def test_coalescing_conserves_tokens(gaps, chunk_blocks, sla_mode):
     buf = CoalescingBuffer(chunk_blocks, 100, sla_mode=sla_mode)
-    out, now = [], 0
+    out, now = [0, 0, 0], 0
     for i, gap in enumerate(gaps):
         now += gap
         drained = buf.poll(now)
         if drained:
-            assert len(drained) < chunk_blocks         # owner pads the rest
-            out.extend(drained)
-        drained = buf.append(i, now)
-        if drained:
-            assert len(drained) == chunk_blocks        # FULL flush
-            out.extend(drained)
-    out.extend(buf.force_flush() or ())
-    assert out == list(range(len(gaps)))               # order preserved
+            assert sum(drained) < chunk_blocks         # owner pads the rest
+            out = [a + b for a, b in zip(out, drained)]
+        kind = i % 3
+        nf, drained = buf.append_run(kind, 1, now)
+        if nf:
+            drained[kind] += 1
+            assert sum(drained) == chunk_blocks        # FULL flush
+            out = [a + b for a, b in zip(out, drained)]
+    out = [a + b for a, b in zip(out, buf.force_flush() or [0, 0, 0])]
+    n = len(gaps)                                      # none lost per kind
+    assert out == [(n + 2) // 3, (n + 1) // 3, n // 3]
 
 
 # ----------------------------------------------------------------------
