@@ -98,9 +98,10 @@ class CascadedDiscriminator:
     * ``use_bloom=True`` — real :class:`BloomFilter` probes, including
       false positives.  Tests cross-check the two modes.
 
-    ``holders``, when given, is a dict shared by several cascades: key ->
-    how many of their live member sets hold it.  Inserts and evictions
-    keep it exact, so a key it lacks scores 0 in every one of them.
+    ``holders`` maps key -> how many live member sets hold it.  It is the
+    cascade's own unless several cascades share one (proactive demotion
+    does); inserts and evictions keep it exact, so a key it lacks scores
+    0 in every cascade that shares it.
     """
 
     __slots__ = ("num_filters", "capacity", "fp_rate", "use_bloom",
@@ -122,7 +123,7 @@ class CascadedDiscriminator:
         self.evictions = 0
         self._bytes_per_filter = \
             BloomFilter(capacity, fp_rate).memory_bytes()
-        self._holders = holders
+        self._holders: dict[int, int] = {} if holders is None else holders
 
     def _new_filter(self) -> BloomFilter | None:
         return BloomFilter(self.capacity, self.fp_rate) \
@@ -146,27 +147,22 @@ class CascadedDiscriminator:
                     evicted = self._members.pop(0)
                     self._counts.pop(0)
                     self.evictions += 1
-                    if holders is not None:
-                        for key in evicted:
-                            left = holders[key] - 1
-                            if left:
-                                holders[key] = left
-                            else:
-                                del holders[key]
+                    for key in evicted:
+                        left = holders[key] - 1
+                        if left:
+                            holders[key] = left
+                        else:
+                            del holders[key]
             part = keys[done:done + self.capacity - self._counts[-1]]
             if self.use_bloom:
                 for key in part:
                     self._filters[-1].add(key)
-            members = self._members[-1]
-            if holders is None:
-                members.update(part)
-            else:
-                new = set(part)
-                new -= members
-                members |= new
-                get = holders.get
-                for key in new:
-                    holders[key] = get(key, 0) + 1
+            new = set(part)
+            new -= self._members[-1]
+            self._members[-1] |= new
+            get = holders.get
+            for key in new:
+                holders[key] = get(key, 0) + 1
             self._counts[-1] += len(part)
             done += len(part)
 

@@ -64,8 +64,9 @@ class LogStructuredStore:
             keeps the per-slot provenance planes); defaults to the shared
             no-op sink.
 
-    The policy, the recorder, the attribution sink and the auditor are
-    the store's observers, in that order: each hears the store's events
+    The policy, the recorder, the attribution sink, the auditor and the
+    recorder's ``event_log()`` (a spilling recorder's tracer) are the
+    store's observers, in that order: each hears the store's events
     through :attr:`events` (:mod:`repro.common.observer`), and
     :meth:`subscribe` appends another.
     """
@@ -129,7 +130,8 @@ class LogStructuredStore:
         self.user_seq = 0
         self.now_us = 0
         self.events = StoreEvents(
-            o for o in (policy, self.obs, self.attribution, auditor)
+            o for o in (policy, self.obs, self.attribution, auditor,
+                        self.obs.event_log())
             if o is not None)
         for observer in self.events.observers:
             observer.bind(self)

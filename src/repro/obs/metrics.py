@@ -110,6 +110,14 @@ class Histogram:
         self.counts[bisect_left(self._edge_list, value)] += count
         self.sum += value * count
 
+    def set_tally(self, tally: Iterable[tuple[float, int]]) -> None:
+        """Hold exactly the observations of ``tally``, ``(value, count)``
+        pairs, dropping any recorded before."""
+        self.counts[:] = 0
+        self.sum = 0.0
+        for value, count in tally:
+            self.observe_bulk(value, count)
+
     @property
     def count(self) -> int:
         return int(self.counts.sum())

@@ -17,8 +17,9 @@ reason, flushed and padding blocks, padded flushes by size, lazy
 appends, GC victims by valid blocks — becomes the recorder's counters,
 histograms and event counts when it finalizes or snapshots, so the
 recorder hears no ``chunk_flush`` and no ``segment_reclaimed``.  Only a
-tracer with a ``spill_path`` subscribes to those two events, to log
-their records.  What is left runs about 0.05 times per user block
+tracer with a ``spill_path`` hears those two events, to log their
+records: the recorder's :meth:`~NullRecorder.event_log` hands it to the
+store, which subscribes it after its own observers.  What is left runs about 0.05 times per user block
 (``test_obs_hook_calls_per_user_block_bounded``).
 
 The recorder deliberately imports nothing from the simulator layers it
@@ -72,6 +73,11 @@ class NullRecorder(StoreObserver):
     def on_audit_violation(self, invariant: str, detail: str,
                            now_us: int) -> None:
         """An :class:`~repro.validate.InvariantAuditor` check failed."""
+
+    def event_log(self) -> StoreObserver | None:
+        """The observer that logs the store's flush and victim records,
+        or ``None``; the store subscribes it after its own observers."""
+        return None
 
     # -- generic escape hatches -----------------------------------------
     def gauge(self, name: str, value: float) -> None:
@@ -177,8 +183,9 @@ class ObsRecorder(NullRecorder):
                                 "configured logical address space")
         g.set(store.config.logical_blocks)
         self.timeline.bind(store)
-        if self.tracer.spill_path is not None:
-            store.subscribe(self.tracer)
+
+    def event_log(self) -> EventTracer | None:
+        return self.tracer if self.tracer.spill_path is not None else None
 
     def finalize(self) -> None:
         self._read_store_counts()
@@ -230,11 +237,11 @@ class ObsRecorder(NullRecorder):
         # A padded flush of p blocks carried chunk_blocks - p data
         # blocks; a FULL chunk carried chunk_blocks.
         padded = list(enumerate(stats.padded_flushes))
-        cb = len(padded)
-        _set_tally(self._h_fill,
-                   [(cb - p, n) for p, n in padded] + [(cb, full)])
-        _set_tally(self._h_padding, padded)
-        _set_tally(self._h_victim, enumerate(stats.victim_valid))
+        cb = self._store.config.chunk.chunk_blocks
+        self._h_fill.set_tally(
+            [(cb - p, n) for p, n in padded] + [(cb, full)])
+        self._h_padding.set_tally(padded)
+        self._h_victim.set_tally(enumerate(stats.victim_valid))
         return {EV_CHUNK_FLUSH: flushes, EV_PADDING: deadline + forced,
                 EV_LAZY_APPEND: stats.lazy_appends,
                 EV_GC_PASS: stats.gc_segments_reclaimed}
@@ -295,12 +302,3 @@ class ObsRecorder(NullRecorder):
         snap["timeline_rows"] = len(self.timeline)
         snap["final"] = self.timeline.final()
         return snap
-
-
-def _set_tally(hist: Any, tally) -> None:
-    """Make ``hist`` hold exactly the ``(value, count)`` observations of
-    ``tally``."""
-    hist.counts[:] = 0
-    hist.sum = 0.0
-    for value, count in tally:
-        hist.observe_bulk(value, count)

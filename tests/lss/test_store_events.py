@@ -133,6 +133,7 @@ def test_a_spilling_recorder_subscribes_its_tracer_to_flushes_and_victims(
         "policy", "attribution", "tracer", "bridge", "recording")
     assert {e for e, n in log if n == "tracer"} == {
         "chunk_flush", "segment_reclaimed"}
+    assert store.events.observers.count(store.obs.tracer) == 1
 
 
 def test_store_without_observers_subscribes_nothing():

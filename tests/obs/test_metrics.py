@@ -67,6 +67,21 @@ def test_observe_bulk_equals_repeated_observe():
         b.observe_bulk(7, -1)
 
 
+def test_set_tally_replaces_every_earlier_observation():
+    a = Histogram("a", buckets=[1, 4, 16])
+    b = Histogram("b", buckets=[1, 4, 16])
+    tally = ((0, 3), (4, 2), (100, 5), (16, 0))
+    for value, count in tally:
+        a.observe_bulk(value, count)
+    b.observe(2)
+    b.observe_bulk(50, 7)
+    b.set_tally(tally)
+    assert list(a.counts) == list(b.counts)
+    assert a.sum == b.sum
+    b.set_tally(())
+    assert b.count == 0 and b.sum == 0.0
+
+
 def test_registry_get_or_create():
     reg = MetricsRegistry()
     a = reg.counter("c_total")
