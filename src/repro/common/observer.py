@@ -10,9 +10,12 @@ loop over an empty tuple.
 
 Every event reaches its subscribers in one order: the policy, the
 recorder, the attribution ledger, the auditor, then each observer
-``store.subscribe`` added, oldest first.  Every event is bulk-shaped: a
-settled run of user writes, a run of FULL chunk flushes, one victim's
-migrated blocks.  See ``docs/extending.md`` ("Observing a store").
+``store.subscribe`` added, oldest first.  The store's own events are
+bulk-shaped: a settled run of user writes, a run of FULL chunk flushes,
+one victim's migrated blocks.  The last four are decisions, one event
+each, that the policy (``shadow_appended``, ``demoted``,
+``threshold_switched``) or the auditor (``audited``) fires through
+``store.events``.  See ``docs/extending.md`` ("Observing a store").
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ NO_SAMPLE: int = sys.maxsize
 EVENTS: tuple[str, ...] = (
     "next_sample_seq", "user_writes", "reads", "chunk_flush",
     "segment_sealed", "gc_blocks", "segment_reclaimed",
-    "finalize",
+    "finalize", "shadow_appended", "demoted", "threshold_switched",
+    "audited",
 )
 
 
@@ -77,6 +81,30 @@ class StoreObserver:
 
     def finalize(self) -> None:
         """End of replay: the store force-flushed every pending chunk."""
+
+    def shadow_appended(self, hot_gid: int, cold_gid: int, blocks: int,
+                        now_us: int) -> None:
+        """Cross-group aggregation wrote ``blocks`` substitutes of hot
+        group ``hot_gid``'s pending blocks into cold group ``cold_gid``
+        (§3.3)."""
+
+    def demoted(self, lba: int, target_gid: int, score: int,
+                now_us: int) -> None:
+        """Proactive demotion routed the user write of ``lba`` straight
+        into GC group ``target_gid`` (§3.4)."""
+
+    def threshold_switched(self, best_threshold: float, mode: str,
+                           rounds: int, threshold: float,
+                           now_us: int) -> None:
+        """The ghost ladder closed an adaptation round won by
+        ``best_threshold`` and moved the live hot/cold ``threshold``
+        (in blocks) (§3.2)."""
+
+    def audited(self, invariant: str | None, detail: str,
+                now_us: int) -> None:
+        """An invariant audit finished: ``invariant`` is ``None`` when
+        every check passed, else the violated check's name (the auditor
+        then raises)."""
 
 
 class StoreEvents:

@@ -190,7 +190,8 @@ class AdaptPolicy(PlacementPolicy):
             hit = self.demotion.demotion_target(lba)
             if hit is not None:
                 target, score = hit
-                self.obs.on_demotion(lba, target, score, now_us)
+                for fn in self.store.events.demoted:
+                    fn(lba, target, score, now_us)
                 return target
         return self.COLD
 
@@ -333,9 +334,9 @@ class AdaptPolicy(PlacementPolicy):
         self.threshold += 0.5 * (target - self.threshold)
         self._ghost_adapted = True
         self.adaptation_log.append(result)
-        self.obs.on_threshold_switch(result.best_threshold, result.mode,
-                                     result.rounds, sample_us)
-        self.obs.gauge("adapt_threshold_blocks", self.threshold)
+        for fn in self.store.events.threshold_switched:
+            fn(result.best_threshold, result.mode, result.rounds,
+               self.threshold, sample_us)
 
     # ------------------------------------------------------------------
     # GC path (age ladder over the GC groups, SepBIT-style substrate)
@@ -376,8 +377,8 @@ class AdaptPolicy(PlacementPolicy):
             cold = self.store.groups[self.COLD]
             decision = self.aggregator.try_aggregate(group, cold, now_us)
             if decision.blocks:
-                self.obs.on_shadow_append(group.gid, cold.gid,
-                                          decision.blocks, now_us)
+                for fn in self.store.events.shadow_appended:
+                    fn(group.gid, cold.gid, decision.blocks, now_us)
             return decision.aggregated
         if group.gid == self.COLD:
             # Symmetric direction: the cold chunk is about to pad — fill
@@ -386,8 +387,8 @@ class AdaptPolicy(PlacementPolicy):
             blocks = self.aggregator.absorb_before_padding(group, hot,
                                                            now_us)
             if blocks:
-                self.obs.on_shadow_append(hot.gid, group.gid, blocks,
-                                          now_us)
+                for fn in self.store.events.shadow_appended:
+                    fn(hot.gid, group.gid, blocks, now_us)
             return False  # the (fuller) padded flush still proceeds
         return False
 

@@ -54,8 +54,11 @@ from repro.obs.atomicio import atomic_write_bytes
 #: counts (no tokens), ``StoreStats`` gained its padded-flush, victim
 #: and lazy-append tallies, the ghost sets their inline chunk counters,
 #: demotion its shared ``holders`` count, and attribution the pending
-#: victim's GC-origin count.
-CHECKPOINT_VERSION = 10
+#: victim's GC-origin count.  v11: one observer path — policies lost
+#: their ``obs`` slot, stores hold ``None`` instead of the no-op
+#: recorder and attribution sink, and ``StoreEvents`` gained the four
+#: decision events.
+CHECKPOINT_VERSION = 11
 
 
 def checkpoint_path(checkpoint_dir: str, shard: int,

@@ -60,9 +60,10 @@ def volume_report(spec, tenant_id: str, store, recorder=None) -> dict:
             for g in stats.groups],
         "policy_memory_bytes": store.policy.memory_bytes(),
         "metrics": recorder.snapshot() if recorder is not None else None,
-        # NullAttribution snapshots to None, so the key is always present
-        # and only populated when the spec collected attribution.
-        "attribution": store.attribution.snapshot(),
+        # Always present; populated only when the spec collected
+        # attribution.
+        "attribution": (store.attribution.snapshot()
+                        if store.attribution is not None else None),
     }
 
 

@@ -21,8 +21,8 @@ from repro.lss.segment import SegmentPool
 from repro.lss.stats import StoreStats
 from repro.lss.victim import make_victim_policy
 from repro.obs import profile as obs_profile
-from repro.obs.attribution import NULL_ATTRIBUTION, NullAttribution
-from repro.obs.recorder import NULL_RECORDER, NullRecorder
+from repro.obs.attribution import AttributionRecorder
+from repro.obs.recorder import ObsRecorder
 from repro.perf.batch import duplicate_chains
 from repro.perf.expand import check_write_bounds, expand_trace
 from repro.trace.model import OP_WRITE, Trace
@@ -53,16 +53,17 @@ class LogStructuredStore:
     Args:
         config: store geometry and GC knobs.
         policy: a placement policy instance (not yet bound to a store).
-        recorder: observability sink (:class:`repro.obs.ObsRecorder`);
-            defaults to the shared no-op recorder.
+        recorder: observability sink (:class:`repro.obs.ObsRecorder`),
+            kept as :attr:`obs` (``None`` without one).  Any other
+            observer attaches with :meth:`subscribe`.
         auditor: optional :class:`repro.validate.InvariantAuditor`,
             which checks cross-structure invariants on a cadence while the
             replay is in flight.  ``replay`` settles at every audit point,
             so each audit sees the state a per-block replay would audit.
         attribution: causal-attribution sink
             (:class:`repro.obs.attribution.AttributionRecorder`, which
-            keeps the per-slot provenance planes); defaults to the shared
-            no-op sink.
+            keeps the per-slot provenance planes), kept as
+            :attr:`attribution` (``None`` without one).
 
     The policy, the recorder, the attribution sink, the auditor and the
     recorder's ``event_log()`` (a spilling recorder's tracer) are the
@@ -80,14 +81,13 @@ class LogStructuredStore:
     _fast_flush = _fast_full = False
 
     def __init__(self, config: LSSConfig, policy,
-                 recorder: NullRecorder | None = None,
+                 recorder: ObsRecorder | None = None,
                  auditor=None,
-                 attribution: NullAttribution | None = None) -> None:
+                 attribution: AttributionRecorder | None = None) -> None:
         self.config = config
         self.policy = policy
-        self.obs = NULL_RECORDER if recorder is None else recorder
-        self.attribution = (NULL_ATTRIBUTION if attribution is None
-                            else attribution)
+        self.obs = recorder
+        self.attribution = attribution
         #: The process-global phase profiler, captured at construction so
         #: replay/GC spans attribute to the profiler active when the run
         #: was set up (NULL_PROFILER unless a CLI --profile-out or a test
@@ -129,9 +129,9 @@ class LogStructuredStore:
         #: Logical clock: number of user block writes accepted so far.
         self.user_seq = 0
         self.now_us = 0
+        event_log = None if recorder is None else recorder.event_log()
         self.events = StoreEvents(
-            o for o in (policy, self.obs, self.attribution, auditor,
-                        self.obs.event_log())
+            o for o in (policy, recorder, attribution, auditor, event_log)
             if o is not None)
         for observer in self.events.observers:
             observer.bind(self)

@@ -6,22 +6,20 @@ The package has five layers:
   collected in a :class:`MetricsRegistry`;
 * :mod:`repro.obs.events` — a typed event tracer: per-type counts, and
   with a JSONL sink every event as a plain record, formatted on read;
-* :mod:`repro.obs.recorder` — the hook surface the simulator calls.  Every
-  instrumented hot path holds a recorder; the default
-  :data:`~repro.obs.recorder.NULL_RECORDER` makes each hook a no-op, so
-  instrumentation costs nothing unless an :class:`ObsRecorder` is
-  attached.  The replay loop reports user writes through bulk hooks
-  once per settle and settles wherever a recorder samples, so metrics,
-  timeline rows and events equal a per-block replay's;
+* :mod:`repro.obs.recorder` — :class:`ObsRecorder`, a store observer
+  (:mod:`repro.common.observer`) that hears the store's events and the
+  policy's and auditor's decisions through one event seam; a store
+  without one holds ``obs = None`` and pays nothing.  The replay loop
+  reports user writes once per settle and settles wherever a recorder
+  samples, so metrics, timeline rows and events equal a per-block
+  replay's;
 * :mod:`repro.obs.profile` — wall-clock phase spans with Chrome
   ``trace_event`` and top-N table exports;
 * :mod:`repro.obs.timeline` — the recorder's one time series: periodic
   per-N-blocks snapshots of traffic counters, WA, padding, occupancy and
   threshold position as a NumPy matrix;
 * :mod:`repro.obs.attribution` — causal attribution: the per-group WA
-  ledger, GC provenance, and deterministic cross-shard snapshot merging (the default
-  :data:`~repro.obs.attribution.NULL_ATTRIBUTION` makes every hook a
-  no-op);
+  ledger, GC provenance, and deterministic cross-shard snapshot merging;
 * :mod:`repro.obs.analyze` — the ``adapt-repro analyze`` bottleneck
   explainer over profiler traces, attribution snapshots and timelines.
 
@@ -39,9 +37,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.atomicio import atomic_write, ensure_parent
 from repro.obs.attribution import (
-    NULL_ATTRIBUTION,
     AttributionRecorder,
-    NullAttribution,
     merge_attribution_snapshots,
     write_attribution_json,
 )
@@ -72,17 +68,11 @@ from repro.obs.profile import (
     current,
     set_current,
 )
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    ObsRecorder,
-)
+from repro.obs.recorder import ObsRecorder
 from repro.obs.timeline import ATTR_COLUMNS, BASE_COLUMNS, ReplayTimeline
 
 __all__ = [
     "AttributionRecorder",
-    "NullAttribution",
-    "NULL_ATTRIBUTION",
     "merge_attribution_snapshots",
     "write_attribution_json",
     "analyze",
@@ -106,8 +96,6 @@ __all__ = [
     "EV_GC_PASS",
     "EV_DEMOTION",
     "EV_THRESHOLD_SWITCH",
-    "NullRecorder",
-    "NULL_RECORDER",
     "ObsRecorder",
     "NullProfiler",
     "NULL_PROFILER",

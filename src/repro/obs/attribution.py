@@ -13,11 +13,11 @@ blocks were born.  Both sections describe the *simulated store state*,
 so they are equal under the replay loop and its per-block specification
 and merge deterministically serial-vs-sharded.
 
-Both classes are store observers (:mod:`repro.common.observer`): the
-default :data:`NULL_ATTRIBUTION` overrides no event, so a store without
-attribution never calls it and allocates no provenance plane.  The
-module imports nothing from the simulator layers it observes, keeping
-the import graph acyclic.
+:class:`AttributionRecorder` is a store observer
+(:mod:`repro.common.observer`); a store built without one holds
+``attribution = None`` and allocates no provenance plane.  The module
+imports nothing from the simulator layers it observes, keeping the
+import graph acyclic.
 """
 
 from __future__ import annotations
@@ -41,26 +41,7 @@ ORIGIN_USER: int = 1
 ORIGIN_GC: int = 2
 
 
-class NullAttribution(StoreObserver):
-    """No-op attribution sink: subscribes to no store event."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def publish(self, registry: Any) -> None:
-        """Mirror the aggregates into a metrics registry (no-op here)."""
-
-    def snapshot(self) -> dict | None:
-        """Picklable attribution summary (``None`` here)."""
-        return None
-
-
-#: Shared default sink: one immutable no-op instance for the process.
-NULL_ATTRIBUTION = NullAttribution()
-
-
-class AttributionRecorder(NullAttribution):
+class AttributionRecorder(StoreObserver):
     """Live attribution sink: the provenance planes plus plain-int
     aggregates, no per-event storage.
 
@@ -74,8 +55,6 @@ class AttributionRecorder(NullAttribution):
     __slots__ = ("_store", "slot_origin", "slot_epoch", "gc_groups",
                  "total_victims", "total_migrated_user_origin",
                  "total_migrated_gc_origin", "_victim_gc_origin")
-
-    enabled = True
 
     def __init__(self) -> None:
         self._store: Any = None
@@ -142,9 +121,8 @@ class AttributionRecorder(NullAttribution):
     def finalize(self) -> None:
         # Mirror the final aggregates into the run's metrics registry
         # when observability is live alongside attribution.
-        registry = getattr(self._store.obs, "registry", None)
-        if registry is not None:
-            self.publish(registry)
+        if self._store.obs is not None:
+            self.publish(self._store.obs.registry)
 
     # -- export ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -301,12 +279,10 @@ def write_attribution_json(snapshot: dict, path: str) -> str:
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
-    "NULL_ATTRIBUTION",
     "ORIGIN_GC",
     "ORIGIN_NONE",
     "ORIGIN_USER",
     "AttributionRecorder",
-    "NullAttribution",
     "merge_attribution_snapshots",
     "write_attribution_json",
 ]

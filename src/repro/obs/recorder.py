@@ -1,15 +1,15 @@
-"""The recorder: a store observer plus the hooks policies emit through.
+"""The recorder: a store observer that turns what it hears into
+metrics, events and one time series.
 
-:class:`NullRecorder` is the default everywhere (the module-level
-:data:`NULL_RECORDER` singleton).  It overrides no store event
-(:mod:`repro.common.observer`), so the store never calls it, and its
-emitter hooks (``on_shadow_append``, ``on_demotion``, ...) are no-ops
-that policies call unguarded.
-:class:`ObsRecorder` implements them for real: it feeds a
-:class:`~repro.obs.metrics.MetricsRegistry`, emits typed events into an
-:class:`~repro.obs.events.EventTracer`, and samples its one time series,
-a :class:`~repro.obs.timeline.ReplayTimeline`, every ``timeline_every``
-user blocks.
+:class:`ObsRecorder` is a :class:`~repro.common.observer.StoreObserver`
+like every other listener.  A store built without one holds
+``obs = None``, and nothing else calls a recorder: the policy's and the
+auditor's decisions (``shadow_appended``, ``demoted``,
+``threshold_switched``, ``audited``) reach it as store events.  It feeds
+a :class:`~repro.obs.metrics.MetricsRegistry`, emits typed events into
+an :class:`~repro.obs.events.EventTracer`, and samples its one time
+series, a :class:`~repro.obs.timeline.ReplayTimeline`, every
+``timeline_every`` user blocks.
 
 An observer reads a store count rather than re-counting an event: what
 :class:`~repro.lss.stats.StoreStats` already counts — chunk flushes by
@@ -18,7 +18,7 @@ appends, GC victims by valid blocks — becomes the recorder's counters,
 histograms and event counts when it finalizes or snapshots, so the
 recorder hears no ``chunk_flush`` and no ``segment_reclaimed``.  Only a
 tracer with a ``spill_path`` hears those two events, to log their
-records: the recorder's :meth:`~NullRecorder.event_log` hands it to the
+records: the recorder's :meth:`~ObsRecorder.event_log` hands it to the
 store, which subscribes it after its own observers.  What is left runs about 0.05 times per user block
 (``test_obs_hook_calls_per_user_block_bounded``).
 
@@ -49,54 +49,7 @@ from repro.obs.metrics import BLOCK_BUCKETS, MetricsRegistry
 from repro.obs.timeline import TIMELINE_EVERY, ReplayTimeline
 
 
-class NullRecorder(StoreObserver):
-    """No-op recorder: no store event, and every emitter hook exists and
-    does nothing."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    # -- hooks policies and the auditor emit through --------------------
-    def on_shadow_append(self, hot_gid: int, cold_gid: int, blocks: int,
-                         now_us: int) -> None:
-        """Cross-group aggregation persisted substitutes (§3.3)."""
-
-    def on_demotion(self, lba: int, target_gid: int, score: int,
-                    now_us: int) -> None:
-        """Proactive demotion routed a user write into a GC group (§3.4)."""
-
-    def on_threshold_switch(self, threshold: float, mode: str, rounds: int,
-                            now_us: int) -> None:
-        """The threshold ladder closed an adaptation round (§3.2)."""
-
-    def on_audit_violation(self, invariant: str, detail: str,
-                           now_us: int) -> None:
-        """An :class:`~repro.validate.InvariantAuditor` check failed."""
-
-    def event_log(self) -> StoreObserver | None:
-        """The observer that logs the store's flush and victim records,
-        or ``None``; the store subscribes it after its own observers."""
-        return None
-
-    # -- generic escape hatches -----------------------------------------
-    def gauge(self, name: str, value: float) -> None:
-        """Set a named gauge (no-op when disabled)."""
-
-    def count(self, name: str, amount: float = 1) -> None:
-        """Bump a named counter (no-op when disabled)."""
-
-    def snapshot(self) -> dict | None:
-        """Picklable summary of everything recorded (``None`` here)."""
-        return None
-
-
-#: Shared default recorder: one immutable no-op instance for the whole
-#: process.
-NULL_RECORDER = NullRecorder()
-
-
-class ObsRecorder(NullRecorder):
+class ObsRecorder(StoreObserver):
     """Live recorder: metrics registry + event tracer + timeline.
 
     ``store.replay`` reports user writes once per settle, and settles
@@ -121,8 +74,6 @@ class ObsRecorder(NullRecorder):
                  "_gc_migrated", "_shadow_blocks", "_lazy_blocks",
                  "_demotions", "_threshold_switches", "_audit_violations",
                  "_h_fill", "_h_padding", "_h_victim")
-
-    enabled = True
 
     def __init__(self, timeline_every: int = TIMELINE_EVERY,
                  spill_path: str | None = None) -> None:
@@ -185,14 +136,19 @@ class ObsRecorder(NullRecorder):
         self.timeline.bind(store)
 
     def event_log(self) -> EventTracer | None:
+        """The observer that logs the store's flush and victim records
+        (a spilling tracer), or ``None``; the store subscribes it after
+        its own observers."""
         return self.tracer if self.tracer.spill_path is not None else None
 
     def finalize(self) -> None:
         self._read_store_counts()
         stats = self._store.stats
-        self.gauge("lss_write_amplification", stats.write_amplification())
-        self.gauge("lss_padding_traffic_ratio", stats.padding_traffic_ratio())
-        self.gauge("lss_gc_traffic_ratio", stats.gc_traffic_ratio())
+        gauge = self.registry.gauge
+        gauge("lss_write_amplification").set(stats.write_amplification())
+        gauge("lss_padding_traffic_ratio").set(
+            stats.padding_traffic_ratio())
+        gauge("lss_gc_traffic_ratio").set(stats.gc_traffic_ratio())
         # Always close the timeline with an exact final row: exporters
         # and tests rely on the last row matching StoreStats to the bit.
         self.timeline.finalize(self._store.now_us)
@@ -247,40 +203,36 @@ class ObsRecorder(NullRecorder):
                 EV_GC_PASS: stats.gc_segments_reclaimed}
 
     # ------------------------------------------------------------------
-    # emitter hooks
+    # decisions the policy and the auditor fire
     # ------------------------------------------------------------------
-
-    def on_shadow_append(self, hot_gid: int, cold_gid: int, blocks: int,
-                         now_us: int) -> None:
+    def shadow_appended(self, hot_gid: int, cold_gid: int, blocks: int,
+                        now_us: int) -> None:
         self._shadow_blocks.value += blocks
         self.tracer.emit(EV_SHADOW_APPEND, now_us, hot_gid, cold_gid, blocks)
 
-    def on_demotion(self, lba: int, target_gid: int, score: int,
-                    now_us: int) -> None:
+    def demoted(self, lba: int, target_gid: int, score: int,
+                now_us: int) -> None:
         self._demotions.value += 1
         self.tracer.emit(EV_DEMOTION, now_us, lba, target_gid, score)
 
-    def on_threshold_switch(self, threshold: float, mode: str, rounds: int,
-                            now_us: int) -> None:
-        self._threshold_switches.value += 1
-        self.registry.gauge("lss_ghost_best_threshold",
-                            "ghost-side winning threshold").set(threshold)
-        self.tracer.emit(EV_THRESHOLD_SWITCH, now_us, threshold, mode,
-                         rounds)
-
-    def on_audit_violation(self, invariant: str, detail: str,
+    def threshold_switched(self, best_threshold: float, mode: str,
+                           rounds: int, threshold: float,
                            now_us: int) -> None:
+        self._threshold_switches.value += 1
+        gauge = self.registry.gauge
+        gauge("lss_ghost_best_threshold",
+              "ghost-side winning threshold").set(best_threshold)
+        self.tracer.emit(EV_THRESHOLD_SWITCH, now_us, best_threshold, mode,
+                         rounds)
+        gauge("adapt_threshold_blocks").set(threshold)
+
+    def audited(self, invariant: str | None, detail: str,
+                now_us: int) -> None:
+        if invariant is None:
+            self.registry.counter("lss_audits_total").inc()
+            return
         self._audit_violations.value += 1
         self.tracer.emit(EV_AUDIT_VIOLATION, now_us, invariant, detail)
-
-    # ------------------------------------------------------------------
-    # generic escape hatches
-    # ------------------------------------------------------------------
-    def gauge(self, name: str, value: float) -> None:
-        self.registry.gauge(name).set(value)
-
-    def count(self, name: str, amount: float = 1) -> None:
-        self.registry.counter(name).inc(amount)
 
     # ------------------------------------------------------------------
     # snapshot

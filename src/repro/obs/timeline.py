@@ -77,14 +77,13 @@ class ReplayTimeline:
     def bind(self, store: Any) -> None:
         """Attach to a store; resets any previously collected rows.
 
-        When the store carries an enabled attribution recorder, three
+        When the store carries an attribution recorder, three
         ``attr_*`` columns (GC victims and migrated-block origin mix,
         cumulative) join the timeline so GC provenance can be read off
         the same time axis as WA.
         """
         self._store = store
-        attr = getattr(store, "attribution", None)
-        self._attr = attr if attr is not None and attr.enabled else None
+        self._attr = store.attribution
         occ = tuple(f"occ_{g.spec.name}" for g in store.groups)
         attr_cols = ATTR_COLUMNS if self._attr is not None else ()
         self._columns = BASE_COLUMNS + occ + attr_cols

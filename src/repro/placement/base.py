@@ -20,7 +20,6 @@ from repro.common.observer import StoreObserver
 from repro.common.views import ScalarViews
 from repro.lss.config import LSSConfig
 from repro.lss.group import Group, GroupSpec
-from repro.obs.recorder import NULL_RECORDER, NullRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
@@ -34,7 +33,7 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     Events a policy overrides reach it before every other observer.
     """
 
-    __slots__ = ("config", "store", "obs")
+    __slots__ = ("config", "store")
 
     #: Registry name; subclasses override.
     name = "abstract"
@@ -42,7 +41,6 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     def __init__(self, config: LSSConfig) -> None:
         self.config = config
         self.store: "LogStructuredStore | None" = None
-        self.obs: NullRecorder = NULL_RECORDER
 
     # ------------------------------------------------------------------
     # required interface
@@ -109,9 +107,9 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     # optional hooks
     # ------------------------------------------------------------------
     def bind(self, store: "LogStructuredStore") -> None:
-        """Receive the store and, as :attr:`obs`, its recorder."""
+        """Receive the store; decisions worth observing fire through
+        its ``events``."""
         self.store = store
-        self.obs = store.obs
 
     def before_padding_flush(self, group: Group, now_us: int) -> bool:
         """Last chance to avert an SLA padding flush for ``group``.

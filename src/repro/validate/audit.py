@@ -4,8 +4,9 @@ Extends ``LogStructuredStore.check_invariants`` into a catalogue of named,
 independently re-derived consistency laws, runnable on a configurable
 cadence while a replay is in flight.  Each check raises
 :class:`~repro.common.errors.InvariantViolation` naming the broken law;
-violations are also surfaced through the observability recorder as
-``audit_violation`` events so they show up in exported traces.
+every audit fires the store's ``audited`` event (a recorder turns a
+violation into an ``audit_violation`` event, so it shows up in exported
+traces).
 
 The invariant catalogue:
 
@@ -230,9 +231,10 @@ class InvariantAuditor(StoreObserver):
     every settled run of user writes (``replay`` settles at
     :meth:`next_sample_seq`) and the end of replay.  Every
     ``every_blocks`` user blocks (and at finalize) the auditor runs its
-    check catalogue; the first violated invariant raises
-    :class:`InvariantViolation` after emitting an ``audit_violation``
-    observability event.
+    check catalogue and fires the store's ``audited`` event once:
+    ``audited(None, "", now_us)`` when every check passed, or, for the
+    first violated invariant, ``audited(name, detail, now_us)`` just
+    before :class:`InvariantViolation` is raised.
 
     Args:
         every_blocks: audit cadence in accepted user blocks (``0`` disables
@@ -288,7 +290,8 @@ class InvariantAuditor(StoreObserver):
                 INVARIANT_CHECKS[check_name](store)
             except InvariantViolation as exc:
                 self.violations += 1
-                store.obs.on_audit_violation(exc.invariant, exc.detail,
-                                             store.now_us)
+                for fn in store.events.audited:
+                    fn(exc.invariant, exc.detail, store.now_us)
                 raise
-        store.obs.count("lss_audits_total")
+        for fn in store.events.audited:
+            fn(None, "", store.now_us)

@@ -33,10 +33,10 @@ import numpy as np
 
 from repro.array.coalescing import ChunkFlush, FlushReason
 from repro.common.errors import (CapacityError, ConfigError, ValidationError)
+from repro.common.observer import StoreEvents
 from repro.lss.config import LSSConfig
 from repro.lss.group import (APPEND_GC, APPEND_SHADOW, APPEND_USER,
                              GroupKind)
-from repro.obs.recorder import NULL_RECORDER
 from repro.trace.model import OP_WRITE, Trace
 
 #: Mirrors ``repro.lss.store.UNMAPPED`` / ``repro.lss.segment.NO_LBA``.
@@ -463,7 +463,8 @@ class OracleStore:
     def __init__(self, config: LSSConfig, policy) -> None:
         self.config = config
         self.policy = policy
-        self.obs = NULL_RECORDER
+        #: No observers: the policy's decisions fire into empty tuples.
+        self.events = StoreEvents(())
 
         specs = policy.group_specs()
         if not specs:

@@ -56,6 +56,34 @@ class FlushLog(StoreObserver):
         self.flushes.append(flush)
 
 
+class DecisionTally(StoreObserver):
+    """Totals of the decision events a store's policy and auditor fire
+    through its event seam."""
+
+    def __init__(self) -> None:
+        self.shadow_blocks = 0
+        self.demotions = 0
+        self.threshold_switches = 0
+        self.threshold: float | None = None
+        #: One entry per ``audited`` firing: ``None`` for a passed audit,
+        #: else the violated invariant's name.
+        self.audits: list[str | None] = []
+
+    def shadow_appended(self, hot_gid, cold_gid, blocks, now_us) -> None:
+        self.shadow_blocks += blocks
+
+    def demoted(self, lba, target_gid, score, now_us) -> None:
+        self.demotions += 1
+
+    def threshold_switched(self, best_threshold, mode, rounds, threshold,
+                           now_us) -> None:
+        self.threshold_switches += 1
+        self.threshold = threshold
+
+    def audited(self, invariant, detail, now_us) -> None:
+        self.audits.append(invariant)
+
+
 def spilled_events(tracer) -> list[dict]:
     """Every event ``tracer`` recorded, as JSON dicts read back from its
     spill file (a tracer keeps events only when it has one)."""

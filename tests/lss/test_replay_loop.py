@@ -92,13 +92,13 @@ def assert_same_outcome(spec, loop):
     assert spec.policy.memory_bytes() == loop.policy.memory_bytes()
     assert policy_state(spec.policy) == policy_state(loop.policy)
     loop.check_invariants()
-    if spec.obs.enabled:
+    if spec.obs is not None:
         assert spec.obs.registry.snapshot() == loop.obs.registry.snapshot()
         audits = [o.audits_run for s in (spec, loop)
                   for o in s.events.observers
                   if isinstance(o, InvariantAuditor)]
         assert len(audits) == 2 and audits[0] == audits[1]
-    if spec.attribution.enabled:
+    if spec.attribution is not None:
         views = [json.dumps(s.attribution.snapshot(), sort_keys=True)
                  for s in (spec, loop)]
         assert views[0] == views[1]

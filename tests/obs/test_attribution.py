@@ -6,13 +6,10 @@ import json
 
 import pytest
 
-from repro.common.observer import EVENTS, StoreEvents
 from repro.lss.store import LogStructuredStore
 from repro.obs.attribution import (
     ATTRIBUTION_SCHEMA,
-    NULL_ATTRIBUTION,
     AttributionRecorder,
-    NullAttribution,
     merge_attribution_snapshots,
     write_attribution_json,
 )
@@ -32,24 +29,13 @@ def _replayed_recorder(policy_name="sepgc"):
     return store, attr
 
 
-def test_null_attribution_is_inert():
-    assert not NULL_ATTRIBUTION.enabled
-    NULL_ATTRIBUTION.segment_reclaimed(0, 1, 10, 4, 0)
-    NULL_ATTRIBUTION.publish(MetricsRegistry())
-    assert NULL_ATTRIBUTION.snapshot() is None
-    # It overrides no store event, so a store never calls it.
-    assert all(not getattr(StoreEvents([NULL_ATTRIBUTION]), event)
-               for event in EVENTS)
-
-
 def test_store_defaults_to_null_attribution():
     cfg = differential_config()
     store = LogStructuredStore(cfg, make_policy("sepgc", cfg))
-    assert isinstance(store.attribution, NullAttribution)
-    assert not store.attribution.enabled
+    assert store.attribution is None
+    assert store.events.observers == (store.policy,)
     # The provenance planes live in the attribution recorder only.
     assert not hasattr(store.pool, "slot_origin")
-    assert not hasattr(store.attribution, "slot_origin")
 
 
 def test_victim_booking_aggregates_and_running_totals():

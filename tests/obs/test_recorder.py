@@ -20,7 +20,7 @@ from repro.obs.events import (
     EV_SHADOW_APPEND,
     EV_THRESHOLD_SWITCH,
 )
-from repro.obs.recorder import NULL_RECORDER, ObsRecorder
+from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
 
@@ -114,10 +114,11 @@ def test_instrumentation_does_not_change_results():
 
 
 def test_null_recorder_is_default_and_inert():
+    """Without a recorder the store holds none, and no observer of its
+    hears anything but the policy."""
     store, _ = replay(recorder=None)
-    assert store.obs is NULL_RECORDER
-    assert store.obs.enabled is False
-    assert NULL_RECORDER.snapshot() is None
+    assert store.obs is None
+    assert store.events.observers == (store.policy,)
 
 
 def test_demotion_event_fires_when_demotions_happen(recorded):
@@ -127,10 +128,9 @@ def test_demotion_event_fires_when_demotions_happen(recorded):
     assert demotions == rec.tracer.counts.get("demotion", 0)
 
 
-def _counting(cls, extra=()):
-    """Subclass of ``cls`` whose every store event it overrides, every
-    ``on_*`` hook (and the ``extra`` entry points) counts its
-    invocations; returns ``(subclass, calls)``."""
+def _counting(cls):
+    """Subclass of ``cls`` whose every store event it overrides counts
+    its invocations; returns ``(subclass, calls)``."""
     from collections import Counter
 
     from repro.common.observer import EVENTS, StoreObserver
@@ -139,7 +139,7 @@ def _counting(cls, extra=()):
     for name in dir(cls):
         overridden = name in EVENTS and \
             getattr(cls, name) is not getattr(StoreObserver, name)
-        if overridden or name.startswith("on_") or name in extra:
+        if overridden:
             def hook(self, *args, _name=name, _orig=getattr(cls, name),
                      **kwargs):
                 calls[_name] += 1
@@ -159,7 +159,7 @@ def test_obs_hook_calls_per_user_block_bounded(policy, rec_bound,
     those call counts are deterministic, so tier-1 bounds them per user
     block (measured: sepgc 0.0154 / 0.0647, adapt 0.0739 / 0.0500; the
     recorder's share includes its ``next_sample_seq`` reads, one per
-    settle, and ADAPT's ``on_shadow_append`` hook).  Neither re-counts
+    settle, and ADAPT's ``shadow_appended`` decisions).  Neither re-counts
     what the store counts: the recorder hears no chunk flush and no
     victim, and attribution books each victim once."""
     from repro.common.observer import EVENTS
@@ -172,8 +172,7 @@ def test_obs_hook_calls_per_user_block_bounded(policy, rec_bound,
                   volume_requests=6000, stats_volumes=1,
                   ycsb_blocks=8192, ycsb_writes=4000)
     trace = fleet_for("ali", scale)[0]
-    recorder_cls, rec_calls = _counting(
-        ObsRecorder, extra=("gauge", "count"))
+    recorder_cls, rec_calls = _counting(ObsRecorder)
     attribution_cls, attr_calls = _counting(AttributionRecorder)
     cfg = store_config_for(scale.volume_blocks, seed=0)
     store = LogStructuredStore(cfg, make_policy(policy, cfg),

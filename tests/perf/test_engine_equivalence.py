@@ -128,14 +128,12 @@ def test_trace_recorder_sampling_every_block_runs_the_loop():
 
 
 def test_custom_enabled_recorder_hears_every_user_write_in_bulk():
-    """A third-party recorder that merely subclasses NullRecorder runs
-    the same loop and hears every accepted user block through
-    ``user_writes``."""
-    from repro.obs.recorder import NullRecorder
+    """A third-party observer that merely subclasses StoreObserver and
+    attaches with ``subscribe`` runs the same loop and hears every
+    accepted user block through ``user_writes``."""
+    from repro.common.observer import StoreObserver
 
-    class CustomRecorder(NullRecorder):
-        enabled = True
-
+    class CustomRecorder(StoreObserver):
         def __init__(self):
             self.counts = []
 
@@ -144,7 +142,8 @@ def test_custom_enabled_recorder_hears_every_user_write_in_bulk():
 
     trace = default_workloads(num_requests=300)[0]
     rec = CustomRecorder()
-    store = fresh_store("sepgc", recorder=rec)
+    store = fresh_store("sepgc")
+    store.subscribe(rec)
     store.replay(trace)
     assert sum(rec.counts) == store.stats.user_blocks_requested
     assert len(rec.counts) < store.stats.user_blocks_requested / 10

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array.chunk import ChunkGeometry
+from repro.common.observer import StoreEvents
 from repro.core.config import AdaptConfig
 from repro.core.distance import DistanceTracker
 from repro.core.ghost import GhostSet
@@ -34,7 +35,7 @@ from repro.core.threshold import ThresholdLadder
 from repro.lss.config import LSSConfig
 from repro.obs.recorder import ObsRecorder
 
-from tests.conftest import spilled_events
+from tests.conftest import DecisionTally, spilled_events
 
 pytestmark = pytest.mark.property
 
@@ -147,12 +148,14 @@ def test_distance_access_many_matches_scalar(seed, n):
 # policy level: planned == unplanned place_user
 # ----------------------------------------------------------------------
 class _Clock:
-    """What a policy reads off its store: the clock and the recorder."""
+    """What a policy reads off its store: the clock and the event seam,
+    here a recorder and a decision tally."""
 
     user_seq = 0
 
-    def __init__(self, obs) -> None:
-        self.obs = obs
+    def __init__(self, recorder: ObsRecorder) -> None:
+        self.tally = DecisionTally()
+        self.events = StoreEvents((recorder, self.tally))
 
 
 def _bound_adapt(demotion: bool, adaptation: bool, spill_path: str):
@@ -185,6 +188,7 @@ def _adapt_state(policy: AdaptPolicy, recorder: ObsRecorder) -> tuple:
                                        demotion.demotions),
         spilled_events(recorder.tracer),
         recorder.registry.snapshot(),
+        vars(policy.store.tally),
     )
 
 
@@ -253,3 +257,16 @@ def test_planned_place_user_driver_reaches_every_mechanism():
     assert demotion[1] > 0
     kinds = {e["type"] for e in events}
     assert {"threshold_switch", "demotion"} <= kinds
+
+
+def test_planned_decisions_reach_every_observer_of_the_seam():
+    """The policy fires its demotions and threshold switches into the
+    store's event seam: an observer beside the recorder hears exactly
+    what the recorder counts, planned or not."""
+    for state in _drive_planned_against_unplanned(7, 400, True, True):
+        registry, tally = state[12], state[13]
+        counters, gauges = registry["counters"], registry["gauges"]
+        assert tally["demotions"] == counters["lss_demotions_total"] > 0
+        assert tally["threshold_switches"] \
+            == counters["lss_threshold_switches_total"] > 0
+        assert tally["threshold"] == gauges["adapt_threshold_blocks"]
