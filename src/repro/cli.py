@@ -1,15 +1,19 @@
 """Command-line interface: regenerate any figure of the paper.
 
+``replay`` replays one scheme on a synthetic fleet and prints each
+volume's WA; with ``--out`` it also writes each volume's events,
+timeline and Prometheus snapshot (and attribution with
+``--attribution``).
+
 Examples::
 
     adapt-repro list
     adapt-repro fig8 --scale smoke
     adapt-repro fig11 --scale default
     adapt-repro replay --scheme adapt --profile ali --volumes 3
-    adapt-repro replay --scheme adapt --metrics-out out/
-    adapt-repro obs --scheme adapt --out obs-out/
-    adapt-repro obs --scheme adapt --timeline-every 4096
-    adapt-repro obs --scheme adapt --attribution
+    adapt-repro replay --scheme adapt --volumes 1 --out obs-out/
+    adapt-repro replay --volumes 1 --timeline-every 4096 --out obs-out/
+    adapt-repro replay --volumes 1 --attribution --out obs-out/
     adapt-repro analyze --trace run.trace.json --attribution a.json
     adapt-repro fleet --volumes 64 --workers 4 --out fleet-out
     adapt-repro fleet --volumes 64 --workers 4 --out fleet-out --resume
@@ -21,120 +25,119 @@ import argparse
 import os
 import sys
 
-from repro.experiments import scale as scale_mod
 from repro.experiments.report import render_table
+from repro.experiments.scale import PRESETS, Scale
 
 
-def _get_scale(name: str):
-    return scale_mod._PRESETS[name]
-
-
-def _cmd_fig2(args) -> str:
+def _cmd_fig2(s: Scale) -> str:
     from repro.experiments.fig2 import render_fig2, run_fig2
-    return render_fig2(run_fig2(_get_scale(args.scale)))
+    return render_fig2(run_fig2(s))
 
 
-def _cmd_fig3(args) -> str:
+def _cmd_fig3(s: Scale) -> str:
     from repro.experiments.fig3 import render_fig3, run_fig3
-    return render_fig3(run_fig3(_get_scale(args.scale)))
+    return render_fig3(run_fig3(s))
 
 
-def _cmd_fig8(args) -> str:
+def _cmd_fig8(s: Scale) -> str:
     from repro.experiments.fig8 import render_fig8, run_fig8
-    return render_fig8(run_fig8(_get_scale(args.scale)))
+    return render_fig8(run_fig8(s))
 
 
-def _cmd_fig9(args) -> str:
+def _cmd_fig9(s: Scale) -> str:
     from repro.experiments.fig9 import render_fig9, run_fig9
-    return render_fig9(run_fig9(_get_scale(args.scale)))
+    return render_fig9(run_fig9(s))
 
 
-def _cmd_fig10(args) -> str:
+def _cmd_fig10(s: Scale) -> str:
     from repro.experiments.fig10 import render_fig10, run_fig10
-    return render_fig10(run_fig10(_get_scale(args.scale)))
+    return render_fig10(run_fig10(s))
 
 
-def _cmd_fig11(args) -> str:
+def _cmd_fig11(s: Scale) -> str:
     from repro.experiments.fig11 import (render_fig11, run_fig11_density,
                                          run_fig11_skew)
-    s = _get_scale(args.scale)
     return render_fig11(run_fig11_density(s) + run_fig11_skew(s))
 
 
-def _cmd_fig12(args) -> str:
+def _cmd_fig12(s: Scale) -> str:
     from repro.experiments.fig12 import (render_fig12, run_fig12a,
                                          run_fig12b)
-    s = _get_scale(args.scale)
     return render_fig12(run_fig12a(s), run_fig12b(s))
 
 
-def _cmd_ablation(args) -> str:
+def _cmd_ablation(s: Scale) -> str:
     from repro.experiments.ablation import (render_ablation,
                                             run_mechanism_ablation,
                                             run_victim_ablation)
-    s = _get_scale(args.scale)
     return render_ablation(run_mechanism_ablation(s) +
                            run_victim_ablation(s))
 
 
-def _cmd_multistream(args) -> str:
+def _cmd_multistream(s: Scale) -> str:
     from repro.experiments.multistream import (render_multistream,
                                                run_multistream)
-    return render_multistream(run_multistream(_get_scale(args.scale)))
+    return render_multistream(run_multistream(s))
 
 
-def _cmd_shared(args) -> str:
+def _cmd_shared(s: Scale) -> str:
     from repro.experiments.shared_store import (render_shared_store,
                                                 run_shared_store)
-    return render_shared_store(run_shared_store(_get_scale(args.scale)))
+    return render_shared_store(run_shared_store(s))
 
 
-def _export_observability(recorder, out_dir: str, stem: str) -> list[str]:
-    """Write the observability artifacts for one replay; returns the
-    paths written.  Exporters create parent directories and write
-    atomically, so ``out_dir`` may not exist yet."""
+def _cmd_replay(args) -> tuple[str, bool]:
+    """Replay one scheme on a synthetic fleet and print each volume's WA.
+
+    With ``--out`` each volume gets a recorder whose events spill to
+    ``<volume>.events.jsonl``; its timeline and Prometheus snapshot (and
+    with ``--attribution`` its attribution) are written beside it.
+    Exporters create parent directories and write atomically, so the
+    directory may not exist yet.
+    """
+    from repro.experiments.runner import replay_volume
+    from repro.obs.attribution import (AttributionRecorder,
+                                       write_attribution_json)
     from repro.obs.exporters import (write_events_jsonl, write_prometheus,
                                      write_timeline_csv)
-    events = os.path.join(out_dir, f"{stem}.events.jsonl")
-    timeline = os.path.join(out_dir, f"{stem}.timeline.csv")
-    prom = os.path.join(out_dir, f"{stem}.prom")
-    write_events_jsonl(recorder.tracer, events)
-    write_timeline_csv(recorder.timeline, timeline)
-    write_prometheus(recorder.registry, prom)
-    return [events, timeline, prom]
-
-
-def _cmd_replay(args) -> str:
-    from repro.experiments.runner import replay_volume
     from repro.obs.recorder import ObsRecorder
+    from repro.obs.timeline import TIMELINE_EVERY
     from repro.trace.synthetic.cloud import generate_fleet
-    s = _get_scale(args.scale)
+    s = PRESETS[args.scale]
     fleet = generate_fleet(args.profile, args.volumes,
                            unique_blocks=s.volume_blocks,
                            num_requests=s.volume_requests, seed=args.seed)
     rows = []
     written: list[str] = []
     for trace in fleet:
-        recorder = None
-        if args.metrics_out:
-            spill = os.path.join(args.metrics_out,
-                                 f"{trace.volume}.events.jsonl")
-            recorder = ObsRecorder(spill_path=spill)
+        recorder = attribution = None
+        if args.out:
+            stem = os.path.join(args.out, trace.volume)
+            recorder = ObsRecorder(args.timeline_every or TIMELINE_EVERY,
+                                   spill_path=f"{stem}.events.jsonl")
+            if args.attribution:
+                attribution = AttributionRecorder()
         r = replay_volume(args.scheme, trace, victim=args.victim,
                           logical_blocks=s.volume_blocks, seed=args.seed,
-                          recorder=recorder)
+                          recorder=recorder, attribution=attribution)
         if recorder is not None:
-            written += _export_observability(recorder, args.metrics_out,
-                                             trace.volume)
+            paths = [f"{stem}.{ext}"
+                     for ext in ("events.jsonl", "timeline.csv", "prom")]
+            write_events_jsonl(recorder.tracer, paths[0])
+            write_timeline_csv(recorder.timeline, paths[1])
+            write_prometheus(recorder.registry, paths[2])
+            if attribution is not None:
+                paths.append(f"{stem}.attribution.json")
+                write_attribution_json(r.attribution, paths[3])
+            written += paths
         rows.append([r.volume, r.write_amplification, r.padding_ratio,
                      r.gc_ratio])
     table = render_table(["volume", "WA", "padding_ratio", "gc_ratio"],
                          rows, title=f"{args.scheme} on {args.profile} "
                                      f"({args.victim})")
     if written:
-        table += "\nmetrics written:\n" + "\n".join(
-            f"  {p}" for p in written)
-    return table
+        table += "\nartifacts:\n" + "\n".join(f"  {p}" for p in written)
+    return table, True
 
 
 def _cmd_validate(args) -> tuple[str, bool]:
@@ -145,10 +148,9 @@ def _cmd_validate(args) -> tuple[str, bool]:
     from repro.validate.differential import (default_workloads,
                                              render_report,
                                              run_differential)
-    policies = args.policies.split(",") if args.policies else None
     requests = 600 if args.scale == "smoke" else 1200
     workloads = default_workloads(num_requests=requests, seed=args.seed)
-    report = run_differential(policies=policies, workloads=workloads,
+    report = run_differential(policies=args.policies, workloads=workloads,
                               victim=args.victim, seed=args.seed)
     out = render_report(report)
     if not report.ok:
@@ -162,46 +164,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _cmd_obs(args) -> str:
-    """Replay one volume with observability and export artifacts: every
-    chunk flush as its own event, and a timeline sampled every
-    ``--timeline-every`` user blocks."""
-    from repro.experiments.runner import replay_volume
-    from repro.obs.recorder import ObsRecorder
-    from repro.trace.synthetic.cloud import generate_fleet
-    s = _get_scale(args.scale)
-    trace = generate_fleet(args.profile, 1, unique_blocks=s.volume_blocks,
-                           num_requests=s.volume_requests,
-                           seed=args.seed)[0]
-    spill = os.path.join(args.out, f"{trace.volume}.events.jsonl")
-    recorder = ObsRecorder(args.timeline_every, spill_path=spill)
-    attribution = None
-    if args.attribution:
-        from repro.obs.attribution import AttributionRecorder
-        attribution = AttributionRecorder()
-    result = replay_volume(args.scheme, trace, victim=args.victim,
-                           logical_blocks=s.volume_blocks, seed=args.seed,
-                           recorder=recorder, attribution=attribution)
-    written = _export_observability(recorder, args.out, trace.volume)
-    if attribution is not None:
-        from repro.obs.attribution import write_attribution_json
-        attr_path = os.path.join(args.out,
-                                 f"{trace.volume}.attribution.json")
-        write_attribution_json(result.attribution, attr_path)
-        written.append(attr_path)
-    counts = recorder.tracer.counts
-    rows = [[k, counts[k]] for k in sorted(counts)]
-    rows.append(["(timeline rows)", len(recorder.timeline)])
-    table = render_table(
-        ["event", "count"], rows,
-        title=f"{args.scheme} on {trace.volume}: "
-              f"WA={result.write_amplification:.3f} "
-              f"padding={result.padding_ratio:.3f} "
-              f"gc={result.gc_ratio:.3f}")
-    return (table + "\nartifacts:\n"
-            + "\n".join(f"  {p}" for p in written))
 
 
 def _cmd_analyze(args) -> tuple[str, bool]:
@@ -253,7 +215,7 @@ def _cmd_fleet(args) -> tuple[str, bool]:
     (an interrupted run exits non-zero so scripts notice and resume).
     """
     from repro.fleet import FleetSpec, render_fleet, run_fleet
-    s = _get_scale(args.scale)
+    s = PRESETS[args.scale]
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -286,6 +248,11 @@ def _cmd_fleet(args) -> tuple[str, bool]:
     return out, True
 
 
+def _cmd_list(args) -> tuple[str, bool]:
+    return ("experiments: " + ", ".join(sorted(_FIGS))
+            + " + replay, analyze, validate, fleet"), True
+
+
 _FIGS = {
     "fig2": _cmd_fig2, "fig3": _cmd_fig3, "fig8": _cmd_fig8,
     "fig9": _cmd_fig9, "fig10": _cmd_fig10, "fig11": _cmd_fig11,
@@ -299,61 +266,64 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.obs.timeline import TIMELINE_EVERY
     from repro.placement import available_policies
     schemes = available_policies()
-    victims = available_victim_policies()
+
+    def policy_list(text: str) -> list[str]:
+        names = text.split(",")
+        for name in names:
+            if name not in schemes:
+                raise argparse.ArgumentTypeError(f"invalid choice: {name!r}")
+        return names
+
     parser = argparse.ArgumentParser(
         prog="adapt-repro",
         description="Regenerate the ADAPT (ICPP'25) evaluation figures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
-
-    def add_profile_out(p):
-        p.add_argument("--profile-out", default=None, metavar="JSON",
+    # Flags more than one subcommand takes, each declared once.
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--scale", default="smoke", choices=PRESETS,
+                       help="workload size preset (default: %(default)s)")
+    sized.add_argument("--profile-out", default=None, metavar="JSON",
                        help="write a Chrome trace_event phase profile "
                             "of the run to JSON (load in about:tracing "
                             "or speedscope) and print the top phases")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=1)
+    volumes = argparse.ArgumentParser(add_help=False)
+    volumes.add_argument("--scheme", default="adapt", choices=schemes)
+    volumes.add_argument("--profile", default="ali",
+                         choices=["ali", "tencent", "msrc"])
+    volumes.add_argument("--victim", default="greedy",
+                         choices=available_victim_policies())
+    volumes.add_argument("--attribution", action="store_true",
+                         help="collect per-volume causal attribution (GC "
+                              "provenance, per-group WA ledger): replay "
+                              "writes <volume>.attribution.json into "
+                              "--out, fleet merges it into the summary")
+    volumes.add_argument("--timeline-every", type=_positive_int,
+                         default=None, metavar="BLOCKS",
+                         help="write a per-volume replay timeline CSV "
+                              "into --out, sampled every BLOCKS user "
+                              f"blocks (default: {TIMELINE_EVERY})")
 
-    for name in _FIGS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--scale", default="smoke",
-                       choices=["smoke", "default", "paper"])
-        add_profile_out(p)
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        run=_cmd_list)
 
-    p = sub.add_parser("replay", help="replay one scheme on a fleet")
-    p.add_argument("--scheme", default="adapt", choices=schemes)
-    p.add_argument("--profile", default="ali",
-                   choices=["ali", "tencent", "msrc"])
-    p.add_argument("--victim", default="greedy", choices=victims)
-    p.add_argument("--volumes", type=int, default=2)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scale", default="smoke",
-                   choices=["smoke", "default", "paper"])
-    p.add_argument("--metrics-out", default=None, metavar="DIR",
-                   help="export per-volume observability artifacts "
-                        "(events JSONL, timeline CSV, Prometheus "
-                        "snapshot) into DIR")
-    add_profile_out(p)
+    for name, fig in _FIGS.items():
+        p = sub.add_parser(name, parents=[sized],
+                           help=f"run the {name} experiment")
+        p.set_defaults(run=lambda args, fig=fig: (fig(PRESETS[args.scale]),
+                                                  True))
 
-    p = sub.add_parser("obs", help="replay one volume with full "
-                                   "observability and export artifacts")
-    p.add_argument("--scheme", default="adapt", choices=schemes)
-    p.add_argument("--profile", default="ali",
-                   choices=["ali", "tencent", "msrc"])
-    p.add_argument("--victim", default="greedy", choices=victims)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scale", default="smoke",
-                   choices=["smoke", "default", "paper"])
-    p.add_argument("--out", default="obs-out", metavar="DIR",
-                   help="artifact output directory (default: obs-out)")
-    p.add_argument("--timeline-every", type=_positive_int,
-                   default=TIMELINE_EVERY, metavar="BLOCKS",
-                   help="timeline sampling period in user blocks "
-                        "(default: %(default)s)")
-    p.add_argument("--attribution", action="store_true",
-                   help="collect causal attribution (GC provenance, "
-                        "per-group WA ledger) and export "
-                        "<volume>.attribution.json")
-    add_profile_out(p)
+    p = sub.add_parser("replay", parents=[sized, seeded, volumes],
+                       help="replay one scheme on a fleet and print each "
+                            "volume's WA")
+    p.add_argument("--volumes", type=_positive_int, default=2)
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="attach a recorder per volume and write "
+                        "<volume>.events.jsonl, .timeline.csv and .prom "
+                        "into DIR")
+    p.set_defaults(run=_cmd_replay)
 
     p = sub.add_parser("analyze",
                        help="explain a run's bottlenecks from its "
@@ -364,28 +334,30 @@ def build_parser() -> argparse.ArgumentParser:
                         "(from any command's --profile-out)")
     p.add_argument("--attribution", default=None, metavar="JSON",
                    help="attribution snapshot "
-                        "(from obs --attribution or fleet --attribution)")
+                        "(from replay or fleet --attribution)")
     p.add_argument("--timeline", default=None, metavar="CSV",
-                   help="replay timeline CSV (from obs, replay "
-                        "--metrics-out or fleet --timeline-every)")
+                   help="replay timeline CSV (from replay --out or "
+                        "fleet --timeline-every)")
     p.add_argument("--out", default=None, metavar="JSON",
                    help="also write the report as JSON (atomic)")
+    p.set_defaults(run=_cmd_analyze)
 
-    p = sub.add_parser("validate",
+    p = sub.add_parser("validate", parents=[seeded],
                        help="differential sweep: fast store vs the "
                             "dict-based oracle for every placement policy")
-    p.add_argument("--policies", default=None, metavar="A,B,...",
+    p.add_argument("--policies", type=policy_list, default=None,
+                   metavar="A,B,...",
                    help="comma-separated policy names "
                         "(default: all registered)")
     p.add_argument("--victim", default="greedy",
                    choices=["greedy", "cost-benefit"],
                    help="victim policy (the oracle supports only the "
                         "deterministic ones)")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--scale", default="smoke",
                    choices=["smoke", "default"])
+    p.set_defaults(run=_cmd_validate)
 
-    p = sub.add_parser("fleet",
+    p = sub.add_parser("fleet", parents=[sized, volumes],
                        help="sharded multi-process fleet replay with "
                             "streaming ingestion and checkpoint/resume")
     p.add_argument("--volumes", type=_positive_int, default=8,
@@ -402,14 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="DIR",
                    help="artifact directory: fleet_summary.json, "
                         "fleet_runinfo.json, checkpoints/, timelines/")
-    p.add_argument("--scheme", default="adapt", choices=schemes)
-    p.add_argument("--profile", default="ali",
-                   choices=["ali", "tencent", "msrc"])
-    p.add_argument("--victim", default="greedy", choices=victims)
-    p.add_argument("--scale", default="smoke",
-                   choices=["smoke", "default", "paper"],
-                   help="per-volume size preset (default: smoke); "
-                        "--volume-blocks/--volume-requests override")
     p.add_argument("--volume-blocks", type=_positive_int, default=None,
                    help="per-volume logical blocks (overrides --scale)")
     p.add_argument("--volume-requests", type=_positive_int, default=None,
@@ -424,57 +388,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true",
                    help="attach a metrics recorder per volume and carry "
                         "snapshots into the summary")
-    p.add_argument("--attribution", action="store_true",
-                   help="collect per-volume causal attribution and merge "
-                        "it deterministically into the summary")
-    p.add_argument("--timeline-every", type=_positive_int, default=None,
-                   metavar="BLOCKS",
-                   help="export a per-volume replay timeline CSV sampled "
-                        "every BLOCKS user blocks (requires --out)")
-    add_profile_out(p)
+    p.set_defaults(run=_cmd_fleet)
     return parser
 
 
-def _dispatch(args) -> tuple[str, bool]:
-    if args.command == "replay":
-        return _cmd_replay(args), True
-    if args.command == "obs":
-        return _cmd_obs(args), True
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _FIGS[args.command](args), True
+# Flags whose output lives in ``--out``: without it ``run_fleet`` refuses a
+# checkpoint or a resume, and a timeline or replay's attribution would be
+# computed and dropped.
+_NEEDS_OUT = {"fleet": ("--checkpoint-every", "--resume", "--timeline-every"),
+              "replay": ("--attribution", "--timeline-every")}
 
 
-def _check_fleet_args(parser: argparse.ArgumentParser, args) -> None:
-    """Reject in the parser what ``run_fleet`` would refuse (or, for
-    ``--timeline-every``, silently skip) without an artifact directory."""
-    if args.checkpoint_every < 0:
+def _check_needs_out(parser: argparse.ArgumentParser, args) -> None:
+    """Reject in the parser a flag that needs ``--out`` when none is given,
+    and a negative ``--checkpoint-every``."""
+    if getattr(args, "checkpoint_every", 0) < 0:
         parser.error("argument --checkpoint-every: must be >= 0")
-    if args.out:
-        return
-    for flag, value in (("--checkpoint-every", args.checkpoint_every),
-                        ("--resume", args.resume),
-                        ("--timeline-every", args.timeline_every)):
-        if value:
+    for flag in _NEEDS_OUT.get(args.command, ()):
+        if getattr(args, flag[2:].replace("-", "_")) and not args.out:
             parser.error(f"argument {flag}: requires --out")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fleet":
-        _check_fleet_args(parser, args)
-    if args.command == "list":
-        print("experiments:", ", ".join(sorted(_FIGS)),
-              "+ replay, obs, analyze, validate, fleet")
-        return 0
+    _check_needs_out(parser, args)
     profile_out = getattr(args, "profile_out", None)
     if not profile_out:
-        out, ok = _dispatch(args)
+        out, ok = args.run(args)
         print(out)
         return 0 if ok else 1
     # Install a process-global phase profiler around the whole command;
@@ -483,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     profiler = obs_profile.PhaseProfiler()
     obs_profile.set_current(profiler)
     try:
-        out, ok = _dispatch(args)
+        out, ok = args.run(args)
     finally:
         obs_profile.set_current(None)
     profiler.write_chrome_trace(profile_out)

@@ -67,7 +67,6 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
                   recorder: ObsRecorder | None = None,
                   collect_metrics: bool = False,
                   attribution=None,
-                  collect_attribution: bool = False,
                   **policy_kwargs) -> VolumeResult:
     """Replay one volume under one scheme and victim policy.
 
@@ -77,11 +76,9 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
     (e.g. with a JSONL spill path); either way the result carries the
     recorder's snapshot in :attr:`VolumeResult.metrics`.
 
-    Attribution is opt-in the same way as metrics: pass
-    ``collect_attribution=True`` for a default
-    :class:`~repro.obs.attribution.AttributionRecorder`, or supply a
-    configured ``attribution`` sink; the result carries its snapshot in
-    :attr:`VolumeResult.attribution`.
+    Attribution is opt-in: supply an ``attribution`` sink (e.g. an
+    :class:`~repro.obs.attribution.AttributionRecorder`); the result
+    carries its snapshot in :attr:`VolumeResult.attribution`.
     """
     if logical_blocks is None:
         blocks = trace.max_lba() + 1
@@ -94,9 +91,6 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
     policy = make_policy(scheme, cfg, **policy_kwargs)
     if recorder is None and collect_metrics:
         recorder = ObsRecorder()
-    if attribution is None and collect_attribution:
-        from repro.obs.attribution import AttributionRecorder
-        attribution = AttributionRecorder()
     with obs_profile.current().span(
             f"cell:{scheme}:{trace.volume}", victim=victim):
         store = LogStructuredStore(cfg, policy, recorder=recorder,

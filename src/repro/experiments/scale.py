@@ -44,15 +44,15 @@ PAPER = Scale("paper", num_volumes=50, volume_blocks=65_536,
               volume_requests=200_000, stats_volumes=50,
               ycsb_blocks=1_000_000, ycsb_writes=10_000_000)
 
-_PRESETS = {s.name: s for s in (SMOKE, DEFAULT, PAPER)}
+PRESETS = {s.name: s for s in (SMOKE, DEFAULT, PAPER)}
 
 
 def current_scale(default: str = "default") -> Scale:
     """Resolve the active preset from ``REPRO_SCALE``."""
     name = os.environ.get("REPRO_SCALE", default).lower()
     try:
-        return _PRESETS[name]
+        return PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown REPRO_SCALE={name!r}; expected one of "
-            f"{sorted(_PRESETS)}") from None
+            f"{sorted(PRESETS)}") from None

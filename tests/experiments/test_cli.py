@@ -33,15 +33,15 @@ def test_extension_commands_listed(capsys):
     main(["list"])
     out = capsys.readouterr().out
     assert "multistream" in out and "shared-store" in out
-    assert "obs" in out
 
 
-def test_obs_command_writes_artifacts(capsys, tmp_path):
+def test_replay_out_writes_artifacts(capsys, tmp_path):
     out_dir = tmp_path / "obs"
-    assert main(["obs", "--scheme", "sepbit", "--scale", "smoke",
-                 "--out", str(out_dir), "--timeline-every", "512"]) == 0
+    assert main(["replay", "--scheme", "sepbit", "--volumes", "1",
+                 "--scale", "smoke", "--out", str(out_dir),
+                 "--timeline-every", "512"]) == 0
     out = capsys.readouterr().out
-    assert "chunk_flush" in out
+    assert "sepbit on ali" in out and "artifacts:" in out
     events = out_dir / "ali-000.events.jsonl"
     timeline = out_dir / "ali-000.timeline.csv"
     prom = out_dir / "ali-000.prom"
@@ -49,8 +49,7 @@ def test_obs_command_writes_artifacts(capsys, tmp_path):
         sorted(p.name for p in (events, timeline, prom))
     for path in (events, timeline, prom):
         assert path.stat().st_size > 0
-    first = events.read_text().splitlines()[0]
-    assert '"type"' in first
+    assert '"type":"chunk_flush"' in events.read_text().splitlines()[0]
     lines = timeline.read_text().splitlines()
     assert lines[0].startswith("user_blocks,time_us,")
     assert int(lines[1].split(",")[0]) == 512
@@ -58,20 +57,38 @@ def test_obs_command_writes_artifacts(capsys, tmp_path):
 
 
 def test_replay_metrics_out(capsys, tmp_path):
+    """``replay --out`` writes the three artifacts for every volume of
+    the fleet, plus attribution with ``--attribution``."""
     out_dir = tmp_path / "metrics"
-    assert main(["replay", "--scheme", "sepgc", "--volumes", "1",
-                 "--scale", "smoke", "--metrics-out", str(out_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "metrics written" in out
+    assert main(["replay", "--scheme", "sepgc", "--volumes", "2",
+                 "--scale", "smoke", "--attribution",
+                 "--out", str(out_dir)]) == 0
+    assert "artifacts:" in capsys.readouterr().out
     assert sorted(p.name for p in out_dir.iterdir()) == [
-        "ali-000.events.jsonl", "ali-000.prom", "ali-000.timeline.csv"]
+        f"ali-00{v}.{ext}" for v in (0, 1)
+        for ext in ("attribution.json", "events.jsonl", "prom",
+                    "timeline.csv")]
+
+
+def test_replay_artifacts_do_not_depend_on_fleet_size(tmp_path):
+    """A volume is generated from its name, not its place in the fleet,
+    so ``replay --volumes 1`` and ``--volumes 2`` write the same bytes
+    for ``ali-000``: one command serves one volume and many."""
+    one, two = tmp_path / "one", tmp_path / "two"
+    for volumes, out_dir in (("1", one), ("2", two)):
+        assert main(["replay", "--volumes", volumes, "--scale", "smoke",
+                     "--out", str(out_dir)]) == 0
+    for ext in ("events.jsonl", "timeline.csv", "prom"):
+        name = f"ali-000.{ext}"
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv", [
     ["fleet", "--scheme", "nope"],
     ["fleet", "--victim", "nope", "--workers", "2"],
     ["replay", "--scheme", "nope"],
-    ["obs", "--victim", "nope"],
+    ["replay", "--victim", "nope"],
+    ["validate", "--policies", "adapt,nope"],
 ])
 def test_unknown_scheme_or_victim_is_a_usage_error(argv, capsys):
     """A bad name fails in the parser — exit 2 and a usage line — before
@@ -84,17 +101,28 @@ def test_unknown_scheme_or_victim_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["--checkpoint-every", "2"], "--checkpoint-every"),
-    (["--checkpoint-every", "-1"], "--checkpoint-every"),
-    (["--resume"], "--resume"),
-    (["--timeline-every", "256"], "--timeline-every"),
-])
-def test_fleet_flags_that_need_out_are_usage_errors(argv, flag, capsys):
-    """Checkpoints, resume and timelines live in ``--out``: without it
-    the flag fails in the parser, exit 2 naming it, before any worker."""
+def test_zero_volumes_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["fleet", *argv])
+        main(["replay", "--volumes", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --volumes: must be >= 1" in err and "usage:" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fleet", "--checkpoint-every", "2"], "--checkpoint-every"),
+    (["fleet", "--checkpoint-every", "-1"], "--checkpoint-every"),
+    (["fleet", "--resume"], "--resume"),
+    (["fleet", "--timeline-every", "256"], "--timeline-every"),
+    (["replay", "--attribution"], "--attribution"),
+    (["replay", "--timeline-every", "256"], "--timeline-every"),
+])
+def test_flags_that_need_out_are_usage_errors(argv, flag, capsys):
+    """Checkpoints, resume, timelines and replay's attribution live in
+    ``--out``: without it the flag fails in the parser, exit 2 naming it,
+    before any worker or replay."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "usage:" in err
@@ -102,8 +130,7 @@ def test_fleet_flags_that_need_out_are_usage_errors(argv, flag, capsys):
 
 def test_removed_commands_and_flags_are_gone():
     for argv in (["bench"], ["validate", "--engine", "auto"],
-                 ["fleet", "--engine", "auto"], ["obs", "--no-trace"],
-                 ["obs", "--sample-every", "512"],
-                 ["obs", "--event-sample-every", "2"]):
+                 ["fleet", "--engine", "auto"], ["obs"],
+                 ["replay", "--metrics-out", "d"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)

@@ -173,8 +173,9 @@ def sepgc_timeline(tmp_path_factory):
     """A real sepgc timeline: its threshold column is NaN throughout."""
     from repro.cli import main
     out = tmp_path_factory.mktemp("obs")
-    assert main(["obs", "--scheme", "sepgc", "--scale", "smoke",
-                 "--timeline-every", "4096", "--out", str(out)]) == 0
+    assert main(["replay", "--scheme", "sepgc", "--volumes", "1",
+                 "--scale", "smoke", "--timeline-every", "4096",
+                 "--out", str(out)]) == 0
     return str(out / "ali-000.timeline.csv")
 
 
