@@ -110,19 +110,31 @@ def test_zero_volumes_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["fleet", "--checkpoint-every", "2"], "--checkpoint-every"),
-    (["fleet", "--checkpoint-every", "-1"], "--checkpoint-every"),
-    (["fleet", "--resume"], "--resume"),
-    (["fleet", "--timeline-every", "256"], "--timeline-every"),
-    (["replay", "--attribution"], "--attribution"),
-    (["replay", "--timeline-every", "256"], "--timeline-every"),
+    (["--checkpoint-every", "2"], "--checkpoint-every"),
+    (["--checkpoint-every", "-1"], "--checkpoint-every"),
+    (["--resume"], "--resume"),
+    (["--timeline-every", "256"], "--timeline-every"),
 ])
-def test_flags_that_need_out_are_usage_errors(argv, flag, capsys):
-    """Checkpoints, resume, timelines and replay's attribution live in
-    ``--out``: without it the flag fails in the parser, exit 2 naming it,
-    before any worker or replay."""
+def test_fleet_flags_that_need_out_are_usage_errors(argv, flag, capsys):
+    """Checkpoints, resume and timelines live in ``--out``: without it
+    the flag fails in the parser, exit 2 naming it, before any worker."""
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["fleet", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "usage:" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--attribution"], "--attribution"),
+    (["--timeline-every", "256"], "--timeline-every"),
+])
+def test_replay_flags_that_need_out_are_usage_errors(argv, flag, capsys):
+    """Replay's attribution and timelines live in ``--out`` too, checked by
+    the same parser rule as fleet's: exit 2 naming the flag, before any
+    replay."""
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", *argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "usage:" in err
