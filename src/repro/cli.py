@@ -229,9 +229,8 @@ def _cmd_fleet(args) -> tuple[str, bool]:
         collect_metrics=args.metrics,
         timeline_every=args.timeline_every,
         collect_attribution=args.attribution, **overrides)
-    result = run_fleet(spec, workers=args.workers,
-                       checkpoint_every=args.checkpoint_every,
-                       out_dir=args.out, resume=args.resume)
+    result = run_fleet(spec, workers=args.workers, out_dir=args.out,
+                       resume=args.resume)
     if not result.complete:
         done = len(result.volumes)
         out = (f"fleet run interrupted: {done}/{spec.num_volumes} "
@@ -365,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker process count == shard count; a resumed "
                         "run must reuse it (default: 1)")
-    p.add_argument("--checkpoint-every", type=int, default=0,
-                   metavar="CHUNKS",
-                   help="checkpoint each shard every CHUNKS replayed "
-                        "chunks (0 disables; requires --out)")
     p.add_argument("--resume", action="store_true",
                    help="resume from checkpoints in --out")
     p.add_argument("--out", default=None, metavar="DIR",
@@ -393,17 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Flags whose output lives in ``--out``: without it ``run_fleet`` refuses a
-# checkpoint or a resume, and a timeline or replay's attribution would be
-# computed and dropped.
-_NEEDS_OUT = {"fleet": ("--checkpoint-every", "--resume", "--timeline-every"),
+# resume, and a timeline or replay's attribution would be computed and
+# dropped.
+_NEEDS_OUT = {"fleet": ("--resume", "--timeline-every"),
               "replay": ("--attribution", "--timeline-every")}
 
 
 def _check_needs_out(parser: argparse.ArgumentParser, args) -> None:
-    """Reject in the parser a flag that needs ``--out`` when none is given,
-    and a negative ``--checkpoint-every``."""
-    if getattr(args, "checkpoint_every", 0) < 0:
-        parser.error("argument --checkpoint-every: must be >= 0")
+    """Reject in the parser a flag that needs ``--out`` when none is
+    given."""
     for flag in _NEEDS_OUT.get(args.command, ()):
         if getattr(args, flag[2:].replace("-", "_")) and not args.out:
             parser.error(f"argument {flag}: requires --out")

@@ -24,9 +24,9 @@ class CapacityError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """Raised when a fleet checkpoint cannot be trusted: version or fleet
-    mismatch, torn/corrupt pickle, or a restored store whose derived
-    tables fail the recovery-scan cross-check."""
+    """Raised when a fleet checkpoint cannot be trusted: an unreadable or
+    torn file, another summary schema, another fleet or shard geometry,
+    or a report for a volume outside the shard."""
 
 
 class ValidationError(ReproError):

@@ -5,23 +5,11 @@ Indexing a NumPy array with one integer builds a NumPy scalar; a
 ``memoryview`` over the same buffer reads and writes plain Python ints
 at about a third of the cost.  Vectorised code keeps using the arrays,
 per-element code uses the views, and both see every write because they
-share one buffer.  A view cannot be pickled, and a pickled copy of one
-would no longer alias its array, so :class:`ScalarViews` drops the views
-from the pickled state and rebinds them on load.
+share one buffer.  A view cannot be pickled, and nothing pickles these
+objects: a fleet checkpoint holds finished volume reports, not stores.
 """
 
 from __future__ import annotations
-
-from typing import Any
-
-
-def slot_state(obj: Any) -> dict[str, Any]:
-    """``obj``'s set slots by name, base classes' first: what pickling a
-    slotted object stores, as ``vars`` shows an object's ``__dict__``."""
-    return {name: getattr(obj, name)
-            for cls in reversed(type(obj).__mro__)
-            for name in cls.__dict__.get("__slots__", ())
-            if hasattr(obj, name)}
 
 
 class ScalarViews:
@@ -41,16 +29,5 @@ class ScalarViews:
         for view, array in self._scalar_views.items():
             setattr(self, view, memoryview(getattr(self, array)))
 
-    def __getstate__(self) -> dict:
-        state = slot_state(self)
-        for view in self._scalar_views:
-            state.pop(view, None)
-        return state
 
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._bind_scalar_views()
-
-
-__all__ = ["ScalarViews", "slot_state"]
+__all__ = ["ScalarViews"]

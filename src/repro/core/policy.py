@@ -81,7 +81,7 @@ class AdaptPolicy(PlacementPolicy):
         self._bind_scalar_views()
         #: The active window plan.  Transient by construction — set by
         #: :meth:`plan_user_writes`, dropped before ``store.replay``
-        #: returns — so a checkpoint always holds ``None`` here.
+        #: returns — so it is ``None`` between replay calls.
         self._plan: _UserWritePlan | None = None
         self._unique_seen = 0
         #: Real hot/cold threshold in write-distance units; cold-start value

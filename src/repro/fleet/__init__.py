@@ -1,14 +1,13 @@
 """repro.fleet — sharded multi-process fleet replay.
 
 Replays hundreds of tenant volumes across a process pool with streaming
-trace ingestion (per-volume memory O(chunk)), periodic per-shard
-checkpoints built on the crash-recovery scan, and deterministic
-fleet-level aggregation.  See ``docs/fleet.md`` for the architecture and
+trace ingestion (per-volume memory O(chunk)), per-shard JSON checkpoints
+of the finished volumes (a resume re-replays the rest), and
+deterministic fleet-level aggregation.  See ``docs/fleet.md`` for the architecture and
 the determinism contract.
 """
 
 from repro.fleet.checkpoint import (
-    CHECKPOINT_VERSION,
     checkpoint_path,
     load_shard_checkpoint,
     write_shard_checkpoint,
@@ -35,7 +34,6 @@ from repro.fleet.worker import KILL_ENV, run_shard
 
 __all__ = [
     "CHECKPOINT_DIRNAME",
-    "CHECKPOINT_VERSION",
     "DEFAULT_FLEET_SEED",
     "FleetRunResult",
     "FleetSpec",

@@ -4,16 +4,16 @@
 pool (and calls inline for serial runs): it walks its round-robin share
 of the fleet's tenants, streams each tenant's trace through a fresh
 store one bounded chunk at a time (memory O(chunk), never O(trace)),
-and — when checkpointing is enabled — snapshots its progress every
-``checkpoint_every`` chunks and after every finished volume, so a kill
-at any instant loses at most one checkpoint interval of work.
+and — given a checkpoint directory — rewrites its checkpoint after every
+finished volume, so a kill at any instant loses at most the volume in
+flight, which a resume replays from its first chunk.
 
 Interruption testing hooks: ``stop_after_chunks`` returns gracefully
 after N chunk replays (unit tests), and the
 ``ADAPT_REPRO_FLEET_KILL_AFTER_CHUNKS`` environment variable hard-kills
-the worker process with ``os._exit`` right after the next checkpoint —
-the CI fleet-smoke job uses it to prove a real mid-flight kill resumes
-to a byte-identical summary.
+the worker process with ``os._exit`` after N chunk replays — the CI
+fleet-smoke job uses it to prove a real mid-flight kill resumes to a
+byte-identical summary.  Both write the checkpoint before stopping.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 
 from repro.fleet.checkpoint import (
     checkpoint_path,
+    encode_report,
     load_shard_checkpoint,
     write_shard_checkpoint,
 )
@@ -65,7 +66,6 @@ def _export_timeline(recorder, tenant_id: str,
 
 def run_shard(spec: FleetSpec, shard: int, num_shards: int,
               checkpoint_dir: str | None = None,
-              checkpoint_every: int = 0,
               resume: bool = False,
               stop_after_chunks: int | None = None,
               timeline_dir: str | None = None) -> dict:
@@ -73,34 +73,37 @@ def run_shard(spec: FleetSpec, shard: int, num_shards: int,
 
     Returns ``{"shard", "completed": [volume report dicts in tenant
     order], "interrupted": bool, "chunks_replayed": int}``.  With
-    ``resume=True`` the shard picks up from its checkpoint (fresh start
-    when none exists); finished tenants are never replayed again.
+    ``resume=True`` the shard skips the tenants its checkpoint lists as
+    finished (fresh start when there is none) and replays the rest from
+    chunk 0.
     """
     kill_after = int(os.environ.get(KILL_ENV, "0") or "0")
+    tenants = spec.shard_tenants(shard, num_shards)
     ckpt = None
     if checkpoint_dir is not None:
         ckpt = checkpoint_path(checkpoint_dir, shard, num_shards)
     fleet_key = spec.fleet_key()
     completed: dict[str, dict] = {}
-    inflight: dict | None = None
-    if resume and ckpt is not None:
-        payload = load_shard_checkpoint(ckpt, fleet_key=fleet_key,
-                                        shard=shard,
-                                        num_shards=num_shards)
-        if payload is not None:
-            completed = payload["completed"]
-            inflight = payload["inflight"]
+    encoded: dict[str, str] = {}   # completed reports as checkpoint text
 
-    tenants = spec.shard_tenants(shard, num_shards)
-    chunks_replayed = 0
-    checkpointing = ckpt is not None and checkpoint_every > 0
-    since_ckpt = 0
-
-    def _write(current: dict | None) -> None:
+    def _finish(report: dict) -> None:
+        completed[report["volume"]] = report
         if ckpt is not None:
-            write_shard_checkpoint(ckpt, fleet_key=fleet_key, shard=shard,
-                                   num_shards=num_shards,
-                                   completed=completed, inflight=current)
+            encoded[report["volume"]] = encode_report(report)
+
+    if resume and ckpt is not None:
+        for report in load_shard_checkpoint(
+                ckpt, fleet_key=fleet_key, shard=shard,
+                num_shards=num_shards, tenants=tenants) or ():
+            _finish(report)
+    chunks_replayed = 0
+
+    def _checkpoint() -> None:
+        if ckpt is not None:
+            write_shard_checkpoint(
+                ckpt, fleet_key=fleet_key, shard=shard,
+                num_shards=num_shards,
+                volumes=[encoded[t] for t in tenants if t in encoded])
 
     def _result(interrupted: bool) -> dict:
         return {"shard": shard,
@@ -112,44 +115,21 @@ def run_shard(spec: FleetSpec, shard: int, num_shards: int,
     for tenant in tenants:
         if tenant in completed:
             continue
-        stream = spec.volume_stream(tenant)
-        if inflight is not None and inflight["tenant"] == tenant:
-            store = inflight["store"]
-            recorder = inflight["recorder"]
-            start_chunk = inflight["next_chunk"]
-            state = inflight["stream_state"]
-        else:
-            store, recorder = _fresh_store(spec, tenant)
-            start_chunk, state = 0, stream.initial_state()
-        inflight = None
-
-        for index, chunk, state in stream.chunks(start_chunk, state):
+        store, recorder = _fresh_store(spec, tenant)
+        for chunk in spec.volume_stream(tenant).chunks():
             store.replay(chunk, finalize=False)
             chunks_replayed += 1
-            since_ckpt += 1
-            current = {"tenant": tenant, "next_chunk": index + 1,
-                       "stream_state": state, "store": store,
-                       "recorder": recorder}
-            if checkpointing and since_ckpt >= checkpoint_every:
-                _write(current)
-                since_ckpt = 0
             if kill_after and chunks_replayed >= kill_after:
-                _write(current)
+                _checkpoint()
                 os._exit(42)
             if stop_after_chunks is not None \
                     and chunks_replayed >= stop_after_chunks:
-                _write(current)
+                _checkpoint()
                 return _result(True)
-
         store.finalize()
-        completed[tenant] = volume_report(spec, tenant, store, recorder)
+        _finish(volume_report(spec, tenant, store, recorder))
         _export_timeline(recorder, tenant, timeline_dir)
-        if checkpointing:
-            _write(None)
-            since_ckpt = 0
-
-    if ckpt is not None:
-        _write(None)
+        _checkpoint()
     return _result(False)
 
 

@@ -49,24 +49,4 @@ def atomic_write(path: str, newline: str | None = None) -> Iterator[IO[str]]:
         raise
 
 
-@contextmanager
-def atomic_write_bytes(path: str) -> Iterator[IO[bytes]]:
-    """Binary twin of :func:`atomic_write` (checkpoints, npz payloads)."""
-    ensure_parent(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-__all__ = ["atomic_write", "atomic_write_bytes", "ensure_parent"]
+__all__ = ["atomic_write", "ensure_parent"]

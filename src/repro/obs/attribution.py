@@ -45,9 +45,8 @@ class AttributionRecorder(StoreObserver):
     """Live attribution sink: the provenance planes plus plain-int
     aggregates, no per-event storage.
 
-    The planes are flat — one entry per encoded location (``segment *
-    segment_blocks + slot``) — so they pickle as they are.  The
-    structured snapshot (and the optional :meth:`publish` into a
+    The planes are flat, one entry per encoded location (``segment *
+    segment_blocks + slot``).  The structured snapshot (and the optional :meth:`publish` into a
     :class:`~repro.obs.metrics.MetricsRegistry`) is built on demand from
     the aggregates plus the bound store's per-group traffic breakdown.
     """

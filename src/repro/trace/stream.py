@@ -5,17 +5,16 @@ four int64 columns (plus their per-block expansion) must fit in
 memory before the first request is replayed.  A
 :class:`SyntheticVolumeStream` instead hands the replay loop one bounded
 chunk at a time — per-volume memory is O(``chunk_requests``), not
-O(trace) — and the stream is *resumable*: chunk ``i`` plus the small
-carried state after it is enough to regenerate chunks ``i+1...``
-bit-identically, which is what fleet checkpoint/resume
-(:mod:`repro.fleet`) builds on.
+O(trace).
 
 Each chunk draws from an independent RNG keyed on ``(seed, volume,
 chunk index)`` (:func:`repro.common.rng.tenant_rng`), with the Zipf
 popularity layout fixed per volume and only a tiny carried state (time
 cursor, sequential-run cursor) crossing chunk boundaries.  The stream is
-therefore deterministic, order-independent across tenants, and seekable
-to any chunk.
+therefore deterministic and order-independent across tenants: every
+walk from chunk 0 yields the same chunks, which is what fleet resume
+(:mod:`repro.fleet`) relies on when it replays an interrupted volume
+from its start.
 
 Note the determinism contract: a synthetic stream is its *own* trace
 definition.  It does not reproduce ``generate_volume``'s whole-trace
@@ -53,8 +52,7 @@ class SyntheticVolumeStream:
     trace (see module docstring).
 
     Generation state that must flow across chunk boundaries travels
-    through a small picklable ``state`` dict, seeded by
-    :meth:`initial_state`.
+    through a small ``state`` dict, seeded by :meth:`initial_state`.
 
     Args:
         profile: a :class:`CloudProfile` or its name.
@@ -108,8 +106,8 @@ class SyntheticVolumeStream:
         """Return ``(chunk_trace, state_after)`` for chunk ``index``.
 
         ``state`` must be the state returned by chunk ``index - 1`` (or
-        :meth:`initial_state` for chunk 0); passing anything else breaks
-        the bit-identical resume contract.
+        :meth:`initial_state` for chunk 0); anything else yields chunks
+        that no walk of the stream produces.
         """
         if not 0 <= index < self.num_chunks:
             raise IndexError(
@@ -139,25 +137,17 @@ class SyntheticVolumeStream:
                       volume=self.volume).validate()
         return trace, {"t_cursor": int(ts[-1]) + 1, "prev_end": prev_end}
 
-    def chunks(self, start: int = 0, state: dict | None = None
-               ) -> Iterator[tuple[int, Trace, dict]]:
-        """Yield ``(index, chunk_trace, state_after)`` from ``start`` on.
-
-        ``state`` is required when ``start > 0`` (it is whatever chunk
-        ``start - 1`` returned — a resuming caller restores it from its
-        checkpoint).
-        """
-        if start == 0 and state is None:
-            state = self.initial_state()
-        for i in range(start, self.num_chunks):
+    def chunks(self) -> Iterator[Trace]:
+        """Yield every chunk in order, from chunk 0."""
+        state = self.initial_state()
+        for i in range(self.num_chunks):
             trace, state = self.chunk(i, state)
-            yield i, trace, state
+            yield trace
 
     def materialize(self) -> Trace:
         """Concatenate every chunk into one in-memory :class:`Trace`
         (tests and small runs; defeats the purpose at scale)."""
-        return Trace.concat([trace for _, trace, _ in self.chunks()],
-                            volume=self.volume)
+        return Trace.concat(list(self.chunks()), volume=self.volume)
 
 
 __all__ = ["DEFAULT_CHUNK_REQUESTS", "SyntheticVolumeStream"]

@@ -15,7 +15,10 @@ Any divergence means the two independently written bookkeeping
 implementations disagree — the fast store's vectorised state machine no
 longer matches the obviously-correct model.  The fast replay additionally
 runs under an :class:`~repro.validate.audit.InvariantAuditor`, so a sweep
-exercises the invariant catalogue on live stores as well.
+exercises the invariant catalogue on live stores as well, and its final
+state must match what the crash-recovery scan
+(:func:`~repro.lss.recovery.verify_recovery`) rebuilds from the segment
+pool's slot metadata alone.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lss.config import LSSConfig
+from repro.lss.recovery import verify_recovery
 from repro.lss.store import UNMAPPED, LogStructuredStore, check_engine
 from repro.placement.registry import available_policies, make_policy
 from repro.trace.model import Trace
@@ -153,13 +157,16 @@ def run_cell(policy_name: str, trace: Trace, config: LSSConfig,
     The fast store runs the replay loop production replays use, and the
     oracle the per-block dict model driving its policy unplanned, so
     every sweep checks the loop's window plans, deferred settles and
-    bulk GC for every policy.
+    bulk GC for every policy.  The fast store's mapping and validity
+    must also survive a crash-recovery rebuild (an ``AssertionError``
+    otherwise).
     """
     auditor = InvariantAuditor(every_blocks=audit_every)
     fast = LogStructuredStore(config, make_policy(policy_name, config),
                               auditor=auditor)
     fast.replay(trace)
     fast.check_invariants()
+    verify_recovery(fast)
 
     oracle = OracleStore(config, make_policy(policy_name, config))
     oracle.replay(trace)

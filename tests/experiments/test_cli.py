@@ -110,13 +110,11 @@ def test_zero_volumes_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["--checkpoint-every", "2"], "--checkpoint-every"),
-    (["--checkpoint-every", "-1"], "--checkpoint-every"),
     (["--resume"], "--resume"),
     (["--timeline-every", "256"], "--timeline-every"),
 ])
 def test_fleet_flags_that_need_out_are_usage_errors(argv, flag, capsys):
-    """Checkpoints, resume and timelines live in ``--out``: without it
+    """Resume and timelines live in ``--out``: without it
     the flag fails in the parser, exit 2 naming it, before any worker."""
     with pytest.raises(SystemExit) as exc:
         main(["fleet", *argv])
@@ -143,6 +141,7 @@ def test_replay_flags_that_need_out_are_usage_errors(argv, flag, capsys):
 def test_removed_commands_and_flags_are_gone():
     for argv in (["bench"], ["validate", "--engine", "auto"],
                  ["fleet", "--engine", "auto"], ["obs"],
-                 ["replay", "--metrics-out", "d"]):
+                 ["replay", "--metrics-out", "d"],
+                 ["fleet", "--checkpoint-every", "2", "--out", "d"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)

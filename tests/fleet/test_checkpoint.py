@@ -1,45 +1,49 @@
-"""Shard checkpoints: atomicity, validation, recovery cross-check."""
+"""Shard checkpoints: a JSON fragment of the fleet summary, loud on load.
+
+``tests/fleet/data/shard-0000-of-0001.ckpt`` is a checkpoint of ``SPEC``
+written by ``run_fleet(SPEC, out_dir=..., stop_after_chunks=6)``: the
+first tenant finished, the second two chunks in.  A change that moves a
+volume report or the summary schema must regenerate it, with
+``PYTHONPATH=src python -m tests.fleet.test_checkpoint``.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import io
+import json
+import os
 import pickle
+import shutil
 
 import pytest
 
-import repro.fleet.worker as worker
-
 from repro.common.errors import CheckpointError
+from repro.fleet import CHECKPOINT_DIRNAME, SUMMARY_NAME, run_fleet
 from repro.fleet.checkpoint import (
-    CHECKPOINT_VERSION,
     checkpoint_path,
+    encode_report,
     load_shard_checkpoint,
     write_shard_checkpoint,
 )
+from repro.fleet.report import SUMMARY_SCHEMA
 from repro.fleet.spec import FleetSpec
-from repro.fleet.worker import run_shard
 
 SPEC = FleetSpec(num_volumes=2, volume_blocks=2048, volume_requests=800,
                  chunk_requests=256)
 KEY = SPEC.fleet_key()
+TENANTS = SPEC.shard_tenants(0, 1)
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+FIXTURE = checkpoint_path(DATA, 0, 1)
 
 
-def midstream_store(tenant="ali-0000", chunks=2):
-    """A store halfway through its tenant's stream, plus resume cursor."""
-    from repro.experiments.runner import store_config_for
-    from repro.lss.store import LogStructuredStore
-    from repro.placement.registry import make_policy
-    stream = SPEC.volume_stream(tenant)
-    cfg = store_config_for(SPEC.volume_blocks, seed=SPEC.store_seed(tenant))
-    store = LogStructuredStore(cfg, make_policy(SPEC.scheme, cfg))
-    state = stream.initial_state()
-    for index, tr, state in stream.chunks(0, state):
-        store.replay(tr, finalize=False)
-        if index + 1 >= chunks:
-            break
-    return store, index + 1, state
+def load(path, fleet_key=KEY, shard=0, num_shards=1, tenants=TENANTS):
+    return load_shard_checkpoint(path, fleet_key=fleet_key, shard=shard,
+                                 num_shards=num_shards, tenants=tenants)
+
+
+def write(path, volumes=()):
+    return write_shard_checkpoint(
+        path, fleet_key=KEY, shard=0, num_shards=1,
+        volumes=[encode_report(v) for v in volumes])
 
 
 def test_path_encodes_geometry(tmp_path):
@@ -48,156 +52,123 @@ def test_path_encodes_geometry(tmp_path):
 
 
 def test_missing_checkpoint_is_none(tmp_path):
-    p = checkpoint_path(str(tmp_path), 0, 1)
-    assert load_shard_checkpoint(p, fleet_key=KEY, shard=0,
-                                 num_shards=1) is None
+    assert load(checkpoint_path(str(tmp_path), 0, 1)) is None
 
 
 def test_roundtrip_completed_only(tmp_path):
-    p = checkpoint_path(str(tmp_path), 0, 2)
-    completed = {"ali-0000": {"volume": "ali-0000", "stats": {}}}
-    write_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=2,
-                           completed=completed, inflight=None)
-    payload = load_shard_checkpoint(p, fleet_key=KEY, shard=0,
-                                    num_shards=2)
-    assert payload["completed"] == completed
-    assert payload["inflight"] is None
-    assert payload["version"] == CHECKPOINT_VERSION
-
-
-def test_roundtrip_inflight_store_resumes_identically(tmp_path):
-    """A store restored from a checkpoint finishes the volume with
-    bit-identical stats to one that was never interrupted."""
-    store, next_chunk, state = midstream_store()
+    """A checkpoint is the canonical JSON of the finished reports and
+    the fleet and shard they belong to, nothing else."""
     p = checkpoint_path(str(tmp_path), 0, 1)
-    write_shard_checkpoint(
-        p, fleet_key=KEY, shard=0, num_shards=1, completed={},
-        inflight={"tenant": "ali-0000", "next_chunk": next_chunk,
-                  "stream_state": state, "store": store,
-                  "recorder": None})
-    # The original store object keeps working after the write
-    # (profiler detach must be restored).
-    stream = SPEC.volume_stream("ali-0000")
-    payload = load_shard_checkpoint(p, fleet_key=KEY, shard=0,
-                                    num_shards=1)
-    restored = payload["inflight"]["store"]
-    for original in (store, restored):
-        for _, tr, _ in stream.chunks(payload["inflight"]["next_chunk"],
-                                      payload["inflight"]["stream_state"]):
-            original.replay(tr, finalize=False)
-        original.finalize()
-    assert store.stats.summary() == restored.stats.summary()
+    reports = [{"volume": "ali-0000", "stats": {"write_amplification":
+                                                1.5, "gc_passes": 3}},
+               {"volume": "ali-0001", "metrics": None, "groups": []}]
+    write(p, reports)
+    assert load(p) == reports
+    with open(p) as f:
+        assert f.read() == json.dumps(
+            {"schema": SUMMARY_SCHEMA, "fleet_key": KEY, "shard": 0,
+             "num_shards": 1, "volumes": reports},
+            sort_keys=True, separators=(",", ":"))
 
 
 def test_wrong_fleet_key_rejected(tmp_path):
-    p = checkpoint_path(str(tmp_path), 0, 1)
-    write_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=1,
-                           completed={}, inflight=None)
+    p = write(checkpoint_path(str(tmp_path), 0, 1))
     with pytest.raises(CheckpointError, match="different fleet"):
-        load_shard_checkpoint(p, fleet_key="0" * 64, shard=0,
-                              num_shards=1)
+        load(p, fleet_key="0" * 64)
 
 
 def test_wrong_geometry_rejected(tmp_path):
-    p = checkpoint_path(str(tmp_path), 0, 1)
-    write_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=1,
-                           completed={}, inflight=None)
+    p = write(checkpoint_path(str(tmp_path), 0, 1))
     with pytest.raises(CheckpointError, match="geometry"):
-        load_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=2)
+        load(p, num_shards=2)
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
+    """Bytes that are not JSON, and a pickled checkpoint of the kind
+    older releases wrote, are refused rather than resumed."""
     p = checkpoint_path(str(tmp_path), 0, 1)
+    for blob in (b"definitely not json",
+                 pickle.dumps({"version": 11, "fleet_key": KEY,
+                               "completed": {}, "inflight": None})):
+        with open(p, "wb") as f:
+            f.write(blob)
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load(p)
+
+
+def test_torn_checkpoint_rejected(tmp_path):
+    p = write(checkpoint_path(str(tmp_path), 0, 1),
+              [{"volume": "ali-0000", "stats": {}}])
+    with open(p, "rb") as f:
+        blob = f.read()
     with open(p, "wb") as f:
-        f.write(b"definitely not a pickle")
+        f.write(blob[:len(blob) // 2])
     with pytest.raises(CheckpointError, match="unreadable"):
-        load_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=1)
+        load(p)
 
 
 def test_version_mismatch_rejected(tmp_path):
+    """The summary schema versions a checkpoint: any other is refused."""
     p = checkpoint_path(str(tmp_path), 0, 1)
-    with open(p, "wb") as f:
-        pickle.dump({"version": CHECKPOINT_VERSION + 1}, f)
-    with pytest.raises(CheckpointError, match="version"):
-        load_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=1)
+    for schema in (SUMMARY_SCHEMA - 1, SUMMARY_SCHEMA + 1, None):
+        with open(p, "w") as f:
+            json.dump({"schema": schema, "fleet_key": KEY, "shard": 0,
+                       "num_shards": 1, "volumes": []}, f)
+        with pytest.raises(CheckpointError, match="schema"):
+            load(p)
 
 
-def test_tampered_store_fails_recovery_crosscheck(tmp_path):
-    """A checkpoint whose mapping disagrees with the segment pool's
-    slot metadata must be rejected, not resumed."""
-    store, next_chunk, state = midstream_store()
-    # Corrupt the derived mapping so the recovery scan disagrees.
-    valid = [i for i in range(SPEC.volume_blocks) if store.mapping[i] >= 0]
-    a, b = valid[0], valid[1]
-    store.mapping[a], store.mapping[b] = \
-        int(store.mapping[b]), int(store.mapping[a])
-    p = checkpoint_path(str(tmp_path), 0, 1)
-    write_shard_checkpoint(
-        p, fleet_key=KEY, shard=0, num_shards=1, completed={},
-        inflight={"tenant": "ali-0000", "next_chunk": next_chunk,
-                  "stream_state": state, "store": store,
-                  "recorder": None})
-    with pytest.raises(CheckpointError, match="recovery"):
-        load_shard_checkpoint(p, fleet_key=KEY, shard=0, num_shards=1)
+@pytest.mark.parametrize("report", [{"volume": "ali-0002"}, {},
+                                    "ali-0000"],
+                         ids=["other-volume", "no-volume", "not-a-dict"])
+def test_foreign_tenant_rejected(tmp_path, report):
+    """A report for a volume this shard does not own (or no volume at
+    all) means the checkpoint is not this shard's."""
+    p = write(checkpoint_path(str(tmp_path), 0, 1), [report])
+    with pytest.raises(CheckpointError, match="not a tenant"):
+        load(p)
 
 
-class _DictFinder(pickle.Pickler):
-    """Pickles into nothing, visiting every object a pickle of the input
-    visits: records each ``repro`` class met and names those whose
-    instances carry a ``__dict__`` (enum members aside, which pickle by
-    value)."""
-
-    def __init__(self) -> None:
-        super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
-        self.seen: set[str] = set()
-        self.with_dict: set[str] = set()
-
-    def reducer_override(self, obj):
-        cls = type(obj)
-        if cls.__module__.split(".")[0] == "repro" \
-                and not isinstance(obj, enum.Enum):
-            self.seen.add(cls.__name__)
-            if hasattr(obj, "__dict__"):
-                self.with_dict.add(f"{cls.__module__}.{cls.__qualname__}")
-        return NotImplemented
-
-    def walk(self, obj) -> "_DictFinder":
-        self.dump(obj)
-        return self
+def test_stopped_shard_checkpoints_its_finished_volumes(tmp_path):
+    """A stop mid-volume leaves exactly the finished reports: the volume
+    in flight has no trace in the checkpoint."""
+    out = str(tmp_path)
+    part = run_fleet(SPEC, out_dir=out, stop_after_chunks=6)
+    assert not part.complete
+    assert [v["volume"] for v in part.volumes] == ["ali-0000"]
+    ckpt = checkpoint_path(os.path.join(out, CHECKPOINT_DIRNAME), 0, 1)
+    assert load(ckpt) == json.loads(json.dumps(part.volumes))
 
 
-@pytest.mark.parametrize("scheme,policy_cls",
-                         [("adapt", "AdaptPolicy"),
-                          ("sepbit", "SepBITPolicy")])
-def test_checkpointed_replay_state_has_no_instance_dict(
-        scheme, policy_cls, tmp_path, monkeypatch):
-    """Everything an in-flight shard checkpoint pickles is slotted.
+def test_resume_from_committed_checkpoint_is_byte_identical(tmp_path):
+    """Resuming from the committed JSON checkpoint replays only the
+    unfinished tenant and writes a clean run's summary bytes."""
+    resumed_dir = str(tmp_path / "resumed")
+    ckpt_dir = os.path.join(resumed_dir, CHECKPOINT_DIRNAME)
+    os.makedirs(ckpt_dir)
+    shutil.copy(FIXTURE, checkpoint_path(ckpt_dir, 0, 1))
+    resumed = run_fleet(SPEC, out_dir=resumed_dir, resume=True)
+    clean = run_fleet(SPEC, out_dir=str(tmp_path / "clean"))
+    assert resumed.complete
+    assert resumed.chunks_replayed == SPEC.volume_stream(
+        "ali-0001").num_chunks
+    with open(resumed.summary_path, "rb") as a, \
+            open(clean.summary_path, "rb") as b:
+        assert a.read() == b.read(), (
+            "a volume report or the summary schema moved: regenerate "
+            "the fixture (see the module docstring)")
 
-    Pickling reads an object's ``__dict__``, and on CPython 3.11 that
-    permanently costs the live object its fast attribute access, so a
-    store that was checkpointed replays the rest of its volume slower.
-    A slotted object has no ``__dict__`` to read.  The graph a load
-    returns is checked too: resumed tenants replay on it.
-    """
-    spec = dataclasses.replace(SPEC, scheme=scheme, collect_metrics=True,
-                               collect_attribution=True)
-    written = []
-    write = worker.write_shard_checkpoint
 
-    def recording_write(path, **payload):
-        written.append(payload)
-        return write(path, **payload)
+def _regenerate_fixture(work_dir: str) -> None:
+    run_fleet(SPEC, out_dir=work_dir, stop_after_chunks=6)
+    os.makedirs(DATA, exist_ok=True)
+    shutil.copy(checkpoint_path(os.path.join(work_dir, CHECKPOINT_DIRNAME),
+                                0, 1), FIXTURE)
+    assert not os.path.exists(os.path.join(work_dir, SUMMARY_NAME))
 
-    monkeypatch.setattr(worker, "write_shard_checkpoint", recording_write)
-    result = run_shard(spec, 0, 1, checkpoint_dir=str(tmp_path),
-                       checkpoint_every=1, stop_after_chunks=2)
-    assert result["interrupted"] and written[-1]["inflight"] is not None
-    loaded = load_shard_checkpoint(checkpoint_path(str(tmp_path), 0, 1),
-                                   fleet_key=spec.fleet_key(), shard=0,
-                                   num_shards=1)
-    for graph in (written[-1], loaded):
-        finder = _DictFinder().walk(graph)
-        assert {"LogStructuredStore", policy_cls, "ObsRecorder",
-                "EventTracer", "AttributionRecorder", "SegmentPool",
-                "Group", "StoreEvents"} <= finder.seen
-        assert finder.with_dict == set()
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        _regenerate_fixture(tmp)
+    print(f"wrote {FIXTURE}")

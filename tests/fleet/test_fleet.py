@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.fleet import (
+    CHECKPOINT_DIRNAME,
+    SUMMARY_NAME,
     FleetSpec,
     aggregate_fleet,
     fleet_summary,
@@ -253,8 +256,7 @@ def test_attribution_absent_without_opt_in():
 
 
 def test_process_pool_matches_inline(tmp_path):
-    pool = run_fleet(TINY, workers=2, checkpoint_every=2,
-                     out_dir=str(tmp_path / "pool"))
+    pool = run_fleet(TINY, workers=2, out_dir=str(tmp_path / "pool"))
     serial = run_fleet(TINY, workers=1)
     assert pool.complete
     assert pool.volumes == serial.volumes
@@ -262,34 +264,41 @@ def test_process_pool_matches_inline(tmp_path):
 
 
 def test_graceful_interrupt_then_resume_byte_identical(tmp_path):
-    out_a = str(tmp_path / "interrupted")
-    part = run_fleet(TINY, workers=1, checkpoint_every=1, out_dir=out_a,
-                     stop_after_chunks=9)
-    assert not part.complete
-    assert part.interrupted_shards == [0]
-    assert part.summary is None
-    resumed = run_fleet(TINY, workers=1, checkpoint_every=1,
-                        out_dir=out_a, resume=True)
-    assert resumed.complete
-    out_b = str(tmp_path / "clean")
-    clean = run_fleet(TINY, workers=1, checkpoint_every=1, out_dir=out_b)
-    with open(resumed.summary_path, "rb") as f:
-        a = f.read()
-    with open(clean.summary_path, "rb") as f:
-        b = f.read()
-    assert a == b
-    # Resume skipped already-replayed chunks.
-    assert resumed.chunks_replayed < clean.chunks_replayed
+    """With and without metrics and attribution: the resumed summary
+    merges reports read back from the JSON checkpoint with reports
+    replayed in this run, and must equal a clean run's bytes."""
+    observed = dataclasses.replace(TINY, collect_metrics=True,
+                                   collect_attribution=True)
+    for spec in (TINY, observed):
+        name = "observed" if spec.collect_metrics else "plain"
+        out_a = str(tmp_path / name / "interrupted")
+        part = run_fleet(spec, workers=1, out_dir=out_a,
+                         stop_after_chunks=9)
+        assert not part.complete
+        assert part.interrupted_shards == [0]
+        assert part.summary is None
+        resumed = run_fleet(spec, workers=1, out_dir=out_a, resume=True)
+        assert resumed.complete
+        clean = run_fleet(spec, workers=1,
+                          out_dir=str(tmp_path / name / "clean"))
+        with open(resumed.summary_path, "rb") as f:
+            a = f.read()
+        with open(clean.summary_path, "rb") as f:
+            b = f.read()
+        assert a == b
+        # Resume skipped the finished volume; the one in flight was
+        # replayed from its first chunk.
+        per_volume = spec.volume_stream("ali-0000").num_chunks
+        assert resumed.chunks_replayed \
+            == clean.chunks_replayed - len(part.volumes) * per_volume
 
 
 def test_resume_with_wrong_worker_count_is_loud(tmp_path):
     from repro.common.errors import CheckpointError
     out = str(tmp_path / "geom")
-    run_fleet(TINY, workers=1, checkpoint_every=1, out_dir=out,
-              stop_after_chunks=3)
+    run_fleet(TINY, workers=1, out_dir=out, stop_after_chunks=3)
     with pytest.raises(CheckpointError, match="geometry"):
-        run_fleet(TINY, workers=2, checkpoint_every=1, out_dir=out,
-                  resume=True)
+        run_fleet(TINY, workers=2, out_dir=out, resume=True)
 
 
 def test_checkpoint_requires_out_dir():
@@ -297,6 +306,23 @@ def test_checkpoint_requires_out_dir():
         run_fleet(TINY, workers=1, checkpoint_every=2)
     with pytest.raises(ValueError, match="out_dir"):
         run_fleet(TINY, workers=1, resume=True)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        run_fleet(TINY, workers=1, checkpoint_every=-1)
+
+
+def test_checkpoint_every_changes_nothing(tmp_path):
+    """``checkpoint_every`` is validated and otherwise ignored: the same
+    summary and checkpoint bytes with and without it."""
+    spec = dataclasses.replace(TINY, num_volumes=2)
+    runs = [run_fleet(spec, checkpoint_every=every,
+                      out_dir=str(tmp_path / str(every)))
+            for every in (0, 2)]
+    assert runs[0].chunks_replayed == runs[1].chunks_replayed
+    for name in (SUMMARY_NAME,
+                 os.path.join(CHECKPOINT_DIRNAME, "shard-0000-of-0001.ckpt")):
+        a, b = ((tmp_path / str(every) / name).read_bytes()
+                for every in (0, 2))
+        assert a == b, name
 
 
 def test_summary_shape_and_determinism(tmp_path):
@@ -350,14 +376,12 @@ def test_hard_kill_then_resume_byte_identical(tmp_path, monkeypatch):
     from repro.fleet import KILL_ENV
     out_a = str(tmp_path / "killed")
     monkeypatch.setenv(KILL_ENV, "4")
-    killed = run_fleet(TINY, workers=2, checkpoint_every=1, out_dir=out_a)
+    killed = run_fleet(TINY, workers=2, out_dir=out_a)
     monkeypatch.delenv(KILL_ENV)
     assert not killed.complete
-    resumed = run_fleet(TINY, workers=2, checkpoint_every=1,
-                        out_dir=out_a, resume=True)
+    resumed = run_fleet(TINY, workers=2, out_dir=out_a, resume=True)
     assert resumed.complete
-    clean = run_fleet(TINY, workers=2, checkpoint_every=1,
-                      out_dir=str(tmp_path / "clean"))
+    clean = run_fleet(TINY, workers=2, out_dir=str(tmp_path / "clean"))
     with open(resumed.summary_path, "rb") as f:
         a = f.read()
     with open(clean.summary_path, "rb") as f:

@@ -1,4 +1,5 @@
-"""Streaming trace ingestion: chunked generation, resume, memory bounds."""
+"""Streaming trace ingestion: chunked generation, chunk walks, memory
+bounds."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ def stream_for(requests=1000, chunk=256, volume="ali-0000", seed=3):
 
 def collect(stream):
     """Materialize a stream by walking its chunk iterator."""
-    parts = [tr for _, tr, _ in stream.chunks()]
+    parts = list(stream.chunks())
     return Trace.concat(parts, volume=stream.volume) if parts else \
         Trace.empty(stream.volume)
 
@@ -27,7 +28,7 @@ class TestSyntheticVolumeStream:
     def test_chunk_geometry(self):
         s = stream_for(requests=1000, chunk=256)
         assert s.num_chunks == 4
-        sizes = [len(tr) for _, tr, _ in s.chunks()]
+        sizes = [len(tr) for tr in s.chunks()]
         assert sizes == [256, 256, 256, 232]
 
     def test_deterministic_across_instances(self):
@@ -45,17 +46,16 @@ class TestSyntheticVolumeStream:
         assert not np.array_equal(base.offsets, other_vol.offsets)
 
     def test_resume_mid_stream_is_identical(self):
-        """chunks(start, state) picks up exactly where a walk stopped —
-        the property checkpoint/resume stands on."""
+        """``chunk(i, state)`` with the state chunk ``i - 1`` returned
+        continues a walk: the chunks it gives are the walk's chunks."""
         s = stream_for(requests=1000, chunk=256)
         full = list(s.chunks())
-        # Stop after chunk 1, resume from its carried state.
-        state = full[1][2]
-        resumed = list(s.chunks(2, state))
-        assert [i for i, _, _ in resumed] == [2, 3]
-        for (_, a, _), (_, b, _) in zip(full[2:], resumed):
-            assert np.array_equal(a.timestamps, b.timestamps)
-            assert np.array_equal(a.offsets, b.offsets)
+        state = s.initial_state()
+        for i, walked in enumerate(full):
+            tr, state = s.chunk(i, state)
+            assert np.array_equal(tr.timestamps, walked.timestamps)
+            assert np.array_equal(tr.offsets, walked.offsets)
+            assert np.array_equal(tr.sizes, walked.sizes)
 
     def test_timestamps_monotone_across_chunks(self):
         tr = collect(stream_for())
@@ -124,7 +124,7 @@ def test_streaming_replay_memory_is_o_chunk():
         cfg = store_config_for(2048, seed=1)
         store = LogStructuredStore(cfg, make_policy("adapt", cfg))
         tracemalloc.start()
-        for _, tr, _ in s.chunks():
+        for tr in s.chunks():
             store.replay(tr, finalize=False)
         store.finalize()
         _, peak_bytes = tracemalloc.get_traced_memory()

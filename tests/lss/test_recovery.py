@@ -74,3 +74,14 @@ def test_recovery_newest_copy_wins(tiny_config):
     result = scan_pool(store.pool, tiny_config.logical_blocks)
     assert result.live_blocks == 1
     assert result.mapping[3] == store.mapping[3]
+
+
+def test_tampered_store_fails_recovery_crosscheck(tiny_config):
+    """A store whose mapping disagrees with the segment pool's slot
+    metadata fails the scan: two mapped LBAs swap locations."""
+    store = churned_store(tiny_config)
+    a, b = np.flatnonzero(store.mapping >= 0)[:2]
+    store.mapping[a], store.mapping[b] = \
+        int(store.mapping[b]), int(store.mapping[a])
+    with pytest.raises(AssertionError, match="mapping diverges at 2 LBAs"):
+        verify_recovery(store)

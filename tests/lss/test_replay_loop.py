@@ -21,7 +21,6 @@ import pytest
 
 from repro.common.errors import CapacityError
 from repro.common.observer import StoreObserver
-from repro.common.views import slot_state
 from repro.lss import store as store_module
 from repro.lss.store import LogStructuredStore
 from repro.lss.victim import VictimPolicy
@@ -60,6 +59,15 @@ def eager_replay(store, trace, finalize=True):
         store.process_request(*row)
     if finalize:
         store.finalize()
+
+
+def slot_state(obj) -> dict:
+    """``obj``'s set slots by name, base classes' first: what ``vars``
+    shows of an object with a ``__dict__``."""
+    return {name: getattr(obj, name)
+            for cls in reversed(type(obj).__mro__)
+            for name in cls.__dict__.get("__slots__", ())
+            if hasattr(obj, name)}
 
 
 def policy_state(policy) -> dict:
