@@ -371,11 +371,14 @@ def test_timeline_export(tmp_path):
 
 @pytest.mark.slow
 def test_hard_kill_then_resume_byte_identical(tmp_path, monkeypatch):
-    """A worker process dying mid-chunk (os._exit via the kill hook)
-    breaks the pool; resuming completes to the same summary bytes."""
+    """A worker process dying mid-volume (os._exit via the kill hook)
+    breaks the pool; resuming completes to the same summary bytes.  A
+    volume is 5 chunks, so at 7 the killed shard has one volume
+    finished, which the resume skips, and one in flight, which it
+    replays from chunk 0."""
     from repro.fleet import KILL_ENV
     out_a = str(tmp_path / "killed")
-    monkeypatch.setenv(KILL_ENV, "4")
+    monkeypatch.setenv(KILL_ENV, "7")
     killed = run_fleet(TINY, workers=2, out_dir=out_a)
     monkeypatch.delenv(KILL_ENV)
     assert not killed.complete
@@ -387,3 +390,4 @@ def test_hard_kill_then_resume_byte_identical(tmp_path, monkeypatch):
     with open(clean.summary_path, "rb") as f:
         b = f.read()
     assert a == b
+    assert resumed.chunks_replayed < clean.chunks_replayed
