@@ -125,7 +125,7 @@ def _cmd_replay(args) -> tuple[str, bool]:
                      for ext in ("events.jsonl", "timeline.csv", "prom")]
             write_events_jsonl(recorder.tracer, paths[0])
             write_timeline_csv(recorder.timeline, paths[1])
-            write_prometheus(recorder.registry, paths[2])
+            write_prometheus(recorder.metrics(), paths[2])
             if attribution is not None:
                 paths.append(f"{stem}.attribution.json")
                 write_attribution_json(r.attribution, paths[3])

@@ -29,7 +29,7 @@ NO_SAMPLE: int = sys.maxsize
 
 #: The events the store fires (``bind`` aside), in declaration order.
 EVENTS: tuple[str, ...] = (
-    "next_sample_seq", "user_writes", "reads", "chunk_flush",
+    "next_sample_seq", "user_writes", "chunk_flush",
     "segment_sealed", "gc_blocks", "segment_reclaimed",
     "finalize", "shadow_appended", "demoted", "threshold_switched",
     "audited",
@@ -55,9 +55,6 @@ class StoreObserver:
         """User writes were settled: ``lbas[i]`` took slot ``locs[i]`` at
         ``user_seq`` ``start_seq + i``, the last one at ``now_us`` (one
         block from ``write_block``, a run from ``replay``)."""
-
-    def reads(self, count: int, now_us: int) -> None:
-        """``count`` read requests were observed."""
 
     def chunk_flush(self, group: Any, flush: Any) -> None:
         """``group`` wrote ``flush.count`` chunks (a

@@ -103,14 +103,36 @@ def aggregate_fleet(volumes: list[dict]) -> dict:
     }
     snapshots = [v["metrics"] for v in volumes if v.get("metrics")]
     if snapshots:
-        from repro.obs.metrics import merge_metric_snapshots
-        out["metrics_totals"] = merge_metric_snapshots(snapshots)
+        out["metrics_totals"] = _merge_metrics(snapshots)
     from repro.obs.attribution import merge_attribution_snapshots
     attribution = merge_attribution_snapshots(
         [v.get("attribution") for v in volumes])
     if attribution is not None:
         out["attribution"] = attribution
     return out
+
+
+def _merge_metrics(snapshots: list[dict]) -> dict:
+    """Sum the volumes' metric snapshots: counters, and histograms bucket
+    by bucket (every histogram has the same edges).  Gauges are
+    point-in-time values with no meaningful cross-volume sum, so they
+    are dropped; keys come out sorted."""
+    counters: dict[str, float] = {}
+    histograms: dict[str, dict] = {}
+    for snap in snapshots:
+        for name, value in snap["counters"].items():
+            counters[name] = counters.get(name, 0.0) + value
+        for name, h in snap["histograms"].items():
+            cur = histograms.setdefault(name, {
+                "edges": h["edges"], "counts": [0] * len(h["counts"]),
+                "sum": 0.0, "count": 0})
+            cur["counts"] = [a + b for a, b in zip(cur["counts"],
+                                                   h["counts"])]
+            cur["sum"] += h["sum"]
+            cur["count"] += h["count"]
+    return {"volumes": len(snapshots),
+            "counters": dict(sorted(counters.items())),
+            "histograms": dict(sorted(histograms.items()))}
 
 
 def fleet_summary(spec, num_shards: int, volumes: list[dict]) -> dict:

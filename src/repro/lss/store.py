@@ -60,6 +60,7 @@ class LogStructuredStore:
             which checks cross-structure invariants on a cadence while the
             replay is in flight.  ``replay`` settles at every audit point,
             so each audit sees the state a per-block replay would audit.
+            Kept as :attr:`auditor` (``None`` without one).
         attribution: causal-attribution sink
             (:class:`repro.obs.attribution.AttributionRecorder`, which
             keeps the per-slot provenance planes), kept as
@@ -72,10 +73,10 @@ class LogStructuredStore:
     :meth:`subscribe` appends another.
     """
 
-    __slots__ = ("config", "policy", "obs", "attribution", "profiler",
-                 "pool", "mapping", "stats", "groups", "_sla_groups",
-                 "_deadline_heap", "victim_policy", "gc", "user_seq",
-                 "now_us", "events")
+    __slots__ = ("config", "policy", "obs", "attribution", "auditor",
+                 "profiler", "pool", "mapping", "stats", "groups",
+                 "_sla_groups", "_deadline_heap", "victim_policy", "gc",
+                 "user_seq", "now_us", "events")
 
     # pinned by the frozen `bench/` harness — no caller
     _fast_flush = _fast_full = False
@@ -88,6 +89,7 @@ class LogStructuredStore:
         self.policy = policy
         self.obs = recorder
         self.attribution = attribution
+        self.auditor = auditor
         #: The process-global phase profiler, captured at construction so
         #: replay/GC spans attribute to the profiler active when the run
         #: was set up (NULL_PROFILER unless a CLI --profile-out or a test
@@ -152,8 +154,6 @@ class LogStructuredStore:
         self.tick(ts_us)
         if op != OP_WRITE:
             self.stats.read_requests += 1
-            for fn in self.events.reads:
-                fn(1, ts_us)
             return
         self.stats.write_requests += 1
         end = offset + size
@@ -435,9 +435,6 @@ class LogStructuredStore:
                                      locs, start_seq + settled, t)
             self.stats.read_requests += reads
             self.stats.write_requests += writes
-            if reads:
-                for fn in self.events.reads:
-                    fn(reads, t)
 
     def finalize(self) -> None:
         """Flush every pending chunk (padded) at end of run."""

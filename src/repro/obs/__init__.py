@@ -1,17 +1,16 @@
 """Observability: metrics, event tracing, profiling and exporters.
 
-The package has five layers:
+The package has seven modules besides its exporters:
 
-* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
-  collected in a :class:`MetricsRegistry`;
+* :mod:`repro.obs.metrics` — a store's counters, gauges and histograms,
+  read off its stats, policy, auditor and attribution ledger;
 * :mod:`repro.obs.events` — a typed event tracer: per-type counts, and
   with a JSONL sink every event as a plain record, formatted on read;
 * :mod:`repro.obs.recorder` — :class:`ObsRecorder`, a store observer
-  (:mod:`repro.common.observer`) that hears the store's events and the
-  policy's and auditor's decisions through one event seam; a store
-  without one holds ``obs = None`` and pays nothing.  The replay loop
-  reports user writes once per settle and settles wherever a recorder
-  samples, so metrics, timeline rows and events equal a per-block
+  (:mod:`repro.common.observer`) with a timeline and an event tracer; a
+  store without one holds ``obs = None`` and pays nothing.  The replay
+  loop reports user writes once per settle and settles wherever a
+  recorder samples, so timeline rows and events equal a per-block
   replay's;
 * :mod:`repro.obs.profile` — wall-clock phase spans with Chrome
   ``trace_event`` and top-N table exports;
@@ -60,7 +59,7 @@ from repro.obs.exporters import (
     write_prometheus,
     write_timeline_csv,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Metric, store_metrics
 from repro.obs.profile import (
     NULL_PROFILER,
     NullProfiler,
@@ -81,10 +80,8 @@ __all__ = [
     "render_report",
     "write_report_json",
     "ATTR_COLUMNS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
+    "Metric",
+    "store_metrics",
     "Event",
     "EventTracer",
     "EVENT_TYPES",

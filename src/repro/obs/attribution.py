@@ -23,7 +23,6 @@ import graph acyclic.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any
 
 import numpy as np
@@ -34,6 +33,14 @@ from repro.obs.atomicio import atomic_write
 #: Attribution snapshot schema version.  v2: the batched engine's
 #: chunk-termination section is gone with the engine.
 ATTRIBUTION_SCHEMA = 2
+
+#: A group's ledger entry: its ``GroupTraffic`` block counts.
+_LEDGER_FIELDS = ("user_blocks", "gc_blocks", "shadow_blocks",
+                  "padding_blocks", "total_blocks")
+#: A group's GC provenance record, in ``gc_groups`` list order.
+_PROVENANCE_FIELDS = ("victims", "valid_blocks", "free_blocks",
+                      "age_seq_sum", "migrated_user_origin",
+                      "migrated_gc_origin")
 
 #: Slot origins in :attr:`AttributionRecorder.slot_origin`.
 ORIGIN_NONE: int = 0
@@ -46,9 +53,10 @@ class AttributionRecorder(StoreObserver):
     aggregates, no per-event storage.
 
     The planes are flat, one entry per encoded location (``segment *
-    segment_blocks + slot``).  The structured snapshot (and the optional :meth:`publish` into a
-    :class:`~repro.obs.metrics.MetricsRegistry`) is built on demand from
-    the aggregates plus the bound store's per-group traffic breakdown.
+    segment_blocks + slot``).  The structured snapshot is built on
+    demand from the aggregates plus the bound store's per-group traffic
+    breakdown; a recorder on the same store reports it as counters
+    (:func:`~repro.obs.metrics.store_metrics`).
     """
 
     __slots__ = ("_store", "slot_origin", "slot_epoch", "gc_groups",
@@ -117,102 +125,37 @@ class AttributionRecorder(StoreObserver):
         self.slot_origin[seg * sb:(seg + 1) * sb] = ORIGIN_NONE
         self.slot_epoch[seg * sb:(seg + 1) * sb] = 0
 
-    def finalize(self) -> None:
-        # Mirror the final aggregates into the run's metrics registry
-        # when observability is live alongside attribution.
-        if self._store.obs is not None:
-            self.publish(self._store.obs.registry)
-
     # -- export ---------------------------------------------------------
     def snapshot(self) -> dict:
         """Structured plain-dict summary (picklable, JSON-ready): the
         per-group ``ledger`` and the ``gc_provenance`` victim records,
         every field an integer."""
         store = self._store
-        groups: dict[str, dict] = {}
-        totals = {"user_blocks": 0, "gc_blocks": 0, "shadow_blocks": 0,
-                  "padding_blocks": 0, "total_blocks": 0}
-        if store is not None:
-            for gid, t in enumerate(store.stats.groups):
-                entry = {
-                    "gid": gid,
-                    "kind": t.kind,
-                    "user_blocks": int(t.user_blocks),
-                    "gc_blocks": int(t.gc_blocks),
-                    "shadow_blocks": int(t.shadow_blocks),
-                    "padding_blocks": int(t.padding_blocks),
-                    "total_blocks": int(t.total_blocks),
-                }
-                groups[t.name] = entry
-                for key in totals:
-                    totals[key] += entry[key]
-        ledger = {
-            "groups": groups,
-            "totals": dict(totals, user_blocks_requested=(
-                int(store.stats.user_blocks_requested)
-                if store is not None else 0)),
-        }
-        gid_names = {e["gid"]: name for name, e in groups.items()}
-        prov_groups: dict[str, dict] = {}
-        ptot = [0, 0, 0, 0, 0, 0]
-        for gid in sorted(self.gc_groups):
-            agg = self.gc_groups[gid]
-            name = gid_names.get(gid, f"gid{gid}")
-            prov_groups[name] = {
-                "gid": gid,
-                "victims": agg[0],
-                "valid_blocks": agg[1],
-                "free_blocks": agg[2],
-                "age_seq_sum": agg[3],
-                "migrated_user_origin": agg[4],
-                "migrated_gc_origin": agg[5],
-            }
-            for idx in range(6):
-                ptot[idx] += agg[idx]
-        gc_provenance = {
-            "groups": prov_groups,
-            "totals": {
-                "victims": ptot[0], "valid_blocks": ptot[1],
-                "free_blocks": ptot[2], "age_seq_sum": ptot[3],
-                "migrated_user_origin": ptot[4],
-                "migrated_gc_origin": ptot[5],
-            },
-        }
+        traffic = store.stats.groups if store is not None else []
+        groups = {t.name: {"gid": gid, "kind": t.kind,
+                           **{key: int(getattr(t, key))
+                              for key in _LEDGER_FIELDS}}
+                  for gid, t in enumerate(traffic)}
+        names = {entry["gid"]: name for name, entry in groups.items()}
+        provenance = {names.get(gid, f"gid{gid}"):
+                      {"gid": gid, **dict(zip(_PROVENANCE_FIELDS,
+                                              self.gc_groups[gid]))}
+                      for gid in sorted(self.gc_groups)}
+        requested = (int(store.stats.user_blocks_requested)
+                     if store is not None else 0)
         return {
             "schema": ATTRIBUTION_SCHEMA,
-            "ledger": ledger,
-            "gc_provenance": gc_provenance,
+            "ledger": {"groups": groups,
+                       "totals": dict(_sums(groups, _LEDGER_FIELDS),
+                                      user_blocks_requested=requested)},
+            "gc_provenance": {"groups": provenance,
+                              "totals": _sums(provenance,
+                                              _PROVENANCE_FIELDS)},
         }
 
-    def publish(self, registry: Any) -> None:
-        """Mirror the aggregates as counters in ``registry``.
 
-        Values are *set*, not incremented, so repeated publishes (one
-        per finalize) stay idempotent.
-        """
-        snap = self.snapshot()
-        for name, entry in snap["ledger"]["groups"].items():
-            g = _metric_name(name)
-            for key in ("user_blocks", "gc_blocks", "shadow_blocks",
-                        "padding_blocks"):
-                registry.counter(
-                    f"attr_group_{key}_total_{g}",
-                    f"per-group WA ledger: {key}").value = entry[key]
-        for name, entry in snap["gc_provenance"]["groups"].items():
-            g = _metric_name(name)
-            registry.counter(
-                f"attr_gc_victims_total_{g}",
-                "GC victim segments evicted from this group"
-            ).value = entry["victims"]
-            registry.counter(
-                f"attr_gc_remigrated_blocks_total_{g}",
-                "migrated blocks that had already been migrated before"
-            ).value = entry["migrated_gc_origin"]
-
-
-def _metric_name(text: str) -> str:
-    """Sanitize a group name into a Prometheus-safe suffix."""
-    return re.sub(r"[^a-zA-Z0-9_]", "_", text)
+def _sums(entries: dict[str, dict], fields: tuple[str, ...]) -> dict:
+    return {key: sum(e[key] for e in entries.values()) for key in fields}
 
 
 def merge_attribution_snapshots(snapshots: list[dict]) -> dict | None:

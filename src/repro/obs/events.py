@@ -14,8 +14,9 @@ arbitrarily long runs trace completely with bounded memory.  An
 tracer without a sink keeps nothing but the counts.
 
 A tracer is also the store observer that logs the store's chunk-flush
-and GC-victim records; its recorder subscribes it only when it has a
-sink, since without one those counts are the store's own.
+and GC-victim records and the policy's and the auditor's decisions; its
+recorder subscribes it only when it has a sink, since without one those
+counts are the store's, the policy's and the auditor's own.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class EventTracer(StoreObserver):
         records.append((self.spilled + len(records), time_us, type_,
                         values))
 
-    # -- the store's records (subscribed only with a spill_path) --------
+    # -- records and decisions (subscribed only with a spill_path) ------
     def chunk_flush(self, group: Any, flush: Any) -> None:
         """One ``chunk_flush`` record per chunk, after the first a
         ``padding`` record if it padded and a ``lazy_append`` record if
@@ -134,6 +135,25 @@ class EventTracer(StoreObserver):
                           valid_blocks: int, now_us: int) -> None:
         """One ``gc_pass`` record per reclaimed victim."""
         self.emit(EV_GC_PASS, now_us, seg, group_id, valid_blocks)
+
+    def shadow_appended(self, hot_gid: int, cold_gid: int, blocks: int,
+                        now_us: int) -> None:
+        self.emit(EV_SHADOW_APPEND, now_us, hot_gid, cold_gid, blocks)
+
+    def demoted(self, lba: int, target_gid: int, score: int,
+                now_us: int) -> None:
+        self.emit(EV_DEMOTION, now_us, lba, target_gid, score)
+
+    def threshold_switched(self, best_threshold: float, mode: str,
+                           rounds: int, threshold: float,
+                           now_us: int) -> None:
+        self.emit(EV_THRESHOLD_SWITCH, now_us, best_threshold, mode, rounds)
+
+    def audited(self, invariant: str | None, detail: str,
+                now_us: int) -> None:
+        """One ``audit_violation`` record per failed audit."""
+        if invariant is not None:
+            self.emit(EV_AUDIT_VIOLATION, now_us, invariant, detail)
 
     @property
     def events(self) -> tuple[Event, ...]:

@@ -8,11 +8,12 @@ One format per consumer:
   :class:`~repro.obs.timeline.ReplayTimeline` as a spreadsheet-ready
   table; the final row is exact, not sampled, and matches
   :class:`StoreStats` to the bit.
-* **Prometheus text format** — a scrape-shaped snapshot of the metrics
-  registry, so counters and histograms drop straight into existing
-  dashboards.  Histograms follow the exposition format exactly: cumulative
-  ``_bucket`` samples ending in ``le="+Inf"``, then ``_sum`` and
-  ``_count``; HELP text is escaped per the spec.
+* **Prometheus text format** — a scrape-shaped snapshot of a store's
+  metrics (:func:`~repro.obs.metrics.store_metrics`), so counters and
+  histograms drop straight into existing dashboards.  Histograms follow
+  the exposition format exactly: cumulative ``_bucket`` samples ending
+  in ``le="+Inf"``, then ``_sum`` and ``_count``; HELP text is escaped
+  per the spec.
 
 Every writer goes through :mod:`repro.obs.atomicio`: parent directories
 are created and files land via tmp + rename, so an interrupted export
@@ -23,15 +24,16 @@ design, but its parent is created the same way).
 from __future__ import annotations
 
 import csv
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable
 
 from repro.common.errors import ConfigError
 from repro.obs.atomicio import atomic_write
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.timeline import cell
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import EventTracer
+    from repro.obs.metrics import Metric
     from repro.obs.timeline import ReplayTimeline
 
 
@@ -80,25 +82,25 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render the registry in the Prometheus text exposition format."""
+def prometheus_text(metrics: Iterable["Metric"]) -> str:
+    """Render metrics in the Prometheus text exposition format."""
     lines: list[str] = []
-    for m in registry:
+    for m in metrics:
         if m.help:
             lines.append(f"# HELP {m.name} {_escape_help(m.help)}")
         lines.append(f"# TYPE {m.name} {m.kind}")
-        if isinstance(m, (Counter, Gauge)):
+        if m.kind != "histogram":
             lines.append(f"{m.name} {_fmt(m.value)}")
             continue
-        cumulative = m.cumulative()
-        for edge, count in zip(m.edges, cumulative):
-            lines.append(f'{m.name}_bucket{{le="{_fmt(edge)}"}} {int(count)}')
-        lines.append(f'{m.name}_bucket{{le="+Inf"}} {int(cumulative[-1])}')
-        lines.append(f"{m.name}_sum {_fmt(m.sum)}")
-        lines.append(f"{m.name}_count {int(cumulative[-1])}")
+        cumulative = list(accumulate(m.value["counts"]))
+        for edge, count in zip(m.value["edges"], cumulative):
+            lines.append(f'{m.name}_bucket{{le="{_fmt(edge)}"}} {count}')
+        lines.append(f'{m.name}_bucket{{le="+Inf"}} {cumulative[-1]}')
+        lines.append(f"{m.name}_sum {_fmt(m.value['sum'])}")
+        lines.append(f"{m.name}_count {cumulative[-1]}")
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(registry: MetricsRegistry, path: str) -> None:
+def write_prometheus(metrics: Iterable["Metric"], path: str) -> None:
     with atomic_write(path) as f:
-        f.write(prometheus_text(registry))
+        f.write(prometheus_text(metrics))

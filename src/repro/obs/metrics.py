@@ -1,231 +1,156 @@
-"""Metric primitives: counters, gauges and fixed-bucket histograms.
+"""A store's metrics: a view of its state, not a second ledger.
 
-All three are plain-attribute objects on the hot path (``c.value += n`` is
-one attribute store); histograms keep their bucket counts in a NumPy int64
-array and bin values with :func:`bisect.bisect_left`.  The registry is an
-ordered name -> metric map with get-or-create accessors, a picklable
-:meth:`~MetricsRegistry.snapshot`, and enough structure for the Prometheus
-exporter to render every metric type faithfully.
-
-Naming follows Prometheus conventions: snake_case, counters end in
-``_total``.  Nothing enforces the suffix, but the simulator's built-in
-instrumentation sticks to it.
+:func:`store_metrics` reads every metric a recorder reports off the
+store — its :class:`~repro.lss.stats.StoreStats`, placement policy,
+invariant auditor and attribution ledger — so nothing re-counts what
+they count.  The list's order is the ``.prom`` file's; names follow
+Prometheus conventions (snake_case, counters end in ``_total``).
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple
 
-import numpy as np
-
-from repro.common.errors import ConfigError
-
-#: Default histogram bucket edges for block-count distributions (chunk fill
+#: Histogram bucket edges for block-count distributions (chunk fill
 #: levels, padding sizes, GC victim validity) — powers of two up to a
 #: segment's worth of blocks.
-BLOCK_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+BLOCK_BUCKETS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
-class Counter:
-    """Monotonically increasing counter."""
+class Metric(NamedTuple):
+    """One exported metric.  A counter's or a gauge's ``value`` is a
+    number, a histogram's its :func:`histogram` dict."""
 
-    __slots__ = ("name", "help", "value")
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
+    name: str
+    kind: str  # "counter", "gauge" or "histogram"
+    help: str
+    value: Any
 
 
-class Gauge:
-    """Point-in-time value (set, not accumulated)."""
-
-    __slots__ = ("name", "help", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Fixed-bucket histogram with Prometheus ``le`` (less-or-equal)
-    semantics: bucket ``i`` counts observations ``<= edges[i]``; one extra
-    overflow bucket catches everything beyond the last edge (``+Inf``)."""
-
-    __slots__ = ("name", "help", "edges", "_edge_list", "counts", "sum")
-    kind = "histogram"
-
-    def __init__(self, name: str, buckets: Sequence[float],
-                 help: str = "") -> None:
-        # Non-finite edges (a caller-supplied +Inf, a NaN) fold into the
-        # implicit overflow bucket: every histogram already ends in +Inf,
-        # and an explicit infinite edge would make the Prometheus exporter
-        # emit a duplicate (and mis-spelled) ``le`` label.
-        edges = np.asarray(sorted(set(float(b) for b in buckets
-                                      if np.isfinite(b))),
-                           dtype=np.float64)
-        if edges.size == 0:
-            raise ConfigError(
-                f"histogram {name!r} needs at least one finite bucket")
-        self.name = name
-        self.help = help
-        self.edges = edges
-        #: Plain-list mirror of ``edges`` for the scalar observe path:
-        #: ``bisect`` on a list is an order of magnitude cheaper than
-        #: ``np.searchsorted`` on a scalar, and observe sits on the
-        #: per-flush hot path of instrumented replays.
-        self._edge_list = edges.tolist()
-        self.counts = np.zeros(edges.size + 1, dtype=np.int64)
-        self.sum: float = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self._edge_list, value)] += 1
-        self.sum += value
-
-    def observe_bulk(self, value: float, count: int) -> None:
-        """Record ``count`` identical observations of ``value``.
-
-        Exactly equivalent to calling :meth:`observe` ``count`` times for
-        the integral block-count values the simulator observes (the sum
-        stays exact below 2**53), which is what lets a GC append run
-        fold its identical chunk flushes into one call.
-        """
-        if count < 0:
-            raise ValueError(
-                f"histogram {self.name!r} bulk count cannot be negative")
-        if count == 0:
-            return
-        self.counts[bisect_left(self._edge_list, value)] += count
-        self.sum += value * count
-
-    def set_tally(self, tally: Iterable[tuple[float, int]]) -> None:
-        """Hold exactly the observations of ``tally``, ``(value, count)``
-        pairs, dropping any recorded before."""
-        self.counts[:] = 0
-        self.sum = 0.0
-        for value, count in tally:
-            self.observe_bulk(value, count)
-
-    @property
-    def count(self) -> int:
-        return int(self.counts.sum())
-
-    def cumulative(self) -> np.ndarray:
-        """Cumulative bucket counts, Prometheus style (last entry == total
-        observation count, the ``+Inf`` bucket)."""
-        return np.cumsum(self.counts)
+def histogram(tally: Iterable[tuple[float, int]],
+              edges: Iterable[float] = BLOCK_BUCKETS) -> dict:
+    """The histogram of ``tally``'s ``(value, count)`` observations, with
+    Prometheus ``le`` semantics: bucket ``i`` counts the values ``<=
+    edges[i]``, and one overflow bucket (``+Inf``) the rest."""
+    edges = [float(e) for e in edges]
+    counts = [0] * (len(edges) + 1)
+    total = 0.0
+    for value, count in tally:
+        counts[bisect_left(edges, value)] += count
+        total += value * count
+    return {"edges": edges, "counts": counts, "sum": total,
+            "count": sum(counts)}
 
 
-class MetricsRegistry:
-    """Ordered collection of metrics with get-or-create accessors."""
+def store_metrics(store: Any) -> list[Metric]:
+    """Every metric of ``store``, in exposition order.
 
-    __slots__ = ("_metrics",)
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-
-    def _get_or_create(self, name: str, cls, *args, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, *args, **kwargs)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise ConfigError(
-                f"metric {name!r} already registered as {metric.kind}")
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help)
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = BLOCK_BUCKETS,
-                  help: str = "") -> Histogram:
-        return self._get_or_create(name, Histogram, buckets, help)
-
-    def __iter__(self) -> Iterable[Counter | Gauge | Histogram]:
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        return self._metrics.get(name)
-
-    def snapshot(self) -> dict:
-        """Picklable plain-python view of every metric (used by the
-        experiment runner to ship metrics across process boundaries)."""
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict] = {}
-        for m in self._metrics.values():
-            if isinstance(m, Counter):
-                counters[m.name] = m.value
-            elif isinstance(m, Gauge):
-                gauges[m.name] = m.value
-            else:
-                histograms[m.name] = {
-                    "edges": [float(e) for e in m.edges],
-                    "counts": [int(c) for c in m.counts],
-                    "sum": float(m.sum),
-                    "count": m.count,
-                }
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
-
-def merge_metric_snapshots(snapshots: list[dict]) -> dict | None:
-    """Deterministically merge :meth:`MetricsRegistry.snapshot` dicts.
-
-    Counters sum; histograms with identical bucket edges sum their
-    per-bucket counts, sums, and totals (mismatched edges are a caller
-    bug and raise).  Gauges are point-in-time values with no meaningful
-    cross-volume sum, so they are dropped.  Keys come out sorted, making
-    the merge independent of input order given equal content.  Returns
-    ``None`` when no snapshot is present.
+    Conditional names: the threshold gauges appear once ADAPT has
+    switched its threshold, ``lss_audits_total`` once an attached
+    auditor has passed an audit, and the ``attr_*`` counters with an
+    attribution ledger.
     """
-    live = [s for s in snapshots if s]
-    if not live:
-        return None
-    counters: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    for snap in live:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + value
-        for name, h in snap.get("histograms", {}).items():
-            cur = histograms.get(name)
-            if cur is None:
-                histograms[name] = {
-                    "edges": list(h["edges"]),
-                    "counts": list(h["counts"]),
-                    "sum": h["sum"],
-                    "count": h["count"],
-                }
-            else:
-                if cur["edges"] != list(h["edges"]):
-                    raise ConfigError(
-                        f"histogram {name!r} bucket edges differ across "
-                        f"snapshots; cannot merge")
-                cur["counts"] = [a + b for a, b
-                                 in zip(cur["counts"], h["counts"])]
-                cur["sum"] += h["sum"]
-                cur["count"] += h["count"]
-    return {
-        "volumes": len(live),
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }
+    stats = store.stats
+    policy = store.policy
+    auditor = store.auditor
+    groups = stats.groups
+    flushes = sum(g.chunk_flushes for g in groups)
+    deadline = sum(g.deadline_flushes for g in groups)
+    forced = sum(g.forced_flushes for g in groups)
+    full = flushes - deadline - forced
+    padding = stats.padding_blocks_written
+    demotion = getattr(policy, "demotion", None)
+    switches = getattr(policy, "adaptation_log", ())
+    violations = auditor.violations if auditor is not None else 0
+    out = [Metric(n, "counter", h, int(v)) for n, h, v in (
+        ("lss_user_blocks_total", "user block writes accepted",
+         stats.user_blocks_requested),
+        ("lss_read_requests_total", "read requests observed",
+         stats.read_requests),
+        ("lss_chunk_flushes_full_total", "chunk flushes (filled)", full),
+        ("lss_chunk_flushes_deadline_total",
+         "chunk flushes (SLA deadline, zero-padded)", deadline),
+        ("lss_chunk_flushes_forced_total",
+         "chunk flushes (forced at seal/shutdown)", forced),
+        ("lss_flushed_data_blocks_total", "data blocks flushed to chunks",
+         stats.flash_blocks_written - padding),
+        ("lss_padding_blocks_total", "zero-padding blocks written", padding),
+        ("lss_gc_passes_total", "GC victim segments cleaned",
+         stats.gc_segments_reclaimed),
+        ("lss_gc_blocks_migrated_total", "valid blocks migrated by GC",
+         stats.gc_blocks_migrated),
+        ("lss_shadow_append_blocks_total",
+         "substitute blocks written by cross-group aggregation",
+         stats.shadow_blocks_written),
+        ("lss_lazy_append_blocks_total",
+         "previously-shadowed blocks persisted in place", stats.lazy_blocks),
+        ("lss_demotions_total", "user writes routed by proactive demotion",
+         demotion.demotions if demotion is not None else 0),
+        ("lss_threshold_switches_total", "threshold adaptation rounds",
+         len(switches)),
+        ("lss_audit_violations_total", "invariant audit failures",
+         violations),
+    )]
+    # A padded flush of p blocks carried chunk_blocks - p data blocks; a
+    # FULL chunk carried chunk_blocks.
+    padded = list(enumerate(stats.padded_flushes))
+    cb = store.config.chunk.chunk_blocks
+    out += [
+        Metric("lss_chunk_fill_blocks", "histogram",
+               "data blocks per flushed chunk",
+               histogram([(cb - p, n) for p, n in padded] + [(cb, full)])),
+        Metric("lss_chunk_padding_blocks", "histogram",
+               "padding blocks per padded flush", histogram(padded)),
+        Metric("lss_gc_victim_valid_blocks", "histogram",
+               "valid blocks per GC victim segment",
+               histogram(enumerate(stats.victim_valid))),
+        Metric("lss_logical_blocks", "gauge",
+               "configured logical address space",
+               float(store.config.logical_blocks)),
+    ]
+    if switches:
+        out += [Metric("lss_ghost_best_threshold", "gauge",
+                       "ghost-side winning threshold",
+                       float(switches[-1].best_threshold)),
+                Metric("adapt_threshold_blocks", "gauge", "",
+                       float(policy.threshold))]
+    if auditor is not None and auditor.audits_run > violations:
+        out.append(Metric("lss_audits_total", "counter", "",
+                          auditor.audits_run - violations))
+    out += [Metric(name, "gauge", "", float(value)) for name, value in (
+        ("lss_write_amplification", stats.write_amplification()),
+        ("lss_padding_traffic_ratio", stats.padding_traffic_ratio()),
+        ("lss_gc_traffic_ratio", stats.gc_traffic_ratio()))]
+    if store.attribution is not None:
+        out += _attribution_counters(store.attribution.snapshot())
+    return out
+
+
+def _attribution_counters(snap: dict) -> list[Metric]:
+    """The per-group WA ledger and GC provenance as counters."""
+    out = []
+    for name, entry in snap["ledger"]["groups"].items():
+        g = _metric_name(name)
+        out += [Metric(f"attr_group_{key}_total_{g}", "counter",
+                       f"per-group WA ledger: {key}", entry[key])
+                for key in ("user_blocks", "gc_blocks", "shadow_blocks",
+                            "padding_blocks")]
+    for name, entry in snap["gc_provenance"]["groups"].items():
+        g = _metric_name(name)
+        out += [Metric(f"attr_gc_victims_total_{g}", "counter",
+                       "GC victim segments evicted from this group",
+                       entry["victims"]),
+                Metric(f"attr_gc_remigrated_blocks_total_{g}", "counter",
+                       "migrated blocks that had already been migrated "
+                       "before", entry["migrated_gc_origin"])]
+    return out
+
+
+def _metric_name(text: str) -> str:
+    """Sanitize a group name into a Prometheus-safe suffix."""
+    return re.sub(r"[^a-zA-Z0-9_]", "_", text)
+
+
+__all__ = ["BLOCK_BUCKETS", "Metric", "histogram", "store_metrics"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -43,6 +45,34 @@ def make_write_trace(lbas, start_us: int = 0, gap_us: int = 10,
     ops = np.full(n, OP_WRITE, dtype=np.uint8)
     sizes = np.ones(n, dtype=np.int64)
     return Trace(ts, ops, lbas, sizes, volume=volume)
+
+
+class _FillsUpMidWrite:
+    """A text file whose first ``write`` stores half its text and then
+    fails as a full disk does."""
+
+    def __init__(self, f) -> None:
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._f.close()
+
+    def write(self, text: str) -> int:
+        self._f.write(text[:len(text) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def disk_fills_mid_write(monkeypatch):
+    """Every file ``os.fdopen`` opens (the temporary an atomic write
+    fills) runs out of space halfway through its first write."""
+    real = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs:
+                        _FillsUpMidWrite(real(*args, **kwargs)))
 
 
 class FlushLog(StoreObserver):

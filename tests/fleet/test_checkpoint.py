@@ -107,6 +107,24 @@ def test_torn_checkpoint_rejected(tmp_path):
         load(p)
 
 
+def test_failed_rewrite_keeps_the_previous_checkpoint(
+        tmp_path, disk_fills_mid_write):
+    """A rewrite that fails halfway (a full disk) leaves the previous
+    checkpoint loadable, byte for byte, and no temporary behind."""
+    finished = load(FIXTURE)
+    p = checkpoint_path(str(tmp_path), 0, 1)
+    with open(FIXTURE, "rb") as f:
+        previous = f.read()
+    with open(p, "wb") as f:
+        f.write(previous)
+    with pytest.raises(OSError):
+        write(p, finished + [dict(finished[0], volume=TENANTS[1])])
+    with open(p, "rb") as f:
+        assert f.read() == previous
+    assert load(p) == finished
+    assert os.listdir(tmp_path) == [os.path.basename(p)]
+
+
 def test_version_mismatch_rejected(tmp_path):
     """The summary schema versions a checkpoint: any other is refused."""
     p = checkpoint_path(str(tmp_path), 0, 1)

@@ -101,7 +101,7 @@ def assert_same_outcome(spec, loop):
     assert policy_state(spec.policy) == policy_state(loop.policy)
     loop.check_invariants()
     if spec.obs is not None:
-        assert spec.obs.registry.snapshot() == loop.obs.registry.snapshot()
+        assert spec.obs.snapshot() == loop.obs.snapshot()
         audits = [o.audits_run for s in (spec, loop)
                   for o in s.events.observers
                   if isinstance(o, InvariantAuditor)]

@@ -1,4 +1,4 @@
-"""Attribution recorder: hooks, snapshot shape, publish, merge, export."""
+"""Attribution recorder: hooks, snapshot shape, metrics, merge, export."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.obs.attribution import (
     merge_attribution_snapshots,
     write_attribution_json,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.placement.registry import make_policy
 from repro.validate.differential import (default_workloads,
                                          differential_config)
@@ -80,31 +79,39 @@ def test_snapshot_ledger_conserves_store_totals():
     assert set(snap) == {"schema", "ledger", "gc_provenance"}
 
 
-def test_publish_is_idempotent():
-    store, attr = _replayed_recorder()
-    registry = MetricsRegistry()
-    attr.publish(registry)
-    first = registry.snapshot()
-    attr.publish(registry)
-    assert registry.snapshot() == first
-    counters = first["counters"]
-    assert any(name.startswith("attr_gc_victims_total_")
-               for name in counters)
-    assert any(name.startswith("attr_group_user_blocks_total_")
-               for name in counters)
-
-
-def test_finalize_publishes_into_obs_registry():
+def test_recorder_metrics_carry_the_attribution_ledger():
+    """A recorder beside an attribution ledger reports the ledger's
+    per-group traffic and GC provenance as counters, read off its
+    snapshot (so reading twice counts nothing twice)."""
     from repro.obs.recorder import ObsRecorder
     cfg = differential_config()
     attr = AttributionRecorder()
     rec = ObsRecorder()
     store = LogStructuredStore(cfg, make_policy("sepgc", cfg),
                                recorder=rec, attribution=attr)
-    trace = default_workloads(num_requests=800)[0]
-    store.replay(trace)
-    counters = rec.registry.snapshot()["counters"]
-    assert any(name.startswith("attr_") for name in counters)
+    store.replay(default_workloads(num_requests=800)[0])
+    first = rec.snapshot()
+    assert rec.snapshot() == first
+    counters = first["counters"]
+    ledger = attr.snapshot()
+    for name, entry in ledger["ledger"]["groups"].items():
+        g = name.replace("-", "_")
+        assert counters[f"attr_group_user_blocks_total_{g}"] \
+            == entry["user_blocks"]
+        assert counters[f"attr_group_padding_blocks_total_{g}"] \
+            == entry["padding_blocks"]
+    for name, entry in ledger["gc_provenance"]["groups"].items():
+        g = name.replace("-", "_")
+        assert counters[f"attr_gc_victims_total_{g}"] == entry["victims"]
+    assert any(name.startswith("attr_gc_victims_total_")
+               for name in counters)
+    # Without a ledger the names are absent, not zero.
+    bare = ObsRecorder()
+    LogStructuredStore(cfg, make_policy("sepgc", cfg),
+                       recorder=bare).replay(
+        default_workloads(num_requests=800)[0])
+    assert not any(name.startswith("attr_")
+                   for name in bare.snapshot()["counters"])
 
 
 def test_merge_none_and_sums():

@@ -16,7 +16,7 @@ from repro.obs.exporters import (
     write_prometheus,
     write_timeline_csv,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Metric, histogram
 from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
@@ -82,7 +82,7 @@ def test_timeseries_csv(tmp_path, recorder):
 
 
 def test_prometheus_text_parses(recorder):
-    text = prometheus_text(recorder.registry)
+    text = prometheus_text(recorder.metrics())
     assert text.endswith("\n")
     for line in text.splitlines():
         if not line or line.startswith("#"):
@@ -91,12 +91,8 @@ def test_prometheus_text_parses(recorder):
 
 
 def test_prometheus_histogram_shape():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=[1, 2], help="x")
-    h.observe(0.5)
-    h.observe(1.5)
-    h.observe(9.0)
-    text = prometheus_text(reg)
+    h = histogram([(0.5, 1), (1.5, 1), (9.0, 1)], edges=(1, 2))
+    text = prometheus_text([Metric("lat", "histogram", "x", h)])
     assert 'lat_bucket{le="1"} 1' in text
     assert 'lat_bucket{le="2"} 2' in text
     assert 'lat_bucket{le="+Inf"} 3' in text
@@ -106,46 +102,42 @@ def test_prometheus_histogram_shape():
 
 def test_write_prometheus(tmp_path, recorder):
     path = str(tmp_path / "snap.prom")
-    write_prometheus(recorder.registry, path)
+    write_prometheus(recorder.metrics(), path)
     content = open(path, encoding="utf-8").read()
     assert "lss_user_blocks_total" in content
     assert "# TYPE lss_chunk_fill_blocks histogram" in content
 
 
-def _golden_registry() -> MetricsRegistry:
-    reg = MetricsRegistry()
-    reg.counter("demo_writes_total",
-                "blocks written\nsince start \\ overall").inc(42)
-    reg.gauge("demo_write_amplification", "current WA").set(1.5)
-    h = reg.histogram("demo_fill_blocks", buckets=[1, 2, float("inf")],
-                      help="chunk fill levels")
-    h.observe(0.5)
-    h.observe(2.0)
-    h.observe(99.0)
-    return reg
+def _golden_metrics() -> list[Metric]:
+    return [
+        Metric("demo_writes_total", "counter",
+               "blocks written\nsince start \\ overall", 42),
+        Metric("demo_write_amplification", "gauge", "current WA", 1.5),
+        Metric("demo_fill_blocks", "histogram", "chunk fill levels",
+               histogram([(0.5, 1), (2.0, 1), (99.0, 1)], edges=(1, 2))),
+    ]
 
 
 def test_prometheus_golden_file():
     """Byte-for-byte exposition format: cumulative buckets ending in a
-    single ``+Inf`` (the caller's explicit inf edge folds into it, never
-    duplicating the label), ``_sum``/``_count`` after the buckets, and
-    HELP text with backslash and newline escaped."""
+    single ``+Inf``, ``_sum``/``_count`` after the buckets, and HELP text
+    with backslash and newline escaped."""
     import pathlib
     golden = pathlib.Path(__file__).parent / "golden" / "registry.prom"
-    assert prometheus_text(_golden_registry()) == golden.read_text()
+    assert prometheus_text(_golden_metrics()) == golden.read_text()
 
 
 def test_prometheus_help_escaping():
-    text = prometheus_text(_golden_registry())
+    text = prometheus_text(_golden_metrics())
     assert ("# HELP demo_writes_total "
             "blocks written\\nsince start \\\\ overall") in text
-    # Exactly one +Inf bucket despite the explicit inf edge.
+    # Exactly one +Inf bucket, the overflow bucket.
     assert text.count('le="+Inf"') == 1
 
 
 def test_prometheus_histogram_sum_count_positions():
     """_sum and _count directly follow the buckets, per the format."""
-    lines = prometheus_text(_golden_registry()).splitlines()
+    lines = prometheus_text(_golden_metrics()).splitlines()
     i = lines.index('demo_fill_blocks_bucket{le="+Inf"} 3')
     assert lines[i + 1] == "demo_fill_blocks_sum 101.5"
     assert lines[i + 2] == "demo_fill_blocks_count 3"
@@ -153,9 +145,8 @@ def test_prometheus_histogram_sum_count_positions():
 
 def test_writers_create_parent_dirs_atomically(tmp_path):
     """Exporters land in not-yet-existing directories via tmp+rename."""
-    reg = _golden_registry()
     path = str(tmp_path / "a" / "b" / "snap.prom")
-    write_prometheus(reg, path)
+    write_prometheus(_golden_metrics(), path)
     assert "demo_writes_total 42" in open(path, encoding="utf-8").read()
     # Only the final artifact remains — no .tmp litter.
     assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == \

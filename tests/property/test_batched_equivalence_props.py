@@ -33,7 +33,7 @@ from repro.core.policy import AdaptPolicy
 from repro.core.sampling import SpatialSampler
 from repro.core.threshold import ThresholdLadder
 from repro.lss.config import LSSConfig
-from repro.obs.recorder import ObsRecorder
+from repro.obs.events import EventTracer
 
 from tests.conftest import DecisionTally, spilled_events
 
@@ -149,13 +149,13 @@ def test_distance_access_many_matches_scalar(seed, n):
 # ----------------------------------------------------------------------
 class _Clock:
     """What a policy reads off its store: the clock and the event seam,
-    here a recorder and a decision tally."""
+    here a spilling event log and a decision tally."""
 
     user_seq = 0
 
-    def __init__(self, recorder: ObsRecorder) -> None:
+    def __init__(self, tracer: EventTracer) -> None:
         self.tally = DecisionTally()
-        self.events = StoreEvents((recorder, self.tally))
+        self.events = StoreEvents((tracer, self.tally))
 
 
 def _bound_adapt(demotion: bool, adaptation: bool, spill_path: str):
@@ -166,13 +166,13 @@ def _bound_adapt(demotion: bool, adaptation: bool, spill_path: str):
         sample_rate=0.5, adapt_every_fraction=0.05,
         enable_demotion=demotion, enable_threshold_adaptation=adaptation,
         bloom_filters=3, bloom_capacity=8))
-    recorder = ObsRecorder(spill_path=spill_path)
-    clock = _Clock(recorder)
+    tracer = EventTracer(spill_path=spill_path)
+    clock = _Clock(tracer)
     policy.bind(clock)
-    return policy, clock, recorder
+    return policy, clock, tracer
 
 
-def _adapt_state(policy: AdaptPolicy, recorder: ObsRecorder) -> tuple:
+def _adapt_state(policy: AdaptPolicy, tracer: EventTracer) -> tuple:
     ladder, demotion = policy.ladder, policy.demotion
     return (
         policy._last_user_write.tobytes(), policy.threshold,
@@ -186,8 +186,7 @@ def _adapt_state(policy: AdaptPolicy, recorder: ObsRecorder) -> tuple:
             [_ghost_state(g) for g in ladder.ghost_sets]),
         None if demotion is None else (demotion.lookups,
                                        demotion.demotions),
-        spilled_events(recorder.tracer),
-        recorder.registry.snapshot(),
+        spilled_events(tracer),
         vars(policy.store.tally),
     )
 
@@ -261,12 +260,14 @@ def test_planned_place_user_driver_reaches_every_mechanism():
 
 def test_planned_decisions_reach_every_observer_of_the_seam():
     """The policy fires its demotions and threshold switches into the
-    store's event seam: an observer beside the recorder hears exactly
-    what the recorder counts, planned or not."""
+    store's event seam: the event log and an observer beside it hear
+    exactly what the policy counts, planned or not."""
     for state in _drive_planned_against_unplanned(7, 400, True, True):
-        registry, tally = state[12], state[13]
-        counters, gauges = registry["counters"], registry["gauges"]
-        assert tally["demotions"] == counters["lss_demotions_total"] > 0
-        assert tally["threshold_switches"] \
-            == counters["lss_threshold_switches_total"] > 0
-        assert tally["threshold"] == gauges["adapt_threshold_blocks"]
+        threshold, adaptation_log, demotion = state[1], state[7], state[10]
+        events, tally = state[11], state[12]
+        kinds = [e["type"] for e in events]
+        assert tally["demotions"] == demotion[1] \
+            == kinds.count("demotion") > 0
+        assert tally["threshold_switches"] == len(adaptation_log) \
+            == kinds.count("threshold_switch") > 0
+        assert tally["threshold"] == threshold

@@ -26,7 +26,7 @@ ALLOWLIST = {
     "repro.cli": "the `adapt-repro` console entry point",
     "repro.trace.parser": "public API for real Ali/Tencent/MSRC trace files",
     "repro.trace.writer": "public API for writing traces in those formats",
-    "repro.analysis.wa_model": "ROADMAP item 6: per-group WA prediction",
+    "repro.analysis.wa_model": "ROADMAP item 5(c): per-group WA prediction",
 }
 
 
