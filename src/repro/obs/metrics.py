@@ -29,12 +29,11 @@ class Metric(NamedTuple):
     value: Any
 
 
-def histogram(tally: Iterable[tuple[float, int]],
-              edges: Iterable[float] = BLOCK_BUCKETS) -> dict:
+def histogram(tally: Iterable[tuple[float, int]]) -> dict:
     """The histogram of ``tally``'s ``(value, count)`` observations, with
     Prometheus ``le`` semantics: bucket ``i`` counts the values ``<=
-    edges[i]``, and one overflow bucket (``+Inf``) the rest."""
-    edges = [float(e) for e in edges]
+    BLOCK_BUCKETS[i]``, and one overflow bucket (``+Inf``) the rest."""
+    edges = [float(e) for e in BLOCK_BUCKETS]
     counts = [0] * (len(edges) + 1)
     total = 0.0
     for value, count in tally:

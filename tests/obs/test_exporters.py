@@ -16,7 +16,7 @@ from repro.obs.exporters import (
     write_prometheus,
     write_timeline_csv,
 )
-from repro.obs.metrics import Metric, histogram
+from repro.obs.metrics import Metric
 from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
@@ -91,7 +91,7 @@ def test_prometheus_text_parses(recorder):
 
 
 def test_prometheus_histogram_shape():
-    h = histogram([(0.5, 1), (1.5, 1), (9.0, 1)], edges=(1, 2))
+    h = {"edges": [1.0, 2.0], "counts": [1, 1, 1], "sum": 11.0, "count": 3}
     text = prometheus_text([Metric("lat", "histogram", "x", h)])
     assert 'lat_bucket{le="1"} 1' in text
     assert 'lat_bucket{le="2"} 2' in text
@@ -114,7 +114,8 @@ def _golden_metrics() -> list[Metric]:
                "blocks written\nsince start \\ overall", 42),
         Metric("demo_write_amplification", "gauge", "current WA", 1.5),
         Metric("demo_fill_blocks", "histogram", "chunk fill levels",
-               histogram([(0.5, 1), (2.0, 1), (99.0, 1)], edges=(1, 2))),
+               {"edges": [1.0, 2.0], "counts": [1, 1, 1], "sum": 101.5,
+                "count": 3}),
     ]
 
 

@@ -14,10 +14,12 @@ from repro.validate.differential import (default_workloads,
 
 
 def test_histogram_le_semantics():
-    h = histogram([(v, 1) for v in (0, 1, 2, 4, 5, 100)], edges=(1, 4, 16))
-    # counts per bucket: <=1 -> {0,1}, <=4 -> {2,4}, <=16 -> {5}, +Inf -> {100}
-    assert h == {"edges": [1.0, 4.0, 16.0], "counts": [2, 2, 1, 1],
-                 "sum": 112.0, "count": 6}
+    h = histogram([(v, 1) for v in (0, 1, 2, 4, 5, 512, 600)])
+    assert h["edges"] == [float(e) for e in BLOCK_BUCKETS]
+    # <=1 -> {0,1}, <=2 -> {2}, <=4 -> {4}, <=8 -> {5}, <=512 -> {512},
+    # +Inf -> {600}
+    assert h["counts"] == [2, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1]
+    assert h["sum"] == 1124.0 and h["count"] == 7
 
 
 def test_observe_bulk_equals_repeated_observe():
