@@ -6,8 +6,7 @@ Three mechanisms compose the policy (:class:`~repro.core.policy.AdaptPolicy`):
   :mod:`repro.core.distance`, :mod:`repro.core.ghost`,
   :mod:`repro.core.threshold`;
 * cross-group dynamic aggregation (§3.3) — :mod:`repro.core.aggregation`;
-* proactive demotion placement (§3.4) — :mod:`repro.core.bloom`,
-  :mod:`repro.core.demotion`.
+* proactive demotion placement (§3.4) — :mod:`repro.core.demotion`.
 """
 
 from repro.core.config import AdaptConfig

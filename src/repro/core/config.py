@@ -30,8 +30,10 @@ class AdaptConfig:
         demotion_score: minimum re-access score required to demote a user
             write directly into a GC group.
         bloom_filters: cascade depth of each RA discriminator.
-        bloom_capacity: inserts per bloom filter before rotation.
-        bloom_fp_rate: target false-positive rate per filter.
+        bloom_capacity: inserts per cascade filter before rotation.
+        bloom_fp_rate: false-positive rate the modelled Bloom filters
+            are sized for; it sets the memory budget only (the filters
+            are exact member sets).
         enable_threshold_adaptation: §3.2 on/off (off = SepBIT-style
             segment-lifespan threshold only).
         enable_aggregation: §3.3 on/off.

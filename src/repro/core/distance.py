@@ -83,13 +83,6 @@ class DistanceTracker:
         self._clock = clock
         return out
 
-    def evict(self, key: int) -> None:
-        """Forget a key (bounds memory for long runs)."""
-        prev = self._last_pos.pop(key, None)
-        if prev is not None:
-            idx = bisect_right(self._live_positions, prev) - 1
-            del self._live_positions[idx]
-
     def memory_bytes(self) -> int:
         """Approximate footprint: the paper budgets ~44 bytes per sampled
         block (key, last position, tree linkage)."""

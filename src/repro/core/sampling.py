@@ -10,7 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bloom import _mix64, _mix64_batch
+#: 64-bit mixing constants (splitmix64's finalizer).
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    x = (x ^ (x >> 30)) * _MIX1 & _MASK
+    x = (x ^ (x >> 27)) * _MIX2 & _MASK
+    return x ^ (x >> 31)
+
+
+def _mix64_batch(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_mix64` over a uint64 array (wrapping multiply)."""
+    x = x.astype(np.uint64, copy=False)
+    with np.errstate(over="ignore"):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
+
 
 #: Hash-space modulus for the sampling test.
 _P = 1 << 24

@@ -60,8 +60,7 @@ class AttributionRecorder(StoreObserver):
     """
 
     __slots__ = ("_store", "slot_origin", "slot_epoch", "gc_groups",
-                 "total_victims", "total_migrated_user_origin",
-                 "total_migrated_gc_origin", "_victim_gc_origin")
+                 "_victim_gc_origin")
 
     def __init__(self) -> None:
         self._store: Any = None
@@ -72,10 +71,6 @@ class AttributionRecorder(StoreObserver):
         #: victim gid -> [victims, valid_blocks, free_blocks,
         #:               age_seq_sum, user_origin, gc_origin]
         self.gc_groups: dict[int, list[int]] = {}
-        # Running totals for timeline columns.
-        self.total_victims = 0
-        self.total_migrated_user_origin = 0
-        self.total_migrated_gc_origin = 0
         #: GC-origin blocks among the victim being cleaned (set by
         #: ``gc_blocks``, booked and cleared by ``segment_reclaimed``).
         self._victim_gc_origin = 0
@@ -119,9 +114,6 @@ class AttributionRecorder(StoreObserver):
         agg[3] += age_seq
         agg[4] += user_origin
         agg[5] += gc_origin
-        self.total_victims += 1
-        self.total_migrated_user_origin += user_origin
-        self.total_migrated_gc_origin += gc_origin
         self.slot_origin[seg * sb:(seg + 1) * sb] = ORIGIN_NONE
         self.slot_epoch[seg * sb:(seg + 1) * sb] = 0
 

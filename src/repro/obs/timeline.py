@@ -156,9 +156,11 @@ class ReplayTimeline:
         ]
         row.extend(store.group_occupancy().tolist())
         if self._attr is not None:
-            row.extend((float(self._attr.total_victims),
-                        float(self._attr.total_migrated_user_origin),
-                        float(self._attr.total_migrated_gc_origin)))
+            # One gc_groups row per victim group: summing them is cheap.
+            rows = self._attr.gc_groups.values()
+            row.extend((float(sum(r[0] for r in rows)),
+                        float(sum(r[4] for r in rows)),
+                        float(sum(r[5] for r in rows))))
         if self._n == self._buf.shape[0]:
             grown = np.empty((max(64, self._buf.shape[0] * 2),
                               self._buf.shape[1]), dtype=np.float64)

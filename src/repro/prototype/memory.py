@@ -3,9 +3,12 @@
 The paper compares ADAPT's resident metadata against SepBIT's, since both
 run two user groups + four GC groups with a lifespan-based policy: the
 delta is ADAPT's sampling module (~44 B per sampled block) plus the ghost
-sets (~20 B per simulated block) plus the RA bloom cascades, and comes to a
-few percent at the paper's 0.001 sampling rate.  ``measure_memory`` replays
-a workload and reads each policy's own accounting.
+sets (~20 B per simulated block) plus the RA cascades, and comes to a few
+percent at the paper's 0.001 sampling rate.  The cascades hold exact
+member sets; they are counted at the closed-form Bloom-filter budget the
+paper's design carries, so that term is a model, not a measurement.
+``measure_memory`` replays a workload and reads each policy's own
+accounting.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 import numpy as np
 
 from repro.core.distance import DistanceTracker
+from repro.core.policy import AdaptPolicy
+from repro.lss.config import LSSConfig
+from repro.lss.store import LogStructuredStore
+from repro.perf.expand import expand_trace
+from repro.trace.synthetic.ycsb import generate_ycsb_a
 
 
 def naive_distance(history: list[int], key: int) -> int | None:
@@ -51,21 +56,6 @@ def test_matches_naive_reference_on_random_stream():
     t.check_invariants()
 
 
-def test_evict_forgets_key():
-    t = DistanceTracker()
-    t.access(1)
-    t.access(2)
-    t.evict(1)
-    assert t.access(1) is None
-    t.check_invariants()
-
-
-def test_evict_unknown_key_is_noop():
-    t = DistanceTracker()
-    t.evict(42)
-    t.check_invariants()
-
-
 def test_len_counts_distinct_keys():
     t = DistanceTracker()
     for k in (1, 2, 2, 3):
@@ -78,3 +68,19 @@ def test_memory_accounting_uses_papers_44_bytes():
     for k in range(10):
         t.access(k)
     assert t.memory_bytes() == 440
+
+
+def test_adapt_replay_tracks_one_key_per_sampled_written_lba():
+    """The tracker never forgets a key, and needs not to: its keys are
+    the sampled LBAs the replay wrote (reads are not tracked), so its
+    size is bounded by the logical blocks."""
+    cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
+    policy = AdaptPolicy(cfg)
+    trace = generate_ycsb_a(4096, 12_000, read_ratio=0.5, seed=3)
+    LogStructuredStore(cfg, policy).replay(trace)
+    written = np.unique(expand_trace(trace).lbas)
+    sampled = written[policy.sampler.is_sampled_batch(written)]
+    assert 0 < len(policy.distance._last_pos) == sampled.size
+    assert set(policy.distance._last_pos) == set(sampled.tolist())
+    assert sampled.size < written.size <= cfg.logical_blocks
+    policy.distance.check_invariants()

@@ -95,9 +95,9 @@ def test_demotion_only_for_cold_bound(small_config):
     # migrations landing in different cascade filters.
     gid = AdaptPolicy.GC_BASE
     d = pol.demotion.discriminators[gid]
-    d.insert(5)
-    d.insert(99)      # fill filter 1 (capacity 2)
-    d.insert(5)       # filter 2
+    d.insert_many([5])
+    d.insert_many([99])   # fill filter 1 (capacity 2)
+    d.insert_many([5])    # filter 2
     assert d.score(5) == 2
     store.process_request(0, 1, 5, 1)
     # Quick rewrite: hot-bound, must NOT be demoted.

@@ -9,7 +9,6 @@ from repro.array.chunk import ChunkGeometry
 from repro.array.coalescing import CoalescingBuffer
 from repro.array.raid5 import Raid5Accounting, Raid5Config
 from repro.common.units import KiB
-from repro.core.bloom import BloomFilter, CascadedDiscriminator
 from repro.core.distance import DistanceTracker
 from repro.trace.model import Trace
 from repro.trace.parser import parse_csv
@@ -37,31 +36,6 @@ def test_distance_tracker_matches_naive(stream):
         assert tracker.access(key) == expected
         history.append(key)
     tracker.check_invariants()
-
-
-# ----------------------------------------------------------------------
-# bloom filter: no false negatives, ever
-# ----------------------------------------------------------------------
-@given(st.sets(st.integers(min_value=0, max_value=2**48), max_size=200),
-       st.floats(min_value=0.001, max_value=0.2))
-@settings(max_examples=60, deadline=None)
-def test_bloom_never_false_negative(keys, fp_rate):
-    bf = BloomFilter(capacity=max(len(keys), 1), fp_rate=fp_rate)
-    for k in keys:
-        bf.add(k)
-    assert all(k in bf for k in keys)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=100), max_size=300))
-@settings(max_examples=50, deadline=None)
-def test_cascade_bloom_score_bounds_exact_score(keys):
-    exact = CascadedDiscriminator(4, 16, use_bloom=False)
-    bloom = CascadedDiscriminator(4, 16, use_bloom=True)
-    for k in keys:
-        exact.insert(k)
-        bloom.insert(k)
-    for k in set(keys):
-        assert bloom.score(k) >= exact.score(k)
 
 
 # ----------------------------------------------------------------------
