@@ -71,7 +71,7 @@ def test_memory_accounting_uses_papers_44_bytes():
 
 
 def test_adapt_replay_tracks_one_key_per_sampled_written_lba():
-    """The tracker never forgets a key, and needs not to: its keys are
+    """The tracker never forgets a key, and need not: its keys are
     the sampled LBAs the replay wrote (reads are not tracked), so its
     size is bounded by the logical blocks."""
     cfg = LSSConfig(logical_blocks=4096, segment_blocks=64)
