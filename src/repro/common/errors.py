@@ -12,7 +12,7 @@ class ConfigError(ReproError):
 
 
 class TraceFormatError(ReproError):
-    """Raised when a trace file cannot be parsed."""
+    """Raised when a trace is malformed (see :meth:`Trace.validate`)."""
 
 
 class CapacityError(ReproError):

@@ -33,14 +33,3 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     out.append(line(["-" * w for w in widths]))
     out.extend(line(r) for r in str_rows)
     return "\n".join(out)
-
-
-def render_kv(title: str, pairs: dict[str, Any]) -> str:
-    """Render a two-column key/value block."""
-    width = max((len(k) for k in pairs), default=0)
-    lines = [title, "=" * len(title)]
-    for k, v in pairs.items():
-        if isinstance(v, float):
-            v = format(v, ".4f")
-        lines.append(f"{k.ljust(width)}  {v}")
-    return "\n".join(lines)

@@ -2,9 +2,10 @@
 
 ``replay_volume`` runs one (scheme, victim-policy, trace) cell and returns
 a compact :class:`VolumeResult`; ``run_matrix`` sweeps the full cross
-product, optionally across worker processes (per-volume runs are perfectly
-parallel — shared-nothing, merged at the end — though the benchmark
-default stays serial because the reference machine has one core).
+product across worker processes (per-volume runs are perfectly parallel —
+shared-nothing, merged at the end).  By default it uses
+``min(os.cpu_count(), 8)`` processes, and runs serially on one core, for a
+single job, or while a phase profiler is active.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""Array helpers of the replay loop and the synthetic-trace cache.
+"""Array helpers of the replay loop.
 
 :mod:`~repro.perf.expand` turns a trace window into its flat block
-stream, :mod:`~repro.perf.batch` resolves duplicate-LBA chains inside
-one, and :mod:`~repro.perf.tracecache` caches synthetic traces on disk
-so repeated experiment runs skip generation.  :mod:`~repro.perf.engine`
-only keeps names the frozen ``bench/`` harness wraps.
+stream and :mod:`~repro.perf.batch` resolves duplicate-LBA chains inside
+one.  :mod:`~repro.perf.engine` and :mod:`~repro.perf.tracecache` only
+keep names the frozen ``bench/`` harness wraps or calls.
 
 See ``docs/performance.md`` for the replay loop's design.
 """

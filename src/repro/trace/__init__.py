@@ -1,5 +1,5 @@
-"""Block-level I/O trace model, parsers, statistics, synthetic generators
-and chunked streams."""
+"""Block-level I/O trace model, statistics, transforms, synthetic
+generators and chunked streams.  Every trace is generated from a seed."""
 
 from repro.trace.model import OP_READ, OP_WRITE, Trace
 from repro.trace.stats import TraceStats, compute_stats

@@ -9,7 +9,7 @@ objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -38,7 +38,6 @@ class Trace:
     offsets: np.ndarray
     sizes: np.ndarray
     volume: str = "anonymous"
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
@@ -123,7 +122,6 @@ class Trace:
                 raise TraceFormatError("negative offset")
             if np.any((self.ops != OP_READ) & (self.ops != OP_WRITE)):
                 raise TraceFormatError("unknown op code")
-        self._validated = True
         return self
 
     @property

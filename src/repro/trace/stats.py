@@ -2,8 +2,8 @@
 
 The paper's Observation 1 characterises production workloads by two
 marginals: the per-volume average request rate (Fig 2a) and the write
-request-size distribution (Fig 2b).  This module computes both, plus the
-empirical CDF helpers shared by several experiments.
+request-size distribution (Fig 2b).  This module computes both, plus
+:func:`cdf_at`, the empirical CDF that Fig 9 reads padding shares off.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ def compute_stats(trace: Trace) -> TraceStats:
     )
 
 
-def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cumulative_fraction)`` for plotting a CDF."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        return v, v
-    frac = np.arange(1, v.size + 1, dtype=float) / v.size
-    return v, frac
-
-
 def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the empirical CDF of ``values`` at each of ``points``."""
     v = np.sort(np.asarray(values, dtype=float))
@@ -78,11 +69,6 @@ def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.zeros(len(points))
     return np.searchsorted(v, np.asarray(points, dtype=float),
                            side="right") / v.size
-
-
-def request_rate_cdf(stats: list[TraceStats]) -> tuple[np.ndarray, np.ndarray]:
-    """Fig 2a: CDF over per-volume average request rates."""
-    return empirical_cdf(np.array([s.avg_request_rate for s in stats]))
 
 
 def write_size_distribution(stats: list[TraceStats]) -> dict[str, float]:

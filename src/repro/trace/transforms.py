@@ -1,10 +1,11 @@
-"""Trace surgery: slicing, remapping, rate scaling, splitting, multiplexing.
+"""Trace surgery: remapping, rate scaling, multiplexing and its inverse.
 
-Production trace studies constantly need these: cut a diurnal window out of
-a week, re-base sparse volumes onto one shared address space (cloud block
-stores serve many volumes per log — §2.2's deployment), thin a trace to a
-target duration, or speed traffic up/down to move it across the SLA
-boundary.  All transforms are pure (they return new traces).
+The shared-store experiment needs these: re-base sparse volumes onto one
+shared address space (cloud block stores serve many volumes per log —
+§2.2's deployment) and speed traffic up/down to move it across the SLA
+boundary.  :func:`split_by_address` is the inverse of :func:`multiplex`
+that the tests check it against.  All transforms are pure (they return
+new traces).
 """
 
 from __future__ import annotations
@@ -13,18 +14,6 @@ import numpy as np
 
 from repro.common.errors import TraceFormatError
 from repro.trace.model import Trace
-
-
-def time_slice(trace: Trace, start_us: int, end_us: int) -> Trace:
-    """Requests with timestamps in ``[start_us, end_us)``, rebased to 0."""
-    if end_us < start_us:
-        raise ValueError("end_us must be >= start_us")
-    m = (trace.timestamps >= start_us) & (trace.timestamps < end_us)
-    ts = trace.timestamps[m]
-    if ts.size:
-        ts = ts - ts[0]
-    return Trace(ts, trace.ops[m], trace.offsets[m], trace.sizes[m],
-                 volume=f"{trace.volume}[{start_us}:{end_us}]")
 
 
 def scale_rate(trace: Trace, factor: float) -> Trace:
@@ -47,13 +36,6 @@ def remap_offsets(trace: Trace, base: int) -> Trace:
     return Trace(trace.timestamps.copy(), trace.ops.copy(),
                  trace.offsets + base, trace.sizes.copy(),
                  volume=trace.volume)
-
-
-def head(trace: Trace, num_requests: int) -> Trace:
-    """First ``num_requests`` requests."""
-    if num_requests < 0:
-        raise ValueError("num_requests must be >= 0")
-    return trace[:num_requests]
 
 
 def multiplex(traces: list[Trace],

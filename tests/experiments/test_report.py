@@ -1,6 +1,6 @@
 """Table rendering."""
 
-from repro.experiments.report import render_kv, render_table
+from repro.experiments.report import render_table
 
 
 def test_render_table_alignment():
@@ -21,8 +21,3 @@ def test_render_table_title_and_rule():
 def test_render_table_floatfmt():
     out = render_table(["x"], [[0.123456]], floatfmt=".1f")
     assert "0.1" in out and "0.12" not in out
-
-
-def test_render_kv():
-    out = render_kv("K", {"alpha": 1.0, "beta": "x"})
-    assert "alpha" in out and "1.0000" in out and "x" in out

@@ -3,16 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from repro.array.chunk import ChunkGeometry
 from repro.array.coalescing import CoalescingBuffer
 from repro.array.raid5 import Raid5Accounting, Raid5Config
 from repro.common.units import KiB
 from repro.core.distance import DistanceTracker
-from repro.trace.model import Trace
-from repro.trace.parser import parse_csv
-from repro.trace.writer import write_csv
 import pytest
 
 pytestmark = pytest.mark.property
@@ -82,29 +77,6 @@ def test_raid5_parity_bounds(io_sizes, num_devices):
     # full-stripe floor holds.
     if acct.data_chunks:
         assert acct.parity_chunks >= acct.data_chunks // cols
-
-
-# ----------------------------------------------------------------------
-# trace writer/parser round trip
-# ----------------------------------------------------------------------
-@given(st.lists(
-    st.tuples(st.integers(min_value=0, max_value=10**9),   # ts
-              st.integers(min_value=0, max_value=1),       # op
-              st.integers(min_value=0, max_value=10**6),   # offset
-              st.integers(min_value=1, max_value=64)),     # size
-    max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_trace_roundtrip(rows):
-    rows.sort(key=lambda r: r[0])
-    tr = Trace.from_rows(rows)
-    import io
-    buf = io.StringIO()
-    write_csv(tr, buf)
-    back = parse_csv(buf.getvalue().splitlines())
-    assert np.array_equal(back.timestamps, tr.timestamps)
-    assert np.array_equal(back.ops, tr.ops)
-    assert np.array_equal(back.offsets, tr.offsets)
-    assert np.array_equal(back.sizes, tr.sizes)
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,22 @@ keeps its inert value — under the comment "pinned by the frozen
 `bench/` harness — no caller".  This test lists exactly that surface:
 it fails when a stub grows a body again, and when ``bench/`` stops
 naming one, with the file and line of the stub to delete.
+
+One more pin is called, not wrapped: ``bench/child.py`` calls
+``repro.perf.tracecache.set_enabled(False)`` at every child start, so
+that stub must do nothing and return ``None`` instead of raising.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import os
 
 import pytest
 
 import repro.perf.engine as engine
+import repro.perf.tracecache as tracecache
 from repro.core.demotion import ProactiveDemotion
 from repro.core.policy import AdaptPolicy
 from repro.lss.gc import GarbageCollector
@@ -75,8 +81,8 @@ def _stub_location(owner, attr: str) -> str:
     raise AssertionError(f"no assignment of {attr} in {path}")
 
 
-def _bench_names(needle: str) -> bool:
-    for name in BENCH_FILES:
+def _bench_names(needle: str, files=BENCH_FILES) -> bool:
+    for name in files:
         with open(os.path.join(ROOT, name), encoding="utf-8") as f:
             if needle in f.read():
                 return True
@@ -108,3 +114,18 @@ def test_pin_is_a_stub_bench_still_names(owner_of, attr, needle, inert):
             value(None)
     else:
         assert value is inert, f"{where} holds {value!r}, not a stub"
+
+
+def test_tracecache_set_enabled_is_a_no_op_bench_still_calls():
+    where = _stub_location(tracecache, "set_enabled")
+    assert _bench_names("tracecache.set_enabled", ("bench/child.py",)), (
+        f"bench/child.py no longer calls tracecache.set_enabled: delete "
+        f"the stub at {where} and this test")
+    public = sorted(n for n in vars(tracecache) if not n.startswith("_"))
+    assert public == ["set_enabled"], f"{where}'s module grew {public}"
+    fn = ast.parse(inspect.getsource(tracecache.set_enabled)).body[0]
+    docstring_only = (len(fn.body) == 1 and isinstance(fn.body[0], ast.Expr)
+                      and isinstance(fn.body[0].value, ast.Constant))
+    assert docstring_only, f"the stub at {where} grew a body"
+    assert tracecache.set_enabled(False) is None
+    assert tracecache.set_enabled(True) is None

@@ -24,8 +24,6 @@ CONSUMER_DIRS = ("src", "benchmarks", "examples", "bench")
 #: Modules without a non-test importer, and why each one stays.
 ALLOWLIST = {
     "repro.cli": "the `adapt-repro` console entry point",
-    "repro.trace.parser": "public API for real Ali/Tencent/MSRC trace files",
-    "repro.trace.writer": "public API for writing traces in those formats",
     "repro.analysis.wa_model": "ROADMAP item 5(c): per-group WA prediction",
 }
 

@@ -7,8 +7,6 @@ from repro.trace.model import Trace
 from repro.trace.stats import (
     cdf_at,
     compute_stats,
-    empirical_cdf,
-    request_rate_cdf,
     write_size_distribution,
 )
 
@@ -31,13 +29,6 @@ def test_write_size_fractions():
     assert abs(s.write_size_fraction_gt(32 * KiB) - 0.2) < 1e-9  # the 16
 
 
-def test_empirical_cdf_properties():
-    v, f = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-    assert list(v) == [1.0, 2.0, 3.0]
-    assert f[-1] == 1.0
-    assert all(np.diff(f) > 0)
-
-
 def test_cdf_at_points():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     out = cdf_at(vals, np.array([0.0, 2.0, 10.0]))
@@ -48,8 +39,6 @@ def test_fleet_level_summaries():
     traces = [make_write_trace(range(5), gap_us=100),
               make_write_trace(range(50), gap_us=100)]
     stats = [compute_stats(t) for t in traces]
-    rates, frac = request_rate_cdf(stats)
-    assert rates.shape == (2,)
     dist = write_size_distribution(stats)
     assert dist["le_8KiB"] == 1.0
     assert dist["gt_32KiB"] == 0.0
@@ -58,5 +47,4 @@ def test_fleet_level_summaries():
 def test_empty_inputs():
     assert write_size_distribution([]) == {
         "le_8KiB": 0.0, "le_32KiB": 0.0, "gt_32KiB": 0.0}
-    v, f = empirical_cdf(np.array([]))
-    assert v.size == 0 and f.size == 0
+    assert list(cdf_at(np.array([]), np.array([1.0, 2.0]))) == [0.0, 0.0]

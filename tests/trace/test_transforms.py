@@ -6,30 +6,13 @@ import pytest
 from repro.common.errors import TraceFormatError
 from repro.trace.model import Trace
 from repro.trace.transforms import (
-    head,
     multiplex,
     remap_offsets,
     scale_rate,
     split_by_address,
-    time_slice,
 )
 
 from tests.conftest import make_write_trace
-
-
-def test_time_slice_rebases():
-    tr = make_write_trace(range(10), gap_us=100)
-    sl = time_slice(tr, 300, 700)
-    assert len(sl) == 4
-    assert sl.timestamps[0] == 0
-    assert list(sl.offsets) == [3, 4, 5, 6]
-
-
-def test_time_slice_empty_window():
-    tr = make_write_trace(range(5))
-    assert len(time_slice(tr, 10**6, 10**6 + 5)) == 0
-    with pytest.raises(ValueError):
-        time_slice(tr, 10, 5)
 
 
 def test_scale_rate_moves_gaps():
@@ -48,13 +31,6 @@ def test_remap_offsets():
     assert list(shifted.offsets) == [101, 102, 103]
     with pytest.raises(ValueError):
         remap_offsets(tr, -1)
-
-
-def test_head():
-    tr = make_write_trace(range(10))
-    assert len(head(tr, 3)) == 3
-    with pytest.raises(ValueError):
-        head(tr, -1)
 
 
 def test_multiplex_disjoint_ranges():
@@ -154,8 +130,8 @@ def tr_op():
 
 def test_head_then_scale_commutes():
     tr = make_write_trace(range(8), gap_us=100)
-    assert np.array_equal(scale_rate(head(tr, 4), 2.0).timestamps,
-                          head(scale_rate(tr, 2.0), 4).timestamps)
+    assert np.array_equal(scale_rate(tr[:4], 2.0).timestamps,
+                          scale_rate(tr, 2.0)[:4].timestamps)
 
 
 def test_scale_rate_roundtrip_identity():
