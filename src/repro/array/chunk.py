@@ -35,17 +35,3 @@ class ChunkGeometry:
     def chunk_blocks(self) -> int:
         """Block slots per chunk (16 for the 64 KiB / 4 KiB default)."""
         return self.chunk_bytes // self.block_bytes
-
-    def chunks_of_blocks(self, nblocks: int) -> int:
-        """Chunks needed to hold ``nblocks`` blocks (round up)."""
-        if nblocks < 0:
-            raise ValueError(f"negative block count {nblocks}")
-        return -(-nblocks // self.chunk_blocks)
-
-    def padding_for(self, nblocks: int) -> int:
-        """Zero-padding blocks required to round ``nblocks`` up to whole
-        chunks (0 when already aligned)."""
-        if nblocks < 0:
-            raise ValueError(f"negative block count {nblocks}")
-        rem = nblocks % self.chunk_blocks
-        return 0 if rem == 0 else self.chunk_blocks - rem

@@ -7,15 +7,11 @@ Pangu-derived setting) — in which case the remainder of the chunk is
 zero-padded.  GC-facing groups write in bulk and use ``window_us=None``:
 they never pad on a deadline, matching the paper's Observation 2.
 
-Two window semantics are supported:
-
-* ``"idle"`` (default) — the deadline restarts on every append, i.e. a chunk
-  is padded once the stream to its group pauses for a full window.  This is
-  the semantics consistent with the paper's Fig 11, where traffic denser
-  than the 100 µs window "eliminates zero-padding across all schemes", and
-  with §3.3's resettable "aggregation timer".
-* ``"first"`` — the deadline is fixed at first-append + window (a strict
-  per-block buffering-latency SLA).  Exposed for ablations.
+The window restarts on every append, so a chunk is padded once the stream
+to its group pauses for a full window.  That is the semantics of the
+paper's Fig 11, where traffic denser than the 100 µs window "eliminates
+zero-padding across all schemes", and of §3.3's resettable "aggregation
+timer".
 
 The buffer keeps only how many blocks of each append kind are pending:
 nothing above it reads a pending block's identity, and a flush books
@@ -94,27 +90,22 @@ class CoalescingBuffer:
         chunk_blocks: chunk capacity in blocks.
         window_us: SLA coalescing window; ``None`` disables deadline
             flushes (bulk/GC writers).
-        sla_mode: ``"idle"`` (deadline restarts on each append) or
-            ``"first"`` (deadline fixed at first append).
         owner_gid: identity stamped onto this buffer's entries in a
             shared deadline heap.
     """
 
-    __slots__ = ("chunk_blocks", "window_us", "sla_mode", "owner_gid",
+    __slots__ = ("chunk_blocks", "window_us", "owner_gid",
                  "pending", "pending_blocks", "_timer_start_us", "_heap",
                  "_heap_entry_us")
 
     def __init__(self, chunk_blocks: int, window_us: int | None,
-                 sla_mode: str = "idle", owner_gid: int = -1) -> None:
+                 owner_gid: int = -1) -> None:
         if chunk_blocks < 1:
             raise ConfigError("chunk_blocks must be >= 1")
         if window_us is not None and window_us < 0:
             raise ConfigError("window_us must be >= 0 or None")
-        if sla_mode not in ("idle", "first"):
-            raise ConfigError(f"unknown sla_mode {sla_mode!r}")
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
-        self.sla_mode = sla_mode
         self.owner_gid = owner_gid
         #: Pending blocks per append kind, and their total.
         self.pending = [0, 0, 0]
@@ -202,10 +193,7 @@ class CoalescingBuffer:
         cb = self.chunk_blocks
         nf = (p + n) // cb
         if nf == 0:
-            # Idle mode restarts the timer on every append; "first" mode
-            # arms it at the chunk's first append.
-            if self.sla_mode == "idle" or not p:
-                self._timer_start_us = now_us
+            self._timer_start_us = now_us
             self.pending[kind] += n
             self.pending_blocks = p + n
             self._arm_heap()

@@ -78,10 +78,6 @@ class Raid5Accounting:
         self._stripe_fill = (self._stripe_fill + n) % self.config.data_columns
         return n
 
-    @property
-    def total_chunks(self) -> int:
-        return self.data_chunks + self.parity_chunks
-
     def parity_overhead(self) -> float:
         """Parity chunks per data chunk (→ 1/(D−1) for full-stripe I/Os)."""
         if self.data_chunks == 0:

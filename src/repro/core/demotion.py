@@ -22,6 +22,10 @@ import math
 
 import numpy as np
 
+#: False-positive rate the modelled Bloom filters are sized for.  It sets
+#: the memory budget only: the filters are exact member sets.
+BLOOM_FP_RATE = 0.01
+
 
 class CascadedDiscriminator:
     """FIFO cascade of filters: insert into the newest, score by counting
@@ -44,7 +48,7 @@ class CascadedDiscriminator:
                  "evictions", "_bytes_per_filter", "_holders")
 
     def __init__(self, num_filters: int = 4, capacity: int = 4096,
-                 fp_rate: float = 0.01,
+                 fp_rate: float = BLOOM_FP_RATE,
                  holders: dict[int, int] | None = None) -> None:
         if num_filters < 1:
             raise ValueError("num_filters must be >= 1")
@@ -113,15 +117,15 @@ class ProactiveDemotion:
         gc_group_ids: store group ids of the GC-rewritten groups, coldest
             last (order only matters for tie-breaking).
         score_threshold: minimum score required to demote.
-        num_filters / capacity / fp_rate: cascade shape per group.
+        num_filters / capacity: cascade shape per group (each filter's
+            Bloom budget is sized for :data:`BLOOM_FP_RATE`).
     """
 
     __slots__ = ("gc_group_ids", "score_threshold", "discriminators",
                  "holders", "demotions", "lookups")
 
     def __init__(self, gc_group_ids: list[int], score_threshold: int = 2,
-                 num_filters: int = 4, capacity: int = 4096,
-                 fp_rate: float = 0.01) -> None:
+                 num_filters: int = 4, capacity: int = 4096) -> None:
         if not gc_group_ids:
             raise ValueError("need at least one GC group")
         if score_threshold < 1:
@@ -131,7 +135,7 @@ class ProactiveDemotion:
         #: LBA -> live member sets holding it, across all cascades.
         self.holders: dict[int, int] = {}
         self.discriminators = {
-            gid: CascadedDiscriminator(num_filters, capacity, fp_rate,
+            gid: CascadedDiscriminator(num_filters, capacity,
                                        holders=self.holders)
             for gid in gc_group_ids
         }

@@ -16,7 +16,7 @@ runs one candidate threshold; the ladder compares their costs.
 Each ghost group's open chunk is two inline counters — pending blocks
 and the SLA timer start — with the store's coalescing semantics (a
 :class:`~repro.array.coalescing.CoalescingBuffer` without deadline heap
-or flush consumers).  :meth:`GhostSet.record` is a one-block
+or flush consumers): every append restarts the window.  :meth:`GhostSet.record` is a one-block
 :meth:`GhostSet.record_many`, so arbitrary interleavings of the two stay
 bit-identical (the ghost equivalence suite fuzzes exactly that).
 """
@@ -24,8 +24,6 @@ bit-identical (the ghost equivalence suite fuzzes exactly that).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.common.errors import ConfigError
 
 
 @dataclass(slots=True)
@@ -50,11 +48,10 @@ class GhostSet:
         window_us: scaled coalescing window.
         garbage_limit: GC triggers when the dead fraction of occupied slots
             exceeds this.
-        sla_mode: coalescing window semantics (matches the real store).
     """
 
     __slots__ = ("threshold", "segment_blocks", "chunk_blocks",
-                 "window_us", "sla_mode", "garbage_limit", "_pending",
+                 "window_us", "garbage_limit", "_pending",
                  "_timer", "_open", "_sealed", "_where", "blocks_written",
                  "blocks_discarded", "padding_blocks", "gc_passes",
                  "_total_slots")
@@ -62,21 +59,18 @@ class GhostSet:
     HOT, COLD = 0, 1
 
     def __init__(self, threshold: float, segment_blocks: int,
-                 chunk_blocks: int, window_us: int, garbage_limit: float,
-                 sla_mode: str = "idle") -> None:
+                 chunk_blocks: int, window_us: int,
+                 garbage_limit: float) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         if segment_blocks < chunk_blocks:
             raise ValueError("segment must hold at least one chunk")
         if not 0 < garbage_limit < 1:
             raise ValueError("garbage_limit must be in (0, 1)")
-        if sla_mode not in ("idle", "first"):
-            raise ConfigError(f"unknown sla_mode {sla_mode!r}")
         self.threshold = threshold
         self.segment_blocks = segment_blocks
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
-        self.sla_mode = sla_mode
         self.garbage_limit = garbage_limit
 
         #: Per group (HOT, COLD): blocks pending in the open chunk, and
@@ -128,7 +122,6 @@ class GhostSet:
         pending = self._pending
         timer = self._timer
         window = self.window_us
-        idle = self.sla_mode == "idle"
         threshold = self.threshold
         cb = self.chunk_blocks
         segb = self.segment_blocks
@@ -169,14 +162,13 @@ class GhostSet:
             where[lba] = seg
             written += 1
             total += 1
-            p = pending[g]
-            if idle or not p:
-                timer[g] = now
-            if p + 1 >= cb:
+            p = pending[g] + 1
+            if p >= cb:
                 pending[g] = 0
                 timer[g] = None
             else:
-                pending[g] = p + 1
+                pending[g] = p
+                timer[g] = now
             if len(blocks) + seg.padding >= segb:
                 seg.sealed = True
                 sealed.append(seg)

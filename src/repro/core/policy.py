@@ -33,6 +33,11 @@ from repro.placement.base import PlacementPolicy
 from repro.placement.registry import register
 from repro.placement.sepbit import gc_age_bounds
 
+#: Candidate thresholds the ghost ladder simulates at once (§3.2).
+NUM_GHOST_SETS = 5
+#: Minimum re-access score for a proactive demotion (§3.4).
+DEMOTION_SCORE = 2
+
 
 @dataclass(slots=True)
 class _UserWritePlan:
@@ -105,17 +110,15 @@ class AdaptPolicy(PlacementPolicy):
         ghost_seg = max(chunk_blocks,
                         _round_up(int(round(config.segment_blocks * r)),
                                   chunk_blocks))
-        garbage_limit = ac.ghost_garbage_limit
-        if garbage_limit is None:
-            op = config.over_provisioning
-            garbage_limit = op / (1.0 + op)
+        # The ghost sets clean at the store's garbage share at full
+        # occupancy: the over-provisioned fraction of the physical pool.
+        op = config.over_provisioning
         self.ladder = ThresholdLadder(
-            num_sets=ac.num_ghost_sets,
+            num_sets=NUM_GHOST_SETS,
             segment_blocks=ghost_seg,
             chunk_blocks=chunk_blocks,
             window_us=max(1, int(round(config.coalesce_window_us / r))),
-            garbage_limit=garbage_limit,
-            sla_mode=config.sla_mode,
+            garbage_limit=op / (1.0 + op),
         ) if ac.enable_threshold_adaptation else None
         self._sampled_since_adapt = 0
         self._adapt_budget = max(
@@ -128,9 +131,9 @@ class AdaptPolicy(PlacementPolicy):
         # --- proactive demotion ----------------------------------------
         gc_ids = [self.GC_BASE + i for i in range(ac.num_gc_groups)]
         self.demotion = ProactiveDemotion(
-            gc_ids, score_threshold=ac.demotion_score,
-            num_filters=ac.bloom_filters, capacity=ac.bloom_capacity,
-            fp_rate=ac.bloom_fp_rate) if ac.enable_demotion else None
+            gc_ids, score_threshold=DEMOTION_SCORE,
+            num_filters=ac.bloom_filters,
+            capacity=ac.bloom_capacity) if ac.enable_demotion else None
 
     # ------------------------------------------------------------------
     # groups

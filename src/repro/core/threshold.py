@@ -31,11 +31,10 @@ class ThresholdLadder:
     """Manages the ghost-set grid and threshold search."""
 
     __slots__ = ("num_sets", "segment_blocks", "chunk_blocks", "window_us",
-                 "garbage_limit", "sla_mode", "mode", "rounds", "ghost_sets")
+                 "garbage_limit", "mode", "rounds", "ghost_sets")
 
     def __init__(self, num_sets: int, segment_blocks: int, chunk_blocks: int,
-                 window_us: int, garbage_limit: float,
-                 sla_mode: str = "idle") -> None:
+                 window_us: int, garbage_limit: float) -> None:
         if num_sets < 2:
             raise ValueError("need at least 2 ghost sets")
         self.num_sets = num_sets
@@ -43,7 +42,6 @@ class ThresholdLadder:
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
         self.garbage_limit = garbage_limit
-        self.sla_mode = sla_mode
         self.mode = "exponential"
         self.rounds = 0
         self._build(self._exponential_grid(center=float(segment_blocks)))
@@ -74,8 +72,7 @@ class ThresholdLadder:
             ghost = existing.get(round(t, 3))
             if ghost is None:
                 ghost = GhostSet(t, self.segment_blocks, self.chunk_blocks,
-                                 self.window_us, self.garbage_limit,
-                                 sla_mode=self.sla_mode)
+                                 self.window_us, self.garbage_limit)
             else:
                 ghost.reset_counters()
             sets.append(ghost)

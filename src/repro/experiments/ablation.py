@@ -47,10 +47,9 @@ class AblationRow:
     padding_ratio: float
 
 
-def run_mechanism_ablation(scale: Scale | None = None,
-                           profile: str = "ali") -> list[AblationRow]:
+def run_mechanism_ablation(scale: Scale | None = None) -> list[AblationRow]:
     scale = scale or current_scale()
-    fleet = fleet_for(profile, scale)
+    fleet = fleet_for("ali", scale)
     rows = []
     for name, ac in MECHANISM_VARIANTS.items():
         results = [replay_volume("adapt", t, victim="greedy",
@@ -64,18 +63,16 @@ def run_mechanism_ablation(scale: Scale | None = None,
     return rows
 
 
-def run_victim_ablation(scale: Scale | None = None,
-                        profile: str = "ali",
-                        scheme: str = "adapt") -> list[AblationRow]:
+def run_victim_ablation(scale: Scale | None = None) -> list[AblationRow]:
     scale = scale or current_scale()
-    fleet = fleet_for(profile, scale)
+    fleet = fleet_for("ali", scale)
     rows = []
     for victim in VICTIM_POLICIES:
-        results = [replay_volume(scheme, t, victim=victim,
+        results = [replay_volume("adapt", t, victim=victim,
                                  logical_blocks=scale.volume_blocks)
                    for t in fleet]
         rows.append(AblationRow(
-            study=f"victim({scheme})", variant=victim,
+            study="victim(adapt)", variant=victim,
             overall_wa=overall_write_amplification(results),
             padding_ratio=overall_padding_ratio(results)))
     return rows

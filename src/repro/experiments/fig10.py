@@ -26,7 +26,6 @@ class Fig10Point:
 
 
 def run_fig10(scale: Scale | None = None,
-              baselines: tuple[str, ...] = ("mida", "sepbit"),
               profile: str | None = None) -> list[Fig10Point]:
     """``profile=None`` pools all three environments.  The paper's scatter
     uses 50 Ali volumes whose padding spans near-0 to >40 %; at reduced
@@ -38,7 +37,7 @@ def run_fig10(scale: Scale | None = None,
     by_scheme_volume = {(r.scheme, r.volume): r for r in results}
     adapt = {v: r for (s, v), r in by_scheme_volume.items() if s == "adapt"}
     points = []
-    for baseline in baselines:
+    for baseline in ("mida", "sepbit"):
         for volume, a in adapt.items():
             b = by_scheme_volume.get((baseline, volume))
             if b is None or b.flash_blocks == 0:

@@ -48,15 +48,14 @@ def run_fig12a(scale: Scale | None = None,
     return rows
 
 
-def run_fig12b(scale: Scale | None = None,
-               sample_rate: float = 0.01) -> list[MemoryReport]:
+def run_fig12b(scale: Scale | None = None) -> list[MemoryReport]:
     scale = scale or current_scale()
     cfg = store_config_for(scale.ycsb_blocks)
     trace = generate_ycsb_a(scale.ycsb_blocks, scale.ycsb_writes,
                             density=8.0, read_ratio=0.0, seed=13)
     sepbit = measure_memory("sepbit", trace, cfg)
     adapt = measure_memory("adapt", trace, cfg,
-                           adapt=AdaptConfig(sample_rate=sample_rate))
+                           adapt=AdaptConfig(sample_rate=0.01))
     return [sepbit, adapt]
 
 

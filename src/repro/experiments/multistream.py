@@ -26,9 +26,7 @@ class MultiStreamRow:
     end_to_end_wa: float
 
 
-def run_multistream(scale: Scale | None = None,
-                    schemes: tuple[str, ...] = ("sepgc", "sepbit", "adapt")
-                    ) -> list[MultiStreamRow]:
+def run_multistream(scale: Scale | None = None) -> list[MultiStreamRow]:
     scale = scale or current_scale()
     # The FTL replays every flushed block in Python: use a quarter-size
     # volume to keep the bench bounded.
@@ -38,7 +36,7 @@ def run_multistream(scale: Scale | None = None,
     trace = generate_ycsb_a(blocks, writes, density=30.0, read_ratio=0.0,
                             seed=21)
     rows = []
-    for scheme in schemes:
+    for scheme in ("sepgc", "sepbit", "adapt"):
         for multi in (False, True):
             r = measure_device_wa(scheme, trace, cfg, multi_stream=multi)
             rows.append(MultiStreamRow(

@@ -47,9 +47,10 @@ PAPER = Scale("paper", num_volumes=50, volume_blocks=65_536,
 PRESETS = {s.name: s for s in (SMOKE, DEFAULT, PAPER)}
 
 
-def current_scale(default: str = "default") -> Scale:
-    """Resolve the active preset from ``REPRO_SCALE``."""
-    name = os.environ.get("REPRO_SCALE", default).lower()
+def current_scale() -> Scale:
+    """Resolve the active preset from ``REPRO_SCALE`` (``default`` when
+    unset)."""
+    name = os.environ.get("REPRO_SCALE", "default").lower()
     try:
         return PRESETS[name]
     except KeyError:

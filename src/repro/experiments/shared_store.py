@@ -31,11 +31,9 @@ class SharedStoreRow:
     padding_ratio: float
 
 
-def run_shared_store(scale: Scale | None = None,
-                     schemes: tuple[str, ...] = ("sepgc", "sepbit", "adapt"),
-                     profile: str = "ali") -> list[SharedStoreRow]:
+def run_shared_store(scale: Scale | None = None) -> list[SharedStoreRow]:
     scale = scale or current_scale()
-    fleet = fleet_for(profile, scale)
+    fleet = fleet_for("ali", scale)
     # Tenants of a shared log are concurrently active; per-volume synthetic
     # durations differ by orders of magnitude, so normalise every volume to
     # the fleet's median span before interleaving (otherwise the "shared"
@@ -50,7 +48,7 @@ def run_shared_store(scale: Scale | None = None,
     merged, _ = multiplex(normalised,
                           address_blocks=[scale.volume_blocks] * len(fleet))
     rows = []
-    for scheme in schemes:
+    for scheme in ("sepgc", "sepbit", "adapt"):
         # Same normalised traces on both sides, so the only variable is
         # the deployment.
         per_vol = [replay_volume(scheme, t,

@@ -11,31 +11,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigError
 from repro.common.observer import StoreObserver
 from repro.ftl.nand import FlashGeometry, PageMappedFTL
 from repro.lss.store import LogStructuredStore
 from repro.trace.model import Trace
+
+#: Flash pages per erase block, and the device's over-provisioned share of
+#: flash beyond the host-visible pages.
+PAGES_PER_BLOCK = 64
+FLASH_OP = 0.15
 
 
 class StreamBridge(StoreObserver):
     """Feeds a store's flush/erase stream into a :class:`PageMappedFTL`."""
 
     def __init__(self, store: LogStructuredStore,
-                 multi_stream: bool = True,
-                 pages_per_block: int = 64,
-                 flash_op: float = 0.15) -> None:
-        if not 0 < flash_op < 1:
-            raise ConfigError("flash_op must be in (0, 1)")
+                 multi_stream: bool = True) -> None:
         self.store = store
         self.multi_stream = multi_stream
         logical_pages = store.config.physical_blocks
         num_streams = len(store.groups) if multi_stream else 1
-        blocks_needed = int(logical_pages * (1 + flash_op)) \
-            // pages_per_block + num_streams + 8
+        blocks_needed = int(logical_pages * (1 + FLASH_OP)) \
+            // PAGES_PER_BLOCK + num_streams + 8
         self.ftl = PageMappedFTL(
             FlashGeometry(num_blocks=blocks_needed,
-                          pages_per_block=pages_per_block),
+                          pages_per_block=PAGES_PER_BLOCK),
             logical_pages=logical_pages,
             num_streams=num_streams,
         )

@@ -21,6 +21,8 @@ import numpy as np
 from repro.common.errors import CapacityError, ConfigError
 
 _NO_PAGE = -1
+#: Free-block watermark that triggers device GC.
+GC_RESERVE_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,14 @@ class PageMappedFTL:
         logical_pages: host-visible page address space.
         num_streams: write streams (stream ids in ``[0, num_streams)``);
             internal GC migrations use their own reserved stream.
-        gc_reserve_blocks: free-block watermark that triggers device GC.
     """
 
     def __init__(self, geometry: FlashGeometry, logical_pages: int,
-                 num_streams: int = 1, gc_reserve_blocks: int = 2) -> None:
+                 num_streams: int = 1) -> None:
         if logical_pages <= 0:
             raise ConfigError("logical_pages must be positive")
         min_need = logical_pages + \
-            (num_streams + 1 + gc_reserve_blocks) * geometry.pages_per_block
+            (num_streams + 1 + GC_RESERVE_BLOCKS) * geometry.pages_per_block
         if geometry.total_pages < min_need:
             raise ConfigError(
                 f"flash too small: {geometry.total_pages} pages < "
@@ -68,7 +69,6 @@ class PageMappedFTL:
         self.geometry = geometry
         self.logical_pages = logical_pages
         self.num_streams = num_streams
-        self.gc_reserve_blocks = gc_reserve_blocks
 
         g = geometry
         self._page_lpn = np.full(g.total_pages, _NO_PAGE, dtype=np.int64)
@@ -138,7 +138,7 @@ class PageMappedFTL:
         return self._free_blocks.pop()
 
     def _maybe_gc(self) -> None:
-        while len(self._free_blocks) <= self.gc_reserve_blocks:
+        while len(self._free_blocks) <= GC_RESERVE_BLOCKS:
             victim = self._pick_victim()
             if victim is None:
                 break
@@ -179,9 +179,6 @@ class PageMappedFTL:
         if self.host_pages == 0:
             return 0.0
         return (self.host_pages + self.migrated_pages) / self.host_pages
-
-    def free_block_count(self) -> int:
-        return len(self._free_blocks)
 
     def check_invariants(self) -> None:
         """Expensive consistency check for tests."""

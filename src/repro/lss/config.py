@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.array.chunk import ChunkGeometry
-from repro.array.raid5 import Raid5Config
 from repro.common.errors import ConfigError
 
 
@@ -34,13 +33,9 @@ class LSSConfig:
         chunk: block/chunk geometry of the underlying array.
         over_provisioning: extra physical space fraction (0.25 = 25 %).
         coalesce_window_us: SLA window before a partial chunk is padded.
-        sla_mode: ``"idle"`` (window restarts on each append; matches the
-            paper's Fig 11 behaviour) or ``"first"`` (fixed deadline from
-            the first pending block).
         gc_free_low: GC triggers when free segments drop to this level.
         gc_free_high: GC cleans until free segments recover to this level.
         victim_policy: victim-selection policy name (see ``lss.victim``).
-        raid: RAID-5 shape for parity accounting.
         seed: RNG seed for stochastic victim policies.
     """
 
@@ -49,11 +44,9 @@ class LSSConfig:
     chunk: ChunkGeometry = field(default_factory=ChunkGeometry)
     over_provisioning: float = 0.25
     coalesce_window_us: int = 100
-    sla_mode: str = "idle"
     gc_free_low: int = 4
     gc_free_high: int = 8
     victim_policy: str = "greedy"
-    raid: Raid5Config = field(default_factory=Raid5Config)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,8 +62,6 @@ class LSSConfig:
             raise ConfigError("over_provisioning must be > 0")
         if self.coalesce_window_us < 0:
             raise ConfigError("coalesce_window_us must be >= 0")
-        if self.sla_mode not in ("idle", "first"):
-            raise ConfigError(f"unknown sla_mode {self.sla_mode!r}")
         if not 0 < self.gc_free_low <= self.gc_free_high:
             raise ConfigError("need 0 < gc_free_low <= gc_free_high")
 
@@ -85,10 +76,6 @@ class LSSConfig:
     @property
     def physical_blocks(self) -> int:
         return self.physical_segments * self.segment_blocks
-
-    @property
-    def segment_chunks(self) -> int:
-        return self.segment_blocks // self.chunk.chunk_blocks
 
     def validate_for_groups(self, num_groups: int) -> None:
         """Check that the physical pool can host ``num_groups`` pinned open

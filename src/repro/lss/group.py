@@ -53,7 +53,7 @@ class Group:
         window = (cfg.coalesce_window_us
                   if spec.kind in (GroupKind.USER, GroupKind.MIXED) else None)
         self.buffer = CoalescingBuffer(cfg.chunk.chunk_blocks, window,
-                                       sla_mode=cfg.sla_mode, owner_gid=gid)
+                                       owner_gid=gid)
         self.open_seg: int | None = None
         self.traffic = GroupTraffic(name=spec.name, kind=spec.kind.value)
         #: The oldest _shadow_mark pending blocks already have substitutes

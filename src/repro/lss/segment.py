@@ -228,10 +228,6 @@ class SegmentPool(ScalarViews):
     def sealed_segments(self) -> np.ndarray:
         return np.flatnonzero(self.state == SEG_SEALED)
 
-    def utilization(self, seg: int) -> float:
-        """Valid fraction of a segment's capacity."""
-        return self.valid_count_mv[seg] / self.segment_blocks
-
     def check_invariants(self) -> None:
         """Expensive consistency check used by tests and property-based
         testing; never called in hot paths."""

@@ -7,8 +7,11 @@ segment with zero garbage (cleaning it frees nothing) and return ``None``
 when no productive victim exists.
 
 Greedy and Cost-Benefit also :meth:`~VictimPolicy.rank` the pool once per
-GC run, in the order their ``select`` would pick; the three others draw
-from their RNG per pick and are asked per victim.
+GC run, in the order their ``select`` would pick.  The three others are
+asked per victim: d-choice and Random Greedy draw from their RNG per pick,
+and Windowed Greedy's FIFO window slides as victims leave the sealed set
+(each cleaned victim lets the next-oldest sealed segment in), so a ranking
+of the window at the start of a run is not the order of its picks.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class VictimPolicy:
         until a seal adds a productive segment
         (``SegmentPool.garbage_seals`` moves), when the run ranks again.
         A policy that draws from its RNG per selection keeps ``None``:
-        its draws must stay one per victim.
+        its draws must stay one per victim.  So does one whose candidate
+        set depends on which segments are still sealed (Windowed Greedy's
+        FIFO window).
         """
         return None
 

@@ -54,8 +54,7 @@ def load_chrome_trace(path: str) -> dict:
         agg["count"] += 1
         agg["total_us"] += float(ev.get("dur", 0.0))
     other = data.get("otherData", {})
-    dropped = int(other.get("profile_events_dropped",
-                            other.get("dropped_events", 0)))
+    dropped = int(other.get("profile_events_dropped", 0))
     return {"phases": phases, "profile_events_dropped": dropped}
 
 
@@ -215,13 +214,17 @@ def _timeline_value(value: float | int | None) -> str:
     return str(value if isinstance(value, int) else round(value, 4))
 
 
-def render_report(report: dict, top: int = 10) -> str:
+#: Rows of each ranked table in the text report.
+REPORT_TOP_ROWS = 10
+
+
+def render_report(report: dict) -> str:
     """Human-readable text rendering of an :func:`analyze` report."""
     out: list[str] = []
     prof = report.get("profile")
     if prof:
         out.append("== Phase profile (where time went) ==")
-        out.extend(_table(prof["ranked"][:top],
+        out.extend(_table(prof["ranked"][:REPORT_TOP_ROWS],
                           [("phase", "phase"), ("count", "count"),
                            ("total_ms", "total_ms"), ("share", "share")]))
         if prof.get("profile_events_dropped"):
@@ -231,7 +234,7 @@ def render_report(report: dict, top: int = 10) -> str:
     wa = report.get("wa_groups")
     if wa:
         out.append("== WA ledger (who wrote the overhead) ==")
-        out.extend(_table(wa[:top],
+        out.extend(_table(wa[:REPORT_TOP_ROWS],
                           [("group", "group"), ("kind", "kind"),
                            ("user", "user_blocks"), ("gc", "gc_blocks"),
                            ("shadow", "shadow_blocks"),

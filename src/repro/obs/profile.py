@@ -32,6 +32,9 @@ from typing import Any
 
 from repro.obs.atomicio import atomic_write
 
+#: Phases :meth:`PhaseProfiler.top_table` lists.
+TOP_TABLE_ROWS = 15
+
 
 class _NullSpan:
     __slots__ = ()
@@ -141,12 +144,9 @@ class PhaseProfiler:
             if args:
                 ev["args"] = args
             trace_events.append(ev)
-        # ``profile_events_dropped`` is the canonical key (the analyze
-        # CLI and CI read it); ``dropped_events`` stays for older readers.
         return {"traceEvents": trace_events,
                 "displayTimeUnit": "ms",
                 "otherData": {
-                    "dropped_events": self.dropped_events,
                     "profile_events_dropped": self.dropped_events,
                     "max_events": self.max_events,
                 }}
@@ -158,10 +158,12 @@ class PhaseProfiler:
             f.write("\n")
         return path
 
-    def top_table(self, n: int = 15) -> str:
-        """Top-``n`` phases by total time as a plain-text table."""
+    def top_table(self) -> str:
+        """The top :data:`TOP_TABLE_ROWS` phases by total time as a
+        plain-text table."""
         wall_ns = max(self.elapsed_ns(), 1)
-        ranked = sorted(self.totals.items(), key=lambda kv: -kv[1][1])[:n]
+        ranked = sorted(self.totals.items(),
+                        key=lambda kv: -kv[1][1])[:TOP_TABLE_ROWS]
         header = (f"{'phase':<32} {'count':>8} {'total ms':>10} "
                   f"{'mean us':>10} {'% wall':>7}")
         lines = [header, "-" * len(header)]

@@ -11,7 +11,7 @@ The engine therefore measures, in two stages:
 1. *Traffic profile* — replay a dense YCSB-A workload through the real
    simulator to obtain the scheme's WA and parity overhead (nothing is
    assumed; the same store code as the trace-driven experiments runs here).
-2. *Closed-loop throughput* — each client keeps ``iodepth`` 4 KiB updates
+2. *Closed-loop throughput* — each client keeps ``IODEPTH`` 4 KiB updates
    outstanding against a per-op service time (device latency + the scheme's
    lookup cost); the array caps aggregate flash bandwidth.  User throughput
    is the minimum of what the clients can offer and what the array can
@@ -20,11 +20,19 @@ The engine therefore measures, in two stages:
        offered(n)  = n · iodepth / (latency + lookup)
        capacity    = D · BW / (BLOCK · WA · (1 + parity))
        throughput  = min(offered, capacity)
+
+The environment is the paper's testbed shape: 4 SSDs in RAID-5 (the
+store's default :class:`~repro.array.raid5.Raid5Config`).  Device bandwidth
+is PCIe-4-NVMe-class, chosen so the array saturates between one and four
+clients, matching Fig 12a's crossover.  The workload sits just above the
+100 µs coalescing window — the sparse production regime the paper's
+motivation characterises and where the placement schemes' WA gap (and
+hence their bandwidth headroom) is widest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.array.raid5 import Raid5Config
 from repro.common.errors import ConfigError
@@ -46,35 +54,24 @@ LOOKUP_COST_US = {
     "adapt": 1.6,
 }
 
+#: Per-device flash bandwidth (bytes/s) and per-op latency (µs).
+DEVICE_BW_BYTES_PER_SEC = 3072 * MiB
+DEVICE_LATENCY_US = 110.0
+#: Updates each client keeps outstanding.
+IODEPTH = 8
+#: Request gap (µs) of the stage-1 workload: just above the SLA window.
+INTER_ARRIVAL_US = 120.0
+#: YCSB-A popularity skew and seed of the stage-1 workload.
+ZIPF_ALPHA = 0.99
+SEED = 7
+
 
 @dataclass(frozen=True)
 class PrototypeConfig:
-    """Prototype environment: 4 SSDs in RAID-5 (paper's testbed shape).
+    """Size of the stage-1 YCSB-A workload."""
 
-    The workload sits just above the 100 µs coalescing window — the sparse
-    production regime the paper's motivation characterises and where the
-    placement schemes' WA gap (and hence their bandwidth headroom) is
-    widest.  Device bandwidth is PCIe-4-NVMe-class, chosen so the array
-    saturates between one and four clients, matching Fig 12a's crossover.
-    """
-
-    raid: Raid5Config = field(default_factory=Raid5Config)
-    device_bw_bytes_per_sec: float = 3072 * MiB
-    device_latency_us: float = 110.0
-    iodepth: int = 8
     unique_blocks: int = 32_768
     num_writes: int = 120_000
-    inter_arrival_us: float = 120.0  # sparse: just above the SLA window
-    zipf_alpha: float = 0.99
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.iodepth < 1:
-            raise ConfigError("iodepth must be >= 1")
-        if self.device_bw_bytes_per_sec <= 0:
-            raise ConfigError("device bandwidth must be positive")
-        if self.device_latency_us <= 0:
-            raise ConfigError("device latency must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,50 +92,40 @@ class PrototypeResult:
         return self.throughput_ops * BLOCK_SIZE / MiB
 
 
-def _traffic_profile(scheme: str, cfg: PrototypeConfig,
-                     store_config: LSSConfig | None = None,
-                     recorder=None):
+def _traffic_profile(scheme: str,
+                     cfg: PrototypeConfig) -> tuple[float, float]:
     """Stage 1: run the real simulator to get WA and parity overhead."""
-    store_config = store_config or LSSConfig(
+    store_config = LSSConfig(
         logical_blocks=cfg.unique_blocks,
         segment_blocks=default_segment_blocks(cfg.unique_blocks),
-        raid=cfg.raid, seed=cfg.seed)
+        seed=SEED)
     store = LogStructuredStore(store_config,
-                               make_policy(scheme, store_config),
-                               recorder=recorder)
+                               make_policy(scheme, store_config))
     trace = generate_ycsb_a(cfg.unique_blocks, cfg.num_writes,
-                            zipf_alpha=cfg.zipf_alpha,
-                            density=cfg.inter_arrival_us,
-                            read_ratio=0.0, seed=cfg.seed)
+                            zipf_alpha=ZIPF_ALPHA, density=INTER_ARRIVAL_US,
+                            read_ratio=0.0, seed=SEED)
     stats = store.replay(trace)
-    return stats.write_amplification(), stats.raid.parity_overhead(), store
+    return stats.write_amplification(), stats.raid.parity_overhead()
 
 
 def run_prototype(scheme: str, clients: int, cfg: PrototypeConfig | None = None,
-                  _profile_cache: dict | None = None,
-                  recorder=None) -> PrototypeResult:
-    """Run the prototype for one scheme and client count.
-
-    ``recorder`` (an :class:`repro.obs.ObsRecorder`) instruments the
-    stage-1 traffic-profile replay; it is only consulted on a profile-cache
-    miss, matching the once-per-scheme replay semantics.
-    """
+                  _profile_cache: dict | None = None) -> PrototypeResult:
+    """Run the prototype for one scheme and client count."""
     if clients < 1:
         raise ConfigError("clients must be >= 1")
     cfg = cfg or PrototypeConfig()
-    key = scheme
-    if _profile_cache is not None and key in _profile_cache:
-        wa, parity, _ = _profile_cache[key]
+    if _profile_cache is not None and scheme in _profile_cache:
+        wa, parity = _profile_cache[scheme]
     else:
-        wa, parity, store = _traffic_profile(scheme, cfg, recorder=recorder)
+        wa, parity = _traffic_profile(scheme, cfg)
         if _profile_cache is not None:
-            _profile_cache[key] = (wa, parity, None)
+            _profile_cache[scheme] = (wa, parity)
 
     lookup = LOOKUP_COST_US.get(scheme, 1.0)
-    per_op_us = cfg.device_latency_us + lookup
-    offered = clients * cfg.iodepth / per_op_us * MICROS_PER_SEC
+    per_op_us = DEVICE_LATENCY_US + lookup
+    offered = clients * IODEPTH / per_op_us * MICROS_PER_SEC
 
-    total_bw = cfg.raid.num_devices * cfg.device_bw_bytes_per_sec
+    total_bw = Raid5Config().num_devices * DEVICE_BW_BYTES_PER_SEC
     bytes_per_op = BLOCK_SIZE * wa * (1.0 + parity)
     capacity = total_bw / bytes_per_op
 

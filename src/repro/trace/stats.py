@@ -42,9 +42,6 @@ class TraceStats:
         limit_blocks = size_bytes // BLOCK_SIZE
         return float(np.mean(self.write_size_blocks <= limit_blocks))
 
-    def write_size_fraction_gt(self, size_bytes: int) -> float:
-        return 1.0 - self.write_size_fraction_le(size_bytes)
-
 
 def compute_stats(trace: Trace) -> TraceStats:
     """Compute :class:`TraceStats` for one trace."""

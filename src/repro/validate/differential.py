@@ -35,9 +35,11 @@ from repro.validate.oracle import OracleStore
 
 #: Mapping/stat mismatches listed per cell before truncation.
 MAX_DIFFS_LISTED = 8
+#: Logical blocks of the sweep's store and of its workloads.
+LOGICAL_BLOCKS = 1024
 
 
-def differential_config(logical_blocks: int = 1024,
+def differential_config(logical_blocks: int = LOGICAL_BLOCKS,
                         victim: str = "greedy",
                         seed: int = 0) -> LSSConfig:
     """A small, GC-churny store shape: 4-block chunks, 16-block segments,
@@ -55,8 +57,7 @@ def differential_config(logical_blocks: int = 1024,
     )
 
 
-def default_workloads(logical_blocks: int = 1024,
-                      num_requests: int = 1200,
+def default_workloads(num_requests: int = 1200,
                       seed: int = 1) -> list[Trace]:
     """The standard differential workload set: the three cloud profiles
     plus an update-heavy YCSB-A stream, all scaled to the tiny store."""
@@ -65,11 +66,11 @@ def default_workloads(logical_blocks: int = 1024,
     traces = []
     for profile in ("ali", "tencent", "msrc"):
         traces.append(generate_fleet(profile, 1,
-                                     unique_blocks=logical_blocks,
+                                     unique_blocks=LOGICAL_BLOCKS,
                                      num_requests=num_requests,
                                      seed=seed)[0])
     traces.append(generate_ycsb_a(
-        unique_blocks=logical_blocks,
+        unique_blocks=LOGICAL_BLOCKS,
         num_writes=max(num_requests // 2, 1),
         density=DensityPreset.MEDIUM, seed=seed))
     return traces
@@ -185,11 +186,9 @@ def run_cell(policy_name: str, trace: Trace, config: LSSConfig,
 
 def run_differential(policies: list[str] | None = None,
                      workloads: list[Trace] | None = None,
-                     logical_blocks: int = 1024,
                      num_requests: int = 1200,
                      victim: str = "greedy",
                      seed: int = 1,
-                     audit_every: int = 512,
                      engine: str = "auto") -> DifferentialReport:
     """Sweep policies x workloads; every registered policy by default.
 
@@ -199,13 +198,12 @@ def run_differential(policies: list[str] | None = None,
     if policies is None:
         policies = available_policies()
     if workloads is None:
-        workloads = default_workloads(logical_blocks, num_requests, seed)
-    config = differential_config(logical_blocks, victim=victim, seed=seed)
+        workloads = default_workloads(num_requests, seed)
+    config = differential_config(victim=victim, seed=seed)
     report = DifferentialReport()
     for policy in policies:
         for trace in workloads:
-            report.cells.append(run_cell(policy, trace, config,
-                                         audit_every=audit_every))
+            report.cells.append(run_cell(policy, trace, config))
     return report
 
 

@@ -15,7 +15,8 @@ What is shared and what is not:
 * Shared: the placement policies under test (they are inputs, not subjects
   of re-implementation), the dumb record types they expect
   (:class:`~repro.array.coalescing.ChunkFlush`,
-  :class:`~repro.lss.group.GroupSpec`) and the config object.
+  :class:`~repro.lss.group.GroupSpec`), the config object and the
+  array's RAID-5 shape (:class:`~repro.array.raid5.Raid5Config`).
 * Re-implemented: every piece of mutable store state and every rule that
   updates it — slot bookkeeping, seal/reclaim lifecycle, SLA deadline
   handling, zero-padding, GC victim selection, traffic counters and RAID-5
@@ -32,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.array.coalescing import ChunkFlush, FlushReason
+from repro.array.raid5 import Raid5Config
 from repro.common.errors import (CapacityError, ConfigError, ValidationError)
 from repro.common.observer import StoreEvents
 from repro.lss.config import LSSConfig
@@ -50,11 +52,9 @@ ORACLE_VICTIM_POLICIES = ("greedy", "cost-benefit")
 class OracleBuffer:
     """Pure-python re-statement of the chunk-coalescing SLA semantics."""
 
-    def __init__(self, chunk_blocks: int, window_us: int | None,
-                 sla_mode: str) -> None:
+    def __init__(self, chunk_blocks: int, window_us: int | None) -> None:
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
-        self.sla_mode = sla_mode
         self._kinds: list[int] = []  # one append kind per pending block
         self._timer_start_us: int | None = None
 
@@ -77,8 +77,7 @@ class OracleBuffer:
             self._timer_start_us = now_us
 
     def append(self, kind: int, now_us: int) -> ChunkFlush | None:
-        if not self._kinds or self.sla_mode == "idle":
-            self._timer_start_us = now_us
+        self._timer_start_us = now_us
         self._kinds.append(kind)
         if len(self._kinds) >= self.chunk_blocks:
             return self._emit(FlushReason.FULL, now_us, pad=False)
@@ -350,8 +349,7 @@ class OracleGroup:
         window = (cfg.coalesce_window_us
                   if spec.kind in (GroupKind.USER, GroupKind.MIXED)
                   else None)
-        self.buffer = OracleBuffer(cfg.chunk.chunk_blocks, window,
-                                   cfg.sla_mode)
+        self.buffer = OracleBuffer(cfg.chunk.chunk_blocks, window)
         self.open_seg: int | None = None
         self.traffic = _new_traffic(spec.name, spec.kind.value)
         self._shadow_mark = 0
@@ -479,7 +477,7 @@ class OracleStore:
         self.pool = OraclePool(config.physical_segments,
                                config.segment_blocks)
         self.mapping: dict[int, int] = {}
-        self.stats = OracleStats(config.raid.num_devices)
+        self.stats = OracleStats(Raid5Config().num_devices)
         self.groups: list[OracleGroup] = []
         for gid, spec in enumerate(specs):
             group = OracleGroup(gid, spec, self)

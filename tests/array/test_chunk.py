@@ -14,28 +14,6 @@ def test_default_geometry_is_papers():
     assert g.chunk_blocks == 16
 
 
-def test_chunks_of_blocks_rounds_up():
-    g = ChunkGeometry()
-    assert g.chunks_of_blocks(0) == 0
-    assert g.chunks_of_blocks(1) == 1
-    assert g.chunks_of_blocks(16) == 1
-    assert g.chunks_of_blocks(17) == 2
-
-
-def test_padding_for():
-    g = ChunkGeometry()
-    assert g.padding_for(0) == 0
-    assert g.padding_for(16) == 0
-    assert g.padding_for(1) == 15
-    assert g.padding_for(31) == 1
-
-
-def test_padding_plus_blocks_is_chunk_aligned():
-    g = ChunkGeometry(chunk_bytes=32 * KiB)
-    for n in range(0, 40):
-        assert (n + g.padding_for(n)) % g.chunk_blocks == 0
-
-
 def test_invalid_geometry_rejected():
     with pytest.raises(ConfigError):
         ChunkGeometry(chunk_bytes=10 * KiB)  # not a block multiple
@@ -43,11 +21,3 @@ def test_invalid_geometry_rejected():
         ChunkGeometry(chunk_bytes=0)
     with pytest.raises(ConfigError):
         ChunkGeometry(chunk_bytes=2 * KiB, block_bytes=4 * KiB)
-
-
-def test_negative_counts_rejected():
-    g = ChunkGeometry()
-    with pytest.raises(ValueError):
-        g.chunks_of_blocks(-1)
-    with pytest.raises(ValueError):
-        g.padding_for(-1)

@@ -36,20 +36,12 @@ def test_deadline_flush_pads_remainder():
 
 
 def test_idle_mode_deadline_restarts_on_append():
-    buf = CoalescingBuffer(4, 100, sla_mode="idle")
+    buf = CoalescingBuffer(4, 100)
     append(buf, now_us=0)
     append(buf, now_us=90)
     assert buf.deadline_us == 190
     assert buf.poll(now_us=150) is None
     assert buf.poll(now_us=190) is not None
-
-
-def test_first_mode_deadline_fixed():
-    buf = CoalescingBuffer(4, 100, sla_mode="first")
-    append(buf, now_us=0)
-    append(buf, now_us=90, kind=APPEND_SHADOW)
-    assert buf.deadline_us == 100
-    assert buf.poll(now_us=100) == [1, 0, 1]
 
 
 def test_window_none_never_deadlines():
@@ -101,8 +93,6 @@ def test_validation():
         CoalescingBuffer(0, 100)
     with pytest.raises(ConfigError):
         CoalescingBuffer(4, -1)
-    with pytest.raises(ConfigError):
-        CoalescingBuffer(4, 100, sla_mode="weird")
 
 
 def test_no_tokens_lost_across_many_appends():
@@ -123,15 +113,14 @@ def test_no_tokens_lost_across_many_appends():
 def test_append_run_equals_single_appends():
     """A run leaves the counts and timer one-by-one appends leave, and
     reports how many chunks it filled and what was pending before it."""
-    for sla_mode in ("idle", "first"):
-        single = CoalescingBuffer(4, 100, sla_mode=sla_mode)
-        run = CoalescingBuffer(4, 100, sla_mode=sla_mode)
-        append(single, 0, kind=APPEND_GC)
-        append(run, 0, kind=APPEND_GC)
-        drained = [append(single, 7) for _ in range(10)]
-        assert [d for d in drained if d is not None] == [[2, 1, 0],
-                                                         [3, 0, 0]]
-        assert run.append_run(APPEND_USER, 10, 7) == (2, [0, 1, 0])
-        assert (run.pending, run.pending_blocks, run.deadline_us) \
-            == (single.pending, single.pending_blocks, single.deadline_us)
-        assert run.pending == [3, 0, 0]
+    single = CoalescingBuffer(4, 100)
+    run = CoalescingBuffer(4, 100)
+    append(single, 0, kind=APPEND_GC)
+    append(run, 0, kind=APPEND_GC)
+    drained = [append(single, 7) for _ in range(10)]
+    assert [d for d in drained if d is not None] == [[2, 1, 0],
+                                                     [3, 0, 0]]
+    assert run.append_run(APPEND_USER, 10, 7) == (2, [0, 1, 0])
+    assert (run.pending, run.pending_blocks, run.deadline_us) \
+        == (single.pending, single.pending_blocks, single.deadline_us)
+    assert run.pending == [3, 0, 0]

@@ -49,9 +49,3 @@ def test_zero_and_negative():
     assert acct.parity_overhead() == 0.0
     with pytest.raises(ValueError):
         acct.add_chunks(-1)
-
-
-def test_total_chunks():
-    acct = Raid5Accounting(Raid5Config(4))
-    acct.add_chunks(3)
-    assert acct.total_chunks == 4  # 3 data + 1 parity

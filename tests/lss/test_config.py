@@ -14,7 +14,6 @@ def test_derived_segment_counts():
     assert cfg.logical_segments == 100
     assert cfg.physical_segments == 125
     assert cfg.physical_blocks == 125 * 256
-    assert cfg.segment_chunks == 16
 
 
 def test_segment_must_be_chunk_multiple():
@@ -33,8 +32,6 @@ def test_basic_validation():
         LSSConfig(logical_blocks=1024, gc_free_low=0)
     with pytest.raises(ConfigError):
         LSSConfig(logical_blocks=1024, gc_free_low=9, gc_free_high=8)
-    with pytest.raises(ConfigError):
-        LSSConfig(logical_blocks=1024, sla_mode="sometimes")
 
 
 def test_validate_for_groups_headroom():

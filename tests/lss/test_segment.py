@@ -103,13 +103,6 @@ def test_sealed_segments_listing(pool):
     assert list(pool.sealed_segments()) == [a]
 
 
-def test_utilization(pool):
-    seg = pool.allocate(0, 0)
-    pool.append_block(seg, 1)
-    pool.append_block(seg, 2)
-    assert pool.utilization(seg) == 0.25
-
-
 def test_check_invariants_detects_corruption(pool):
     seg = pool.allocate(0, 0)
     pool.append_block(seg, 1)

@@ -83,6 +83,24 @@ def test_windowed_greedy_escapes_unproductive_window():
     assert WindowedGreedyVictim(window=1).select(pool, now_seq=60) == segs[1]
 
 
+def test_windowed_greedy_window_slides_as_victims_leave():
+    """Why Windowed Greedy has no ``rank``: cleaning a victim lets the
+    next-oldest sealed segment into the FIFO window, so the second pick
+    is a segment that no ranking of the first window contains."""
+    pool, segs = build_pool([3, 2, 1], seal_times=[0, 10, 20])
+    policy = WindowedGreedyVictim(window=2)
+    assert policy.rank(pool, now_seq=30) is None
+    first_window = sorted(segs[:2], key=lambda s: pool.valid_count[s])
+    picks = []
+    for _ in range(2):
+        victim = policy.select(pool, now_seq=30)
+        picks.append(victim)
+        pool.invalidate_all(victim)
+        pool.reclaim(victim)
+    assert picks == [segs[1], segs[2]]
+    assert picks[1] not in first_window
+
+
 def test_random_greedy_stays_near_minimum():
     pool, segs = build_pool([1, 2, 7])
     pick = RandomGreedyVictim(slack=0.15, rng=3).select(pool, now_seq=10)

@@ -37,14 +37,6 @@ def test_load_chrome_trace_aggregates(tmp_path):
     assert trace["phases"]["plan"]["total_us"] >= 0
 
 
-def test_load_chrome_trace_legacy_dropped_key(tmp_path):
-    path = str(tmp_path / "legacy.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"traceEvents": [],
-                   "otherData": {"dropped_events": 7}}, f)
-    assert load_chrome_trace(path)["profile_events_dropped"] == 7
-
-
 def test_load_timeline_tail_csv(tmp_path):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("user_blocks,write_amplification\n"

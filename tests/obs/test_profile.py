@@ -71,8 +71,7 @@ def test_chrome_trace_structure():
     assert ev["ph"] == "X" and ev["name"] == "chunk_build"
     assert ev["dur"] >= 0 and ev["ts"] >= 0  # microseconds
     assert ev["args"] == {"chunk": 7}
-    assert trace["otherData"] == {"dropped_events": 0,
-                                  "profile_events_dropped": 0,
+    assert trace["otherData"] == {"profile_events_dropped": 0,
                                   "max_events": 200_000}
 
 

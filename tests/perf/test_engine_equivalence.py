@@ -3,9 +3,8 @@
 ``store.replay`` is one windowed loop for every policy that plans, runs
 and settles user writes in batches; ``process_request`` /
 ``write_block`` do everything one block at a time and stay the scalar
-specification.  Without recorders, on the update-heavy workload, under
-``sla_mode="first"`` and with flush listeners the two must end in the
-same state, and every recorder hears user writes through the bulk hook.
+specification.  Without recorders, on the update-heavy workload and
+with flush listeners the two must end in the same state, and every recorder hears user writes through the bulk hook.
 ``"auto"`` and ``"scalar"`` both name the loop, and anything else is
 refused before the store is touched.
 """
@@ -71,17 +70,10 @@ def test_batched_matches_scalar_update_heavy():
         assert_states_equal(spec, loop)
 
 
-def test_first_mode_and_flush_listeners_take_the_scalar_loop():
-    """Both replay through the one loop and end where the per-block
-    specification ends."""
-    import dataclasses
+def test_flush_listeners_take_the_one_loop():
+    """A store with a flush listener replays through the one loop and
+    ends where the per-block specification ends."""
     trace = default_workloads(num_requests=200)[0]
-    cfg = dataclasses.replace(differential_config(), sla_mode="first")
-    first = LogStructuredStore(cfg, make_policy("sepgc", cfg))
-    first.replay(trace)
-    spec = LogStructuredStore(cfg, make_policy("sepgc", cfg))
-    eager_replay(spec, trace)
-    assert_states_equal(spec, first)
     listened = fresh_store("sepgc")
     heard = FlushLog(listened).flushes
     listened.replay(trace)

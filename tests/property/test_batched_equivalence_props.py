@@ -61,10 +61,9 @@ def _ghost_state(g: GhostSet) -> tuple:
     )
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
-       sla_mode=st.sampled_from(["idle", "first"]))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
 @settings(max_examples=60, deadline=None)
-def test_ghost_record_many_matches_scalar(seed, n, sla_mode):
+def test_ghost_record_many_matches_scalar(seed, n):
     rng = np.random.default_rng(seed)
     lbas = rng.integers(0, 40, size=n).tolist()
     ts, t = [], 0
@@ -77,7 +76,7 @@ def test_ghost_record_many_matches_scalar(seed, n, sla_mode):
 
     def make():
         return GhostSet(threshold=16.0, segment_blocks=16, chunk_blocks=4,
-                        window_us=50, garbage_limit=0.5, sla_mode=sla_mode)
+                        window_us=50, garbage_limit=0.5)
 
     ref, bat = make(), make()
     for i in range(n):

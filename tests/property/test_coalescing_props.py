@@ -64,10 +64,10 @@ def drive(buffer: CoalescingBuffer, ops):
     return flushes, appended, now
 
 
-@given(ops=ops_strategy, sla_mode=st.sampled_from(["idle", "first"]))
+@given(ops=ops_strategy)
 @settings(max_examples=300, deadline=None)
-def test_flush_shapes_and_conservation(ops, sla_mode):
-    buffer = CoalescingBuffer(CHUNK_BLOCKS, WINDOW_US, sla_mode=sla_mode)
+def test_flush_shapes_and_conservation(ops):
+    buffer = CoalescingBuffer(CHUNK_BLOCKS, WINDOW_US)
     flushes, appended, now = drive(buffer, ops)
 
     assert buffer.pending_blocks < CHUNK_BLOCKS
@@ -82,10 +82,10 @@ def test_flush_shapes_and_conservation(ops, sla_mode):
         assert flushed + buffer.pending[kind] == appended[kind]
 
 
-@given(ops=ops_strategy, sla_mode=st.sampled_from(["idle", "first"]))
+@given(ops=ops_strategy)
 @settings(max_examples=300, deadline=None)
-def test_no_deadline_survives_a_poll(ops, sla_mode):
-    buffer = CoalescingBuffer(CHUNK_BLOCKS, WINDOW_US, sla_mode=sla_mode)
+def test_no_deadline_survives_a_poll(ops):
+    buffer = CoalescingBuffer(CHUNK_BLOCKS, WINDOW_US)
     _, _, now = drive(buffer, ops)
     buffer.poll(now)
     deadline = buffer.deadline_us

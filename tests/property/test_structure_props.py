@@ -3,10 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.array.chunk import ChunkGeometry
 from repro.array.coalescing import CoalescingBuffer
 from repro.array.raid5 import Raid5Accounting, Raid5Config
-from repro.common.units import KiB
 from repro.core.distance import DistanceTracker
 import pytest
 
@@ -38,11 +36,10 @@ def test_distance_tracker_matches_naive(stream):
 # ----------------------------------------------------------------------
 @given(st.lists(st.integers(min_value=0, max_value=5000), min_size=1,
                 max_size=200),
-       st.integers(min_value=1, max_value=16),
-       st.sampled_from(["idle", "first"]))
+       st.integers(min_value=1, max_value=16))
 @settings(max_examples=80, deadline=None)
-def test_coalescing_conserves_tokens(gaps, chunk_blocks, sla_mode):
-    buf = CoalescingBuffer(chunk_blocks, 100, sla_mode=sla_mode)
+def test_coalescing_conserves_tokens(gaps, chunk_blocks):
+    buf = CoalescingBuffer(chunk_blocks, 100)
     out, now = [0, 0, 0], 0
     for i, gap in enumerate(gaps):
         now += gap
@@ -77,17 +74,3 @@ def test_raid5_parity_bounds(io_sizes, num_devices):
     # full-stripe floor holds.
     if acct.data_chunks:
         assert acct.parity_chunks >= acct.data_chunks // cols
-
-
-# ----------------------------------------------------------------------
-# chunk geometry padding identity
-# ----------------------------------------------------------------------
-@given(st.integers(min_value=0, max_value=10_000),
-       st.sampled_from([16, 32, 64, 128]))
-@settings(max_examples=100, deadline=None)
-def test_padding_identity(nblocks, chunk_kib):
-    g = ChunkGeometry(chunk_bytes=chunk_kib * KiB)
-    pad = g.padding_for(nblocks)
-    assert 0 <= pad < g.chunk_blocks
-    assert (nblocks + pad) % g.chunk_blocks == 0
-    assert g.chunks_of_blocks(nblocks) * g.chunk_blocks == nblocks + pad

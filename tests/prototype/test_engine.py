@@ -65,7 +65,3 @@ def test_throughput_mib_conversion():
 def test_validation():
     with pytest.raises(ConfigError):
         run_prototype("sepgc", 0, SMALL)
-    with pytest.raises(ConfigError):
-        PrototypeConfig(iodepth=0)
-    with pytest.raises(ConfigError):
-        PrototypeConfig(device_latency_us=0)

@@ -26,7 +26,6 @@ def test_write_size_fractions():
     rows = [(i, 1, 0, sz) for i, sz in enumerate([1, 1, 2, 4, 16])]
     s = compute_stats(Trace.from_rows(rows))
     assert s.write_size_fraction_le(8 * KiB) == 0.6   # sizes 1,1,2 blocks
-    assert abs(s.write_size_fraction_gt(32 * KiB) - 0.2) < 1e-9  # the 16
 
 
 def test_cdf_at_points():
