@@ -15,12 +15,16 @@ timer".
 
 The buffer keeps only how many blocks of each append kind are pending:
 nothing above it reads a pending block's identity, and a flush books
-per-kind totals, so counts are all the log layer needs.
+per-kind totals, so counts are all the log layer needs.  Its SLA
+deadline is a plain field that an arming append sets and a drain clears.
+The store keeps one due time across its buffers, a lower bound on the
+earliest armed deadline, and looks at the buffers only once it has
+passed (:meth:`repro.lss.store.LogStructuredStore.tick`).
 """
 
 from __future__ import annotations
 
-import heapq
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +35,9 @@ from repro.common.errors import ConfigError
 APPEND_USER = 0
 APPEND_GC = 1
 APPEND_SHADOW = 2
+
+#: The due time of a clock with no deadline armed: later than any time.
+NO_DEADLINE: int = sys.maxsize
 
 
 class FlushReason(Enum):
@@ -43,9 +50,11 @@ class FlushReason(Enum):
 class ChunkFlush:
     """``count`` chunk writes one group issued to the array.
 
-    The one shape in which every layer learns that chunks were flushed;
+    The one shape in which an observer learns that chunks were flushed;
     the group that owns the buffer builds it from the drained per-kind
-    counts.  A single flush is a run of one.  ``count > 1`` only
+    counts, and only when some observer overrides ``chunk_flush`` (the
+    store's own tallies are booked without it).  A single flush is a
+    run of one.  ``count > 1`` only
     for the FULL flushes one append run emits back to back, which occupy
     consecutive device addresses; the block counts are totals over the
     run and ``time_us`` is when its last chunk filled.
@@ -79,43 +88,37 @@ class ChunkFlush:
 
 class CoalescingBuffer:
     """Open-chunk accumulator for one group: per-kind pending counts and
-    the SLA timer.
+    the SLA deadline.
 
     Every operation that flushes the chunk drains it and returns the
     drained per-kind counts (a ``[user, gc, shadow]`` list the caller
     now owns); what the flush means (padding, accounting) is the
-    owner's business.
+    owner's business.  So is telling the store's clock about a deadline
+    an append armed: the buffer only keeps its own.
 
     Args:
         chunk_blocks: chunk capacity in blocks.
         window_us: SLA coalescing window; ``None`` disables deadline
             flushes (bulk/GC writers).
-        owner_gid: identity stamped onto this buffer's entries in a
-            shared deadline heap.
     """
 
-    __slots__ = ("chunk_blocks", "window_us", "owner_gid",
-                 "pending", "pending_blocks", "_timer_start_us", "_heap",
-                 "_heap_entry_us")
+    __slots__ = ("chunk_blocks", "window_us", "pending", "pending_blocks",
+                 "deadline_us")
 
-    def __init__(self, chunk_blocks: int, window_us: int | None,
-                 owner_gid: int = -1) -> None:
+    def __init__(self, chunk_blocks: int, window_us: int | None) -> None:
         if chunk_blocks < 1:
             raise ConfigError("chunk_blocks must be >= 1")
         if window_us is not None and window_us < 0:
             raise ConfigError("window_us must be >= 0 or None")
         self.chunk_blocks = chunk_blocks
         self.window_us = window_us
-        self.owner_gid = owner_gid
         #: Pending blocks per append kind, and their total.
         self.pending = [0, 0, 0]
         self.pending_blocks = 0
-        self._timer_start_us: int | None = None
-        # Lazy deadline-heap support (see bind_deadline_heap): the shared
-        # min-heap of (deadline_us, owner_gid) entries and the smallest
-        # entry this buffer currently has live in it.
-        self._heap: list[tuple[int, int]] | None = None
-        self._heap_entry_us: int | None = None
+        #: Absolute time of the armed SLA deadline, or ``None``: an
+        #: append that leaves blocks pending sets it (the window restarts
+        #: there), a drain clears it.  Never set without ``window_us``.
+        self.deadline_us: int | None = None
 
     # ------------------------------------------------------------------
     # state
@@ -124,57 +127,11 @@ class CoalescingBuffer:
     def free_slots(self) -> int:
         return self.chunk_blocks - self.pending_blocks
 
-    @property
-    def deadline_us(self) -> int | None:
-        """Absolute time of the next SLA deadline, or ``None``."""
-        if self.window_us is None or self._timer_start_us is None:
-            return None
-        return self._timer_start_us + self.window_us
-
     def reset_timer(self, now_us: int) -> None:
         """Restart the SLA window (used by shadow append, §3.3: the chunk
         keeps its blocks but gets a fresh aggregation timer)."""
-        if self.pending_blocks:
-            self._timer_start_us = now_us
-            self._arm_heap()
-
-    # ------------------------------------------------------------------
-    # lazy deadline heap
-    # ------------------------------------------------------------------
-    def bind_deadline_heap(self, heap: list[tuple[int, int]]) -> None:
-        """Attach the store's shared deadline min-heap.
-
-        Once bound, the buffer guarantees the heap invariant the store's
-        O(log G) ``tick`` relies on: whenever this buffer has an armed SLA
-        timer, the heap holds at least one ``(d, owner_gid)`` entry with
-        ``d <= deadline_us``.  Entries are never removed here; the store
-        pops and revalidates them lazily (see ``sync_heap_entry``).
-        """
-        self._heap = heap
-        self._heap_entry_us = None
-
-    @property
-    def heap_entry_us(self) -> int | None:
-        """Deadline value of the single heap entry this buffer tracks as
-        live, or ``None``.  Entries popped at any other value are leftovers
-        from a flushed episode and must be dropped, not re-pushed."""
-        return self._heap_entry_us
-
-    def sync_heap_entry(self, entry_us: int | None) -> None:
-        """Store-side bookkeeping: the store popped this buffer's stale
-        heap entry and re-pushed ``entry_us`` (or nothing, when ``None``)."""
-        self._heap_entry_us = entry_us
-
-    def _arm_heap(self) -> None:
-        """Push a heap entry for the current deadline unless one already
-        covers it (an existing entry at or below the deadline suffices)."""
-        if self._heap is None or self.window_us is None \
-                or self._timer_start_us is None:
-            return
-        nd = self._timer_start_us + self.window_us
-        if self._heap_entry_us is None or nd < self._heap_entry_us:
-            heapq.heappush(self._heap, (nd, self.owner_gid))
-            self._heap_entry_us = nd
+        if self.pending_blocks and self.window_us is not None:
+            self.deadline_us = now_us + self.window_us
 
     # ------------------------------------------------------------------
     # operations
@@ -183,37 +140,36 @@ class CoalescingBuffer:
                    now_us: int) -> tuple[int, list[int] | None]:
         """Append ``n >= 1`` blocks of append ``kind``, all at ``now_us``.
 
-        Leaves exactly the state (counts, timer, heap entry) that
-        appending the blocks one by one would.  Returns ``(flushes,
-        drained)``: how many ``FULL`` flushes the run emitted, and the
-        per-kind counts that were pending before the run — they left
-        with the first flush (``None`` when nothing flushed).
+        Leaves exactly the state (counts, deadline) that appending the
+        blocks one by one would.  Returns ``(flushes, drained)``: how
+        many ``FULL`` flushes the run emitted, and the per-kind counts
+        that were pending before the run — they left with the first
+        flush (``None`` when nothing flushed).
         """
         p = self.pending_blocks
         cb = self.chunk_blocks
         nf = (p + n) // cb
+        window = self.window_us
         if nf == 0:
-            self._timer_start_us = now_us
             self.pending[kind] += n
             self.pending_blocks = p + n
-            self._arm_heap()
+            if window is not None:
+                self.deadline_us = now_us + window
             return 0, None
         drained = self.take_pending()
         leftover = p + n - nf * cb
         if leftover:
-            # Episodes born and flushed inside the run never needed heap
-            # entries (no tick can interleave); arm only the survivor.
             self.pending[kind] = leftover
             self.pending_blocks = leftover
-            self._timer_start_us = now_us
-            self._arm_heap()
+            if window is not None:
+                self.deadline_us = now_us + window
         return nf, drained
 
     def poll(self, now_us: int) -> list[int] | None:
         """Drain the chunk (a padded ``DEADLINE`` flush) if the SLA
         deadline has passed; return its per-kind counts."""
         dl = self.deadline_us
-        if dl is not None and now_us >= dl and self.pending_blocks:
+        if dl is not None and now_us >= dl:
             return self.take_pending()
         return None
 
@@ -224,10 +180,9 @@ class CoalescingBuffer:
 
     def take_pending(self) -> list[int]:
         """Remove and return the per-kind pending counts and disarm the
-        timer (whether that is a flush is up to the caller)."""
+        deadline (whether that is a flush is up to the caller)."""
         drained = self.pending
         self.pending = [0, 0, 0]
         self.pending_blocks = 0
-        self._timer_start_us = None
-        self._heap_entry_us = None
+        self.deadline_us = None
         return drained

@@ -15,15 +15,20 @@ runs one candidate threshold; the ladder compares their costs.
 
 Each ghost group's open chunk is two inline counters — pending blocks
 and the SLA timer start — with the store's coalescing semantics (a
-:class:`~repro.array.coalescing.CoalescingBuffer` without deadline heap
-or flush consumers): every append restarts the window.  :meth:`GhostSet.record` is a one-block
-:meth:`GhostSet.record_many`, so arbitrary interleavings of the two stay
-bit-identical (the ghost equivalence suite fuzzes exactly that).
+:class:`~repro.array.coalescing.CoalescingBuffer` without flush
+consumers): every append restarts the window.  Like the store, a ghost
+set keeps one due time, a lower bound on its two chunks' deadlines, and
+polls the chunks only once a sample reaches it.  :meth:`GhostSet.record`
+is a one-block :meth:`GhostSet.record_many`, so arbitrary interleavings
+of the two stay bit-identical (the ghost equivalence suite fuzzes
+exactly that).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.array.coalescing import NO_DEADLINE
 
 
 @dataclass(slots=True)
@@ -52,9 +57,9 @@ class GhostSet:
 
     __slots__ = ("threshold", "segment_blocks", "chunk_blocks",
                  "window_us", "garbage_limit", "_pending",
-                 "_timer", "_open", "_sealed", "_where", "blocks_written",
-                 "blocks_discarded", "padding_blocks", "gc_passes",
-                 "_total_slots")
+                 "_timer", "_due", "_open", "_sealed", "_where",
+                 "blocks_written", "blocks_discarded", "padding_blocks",
+                 "gc_passes", "_total_slots")
 
     HOT, COLD = 0, 1
 
@@ -77,6 +82,9 @@ class GhostSet:
         #: the chunk's SLA timer start (``None`` while it is empty).
         self._pending = [0, 0]
         self._timer: list[int | None] = [None, None]
+        #: At or below both chunks' deadlines (``timer + window_us``);
+        #: no chunk is due before it.
+        self._due = NO_DEADLINE
         self._open: list[_GhostSegment] = [self._new_segment(),
                                            self._new_segment()]
         self._sealed: list[_GhostSegment] = []
@@ -108,8 +116,9 @@ class GhostSet:
     def record_many(self, lbas: list[int], intervals: list[float | None],
                     ts_us: list[int]) -> None:
         """Feed many sampled writes at per-block times, each as
-        :meth:`record` describes: poll both chunks' SLA deadlines, classify,
-        append, seal, and clean while the garbage ratio is over the limit.
+        :meth:`record` describes: poll both chunks' SLA deadlines once
+        the due time has passed (and recompute it), classify, append,
+        seal, and clean while the garbage ratio is over the limit.
 
         A ``FULL`` flush empties the chunk and disarms its timer; a
         ``DEADLINE`` flush also pads the rest of the chunk.  Every per-call
@@ -129,24 +138,32 @@ class GhostSet:
         written = 0
         padded = 0
         total = self._total_slots
+        due = self._due
         for i in range(len(lbas)):
             now = ts_us[i]
-            if window is not None:
+            if now >= due:
+                due = NO_DEADLINE
                 for g in (0, 1):
                     t0 = timer[g]
-                    if t0 is not None and now >= t0 + window \
-                            and pending[g]:
-                        pad = cb - pending[g]
-                        pending[g] = 0
-                        timer[g] = None
-                        seg = open_[g]
-                        seg.padding += pad
-                        padded += pad
-                        total += pad
-                        if len(seg.blocks) + seg.padding >= segb:
-                            seg.sealed = True
-                            sealed.append(seg)
-                            open_[g] = _GhostSegment(blocks=[])
+                    if t0 is None:
+                        continue
+                    deadline = t0 + window
+                    if now < deadline:
+                        if deadline < due:
+                            due = deadline
+                        continue
+                    # An armed timer implies pending blocks.
+                    pad = cb - pending[g]
+                    pending[g] = 0
+                    timer[g] = None
+                    seg = open_[g]
+                    seg.padding += pad
+                    padded += pad
+                    total += pad
+                    if len(seg.blocks) + seg.padding >= segb:
+                        seg.sealed = True
+                        sealed.append(seg)
+                        open_[g] = _GhostSegment(blocks=[])
             iv = intervals[i]
             if iv is None:
                 iv = float(len(where))
@@ -169,6 +186,8 @@ class GhostSet:
             else:
                 pending[g] = p
                 timer[g] = now
+                if now + window < due:
+                    due = now + window
             if len(blocks) + seg.padding >= segb:
                 seg.sealed = True
                 sealed.append(seg)
@@ -180,6 +199,7 @@ class GhostSet:
         self.blocks_written += written
         self.padding_blocks += padded
         self._total_slots = total
+        self._due = due
 
     @staticmethod
     def _new_segment() -> _GhostSegment:

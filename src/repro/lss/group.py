@@ -52,8 +52,7 @@ class Group:
         cfg = store.config
         window = (cfg.coalesce_window_us
                   if spec.kind in (GroupKind.USER, GroupKind.MIXED) else None)
-        self.buffer = CoalescingBuffer(cfg.chunk.chunk_blocks, window,
-                                       owner_gid=gid)
+        self.buffer = CoalescingBuffer(cfg.chunk.chunk_blocks, window)
         self.open_seg: int | None = None
         self.traffic = GroupTraffic(name=spec.name, kind=spec.kind.value)
         #: The oldest _shadow_mark pending blocks already have substitutes
@@ -90,7 +89,15 @@ class Group:
         fills (one FULL record), then seal the segment if it is full —
         which takes a flush, as segments are whole chunks and chunks
         start at chunk boundaries."""
-        nf, drained = self.buffer.append_run(kind, n, now_us)
+        buf = self.buffer
+        nf, drained = buf.append_run(kind, n, now_us)
+        # The store ticks only from its due time on: keep that at or
+        # below the deadline the run armed.
+        dl = buf.deadline_us
+        if dl is not None:
+            store = self.store
+            if dl < store.due_us:
+                store.due_us = dl
         if nf:
             self._flush(FlushReason.FULL, drained, now_us, nf, kind)
             self._maybe_seal()
@@ -177,30 +184,30 @@ class Group:
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
-    def poll_deadline(self, now_us: int) -> ChunkFlush | None:
+    def poll_deadline(self, now_us: int) -> None:
         """Emit a padded DEADLINE flush if the SLA window expired."""
-        return self._padded_flush(FlushReason.DEADLINE,
-                                  self.buffer.poll(now_us), now_us)
+        self._padded_flush(FlushReason.DEADLINE, self.buffer.poll(now_us),
+                           now_us)
 
-    def force_flush(self, now_us: int) -> ChunkFlush | None:
+    def force_flush(self, now_us: int) -> None:
         """Emit a padded FORCED flush of whatever is pending."""
-        return self._padded_flush(FlushReason.FORCED,
-                                  self.buffer.force_flush(), now_us)
+        self._padded_flush(FlushReason.FORCED, self.buffer.force_flush(),
+                           now_us)
 
     def _padded_flush(self, reason: FlushReason, drained,
-                      now_us: int) -> ChunkFlush | None:
-        if drained is None:
-            return None
-        flush = self._flush(reason, drained, now_us)
-        self._maybe_seal()
-        return flush
+                      now_us: int) -> None:
+        if drained is not None:
+            self._flush(reason, drained, now_us)
+            self._maybe_seal()
 
     def _flush(self, reason: FlushReason, drained: list[int], time_us: int,
-               count: int = 1, run_kind: int = APPEND_USER) -> ChunkFlush:
+               count: int = 1, run_kind: int = APPEND_USER) -> None:
         """Book ``count`` chunk flushes: the one place the group's
-        traffic, the segment's padding, the store's padded-flush and
-        lazy-append tallies and the :class:`ChunkFlush` record the rest
-        of the system sees are derived.
+        traffic, the segment's padding, the store's padded-flush,
+        lazy-append and RAID tallies and the :class:`ChunkFlush` record
+        an observer sees are derived.  The record is built only when
+        some observer overrides ``chunk_flush``, and every listener gets
+        the same one.
 
         The chunks carried the ``drained`` per-kind counts.  FULL chunks
         are full: what the drained blocks leave of them are ``run_kind``
@@ -209,7 +216,8 @@ class Group:
         """
         total = count * self.buffer.chunk_blocks
         pending = drained[0] + drained[1] + drained[2]
-        stats = self.store.stats
+        store = self.store
+        stats = store.stats
         if reason is FlushReason.FULL:
             drained[run_kind] += total - pending
             padding = 0
@@ -227,27 +235,30 @@ class Group:
             t.deadline_flushes += count
         elif reason is FlushReason.FORCED:
             t.forced_flushes += count
-        start = -1
         seg = self.open_seg
-        if seg is not None:
-            pool = self.store.pool
-            if padding:
-                pool.append_padding(seg, padding)
-            # The chunks end where the still-pending blocks begin, and
-            # those end at the segment's fill pointer.
-            start = seg * pool.segment_blocks + pool.fill[seg] \
-                - self.buffer.pending_blocks - total
+        if padding and seg is not None:
+            store.pool.append_padding(seg, padding)
         # Pending blocks below the watermark already had substitutes
         # persisted elsewhere; the first chunk is their lazy append (§3.3).
         lazy = min(self._shadow_mark, pending)
         if lazy:
             stats.lazy_appends += 1
             stats.lazy_blocks += lazy
-        flush = ChunkFlush(reason, count, user, gc, shadow, padding, time_us,
-                           lazy, start)
         self._shadow_mark = 0
-        self.store.on_chunk_flush(self, flush)
-        return flush
+        stats.raid.add_chunk_ios(count)
+        listeners = store.events.chunk_flush
+        if listeners:
+            start = -1
+            if seg is not None:
+                pool = store.pool
+                # The chunks end where the still-pending blocks begin,
+                # and those end at the segment's fill pointer.
+                start = seg * pool.segment_blocks + pool.fill[seg] \
+                    - self.buffer.pending_blocks - total
+            flush = ChunkFlush(reason, count, user, gc, shadow, padding,
+                               time_us, lazy, start)
+            for fn in listeners:
+                fn(self, flush)
 
     # ------------------------------------------------------------------
     # cross-group aggregation support

@@ -8,10 +8,9 @@ is how the five baselines and ADAPT share one simulator.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+from repro.array.coalescing import NO_DEADLINE
 from repro.common.errors import ConfigError
 from repro.common.observer import NO_SAMPLE, StoreEvents, StoreObserver
 from repro.lss.config import LSSConfig
@@ -75,7 +74,7 @@ class LogStructuredStore:
 
     __slots__ = ("config", "policy", "obs", "attribution", "auditor",
                  "profiler", "pool", "mapping", "stats", "groups",
-                 "_sla_groups", "_deadline_heap", "victim_policy", "gc",
+                 "_sla_groups", "due_us", "victim_policy", "gc",
                  "user_seq", "now_us", "events")
 
     # pinned by the frozen `bench/` harness — no caller
@@ -116,13 +115,13 @@ class LogStructuredStore:
         self._sla_groups = [g for g in self.groups
                             if g.spec.kind in (GroupKind.USER,
                                                GroupKind.MIXED)]
-        #: Lazy min-heap of (deadline_us, gid) entries: every SLA buffer
-        #: with an armed timer keeps at least one entry at or below its
-        #: actual deadline, so tick() is O(1) until a deadline really
-        #: fires.  Stale entries are popped and revalidated lazily.
-        self._deadline_heap: list[tuple[int, int]] = []
-        for g in self._sla_groups:
-            g.buffer.bind_deadline_heap(self._deadline_heap)
+        #: A lower bound on the earliest armed SLA deadline
+        #: (:data:`~repro.array.coalescing.NO_DEADLINE` when nothing can
+        #: be due): an append that arms an earlier deadline lowers it
+        #: (:meth:`Group._queue_run`), and a tick that runs sets it
+        #: exactly.  Nothing is due before it.  The aggregation timer
+        #: restarts of §3.3 happen inside a tick, which sets it after.
+        self.due_us = NO_DEADLINE
 
         self.victim_policy = make_victim_policy(config.victim_policy,
                                                 rng=config.seed)
@@ -188,52 +187,35 @@ class LogStructuredStore:
     def tick(self, now_us: int) -> None:
         """Advance simulated time: fire SLA deadline flushes that are due.
 
-        The common case — no deadline due — costs one heap-top
-        comparison.  When the validated next deadline is due, the SLA
-        groups fire in ascending gid order (the order is observable:
-        ADAPT's aggregation moves blocks between groups mid-scan).
+        The common case — ``now_us`` before the due time :attr:`due_us`
+        — costs one comparison.  Otherwise the SLA groups (at most eight)
+        fire in ascending gid order if their deadline has passed (the
+        order is observable: ADAPT's aggregation moves blocks between
+        groups mid-scan), and a second scan sets :attr:`due_us` to the
+        earliest deadline still armed.  Until then the old due time,
+        which has passed, stays a valid lower bound, also when a hook
+        raises mid-scan.
 
         The placement policy gets a chance to avert each padding flush
         (ADAPT's cross-group aggregation hooks in here, §3.3).
         """
         self.now_us = now_us
-        nd = self.next_deadline()
-        if nd is None or now_us < nd:
+        if now_us < self.due_us:
             return
-        for group in self._sla_groups:
-            if group.buffer.pending_blocks == 0:
-                continue
+        sla_groups = self._sla_groups
+        for group in sla_groups:
             deadline = group.buffer.deadline_us
             if deadline is None or now_us < deadline:
                 continue
             if self.policy.before_padding_flush(group, now_us):
                 continue  # policy persisted the data another way
             group.poll_deadline(now_us)
-
-    def next_deadline(self) -> int | None:
-        """The earliest armed SLA deadline across all groups, or ``None``.
-
-        Pops stale heap entries until the top matches its buffer's live
-        deadline.  Only the entry the buffer still tracks (its
-        ``heap_entry_us``) is re-pushed at the moved deadline; any other
-        popped entry is a leftover from an already-flushed episode whose
-        live successor is elsewhere in the heap — re-pushing those would
-        duplicate them without bound.
-        """
-        heap = self._deadline_heap
-        while heap:
-            d, gid = heap[0]
-            buf = self.groups[gid].buffer
-            actual = buf.deadline_us
-            if actual == d:
-                return d
-            heapq.heappop(heap)
-            if d != buf.heap_entry_us:
-                continue
-            buf.sync_heap_entry(actual)
-            if actual is not None:
-                heapq.heappush(heap, (actual, gid))
-        return None
+        due = NO_DEADLINE
+        for group in sla_groups:
+            deadline = group.buffer.deadline_us
+            if deadline is not None and deadline < due:
+                due = deadline
+        self.due_us = due
 
     # pinned by the frozen `bench/` harness — no caller
     def apply_user_batch(self, *args, **kwargs):
@@ -350,7 +332,6 @@ class LogStructuredStore:
         """
         place_user = self.policy.place_user
         groups = self.groups
-        heap = self._deadline_heap
         pool = self.pool
         gc_low = self.config.gc_free_low
         sample_at = self._next_sample_seq()
@@ -369,9 +350,7 @@ class LogStructuredStore:
                                            window.offsets.tolist(),
                                            window.sizes.tolist()):
                 self.now_us = t
-                if heap and heap[0][0] <= t:
-                    # Every armed deadline has a heap entry at or below
-                    # it, so a later top means nothing is due.
+                if t >= self.due_us:
                     self.tick(t)
                 if op != OP_WRITE:
                     reads += 1
@@ -449,9 +428,10 @@ class LogStructuredStore:
     # hooks and introspection
     # ------------------------------------------------------------------
     def on_chunk_flush(self, group: Group, flush) -> None:
-        """Book one :class:`~repro.array.coalescing.ChunkFlush` record in
-        the RAID layer and fire ``chunk_flush`` (ADAPT's write monitors,
-        the recorder and the FTL bridge hang off it)."""
+        """Book a :class:`~repro.array.coalescing.ChunkFlush` record's
+        chunks in the RAID layer and fire ``chunk_flush`` with it (ADAPT's
+        write monitors, the event log and the FTL bridge hang off it), as
+        a group's flush does (:meth:`Group._flush`)."""
         self.stats.raid.add_chunk_ios(flush.count)
         for fn in self.events.chunk_flush:
             fn(group, flush)

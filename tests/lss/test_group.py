@@ -26,9 +26,10 @@ def test_group_seals_when_segment_full(store, tiny_config):
 def test_padding_advances_fill_to_chunk_boundary(store, tiny_config):
     g = store.groups[0]
     g.append_user(0, now_us=0)
-    flush = g.poll_deadline(now_us=10_000)
-    assert flush is not None
     chunk = tiny_config.chunk.chunk_blocks
+    assert store.pool.fill[g.open_seg] == 1
+    g.poll_deadline(now_us=10_000)
+    assert g.traffic.deadline_flushes == 1
     assert store.pool.fill[g.open_seg] == chunk
 
 
