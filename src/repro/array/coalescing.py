@@ -54,10 +54,10 @@ class ChunkFlush:
     the group that owns the buffer builds it from the drained per-kind
     counts, and only when some observer overrides ``chunk_flush`` (the
     store's own tallies are booked without it).  A single flush is a
-    run of one.  ``count > 1`` only
-    for the FULL flushes one append run emits back to back, which occupy
-    consecutive device addresses; the block counts are totals over the
-    run and ``time_us`` is when its last chunk filled.
+    run of one.  ``count > 1`` only for the FULL flushes one append run
+    emits back to back, which occupy consecutive device addresses; the
+    block counts are totals over the run and ``time_us`` is when its
+    last chunk filled.
 
     Consumers share the record and must not write to it; it is left
     unfrozen only because it is built on the per-flush hot path, where
