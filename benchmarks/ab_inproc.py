@@ -2,7 +2,6 @@
 """In-process A/B of a commit against the working tree.
 
     python3 benchmarks/ab_inproc.py BASE [--workload W] [--seconds S]
-                                   [--seed N]
 
 Exports commit ``BASE`` with ``git archive`` (twice) and copies the
 working tree's ``src/repro``, renaming each copy's package (``repro`` →
@@ -10,7 +9,8 @@ working tree's ``src/repro``, renaming each copy's package (``repro`` →
 of ``BASE``) so that all three import in one process.  Each copy also
 gets its own renamed ``bench/workloads.py``, which supplies the replay
 cells (``REPLAY_CELLS``), their sizes (``FULL``) and their traces
-(``volume_trace``).
+(``volume_trace``), drawn at the seed ``bench/run.py`` runs at by
+default (:data:`SEED`).
 
 Per replay workload, every cell is first replayed once on each side and
 ``StoreStats.summary()`` must be equal on all three; a difference stops
@@ -49,6 +49,9 @@ from benchmarks.pairs import export  # noqa: E402
 #: import``, ``"repro.core.policy"`` — not ``adapt-repro`` or
 #: ``reproduce``.
 _PACKAGE = re.compile(r"(?<![\w-])repro(?=\.\w|\s+import\b)")
+
+#: The benchmark's own seed (``bench/run.py --seed`` defaults to it).
+SEED = 1
 
 clock = time.perf_counter
 
@@ -91,13 +94,13 @@ class Side:
         self._policy = importlib.import_module(
             f"{pkg}.placement.registry").make_policy
 
-    def cells(self, workload: str, seed: int, sizes=None) -> list:
+    def cells(self, workload: str, sizes=None) -> list:
         """``(name, scheme, trace, victim, logical blocks)`` per cell of
         ``workload`` (``sizes`` defaults to the benchmark's ``FULL``)."""
         w = self.workloads
         sizes = sizes or w.FULL[workload]
         return [(f"{s}:{p}-{i:03d}:{v}", s,
-                 w.volume_trace(p, i, sizes, seed), v, sizes.blocks)
+                 w.volume_trace(p, i, sizes, SEED), v, sizes.blocks)
                 for s, p, i, v in w.REPLAY_CELLS[workload]]
 
     def replay(self, cell):
@@ -163,10 +166,10 @@ def render(workload: str, labels: list[str], best: list, blocks: int,
     return lines
 
 
-def compare(sides: list, workload: str, seed: int, seconds: float,
+def compare(sides: list, workload: str, seconds: float,
             sizes=None) -> list[str]:
     """Guard, race and render one workload for sides A, B, A2."""
-    cells = [side.cells(workload, seed, sizes) for side in sides]
+    cells = [side.cells(workload, sizes) for side in sides]
     guard(workload, sides, cells)
     best, rounds = race(sides, cells, seconds)
     blocks = sum(cell[2].total_write_blocks() for cell in cells[0])
@@ -180,7 +183,6 @@ def main(argv=None) -> int:
                     "every workload in bench/workloads.py REPLAY_CELLS)")
     ap.add_argument("--seconds", type=float, default=20.0,
                     help="racing time per workload (default 20)")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab-inproc-") as work:
         trees = os.path.join(work, "trees")
@@ -198,8 +200,8 @@ def main(argv=None) -> int:
             names = [args.workload]
         try:
             for name in names:
-                print("\n".join(compare(sides, name, args.seed,
-                                        args.seconds)), flush=True)
+                print("\n".join(compare(sides, name, args.seconds)),
+                      flush=True)
         except Mismatch as exc:
             print(f"refusing to compare: {exc}", file=sys.stderr)
             return 2

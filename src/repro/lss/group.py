@@ -206,8 +206,9 @@ class Group:
         traffic, the segment's padding, the store's padded-flush,
         lazy-append and RAID tallies and the :class:`ChunkFlush` record
         an observer sees are derived.  The record is built only when
-        some observer overrides ``chunk_flush``, and every listener gets
-        the same one.
+        some observer overrides ``chunk_flush``; then
+        :meth:`LogStructuredStore.on_chunk_flush` books its RAID chunks
+        and hands every listener the same one.
 
         The chunks carried the ``drained`` per-kind counts.  FULL chunks
         are full: what the drained blocks leave of them are ``run_kind``
@@ -245,20 +246,19 @@ class Group:
             stats.lazy_appends += 1
             stats.lazy_blocks += lazy
         self._shadow_mark = 0
-        stats.raid.add_chunk_ios(count)
-        listeners = store.events.chunk_flush
-        if listeners:
-            start = -1
-            if seg is not None:
-                pool = store.pool
-                # The chunks end where the still-pending blocks begin,
-                # and those end at the segment's fill pointer.
-                start = seg * pool.segment_blocks + pool.fill[seg] \
-                    - self.buffer.pending_blocks - total
-            flush = ChunkFlush(reason, count, user, gc, shadow, padding,
-                               time_us, lazy, start)
-            for fn in listeners:
-                fn(self, flush)
+        if not store.events.chunk_flush:
+            stats.raid.add_chunk_ios(count)
+            return
+        start = -1
+        if seg is not None:
+            pool = store.pool
+            # The chunks end where the still-pending blocks begin, and
+            # those end at the segment's fill pointer.
+            start = seg * pool.segment_blocks + pool.fill[seg] \
+                - self.buffer.pending_blocks - total
+        store.on_chunk_flush(self, ChunkFlush(reason, count, user, gc,
+                                              shadow, padding, time_us,
+                                              lazy, start))
 
     # ------------------------------------------------------------------
     # cross-group aggregation support

@@ -430,8 +430,9 @@ class LogStructuredStore:
     def on_chunk_flush(self, group: Group, flush) -> None:
         """Book a :class:`~repro.array.coalescing.ChunkFlush` record's
         chunks in the RAID layer and fire ``chunk_flush`` with it (ADAPT's
-        write monitors, the event log and the FTL bridge hang off it), as
-        a group's flush does (:meth:`Group._flush`)."""
+        write monitors, the event log and the FTL bridge hang off it).
+        :meth:`Group._flush` calls it when some observer listens; with
+        none, it books the chunks itself and builds no record."""
         self.stats.raid.add_chunk_ios(flush.count)
         for fn in self.events.chunk_flush:
             fn(group, flush)

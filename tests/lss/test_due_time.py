@@ -13,6 +13,7 @@ some observer overrides ``chunk_flush``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,8 @@ from repro.validate.differential import (default_workloads,
                                          differential_config)
 
 from tests.conftest import FlushLog
-from tests.lss.test_replay_loop import assert_same_outcome, eager_replay
+from tests.lss.test_replay_loop import (_POOL_PLANES, assert_same_outcome,
+                                       eager_replay)
 
 #: DAC's 5 and MiDA's 8 MIXED groups all run SLA windows; 512 blocks is
 #: the smallest differential volume that holds MiDA's groups.
@@ -237,19 +239,35 @@ class _FailsOnDeadline(StoreObserver):
 @pytest.mark.parametrize("policy_name", ("sepgc", "adapt", "mida"))
 def test_listener_raising_in_a_deadline_flush_leaves_store_consistent(
         policy_name):
+    """The replay loop stops where the per-block specification stops,
+    with the same state: the flush that raised is booked, nothing after
+    it is, and the due time still bounds every armed deadline."""
     trace = default_workloads(num_requests=900)[0]
     cfg = differential_config()
-    store = LogStructuredStore(cfg, make_policy(policy_name, cfg))
-    store.subscribe(_FailsOnDeadline(after=40))
-    with pytest.raises(RuntimeError, match="listener failed"):
-        store.replay(trace)
-    assert 0 < store.user_seq < trace.total_write_blocks()
-    assert store.stats.user_blocks_requested == store.user_seq
-    store.check_invariants()
-    assert_due_bounds_deadlines(store)
-    # The volume resumes by replaying from the start on a fresh store.
-    resumed = LogStructuredStore(cfg, make_policy(policy_name, cfg))
-    resumed.replay(trace)
-    uninterrupted = LogStructuredStore(cfg, make_policy(policy_name, cfg))
-    uninterrupted.replay(trace)
-    assert_same_outcome(uninterrupted, resumed)
+    failed = []
+    for replay in (LogStructuredStore.replay, eager_replay):
+        store = LogStructuredStore(cfg, make_policy(policy_name, cfg))
+        store.subscribe(_FailsOnDeadline(after=40))
+        with pytest.raises(RuntimeError, match="listener failed"):
+            replay(store, trace)
+        assert 0 < store.user_seq < trace.total_write_blocks()
+        assert store.stats.user_blocks_requested == store.user_seq
+        store.check_invariants()
+        assert_due_bounds_deadlines(store)
+        failed.append(store)
+    loop, spec = failed
+    # Everything the store holds, as assert_same_outcome compares it, but
+    # not the policy: ADAPT's window plan has already run its trace-pure
+    # state (sampler, rho, first-write footprint) to the window's end.
+    assert (spec.mapping == loop.mapping).all()
+    for plane in _POOL_PLANES:
+        assert np.array_equal(getattr(spec.pool, plane),
+                              getattr(loop.pool, plane)), plane
+    assert spec.pool._free == loop.pool._free
+    assert spec.pool._append_seq == loop.pool._append_seq
+    for a, b in zip(spec.stats.groups, loop.stats.groups):
+        assert dataclasses.asdict(a) == dataclasses.asdict(b), a.name
+    assert dataclasses.asdict(spec.stats.raid) \
+        == dataclasses.asdict(loop.stats.raid)
+    assert spec.stats.summary() == loop.stats.summary()
+    assert (spec.user_seq, spec.now_us) == (loop.user_seq, loop.now_us)

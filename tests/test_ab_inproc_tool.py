@@ -47,7 +47,7 @@ def _tiny(side):
 
 
 def test_sides_are_separate_packages(sides):
-    stores = [type(s.replay(s.cells("baselines_sweep", 1, _tiny(s))[0]))
+    stores = [type(s.replay(s.cells("baselines_sweep", _tiny(s))[0]))
               for s in sides]
     assert len({cls.__module__ for cls in stores}) == 3
     assert all(cls.__module__.startswith(s.package + ".")
@@ -55,7 +55,7 @@ def test_sides_are_separate_packages(sides):
 
 
 def test_guard_refuses_a_side_that_replays_differently(sides, monkeypatch):
-    cells = [s.cells("adapt_dense", 1, _tiny(s)) for s in sides]
+    cells = [s.cells("adapt_dense", _tiny(s)) for s in sides]
     guard("adapt_dense", sides, cells)
     real = sides[2].replay
 
@@ -70,7 +70,7 @@ def test_guard_refuses_a_side_that_replays_differently(sides, monkeypatch):
 
 
 def test_output_shape(sides):
-    lines = compare(sides, "adapt_dense", 1, 0.0, _tiny(sides[0]))
+    lines = compare(sides, "adapt_dense", 0.0, _tiny(sides[0]))
     assert re.fullmatch(r"== adapt_dense: 2 cells, 1 rounds, \d+ user "
                         r"blocks per pass", lines[0])
     for line, name, tag in zip(lines[1:4], ("A ", "B ", "A2"), _TAGS):
