@@ -21,7 +21,8 @@ the command.  Per workload and end-to-end metric it prints and records:
 * the sign count — in how many pairs B was better;
 * ``resolves``: B better in at least 90 % of the pairs *and* the median
   gain larger than A's interquartile range, the bar a claimed gain has
-  to clear.
+  to clear.  A ``peak_rss_mb`` gain must also exceed
+  :data:`RSS_GAIN_FLOOR_MB`.
 
 ``--out`` writes all of it, with every run's metrics and calibration,
 as one JSON file (the ``BENCH_<date>_<tag>.json`` snapshots at the
@@ -45,6 +46,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = 1
+
+#: Smallest median ``peak_rss_mb`` gain (MiB) that resolves.  Two trees
+#: that load the same modules read about 0.15 MiB apart, with one side
+#: lower in 9 of 10 pairs: allocator layout, not a change in memory.
+RSS_GAIN_FLOOR_MB = 0.5
 
 
 def bench_module(name: str):
@@ -119,6 +125,7 @@ def summarize(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
             gain = statistics.median(b) - statistics.median(a)
             if direction == "lower":
                 gain = -gain
+            floor = RSS_GAIN_FLOOR_MB if metric == "peak_rss_mb" else 0.0
             rows[metric] = {
                 "better": direction,
                 "a_median": qa[1], "a_quartiles": [qa[0], qa[2]],
@@ -127,7 +134,7 @@ def summarize(pairs: list[tuple[dict, dict]], spec: dict) -> dict:
                 "ratio_quartiles": [qr[0], qr[2]],
                 "b_ahead": ahead, "pairs": len(pairs),
                 "resolves": ahead >= 0.9 * len(pairs)
-                and gain > qa[2] - qa[0],
+                and gain > max(qa[2] - qa[0], floor),
             }
         out[name] = rows
     return out

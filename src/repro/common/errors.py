@@ -38,8 +38,9 @@ class ValidationError(ReproError):
 class InvariantViolation(ReproError):
     """A cross-structure consistency invariant of the store was violated.
 
-    Raised by :class:`repro.validate.InvariantAuditor`; carries the name of
-    the violated invariant so tests and operators can tell *which* law broke.
+    Raised by :class:`repro.validate.audit.InvariantAuditor`; carries the
+    name of the violated invariant so tests and operators can tell *which*
+    law broke.
     """
 
     def __init__(self, invariant: str, detail: str) -> None:

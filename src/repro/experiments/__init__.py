@@ -5,9 +5,3 @@ rendered ASCII table, so benchmarks, examples and the CLI share one code
 path.  Scales are selected with the ``REPRO_SCALE`` environment variable
 (``smoke`` / ``default`` / ``paper``).
 """
-
-from repro.experiments.scale import Scale, current_scale
-from repro.experiments.runner import VolumeResult, replay_volume, run_matrix
-
-__all__ = ["Scale", "current_scale", "VolumeResult", "replay_volume",
-           "run_matrix"]

@@ -11,15 +11,17 @@ single job, or while a phase profiler is active.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.lss.config import LSSConfig, default_segment_blocks
 from repro.lss.store import LogStructuredStore
 from repro.obs import profile as obs_profile
-from repro.obs.recorder import ObsRecorder
 from repro.placement.registry import make_policy
 from repro.trace.model import Trace
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import ObsRecorder
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,9 @@ class VolumeResult:
     group_traffic: tuple[dict, ...] = field(default=(), repr=False)
     group_occupancy: tuple[int, ...] = field(default=(), repr=False)
     policy_memory_bytes: int = 0
-    #: Observability snapshot (:meth:`repro.obs.ObsRecorder.snapshot`) when
-    #: the replay ran with metrics collection; ``None`` otherwise.
+    #: Observability snapshot
+    #: (:meth:`repro.obs.recorder.ObsRecorder.snapshot`) when the replay
+    #: ran with metrics collection; ``None`` otherwise.
     metrics: dict | None = field(default=None, repr=False)
     #: Causal-attribution snapshot
     #: (:meth:`repro.obs.attribution.AttributionRecorder.snapshot`) when
@@ -73,9 +76,9 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
 
     ``seed`` reaches the store config (victim-policy RNG, sampler salts).
     Metrics are opt-in: pass ``collect_metrics=True`` for a default
-    :class:`~repro.obs.ObsRecorder`, or supply a configured ``recorder``
-    (e.g. with a JSONL spill path); either way the result carries the
-    recorder's snapshot in :attr:`VolumeResult.metrics`.
+    :class:`~repro.obs.recorder.ObsRecorder`, or supply a configured
+    ``recorder`` (e.g. with a JSONL spill path); either way the result
+    carries the recorder's snapshot in :attr:`VolumeResult.metrics`.
 
     Attribution is opt-in: supply an ``attribution`` sink (e.g. an
     :class:`~repro.obs.attribution.AttributionRecorder`); the result
@@ -91,6 +94,7 @@ def replay_volume(scheme: str, trace: Trace, victim: str = "greedy",
     cfg = store_config_for(blocks, victim=victim, seed=seed)
     policy = make_policy(scheme, cfg, **policy_kwargs)
     if recorder is None and collect_metrics:
+        from repro.obs.recorder import ObsRecorder
         recorder = ObsRecorder()
     with obs_profile.current().span(
             f"cell:{scheme}:{trace.volume}", victim=victim):
@@ -161,6 +165,7 @@ def run_matrix(schemes: list[str], traces: list[Trace],
             else min(os.cpu_count() or 1, 8)
     if workers <= 1 or len(jobs) == 1:
         return [_cell(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_cell, jobs, chunksize=1))
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.fleet.report import fleet_summary, write_fleet_summary
@@ -112,6 +110,8 @@ def run_fleet(spec: FleetSpec, workers: int = 1,
         for kwargs in shard_kwargs:
             results.append(run_shard(**kwargs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_shard_kwargs, kwargs)
                        for kwargs in shard_kwargs]

@@ -49,8 +49,9 @@ class FleetSpec:
         seed: fleet master seed (hashed per tenant, never enumerated).
         chunk_requests: streaming-ingestion chunk bound (per-volume
             replay memory is O(this), not O(volume_requests)).
-        collect_metrics: attach a :class:`~repro.obs.ObsRecorder` per
-            volume and carry its snapshot into the fleet summary.
+        collect_metrics: attach a
+            :class:`~repro.obs.recorder.ObsRecorder` per volume and carry
+            its snapshot into the fleet summary.
         timeline_every: when set, attach a recorder per volume whose
             timeline samples every N user blocks (instead of 1024) and
             export each timeline next to the summary.

@@ -8,6 +8,8 @@ is how the five baselines and ADAPT share one simulator.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.array.coalescing import NO_DEADLINE
@@ -20,11 +22,13 @@ from repro.lss.segment import SegmentPool
 from repro.lss.stats import StoreStats
 from repro.lss.victim import make_victim_policy
 from repro.obs import profile as obs_profile
-from repro.obs.attribution import AttributionRecorder
-from repro.obs.recorder import ObsRecorder
 from repro.perf.batch import duplicate_chains
 from repro.perf.expand import check_write_bounds, expand_trace
 from repro.trace.model import OP_WRITE, Trace
+
+if TYPE_CHECKING:
+    from repro.obs.attribution import AttributionRecorder
+    from repro.obs.recorder import ObsRecorder
 
 #: Encoded-mapping value for "never written".
 UNMAPPED: int = -1
@@ -52,10 +56,11 @@ class LogStructuredStore:
     Args:
         config: store geometry and GC knobs.
         policy: a placement policy instance (not yet bound to a store).
-        recorder: observability sink (:class:`repro.obs.ObsRecorder`),
-            kept as :attr:`obs` (``None`` without one).  Any other
-            observer attaches with :meth:`subscribe`.
-        auditor: optional :class:`repro.validate.InvariantAuditor`,
+        recorder: observability sink
+            (:class:`repro.obs.recorder.ObsRecorder`), kept as :attr:`obs`
+            (``None`` without one).  Any other observer attaches with
+            :meth:`subscribe`.
+        auditor: optional :class:`repro.validate.audit.InvariantAuditor`,
             which checks cross-structure invariants on a cadence while the
             replay is in flight.  ``replay`` settles at every audit point,
             so each audit sees the state a per-block replay would audit.

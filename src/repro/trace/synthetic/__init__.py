@@ -4,24 +4,3 @@ Real Alibaba/Tencent/MSRC traces are not redistributable, so the generators
 here synthesise volumes whose marginal statistics match what the paper itself
 reports in Figure 2 and §4.1 (see DESIGN.md, "Substitutions").
 """
-
-from repro.trace.synthetic.zipf import ZipfSampler
-from repro.trace.synthetic.ycsb import DensityPreset, generate_ycsb_a
-from repro.trace.synthetic.cloud import (
-    CloudProfile,
-    VolumeSpec,
-    generate_fleet,
-    generate_volume,
-    profile_by_name,
-)
-
-__all__ = [
-    "ZipfSampler",
-    "DensityPreset",
-    "generate_ycsb_a",
-    "CloudProfile",
-    "VolumeSpec",
-    "generate_volume",
-    "generate_fleet",
-    "profile_by_name",
-]

@@ -7,29 +7,11 @@ Three layers:
   implementation of the LSS store (no NumPy) that replays the same traces
   through the same placement policies.
 * :mod:`repro.validate.audit` — a catalogue of named cross-structure
-  invariants and a cadence-driven :class:`InvariantAuditor` hook for the
-  fast store.
+  invariants and a cadence-driven
+  :class:`~repro.validate.audit.InvariantAuditor` hook for the fast store.
 * :mod:`repro.validate.differential` — a sweep harness that replays traces
   through both implementations and diffs mappings and statistics.
+
+The package re-exports nothing: a replay process that audits its stores
+imports :mod:`repro.validate.audit` alone, not the oracle.
 """
-
-from repro.validate.audit import INVARIANT_CHECKS, InvariantAuditor
-from repro.validate.differential import (CellResult, DifferentialReport,
-                                         default_workloads,
-                                         differential_config, render_report,
-                                         run_cell, run_differential)
-from repro.validate.oracle import ORACLE_VICTIM_POLICIES, OracleStore
-
-__all__ = [
-    "INVARIANT_CHECKS",
-    "InvariantAuditor",
-    "CellResult",
-    "DifferentialReport",
-    "default_workloads",
-    "differential_config",
-    "render_report",
-    "run_cell",
-    "run_differential",
-    "ORACLE_VICTIM_POLICIES",
-    "OracleStore",
-]

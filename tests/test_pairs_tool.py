@@ -46,3 +46,29 @@ def test_lower_is_better_metrics_count_drops_as_wins():
     row = summarize(pairs, _spec())["w"]["write_amplification"]
     assert row["b_ahead"] == 10 and row["median_ratio"] == 0.75
     assert row["resolves"]
+
+
+def _rss_pairs(gain_mb: float) -> list[tuple[dict, dict]]:
+    a = [45.40, 45.42, 45.44, 45.41, 45.43, 45.45, 45.42, 45.44, 45.41,
+         45.43]
+    pairs = []
+    for x in a:
+        ra, rb = _report(100.0), _report(100.0)
+        ra["workloads"]["w"]["end_to_end"]["peak_rss_mb"] = x
+        rb["workloads"]["w"]["end_to_end"]["peak_rss_mb"] = x - gain_mb
+        pairs.append((ra, rb))
+    return pairs
+
+
+def test_a_small_rss_gain_does_not_resolve():
+    # Lower in every pair and far outside A's spread, but 0.2 MiB is the
+    # size of an allocator-layout shift between two equal trees.
+    row = summarize(_rss_pairs(0.2), _spec())["w"]["peak_rss_mb"]
+    assert row["b_ahead"] == row["pairs"] == 10
+    assert not row["resolves"]
+
+
+def test_an_rss_gain_above_the_floor_resolves():
+    row = summarize(_rss_pairs(3.0), _spec())["w"]["peak_rss_mb"]
+    assert row["b_ahead"] == 10
+    assert row["resolves"]
