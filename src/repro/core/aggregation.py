@@ -22,8 +22,12 @@ Two conditions gate the mechanism, following the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.lss.group import Group
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lss.store import LogStructuredStore
 
 
 @dataclass(slots=True)
@@ -112,8 +116,8 @@ class CrossGroupAggregator:
     # ------------------------------------------------------------------
     # the deadline decision
     # ------------------------------------------------------------------
-    def try_aggregate(self, hot: Group, cold: Group,
-                      now_us: int) -> AggregationDecision:
+    def try_aggregate(self, store: "LogStructuredStore", hot: Group,
+                      cold: Group, now_us: int) -> AggregationDecision:
         """Attempt to avert ``hot``'s padding flush via shadow append into
         ``cold``.  Returns the decision; on success the hot buffer's timer
         was reset and the cold chunk was flushed."""
@@ -136,14 +140,14 @@ class CrossGroupAggregator:
         # group's open segment must not exceed its padding budget.
         budget_blocks = cold_mon.avg_padding_per_segment_blocks()
         shadow_blocks = cold.segment_shadow_bytes // \
-            cold.store.config.chunk.block_bytes
+            store.config.chunk.block_bytes
         if cold_mon.segments_sealed > 0 and shadow_blocks >= budget_blocks:
             self.declined += 1
             return AggregationDecision(False, "budget-exhausted")
 
         # Never shadow more blocks than one chunk can hold.
         batch = min(pending, self.chunk_blocks)
-        cold.append_shadow(batch, now_us)
+        cold.append_shadow(store, batch, now_us)
         # The substitutes ride the cold group's chunk: it flushes when it
         # fills (no padding at all — the "filled chunk" of Fig 6) or at the
         # cold group's own SLA deadline (one padded flush covering both
@@ -153,8 +157,8 @@ class CrossGroupAggregator:
         self.shadow_blocks += batch
         return AggregationDecision(True, "shadow-append", blocks=batch)
 
-    def absorb_before_padding(self, cold: Group, hot: Group,
-                              now_us: int) -> int:
+    def absorb_before_padding(self, store: "LogStructuredStore", cold: Group,
+                              hot: Group, now_us: int) -> int:
         """The symmetric direction: ``cold`` is about to pad — fill its
         would-be padding slots with substitutes of ``hot``'s unshadowed
         pending blocks ("utilize redundant blocks in unfilled chunks of
@@ -166,7 +170,7 @@ class CrossGroupAggregator:
         batch = min(hot.unshadowed_pending, free)
         if not batch:
             return 0
-        cold.append_shadow(batch, now_us)
+        cold.append_shadow(store, batch, now_us)
         hot.mark_partially_shadowed(batch, now_us)
         self.shadow_appends += 1
         self.shadow_blocks += batch

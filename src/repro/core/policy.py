@@ -155,7 +155,7 @@ class AdaptPolicy(PlacementPolicy):
             # can move — the threshold (a due adaptation lands here, with
             # the lifespan of this moment), the demotion probe, and the
             # write stamp place_gc reads.
-            now = self.store.user_seq
+            now = self._store().user_seq
             i = now - plan.start_seq
             if not 0 <= i < len(plan.lbas) or plan.lbas[i] != lba:
                 raise RuntimeError(
@@ -193,7 +193,7 @@ class AdaptPolicy(PlacementPolicy):
             hit = self.demotion.demotion_target(lba)
             if hit is not None:
                 target, score = hit
-                for fn in self.store.events.demoted:
+                for fn in self._store().events.demoted:
                     fn(lba, target, score, now_us)
                 return target
         return self.COLD
@@ -337,7 +337,7 @@ class AdaptPolicy(PlacementPolicy):
         self.threshold += 0.5 * (target - self.threshold)
         self._ghost_adapted = True
         self.adaptation_log.append(result)
-        for fn in self.store.events.threshold_switched:
+        for fn in self._store().events.threshold_switched:
             fn(result.best_threshold, result.mode, result.rounds,
                self.threshold, sample_us)
 
@@ -376,21 +376,23 @@ class AdaptPolicy(PlacementPolicy):
     def before_padding_flush(self, group: Group, now_us: int) -> bool:
         if self.aggregator is None:
             return False
+        store = self._store()
         if group.gid == self.HOT:
-            cold = self.store.groups[self.COLD]
-            decision = self.aggregator.try_aggregate(group, cold, now_us)
+            cold = store.groups[self.COLD]
+            decision = self.aggregator.try_aggregate(store, group, cold,
+                                                     now_us)
             if decision.blocks:
-                for fn in self.store.events.shadow_appended:
+                for fn in store.events.shadow_appended:
                     fn(group.gid, cold.gid, decision.blocks, now_us)
             return decision.aggregated
         if group.gid == self.COLD:
             # Symmetric direction: the cold chunk is about to pad — fill
             # its padding slots with substitutes of hot pending blocks.
-            hot = self.store.groups[self.HOT]
-            blocks = self.aggregator.absorb_before_padding(group, hot,
-                                                           now_us)
+            hot = store.groups[self.HOT]
+            blocks = self.aggregator.absorb_before_padding(store, group,
+                                                           hot, now_us)
             if blocks:
-                for fn in self.store.events.shadow_appended:
+                for fn in store.events.shadow_appended:
                     fn(hot.gid, group.gid, blocks, now_us)
             return False  # the (fuller) padded flush still proceeds
         return False

@@ -12,6 +12,7 @@ Timing and machine facts go to a separate run-info file instead.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -67,6 +68,24 @@ def volume_report(spec, tenant_id: str, store, recorder=None) -> dict:
     }
 
 
+def percentile(ordered: list[float], q: float) -> float:
+    """The ``q``-th percentile of the ascending ``ordered``, bit for bit
+    ``np.percentile``'s default (linear) method, which NumPy 2 computes
+    through ``numpy.ma`` — a module nothing else in a fleet run needs.
+
+    The rank ``h = (n - 1) * q / 100`` falls between ``a`` and ``b``; the
+    result is ``a + (b - a) * t`` for the fraction ``t`` of ``h``, or
+    ``b - (b - a) * (1 - t)`` from ``t = 0.5`` on, as NumPy's ``_lerp``.
+    """
+    h = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(h)
+    t = h - lo
+    a = ordered[lo]
+    b = ordered[min(lo + 1, len(ordered) - 1)]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def aggregate_fleet(volumes: list[dict]) -> dict:
     """Cross-tenant aggregates over per-volume report dicts.
 
@@ -80,8 +99,9 @@ def aggregate_fleet(volumes: list[dict]) -> dict:
     for key in _RATIO_KEYS:
         values = np.array([v["stats"][key] for v in volumes],
                           dtype=np.float64)
+        ordered = sorted(values.tolist())
         percentiles[key] = {
-            f"p{p}": float(np.percentile(values, p)) for p in PERCENTILES}
+            f"p{p}": percentile(ordered, p) for p in PERCENTILES}
         percentiles[key]["mean"] = float(values.mean())
         percentiles[key]["max"] = float(values.max())
     totals = {key: float(sum(v["stats"][key] for v in volumes))
@@ -185,5 +205,5 @@ def render_fleet(summary: dict) -> str:
 
 
 __all__ = ["PERCENTILES", "SUMMARY_SCHEMA", "aggregate_fleet",
-           "fleet_summary", "render_fleet", "volume_report",
+           "fleet_summary", "percentile", "render_fleet", "volume_report",
            "write_fleet_summary"]

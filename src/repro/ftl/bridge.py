@@ -27,7 +27,9 @@ class StreamBridge(StoreObserver):
 
     def __init__(self, store: LogStructuredStore,
                  multi_stream: bool = True) -> None:
-        self.store = store
+        # The store keeps the bridge (it subscribes): the bridge keeps
+        # only the segment size it trims by, not the store.
+        self.segment_blocks = store.config.segment_blocks
         self.multi_stream = multi_stream
         logical_pages = store.config.physical_blocks
         num_streams = len(store.groups) if multi_stream else 1
@@ -50,7 +52,7 @@ class StreamBridge(StoreObserver):
 
     def segment_reclaimed(self, seg: int, group_id: int, created_seq: int,
                           valid_blocks: int, now_us: int) -> None:
-        seg_blocks = self.store.config.segment_blocks
+        seg_blocks = self.segment_blocks
         self.ftl.trim(seg * seg_blocks, seg_blocks)
 
 

@@ -29,27 +29,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class GarbageCollector:
-    """Watermark-driven cleaner bound to one store."""
+    """Watermark-driven cleaner of one store, which passes itself to
+    every call: the collector keeps no reference back to the store that
+    owns it."""
 
-    __slots__ = ("store",)
+    __slots__ = ()
 
     # pinned by the frozen `bench/` harness — no caller
     _notify_gc_block = False
 
-    def __init__(self, store: "LogStructuredStore") -> None:
-        self.store = store
+    def needed(self, store: "LogStructuredStore") -> bool:
+        return store.pool.free_segments <= store.config.gc_free_low
 
-    def needed(self) -> bool:
-        return self.store.pool.free_segments <= self.store.config.gc_free_low
-
-    def run(self, now_us: int) -> int:
+    def run(self, store: "LogStructuredStore", now_us: int) -> int:
         """Clean until the high watermark; return segments reclaimed.
 
         Victims come from one :meth:`VictimPolicy.rank` per run, ranked
         again only when a seal adds a productive segment; a policy
         without a stable order is asked per victim (``select``).
         """
-        store = self.store
         pool = store.pool
         victims = store.victim_policy
         reclaimed = 0
@@ -68,13 +66,13 @@ class GarbageCollector:
                     victim = None
                 if victim is None:
                     break  # no productive victim; stop rather than spin
-                self.clean_segment(victim, now_us)
+                self.clean_segment(store, victim, now_us)
                 reclaimed += 1
         return reclaimed
 
-    def clean_segment(self, victim: int, now_us: int) -> None:
+    def clean_segment(self, store: "LogStructuredStore", victim: int,
+                      now_us: int) -> None:
         """Migrate the victim's valid blocks and reclaim it."""
-        store = self.store
         pool = store.pool
         if pool.state_mv[victim] != SEG_SEALED:
             raise ValueError(f"GC victim {victim} is not sealed")
@@ -86,18 +84,17 @@ class GarbageCollector:
         stats = store.stats
         stats.gc_passes += 1
         if n:
-            self._migrate_batch(lbas, victim, victim_group, now_us)
+            self._migrate_batch(store, lbas, victim, victim_group, now_us)
         pool.reclaim(victim)
         stats.gc_segments_reclaimed += 1
         stats.victim_valid[n] += 1
         for fn in store.events.segment_reclaimed:
             fn(victim, victim_group, created_seq, n, now_us)
 
-    def _migrate_batch(self, lbas: np.ndarray, victim: int,
-                       victim_group: int, now_us: int) -> None:
+    def _migrate_batch(self, store: "LogStructuredStore", lbas: np.ndarray,
+                       victim: int, victim_group: int, now_us: int) -> None:
         """Vectorized valid-block migration, bit-identical to a per-block
         loop (see the module docstring for why the reordering is safe)."""
-        store = self.store
         pool = store.pool
         n = int(lbas.shape[0])
         old_locs = store.mapping[lbas]
@@ -110,14 +107,15 @@ class GarbageCollector:
         d0 = int(dests[0])
         if not np.count_nonzero(dests != d0):
             # Single destination (every GC-group-routing baseline).
-            locs = store.groups[d0].append_gc_run(lbas, now_us)
+            locs = store.groups[d0].append_gc_run(store, lbas, now_us)
         else:
             locs = np.empty(n, dtype=np.int64)
             change = np.flatnonzero(np.diff(dests)) + 1
             bounds = [0] + change.tolist() + [n]
             for b0, b1 in zip(bounds[:-1], bounds[1:]):
                 group = store.groups[int(dests[b0])]
-                locs[b0:b1] = group.append_gc_run(lbas[b0:b1], now_us)
+                locs[b0:b1] = group.append_gc_run(store, lbas[b0:b1],
+                                                  now_us)
         # The batch is exactly the victim's valid set (checked above), so
         # the per-slot invalidation walk collapses to one row reset.
         pool.invalidate_all(victim)

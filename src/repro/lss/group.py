@@ -18,6 +18,7 @@ import numpy as np
 from repro.array.coalescing import (APPEND_GC, APPEND_SHADOW, APPEND_USER,
                                     ChunkFlush, CoalescingBuffer,
                                     FlushReason)
+from repro.lss.config import LSSConfig
 from repro.lss.stats import GroupTraffic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,17 +40,20 @@ class GroupSpec:
 
 
 class Group:
-    """Runtime state of one group inside a store."""
+    """Runtime state of one group inside a store.
 
-    __slots__ = ("gid", "spec", "store", "buffer", "open_seg", "traffic",
+    A group keeps no reference to its store: each method that touches the
+    store's pool, clocks, stats or events takes it as ``store``, so the
+    store owns its groups without a reference cycle and a finished store
+    is freed as soon as its last reference goes.
+    """
+
+    __slots__ = ("gid", "spec", "buffer", "open_seg", "traffic",
                  "_shadow_mark", "segment_shadow_bytes")
 
-    def __init__(self, gid: int, spec: GroupSpec,
-                 store: "LogStructuredStore") -> None:
+    def __init__(self, gid: int, spec: GroupSpec, cfg: LSSConfig) -> None:
         self.gid = gid
         self.spec = spec
-        self.store = store
-        cfg = store.config
         window = (cfg.coalesce_window_us
                   if spec.kind in (GroupKind.USER, GroupKind.MIXED) else None)
         self.buffer = CoalescingBuffer(cfg.chunk.chunk_blocks, window)
@@ -66,16 +70,14 @@ class Group:
     # ------------------------------------------------------------------
     # segment management
     # ------------------------------------------------------------------
-    def _ensure_open_segment(self) -> int:
+    def _ensure_open_segment(self, store: "LogStructuredStore") -> int:
         if self.open_seg is None:
-            self.open_seg = self.store.pool.allocate(self.gid,
-                                                     self.store.user_seq)
+            self.open_seg = store.pool.allocate(self.gid, store.user_seq)
             self.segment_shadow_bytes = 0
         return self.open_seg
 
-    def _maybe_seal(self) -> None:
+    def _maybe_seal(self, store: "LogStructuredStore") -> None:
         seg = self.open_seg
-        store = self.store
         pool = store.pool
         if seg is not None and pool.fill[seg] == pool.segment_blocks:
             pool.seal(seg, store.user_seq)
@@ -83,7 +85,8 @@ class Group:
                 fn(self.gid, seg)
             self.open_seg = None
 
-    def _queue_run(self, kind: int, n: int, now_us: int) -> None:
+    def _queue_run(self, store: "LogStructuredStore", kind: int, n: int,
+                   now_us: int) -> None:
         """Queue a run of ``n`` ``kind`` blocks, all at ``now_us``, whose
         slots were just taken in the open segment: flush the chunks it
         fills (one FULL record), then seal the segment if it is full —
@@ -94,18 +97,17 @@ class Group:
         # The store ticks only from its due time on: keep that at or
         # below the deadline the run armed.
         dl = buf.deadline_us
-        if dl is not None:
-            store = self.store
-            if dl < store.due_us:
-                store.due_us = dl
+        if dl is not None and dl < store.due_us:
+            store.due_us = dl
         if nf:
-            self._flush(FlushReason.FULL, drained, now_us, nf, kind)
-            self._maybe_seal()
+            self._flush(store, FlushReason.FULL, drained, now_us, nf, kind)
+            self._maybe_seal(store)
 
     # ------------------------------------------------------------------
     # appends
     # ------------------------------------------------------------------
-    def reserve_user(self, n: int, now_us: int) -> range:
+    def reserve_user(self, store: "LogStructuredStore", n: int,
+                     now_us: int) -> range:
         """Everything a run of ``n`` user appends does that the next
         block, the next tick or a flush consumer can observe: take ``n``
         consecutive slots (open a segment if needed), queue the blocks in
@@ -123,17 +125,19 @@ class Group:
         the seal fire) and ``store.user_seq`` is that block's; the replay
         loop ends every run there, and opens segments with runs of one.
         """
-        seg = self._ensure_open_segment()
-        loc = self.store.pool.reserve_slot(seg, n)
-        self._queue_run(APPEND_USER, n, now_us)
+        seg = self._ensure_open_segment(store)
+        loc = store.pool.reserve_slot(seg, n)
+        self._queue_run(store, APPEND_USER, n, now_us)
         return range(loc, loc + n)
 
-    def append_user(self, lba: int, now_us: int) -> int:
-        loc = self.reserve_user(1, now_us).start
-        self.store.pool.fill_slot(loc, lba)
+    def append_user(self, store: "LogStructuredStore", lba: int,
+                    now_us: int) -> int:
+        loc = self.reserve_user(store, 1, now_us).start
+        store.pool.fill_slot(loc, lba)
         return loc
 
-    def append_shadow(self, n: int, now_us: int) -> None:
+    def append_shadow(self, store: "LogStructuredStore", n: int,
+                      now_us: int) -> None:
         """Persist substitute copies of ``n`` hot pending blocks in this
         group's open chunk (shadow append, §3.3).
 
@@ -143,21 +147,22 @@ class Group:
         blocks go in as one run per chunk they fill, so the state equals
         ``n`` single-block appends.
         """
-        pool = self.store.pool
-        block_bytes = self.store.config.chunk.block_bytes
+        pool = store.pool
+        block_bytes = store.config.chunk.block_bytes
         while n:
-            seg = self._ensure_open_segment()
+            seg = self._ensure_open_segment(store)
             take = min(n, self.buffer.free_slots)
             pool.append_padding(seg, take)  # dead slots, real writes
             self.segment_shadow_bytes += take * block_bytes
-            self._queue_run(APPEND_SHADOW, take, now_us)
+            self._queue_run(store, APPEND_SHADOW, take, now_us)
             n -= take
 
     # pinned by the frozen `bench/` harness — no caller
     def append_user_run(self, *args, **kwargs):
         raise NotImplementedError("pinned by the frozen bench/ harness")
 
-    def append_gc_run(self, lbas: np.ndarray, now_us: int) -> np.ndarray:
+    def append_gc_run(self, store: "LogStructuredStore", lbas: np.ndarray,
+                      now_us: int) -> np.ndarray:
         """Append one GC-migration run; returns the encoded locations.
 
         GC migrations happen at one instant of both clocks — ``now_us``
@@ -166,42 +171,44 @@ class Group:
         stepping.  The caller (:class:`~repro.lss.gc.GarbageCollector`)
         guarantees nothing can interleave inside the run.
         """
-        pool = self.store.pool
+        pool = store.pool
         sb = pool.segment_blocks
         n = int(lbas.shape[0])
         locs = np.empty(n, dtype=np.int64)
         done = 0
         while done < n:
-            seg = self._ensure_open_segment()
+            seg = self._ensure_open_segment(store)
             take = min(n - done, sb - pool.fill[seg])
             base = seg * sb + pool.append_many(seg, lbas[done:done + take])
             locs[done:done + take] = np.arange(base, base + take,
                                                dtype=np.int64)
-            self._queue_run(APPEND_GC, take, now_us)
+            self._queue_run(store, APPEND_GC, take, now_us)
             done += take
         return locs
 
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
-    def poll_deadline(self, now_us: int) -> None:
-        """Emit a padded DEADLINE flush if the SLA window expired."""
-        self._padded_flush(FlushReason.DEADLINE, self.buffer.poll(now_us),
-                           now_us)
-
-    def force_flush(self, now_us: int) -> None:
-        """Emit a padded FORCED flush of whatever is pending."""
-        self._padded_flush(FlushReason.FORCED, self.buffer.force_flush(),
-                           now_us)
-
-    def _padded_flush(self, reason: FlushReason, drained,
+    def poll_deadline(self, store: "LogStructuredStore",
                       now_us: int) -> None:
-        if drained is not None:
-            self._flush(reason, drained, now_us)
-            self._maybe_seal()
+        """Emit a padded DEADLINE flush if the SLA window expired."""
+        self._padded_flush(store, FlushReason.DEADLINE,
+                           self.buffer.poll(now_us), now_us)
 
-    def _flush(self, reason: FlushReason, drained: list[int], time_us: int,
-               count: int = 1, run_kind: int = APPEND_USER) -> None:
+    def force_flush(self, store: "LogStructuredStore", now_us: int) -> None:
+        """Emit a padded FORCED flush of whatever is pending."""
+        self._padded_flush(store, FlushReason.FORCED,
+                           self.buffer.force_flush(), now_us)
+
+    def _padded_flush(self, store: "LogStructuredStore",
+                      reason: FlushReason, drained, now_us: int) -> None:
+        if drained is not None:
+            self._flush(store, reason, drained, now_us)
+            self._maybe_seal(store)
+
+    def _flush(self, store: "LogStructuredStore", reason: FlushReason,
+               drained: list[int], time_us: int, count: int = 1,
+               run_kind: int = APPEND_USER) -> None:
         """Book ``count`` chunk flushes: the one place the group's
         traffic, the segment's padding, the store's padded-flush,
         lazy-append and RAID tallies and the :class:`ChunkFlush` record
@@ -217,7 +224,6 @@ class Group:
         """
         total = count * self.buffer.chunk_blocks
         pending = drained[0] + drained[1] + drained[2]
-        store = self.store
         stats = store.stats
         if reason is FlushReason.FULL:
             drained[run_kind] += total - pending

@@ -75,12 +75,20 @@ class LogStructuredStore:
     store's observers, in that order: each hears the store's events
     through :attr:`events` (:mod:`repro.common.observer`), and
     :meth:`subscribe` appends another.
+
+    Nothing the store owns holds a strong reference back to it: its
+    groups and its collector are handed the store on each call, and the
+    policy keeps a weak reference (:meth:`PlacementPolicy.bind
+    <repro.placement.base.PlacementPolicy.bind>`).  So reference counting
+    frees a finished store when its last reference goes.  A recorder, an
+    attribution sink or an auditor keeps its store, because callers read
+    it after the run: an observed store is freed by the cyclic collector.
     """
 
     __slots__ = ("config", "policy", "obs", "attribution", "auditor",
                  "profiler", "pool", "mapping", "stats", "groups",
                  "_sla_groups", "due_us", "victim_policy", "gc",
-                 "user_seq", "now_us", "events")
+                 "user_seq", "now_us", "events", "__weakref__")
 
     # pinned by the frozen `bench/` harness — no caller
     _fast_flush = _fast_full = False
@@ -114,7 +122,7 @@ class LogStructuredStore:
             victim_valid=[0] * (config.segment_blocks + 1))
         self.groups: list[Group] = []
         for gid, spec in enumerate(specs):
-            group = Group(gid, spec, self)
+            group = Group(gid, spec, config)
             self.groups.append(group)
             self.stats.groups.append(group.traffic)
         self._sla_groups = [g for g in self.groups
@@ -130,7 +138,7 @@ class LogStructuredStore:
 
         self.victim_policy = make_victim_policy(config.victim_policy,
                                                 rng=config.seed)
-        self.gc = GarbageCollector(self)
+        self.gc = GarbageCollector()
 
         #: Logical clock: number of user block writes accepted so far.
         self.user_seq = 0
@@ -174,15 +182,15 @@ class LogStructuredStore:
         if old != UNMAPPED:
             self.pool.invalidate(int(old))
         gid = self.policy.place_user(lba, now_us)
-        loc = self.groups[gid].append_user(lba, now_us)
+        loc = self.groups[gid].append_user(self, lba, now_us)
         self.mapping[lba] = loc
         seq = self.user_seq
         self.user_seq = seq + 1
         self.stats.user_blocks_requested += 1
         for fn in self.events.user_writes:
             fn([lba], [loc], seq, now_us)
-        if self.gc.needed():
-            self.gc.run(now_us)
+        if self.gc.needed(self):
+            self.gc.run(self, now_us)
 
     def read_block(self, lba: int) -> bool:
         """Return whether ``lba`` has ever been written (reads do not touch
@@ -214,7 +222,7 @@ class LogStructuredStore:
                 continue
             if self.policy.before_padding_flush(group, now_us):
                 continue  # policy persisted the data another way
-            group.poll_deadline(now_us)
+            group.poll_deadline(self, now_us)
         due = NO_DEADLINE
         for group in sla_groups:
             deadline = group.buffer.deadline_us
@@ -365,7 +373,7 @@ class LogStructuredStore:
                     gid = place_user(lba, t)
                     seq = self.user_seq
                     if run and gid != run_gid:
-                        locs.extend(group.reserve_user(run, t))
+                        locs.extend(group.reserve_user(self, run, t))
                         run = 0
                     if not run:
                         run_gid, group, run_seq = gid, groups[gid], seq
@@ -381,7 +389,7 @@ class LogStructuredStore:
                         continue
                     # Reserved before the increment: a seal stamps the
                     # filling block's user_seq.
-                    locs.extend(group.reserve_user(run, t))
+                    locs.extend(group.reserve_user(self, run, t))
                     run = 0
                     self.user_seq = seq = seq + 1
                     gc_due = pool.free_segments <= gc_low
@@ -392,17 +400,17 @@ class LogStructuredStore:
                         settled += len(locs)
                         locs.clear()
                         if gc_due:
-                            self.gc.run(t)
+                            self.gc.run(self, t)
                         sample_at = self._next_sample_seq()
                 if run:
-                    locs.extend(group.reserve_user(run, t))
+                    locs.extend(group.reserve_user(self, run, t))
                     run = 0
         finally:
             if run:
                 if self.user_seq - run_seq == run:
                     # A later place_user raised: the run is placed and
                     # counted, so it takes its slots like any other.
-                    locs.extend(group.reserve_user(run, t))
+                    locs.extend(group.reserve_user(self, run, t))
                 elif run > 1:
                     # The run's own reservation raised in a hook of the
                     # chunk its last block fills (that block was never
@@ -425,7 +433,7 @@ class LogStructuredStore:
         with self.profiler.span("finalize"):
             now = self.now_us + self.config.coalesce_window_us
             for group in self.groups:
-                group.force_flush(now)
+                group.force_flush(self, now)
             for fn in self.events.finalize:
                 fn()
 

@@ -12,6 +12,7 @@ through :meth:`memory_bytes` for the Fig 12b experiment.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -25,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lss.store import LogStructuredStore
 
 
+def _unbound() -> None:
+    """What :attr:`PlacementPolicy._store` answers before :meth:`bind`."""
+    return None
+
+
 class PlacementPolicy(ScalarViews, StoreObserver):
     """Base class for placement policies.
 
@@ -33,14 +39,16 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     Events a policy overrides reach it before every other observer.
     """
 
-    __slots__ = ("config", "store")
+    __slots__ = ("config", "_store")
 
     #: Registry name; subclasses override.
     name = "abstract"
 
     def __init__(self, config: LSSConfig) -> None:
         self.config = config
-        self.store: "LogStructuredStore | None" = None
+        #: A weak reference to the bound store (:meth:`bind`): call it
+        #: once per call of a hook to get the store.
+        self._store = _unbound
 
     # ------------------------------------------------------------------
     # required interface
@@ -107,9 +115,15 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     # optional hooks
     # ------------------------------------------------------------------
     def bind(self, store: "LogStructuredStore") -> None:
-        """Receive the store; decisions worth observing fire through
-        its ``events``."""
-        self.store = store
+        """Receive the store, and keep only a weak reference to it.
+
+        The store owns its policy, so a strong reference back would make
+        a cycle that keeps every finished store in memory until the
+        cyclic collector runs.  The store is alive whenever it calls the
+        policy: a hook reads it as ``self._store()``, once per call.
+        Decisions worth observing fire through its ``events``.
+        """
+        self._store = weakref.ref(store)
 
     def before_padding_flush(self, group: Group, now_us: int) -> bool:
         """Last chance to avert an SLA padding flush for ``group``.
@@ -129,6 +143,8 @@ class PlacementPolicy(ScalarViews, StoreObserver):
     @property
     def user_seq(self) -> int:
         """The store's logical clock (user blocks written so far)."""
-        if self.store is None:
-            raise RuntimeError(f"policy {self.name!r} is not bound to a store")
-        return self.store.user_seq
+        store = self._store()
+        if store is None:
+            raise RuntimeError(
+                f"policy {self.name!r} is not bound to a live store")
+        return store.user_seq

@@ -78,9 +78,6 @@ def check_mapping_bijection(store: "LogStructuredStore") -> None:
     if wrong.size:
         lba = int(mapped[wrong[0]])
         _fail(name, f"lba {lba} maps to a slot holding a different lba")
-    ordered = np.sort(locs)
-    if np.any(ordered[1:] == ordered[:-1]):
-        _fail(name, "two LBAs map to the same physical slot")
     total_valid = int(np.count_nonzero(pool.slot_valid))
     if total_valid != mapped.size:
         _fail(name, f"{total_valid} valid slots but {mapped.size} mapped "

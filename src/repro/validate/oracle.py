@@ -379,7 +379,10 @@ class OracleGroup:
     def append_gc(self, lba: int, now_us: int) -> int:
         return self._append_data(lba, now_us, APPEND_GC)
 
-    def append_shadow(self, n: int, now_us: int) -> None:
+    def append_shadow(self, store: "OracleStore", n: int,
+                      now_us: int) -> None:
+        # ``store`` is this group's own: the aggregator passes the store
+        # as to :meth:`repro.lss.group.Group.append_shadow`.
         for _ in range(n):
             seg = self._ensure_open_segment()
             self.store.pool.append_padding(seg, 1)  # dead slot, real write

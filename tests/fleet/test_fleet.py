@@ -18,7 +18,7 @@ from repro.fleet import (
     run_fleet,
     run_shard,
 )
-from repro.fleet.report import SUMMARY_SCHEMA
+from repro.fleet.report import PERCENTILES, SUMMARY_SCHEMA, percentile
 
 TINY = FleetSpec(num_volumes=6, volume_blocks=2048, volume_requests=1200,
                  chunk_requests=256)
@@ -391,3 +391,18 @@ def test_hard_kill_then_resume_byte_identical(tmp_path, monkeypatch):
         b = f.read()
     assert a == b
     assert resumed.chunks_replayed < clean.chunks_replayed
+
+
+def test_percentile_equals_numpy_bit_for_bit():
+    """The fleet's percentiles are np.percentile's, without numpy.ma."""
+    import numpy as np
+
+    rng = np.random.default_rng(46)
+    qs = sorted({0, 1, 33, 50, 66.6, 100, *PERCENTILES})
+    for n in list(range(1, 60)) + [97, 128, 255, 500]:
+        for draw in (rng.random(n) * 3, rng.integers(0, 5, n) / 7,
+                     np.full(n, 1.1)):
+            ordered = sorted(draw.tolist())
+            for q in qs:
+                want = float(np.percentile(draw, q))
+                assert percentile(ordered, q) == want, (n, q)

@@ -86,9 +86,9 @@ def checked_gc_runs():
     runs: list[int] = []
     real = GarbageCollector.run
 
-    def run(gc, now_us):
-        real(gc, now_us)
-        assert_due_bounds_deadlines(gc.store)
+    def run(gc, store, now_us):
+        real(gc, store, now_us)
+        assert_due_bounds_deadlines(store)
         runs.append(now_us)
 
     with mock.patch.object(GarbageCollector, "run", run):

@@ -59,7 +59,7 @@ def test_clean_segment_rejects_unsealed(tiny_config):
     store.process_request(0, 1, 0, 1)
     open_seg = store.groups[0].open_seg
     with pytest.raises(ValueError):
-        store.gc.clean_segment(open_seg, 0)
+        store.gc.clean_segment(store, open_seg, 0)
 
 
 def test_gc_only_selects_sealed(tiny_config):

@@ -44,13 +44,13 @@ def _replay(monkeypatch, policy_name, workload_idx, victim, per_victim,
         seen["ranks"] += 1
         return rank(self, pool, now_seq)
 
-    def counted_run(self, now_us):
+    def counted_run(self, store, now_us):
         seen["runs"] += 1
-        return run(self, now_us)
+        return run(self, store, now_us)
 
-    def recorded_clean(self, victim, now_us):
+    def recorded_clean(self, store, victim, now_us):
         seen["victims"].append(victim)
-        clean(self, victim, now_us)
+        clean(self, store, victim, now_us)
 
     with monkeypatch.context() as m:
         m.setattr(victims, "rank", counted_rank)

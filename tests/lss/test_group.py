@@ -17,7 +17,7 @@ def store(tiny_config):
 def test_group_seals_when_segment_full(store, tiny_config):
     g = store.groups[0]
     for i in range(tiny_config.segment_blocks):
-        g.append_user(i, now_us=i)
+        g.append_user(store, i, now_us=i)
     # Segment filled by FULL chunk flushes and was sealed.
     assert g.open_seg is None
     assert len(store.pool.sealed_segments()) == 1
@@ -25,17 +25,17 @@ def test_group_seals_when_segment_full(store, tiny_config):
 
 def test_padding_advances_fill_to_chunk_boundary(store, tiny_config):
     g = store.groups[0]
-    g.append_user(0, now_us=0)
+    g.append_user(store, 0, now_us=0)
     chunk = tiny_config.chunk.chunk_blocks
     assert store.pool.fill[g.open_seg] == 1
-    g.poll_deadline(now_us=10_000)
+    g.poll_deadline(store, now_us=10_000)
     assert g.traffic.deadline_flushes == 1
     assert store.pool.fill[g.open_seg] == chunk
 
 
 def test_shadow_append_creates_dead_slot(store):
     g = store.groups[0]
-    g.append_shadow(1, now_us=0)
+    g.append_shadow(store, 1, now_us=0)
     seg = g.open_seg
     assert store.pool.fill[seg] == 1
     assert store.pool.valid_count[seg] == 0
@@ -46,7 +46,7 @@ def test_shadow_append_creates_dead_slot(store):
 
 def test_shadow_accounted_on_flush(store, tiny_config):
     g = store.groups[0]
-    g.append_shadow(tiny_config.chunk.chunk_blocks, now_us=0)
+    g.append_shadow(store, tiny_config.chunk.chunk_blocks, now_us=0)
     assert g.traffic.shadow_blocks == tiny_config.chunk.chunk_blocks
     assert g.traffic.chunk_flushes == 1
 
@@ -60,9 +60,9 @@ def test_shadow_run_equals_single_shadow_appends(tiny_config):
         store = LogStructuredStore(tiny_config, SepGCPolicy(tiny_config))
         flushes = FlushLog(store).flushes
         g = store.groups[0]
-        g.append_user(1, now_us=0)
+        g.append_user(store, 1, now_us=0)
         for n in calls:
-            g.append_shadow(n, now_us=3)
+            g.append_shadow(store, n, now_us=3)
         return (flushes, g.traffic, g.buffer.pending, g.buffer.deadline_us,
                 g.open_seg, g.segment_shadow_bytes,
                 list(store.pool.fill), store.pool.state.tolist())
@@ -75,12 +75,12 @@ def test_shadow_run_equals_single_shadow_appends(tiny_config):
 
 def test_shadow_watermark_and_unshadowed(store):
     g = store.groups[0]
-    g.append_user(1, 0)
-    g.append_user(2, 0)
+    g.append_user(store, 1, 0)
+    g.append_user(store, 2, 0)
     assert g.unshadowed_pending == 2
     g.mark_all_shadowed(now_us=5)
     assert g.unshadowed_pending == 0
-    g.append_user(3, 6)
+    g.append_user(store, 3, 6)
     assert g.unshadowed_pending == 1
     assert g.buffer.pending[APPEND_USER] == 3
 
@@ -88,7 +88,7 @@ def test_shadow_watermark_and_unshadowed(store):
 def test_partial_shadow_watermark(store):
     g = store.groups[0]
     for lba in (1, 2, 3):
-        g.append_user(lba, 0)
+        g.append_user(store, lba, 0)
     g.mark_partially_shadowed(2, now_us=5)
     assert g.unshadowed_pending == 1
     before = g.buffer.deadline_us
@@ -100,23 +100,23 @@ def test_partial_shadow_watermark(store):
 
 def test_watermark_resets_on_flush(store, tiny_config):
     g = store.groups[0]
-    g.append_user(1, 0)
+    g.append_user(store, 1, 0)
     g.mark_all_shadowed(0)
     for i in range(1, tiny_config.chunk.chunk_blocks):
-        g.append_user(10 + i, 0)
+        g.append_user(store, 10 + i, 0)
     # Chunk flushed FULL; watermark must reset for the next chunk.
     assert g.buffer.pending_blocks == 0
-    g.append_user(99, 1)
+    g.append_user(store, 99, 1)
     assert g.unshadowed_pending == 1
 
 
 def test_deadline_flush_counters(store):
     g = store.groups[0]
-    g.append_user(1, 0)
-    g.poll_deadline(now_us=10_000)
+    g.append_user(store, 1, 0)
+    g.poll_deadline(store, now_us=10_000)
     assert g.traffic.deadline_flushes == 1
-    g.append_user(2, 20_000)
-    g.force_flush(now_us=20_001)
+    g.append_user(store, 2, 20_000)
+    g.force_flush(store, now_us=20_001)
     assert g.traffic.forced_flushes == 1
 
 
@@ -140,7 +140,8 @@ def _reserve_in_runs(tiny_config, cuts):
         if g.open_seg is None or run == g.buffer.free_slots \
                 or i + 1 in cuts or (i + 1) % _REQUEST_BLOCKS == 0 \
                 or i + 1 == n:
-            locs.extend(g.reserve_user(run, now_us=i // _REQUEST_BLOCKS))
+            locs.extend(g.reserve_user(store, run,
+                                       now_us=i // _REQUEST_BLOCKS))
             run = 0
         store.user_seq += 1
     return store, g, locs, flushes
@@ -163,7 +164,7 @@ def _check_runs_against_append_user(tiny_config, cuts):
     ge = eager.groups[0]
     eager_locs = []
     for i in range(tiny_config.segment_blocks + 3):
-        eager_locs.append(ge.append_user(100 + i,
+        eager_locs.append(ge.append_user(eager, 100 + i,
                                          now_us=i // _REQUEST_BLOCKS))
         eager.user_seq += 1
     lazy, gl, lazy_locs, lazy_flushes = _reserve_in_runs(tiny_config, cuts)

@@ -87,11 +87,11 @@ def test_flush_record_of_count_n_equals_n_records_of_one(tmp_path):
         store = fresh_store("adapt", recorder=rec)
         g = store.groups[store.policy.GC_BASE]
         lbas = np.arange(3 + sum(runs), dtype=np.int64)
-        g.append_gc_run(lbas[:3], time_us)
+        g.append_gc_run(store, lbas[:3], time_us)
         g.mark_all_shadowed(time_us)
         done = 3
         for k in runs:
-            g.append_gc_run(lbas[done:done + k], time_us)
+            g.append_gc_run(store, lbas[done:done + k], time_us)
             done += k
         return dataclasses.asdict(store.stats), rec.snapshot()
 

@@ -12,7 +12,8 @@ from repro.placement.warcip import WarcipPolicy
 
 
 def bind(policy, cfg):
-    """Bind a policy to a real store so user_seq advances normally."""
+    """Bind a policy to a real store so user_seq advances normally.  The
+    policy holds the store weakly: the caller keeps what this returns."""
     return LogStructuredStore(cfg, policy)
 
 
@@ -21,7 +22,7 @@ def bind(policy, cfg):
 # ----------------------------------------------------------------------
 def test_sepgc_routes(small_config):
     pol = SepGCPolicy(small_config)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     assert pol.place_user(1, 0) == SepGCPolicy.USER_GROUP
     assert pol.place_gc(1, 0, 0) == SepGCPolicy.GC_GROUP
     kinds = [s.kind for s in pol.group_specs()]
@@ -33,7 +34,7 @@ def test_sepgc_routes(small_config):
 # ----------------------------------------------------------------------
 def test_dac_promote_on_write(small_config):
     pol = DACPolicy(small_config, num_regions=5)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     assert pol.place_user(7, 0) == 0           # first write: coldest
     assert pol.place_user(7, 1) == 1           # promote
     assert pol.place_user(7, 2) == 2
@@ -44,7 +45,7 @@ def test_dac_promote_on_write(small_config):
 
 def test_dac_demote_on_gc(small_config):
     pol = DACPolicy(small_config, num_regions=5)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     pol.place_user(7, 0)
     pol.place_user(7, 1)   # region 1
     assert pol.place_gc(7, victim_group=1, now_us=2) == 0
@@ -67,7 +68,7 @@ def test_dac_validation(small_config):
 # ----------------------------------------------------------------------
 def test_mida_migration_counting(small_config):
     pol = MiDAPolicy(small_config, num_groups=4)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     assert pol.place_user(9, 0) == 0
     assert pol.place_gc(9, 0, 1) == 1
     assert pol.place_gc(9, 1, 2) == 2
@@ -93,13 +94,13 @@ def test_mida_validation(small_config):
 # ----------------------------------------------------------------------
 def test_warcip_first_write_goes_coldest_cluster(small_config):
     pol = WarcipPolicy(small_config, num_clusters=5)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     assert pol.place_user(3, 0) == 4
 
 
 def test_warcip_gc_group_is_last(small_config):
     pol = WarcipPolicy(small_config, num_clusters=5)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     assert pol.place_gc(3, 0, 0) == 5
     specs = pol.group_specs()
     assert specs[5].kind == GroupKind.GC
@@ -138,7 +139,7 @@ def test_warcip_validation(small_config):
 # ----------------------------------------------------------------------
 def test_sepbit_first_write_cold(small_config):
     pol = SepBITPolicy(small_config)
-    bind(pol, small_config)
+    _store = bind(pol, small_config)
     assert pol.place_user(5, 0) == SepBITPolicy.COLD
 
 

@@ -186,7 +186,7 @@ def _adapt_state(policy: AdaptPolicy, tracer: EventTracer) -> tuple:
         None if demotion is None else (demotion.lookups,
                                        demotion.demotions),
         spilled_events(tracer),
-        vars(policy.store.tally),
+        vars(policy._store().tally),
     )
 
 

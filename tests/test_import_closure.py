@@ -1,13 +1,16 @@
-"""A replay process loads only what it runs.
+"""A replay process, and a fleet process, load only what they run.
 
 A fresh interpreter makes exactly the imports of the benchmark's
 ``bench/workloads.py``, replays one ``sepgc`` and one ``adapt`` smoke
 volume, audits each store as the benchmark does, and reports which of
 the modules no replay runs it has loaded: the oracle and the
 differential sweep, the analyzer, the exporters and the attribution
-ledger, a process pool, and ``numpy.ma``.  Each one costs resident
-memory in every replay process (``docs/performance.md``, "What a replay
-process loads").  The check times nothing.
+ledger, a process pool, and ``numpy.ma``.  Another runs a two-tenant
+``run_fleet`` with metrics and attribution on, which needs the
+exporters and the ledger but neither the oracle, the analyzer, a pool
+nor ``numpy.ma``.  Each one costs resident memory in every such
+process (``docs/performance.md``, "What a replay process loads").  The
+check times nothing.
 """
 
 from __future__ import annotations
@@ -37,8 +40,17 @@ NOT_LOADED = (
     "multiprocessing",
 )
 
-#: Run in the fresh interpreter; prints one JSON line.
-CHILD = """
+#: Modules a one-worker fleet process must not load.
+FLEET_NOT_LOADED = (
+    "repro.validate.oracle",
+    "repro.validate.differential",
+    "repro.obs.analyze",
+    "concurrent.futures",
+    "multiprocessing",
+)
+
+#: The fresh interpreter's imports; a body and :data:`REPORT` follow.
+IMPORTS = """
 import json
 import sys
 
@@ -67,7 +79,9 @@ from repro.trace.synthetic.cloud import (
     profile_by_name,
 )
 from repro.validate.audit import InvariantAuditor
+"""
 
+REPLAY = """
 # One smoke-scale ali volume (8 192 blocks, 6 000 requests).
 spec = VolumeSpec.draw(profile_by_name("ali"), "ali-000", 8_192, 6_000,
                        tenant_rng(1, "ali-000", "spec"))
@@ -77,31 +91,57 @@ for scheme in ("sepgc", "adapt"):
     store = LogStructuredStore(cfg, make_policy(scheme, cfg))
     store.replay(trace)
     InvariantAuditor(every_blocks=0).audit(store)
+"""
+
+FLEET = """
+# Two smoke-scale ali tenants, with the summary, checkpoints, metrics
+# and attribution of the benchmark's fleet workload.
+spec = FleetSpec(profile="ali", scheme="adapt", num_volumes=2,
+                 volume_blocks=8_192, volume_requests=2_048,
+                 chunk_requests=1_024, collect_metrics=True,
+                 collect_attribution=True)
+with tempfile.TemporaryDirectory() as out:
+    result = run_fleet(spec, workers=1, checkpoint_every=2, out_dir=out)
+    assert result.complete and os.path.exists(result.summary_path)
+"""
+
+#: Prints one JSON line.
+REPORT = """
 print(json.dumps({"modules": sorted(sys.modules),
                   "bare_numpy_ma": bare_numpy_ma}))
 """
 
 
-def _child_modules() -> dict:
+def _child_modules(body: str) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env,
+    proc = subprocess.run([sys.executable, "-c", IMPORTS + body + REPORT],
+                          env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_a_replay_process_loads_no_oracle_analyzer_or_pool():
-    got = _child_modules()
+def _assert_loads_none_of(got: dict, not_loaded: tuple[str, ...]) -> None:
     loaded = set(got["modules"])
     assert "repro.lss.store" in loaded and "repro.core.policy" in loaded
-    assert sorted(loaded & set(NOT_LOADED)) == []
+    assert sorted(loaded & set(not_loaded)) == []
     if not got["bare_numpy_ma"]:
         # NumPy 1.x imports numpy.ma with numpy itself; NumPy 2 only on
         # first use (np.unique, np.percentile).
         assert "numpy.ma" not in loaded
+
+
+def test_a_replay_process_loads_no_oracle_analyzer_or_pool():
+    _assert_loads_none_of(_child_modules(REPLAY), NOT_LOADED)
+
+
+def test_a_fleet_process_loads_no_oracle_analyzer_pool_or_numpy_ma():
+    got = _child_modules(FLEET)
+    assert "repro.obs.attribution" in got["modules"]
+    _assert_loads_none_of(got, FLEET_NOT_LOADED)
 
 
 def test_mapping_bijection_still_catches_a_doubly_mapped_slot():
@@ -115,3 +155,4 @@ def test_mapping_bijection_still_catches_a_doubly_mapped_slot():
     with pytest.raises(InvariantViolation) as err:
         check_mapping_bijection(store)
     assert err.value.invariant == "mapping-bijection"
+    assert "maps to a slot holding a different lba" in err.value.detail
