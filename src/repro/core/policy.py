@@ -149,13 +149,14 @@ class AdaptPolicy(PlacementPolicy):
     # user-write path
     # ------------------------------------------------------------------
     def place_user(self, lba: int, now_us: int) -> int:
+        store = self._store()
         plan = self._plan
         if plan is not None:
             # The window is planned: what is left per block is what GC
             # can move — the threshold (a due adaptation lands here, with
             # the lifespan of this moment), the demotion probe, and the
             # write stamp place_gc reads.
-            now = self._store().user_seq
+            now = store.user_seq
             i = now - plan.start_seq
             if not 0 <= i < len(plan.lbas) or plan.lbas[i] != lba:
                 raise RuntimeError(
@@ -166,7 +167,7 @@ class AdaptPolicy(PlacementPolicy):
                 self._apply_adaptation(*plan.checkpoints.pop(i))
             v = plan.values[i]
         else:
-            now = self.user_seq
+            now = store.user_seq
             last = self._last_user_write_mv[lba]
 
             if self.ladder is not None and self.sampler.is_sampled(lba):
@@ -193,7 +194,7 @@ class AdaptPolicy(PlacementPolicy):
             hit = self.demotion.demotion_target(lba)
             if hit is not None:
                 target, score = hit
-                for fn in self._store().events.demoted:
+                for fn in store.events.demoted:
                     fn(lba, target, score, now_us)
                 return target
         return self.COLD
@@ -346,7 +347,8 @@ class AdaptPolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     def place_gc(self, lba: int, victim_group: int, now_us: int) -> int:
         last = self._last_user_write_mv[lba]
-        age = self.user_seq - last if last >= 0 else self.user_seq
+        now = self.user_seq
+        age = now - last if last >= 0 else now
         bound = self._lifespan * 4
         for cls in range(self.adapt_config.num_gc_groups - 1):
             if age < bound:
@@ -360,7 +362,8 @@ class AdaptPolicy(PlacementPolicy):
         # victim is migrated: the age ladder is constant here, and the
         # class is how many geometric boundaries the age clears.
         last = self._last_user_write[lbas]
-        age = np.where(last >= 0, self.user_seq - last, self.user_seq)
+        now = self.user_seq
+        age = np.where(last >= 0, now - last, now)
         bounds = gc_age_bounds(self._lifespan,
                                self.adapt_config.num_gc_groups)
         return self.GC_BASE + bounds.searchsorted(age, side="right")

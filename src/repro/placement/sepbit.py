@@ -81,13 +81,15 @@ class SepBITPolicy(PlacementPolicy):
         # whole victim is migrated: the age ladder is constant here, and
         # the class is how many geometric boundaries the age clears.
         last = self._last_user_write[lbas]
-        age = np.where(last >= 0, self.user_seq - last, self.user_seq)
+        now = self.user_seq
+        age = np.where(last >= 0, now - last, now)
         bounds = gc_age_bounds(self.threshold, self.num_gc_groups)
         return self.GC_BASE + bounds.searchsorted(age, side="right")
 
     def block_age(self, lba: int) -> int:
         last = self._last_user_write_mv[lba]
-        return self.user_seq - last if last >= 0 else self.user_seq
+        now = self.user_seq
+        return now - last if last >= 0 else now
 
     def gc_class_for_age(self, age: int) -> int:
         """Geometric age ladder: boundaries l·4^i for i = 1..k-1."""
