@@ -17,6 +17,7 @@ observed write-distance / unique-distance ratio of sampled re-accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from repro.lss.group import Group, GroupKind, GroupSpec
 from repro.placement.base import PlacementPolicy
 from repro.placement.registry import register
 from repro.placement.sepbit import gc_age_bounds
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lss.store import LogStructuredStore
 
 #: Candidate thresholds the ghost ladder simulates at once (§3.2).
 NUM_GHOST_SETS = 5
@@ -51,6 +55,11 @@ class _UserWritePlan:
     lifespan, which only the moment the block is placed knows.
     """
 
+    #: The store being replayed.  The plan lives for one window of
+    #: ``store.replay``, which drops it before returning, so this strong
+    #: reference makes no lasting cycle and spares ``place_user`` a weak
+    #: dereference per block.
+    store: "LogStructuredStore"
     start_seq: int
     lbas: list[int]
     #: Per block, the value ``place_user`` compares with the threshold.
@@ -149,13 +158,13 @@ class AdaptPolicy(PlacementPolicy):
     # user-write path
     # ------------------------------------------------------------------
     def place_user(self, lba: int, now_us: int) -> int:
-        store = self._store()
         plan = self._plan
         if plan is not None:
             # The window is planned: what is left per block is what GC
             # can move — the threshold (a due adaptation lands here, with
             # the lifespan of this moment), the demotion probe, and the
             # write stamp place_gc reads.
+            store = plan.store
             now = store.user_seq
             i = now - plan.start_seq
             if not 0 <= i < len(plan.lbas) or plan.lbas[i] != lba:
@@ -167,6 +176,7 @@ class AdaptPolicy(PlacementPolicy):
                 self._apply_adaptation(*plan.checkpoints.pop(i))
             v = plan.values[i]
         else:
+            store = self._store()
             now = store.user_seq
             last = self._last_user_write_mv[lba]
 
@@ -235,7 +245,7 @@ class AdaptPolicy(PlacementPolicy):
                                     first, side="right")
             values[first] = ranks * np.asarray(rho_values)[piece]
             self._unique_seen += int(first.size)
-        self._plan = _UserWritePlan(start_seq, lbas.tolist(),
+        self._plan = _UserWritePlan(self._store(), start_seq, lbas.tolist(),
                                     values.tolist(), checkpoints)
 
     def _plan_samples(self, lbas: np.ndarray, ts_us: np.ndarray,

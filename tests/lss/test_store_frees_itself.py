@@ -86,8 +86,8 @@ def test_a_store_with_a_subscribed_bridge_is_freed(trace, no_cyclic_gc):
     assert bridge.ftl.device_write_amplification() >= 1.0
 
 
-def test_an_observed_store_waits_for_the_cyclic_collector(trace,
-                                                          no_cyclic_gc):
+def test_an_observed_store_is_readable_after_del_and_then_freed(
+        trace, no_cyclic_gc):
     recorder = ObsRecorder()
     store = _replayed("sepgc", trace, recorder=recorder)
     ref = weakref.ref(store)
