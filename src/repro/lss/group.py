@@ -125,7 +125,9 @@ class Group:
         the seal fire) and ``store.user_seq`` is that block's; the replay
         loop ends every run there, and opens segments with runs of one.
         """
-        seg = self._ensure_open_segment(store)
+        seg = self.open_seg
+        if seg is None:
+            seg = self._ensure_open_segment(store)
         loc = store.pool.reserve_slot(seg, n)
         self._queue_run(store, APPEND_USER, n, now_us)
         return range(loc, loc + n)
